@@ -48,12 +48,20 @@ BitVector intToFloat(const BitVector& a, unsigned floatWidth) {
 BitVector floatToInt(const BitVector& a, unsigned intWidth) {
   double d = bitsToDouble(a);
   if (std::isnan(d)) return BitVector(intWidth);
-  // Clamp like common DSP float-to-int converters.
-  double lo = -std::ldexp(1.0, int(intWidth) - 1);
-  double hi = std::ldexp(1.0, int(intWidth) - 1) - 1.0;
-  if (d < lo) d = lo;
-  if (d > hi) d = hi;
-  return BitVector::fromInt(intWidth, std::int64_t(d));
+  // Saturate like common DSP float-to-int converters. 2^(w-1) is exact in
+  // a double, whereas 2^(w-1) - 1 rounds up to it once w > 54.
+  const double lim = std::ldexp(1.0, int(intWidth) - 1);
+  const BitVector max = BitVector::allOnes(intWidth).lshr(1);
+  if (d >= lim) return max;
+  if (d <= -lim) return max.not_();
+  if (std::fabs(d) < 0x1p63)
+    return BitVector::fromInt(intWidth, std::int64_t(d));
+  // |d| >= 2^63 is an integer: its 53-bit mantissa shifted left.
+  int exp = 0;
+  const double frac = std::frexp(std::fabs(d), &exp);
+  BitVector mag = BitVector(intWidth, std::uint64_t(std::ldexp(frac, 53)))
+                      .shl(unsigned(exp - 53));
+  return d < 0 ? mag.neg() : mag;
 }
 
 BitVector applyUnOp(UnOp op, const BitVector& a) {

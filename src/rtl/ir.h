@@ -17,29 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "rtl/narrow_alu.h"
 #include "support/bitvector.h"
 #include "support/diag.h"
 
 namespace isdl::rtl {
 
-enum class UnOp {
-  LogNot,   ///< !x : 1-bit, true iff x == 0
-  BitNot,   ///< ~x
-  Neg,      ///< -x (two's complement)
-  RedAnd,   ///< &x  (1-bit reduction)
-  RedOr,    ///< |x
-  RedXor,   ///< ^x
-};
-
-enum class BinOp {
-  Add, Sub, Mul, UDiv, SDiv, URem, SRem,
-  And, Or, Xor,
-  Shl, LShr, AShr,                  // rhs is the shift amount (any width)
-  Eq, Ne, ULt, ULe, UGt, UGe, SLt, SLe, SGt, SGe,  // 1-bit results
-  LogAnd, LogOr,                    // 1-bit operands and result
-  FAdd, FSub, FMul, FDiv,           // IEEE-754: width 32 or 64
-  FEq, FLt, FLe,                    // 1-bit results
-};
+// The operator sets are defined next to their ≤64-bit semantics.
+using narrow::BinOp;
+using narrow::UnOp;
 
 const char* unOpName(UnOp op);
 const char* binOpName(BinOp op);

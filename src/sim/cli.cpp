@@ -360,8 +360,10 @@ bool Cli::execute(const std::string& line) {
     }
     out_ << "execution engine: "
          << (sim_.uopEnabled() ? "uop (micro-op compiled)"
-                               : "interp (tree-walking)")
-         << "\n";
+                               : "interp (tree-walking)");
+    if (!sim_.uopTable().narrow())
+      out_ << " [micro-op engine unavailable: a value exceeds 64 bits]";
+    out_ << "\n";
     return true;
   }
 

@@ -2,27 +2,30 @@
 
 #include <sstream>
 
+#include "sim/uop.h"
 #include "support/strings.h"
 
 namespace isdl::sim {
 
 namespace {
 
-using rtl::BinOp;
 using rtl::Expr;
 using rtl::ExprKind;
-using rtl::Stmt;
 using rtl::StmtKind;
-using rtl::UnOp;
 
-std::string maskLit(unsigned width) {
-  if (width >= 64) return "0xffffffffffffffffull";
-  return cat("0x", BitVector(64, (1ull << width) - 1).toHexString().substr(2),
-             "ull");
+/// The text of rtl/narrow_alu.h, which every generated source embeds.
+constexpr const char kNarrowAluSource[] =
+#include "narrow_alu_text.inc"
+    ;
+
+/// C++ text of `v` as a narrow value (narrow::Val).
+std::string valLit(const BitVector& v) {
+  return cat("Val{0x", v.toHexString().substr(2), "ull, ", v.width(), "}");
 }
 
-/// Generates the C++ expression text for a width-checked RTL expression with
-/// the decoded parameter values folded in as constants.
+/// Generates the C++ expression text, of type narrow::Val, for a
+/// width-checked RTL expression with the decoded parameter values folded in
+/// as constants. Every operator is a call into the embedded narrow ALU.
 class ExprGen {
  public:
   ExprGen(const Machine& m, const std::vector<Param>& params,
@@ -30,15 +33,15 @@ class ExprGen {
       : m_(m), params_(&params), dparams_(&dparams) {}
 
   std::string gen(const Expr& e) const {
+    auto op = [&](std::size_t i) { return gen(*e.operands[i]); };
     switch (e.kind) {
       case ExprKind::Const:
-        return cat("0x", e.constant.toHexString().substr(2), "ull");
+        return valLit(e.constant);
 
       case ExprKind::Param: {
         const Param& p = (*params_)[e.paramIndex];
         const DecodedParam& dp = (*dparams_)[e.paramIndex];
-        if (p.kind == ParamKind::Token)
-          return cat("0x", dp.encoded.toHexString().substr(2), "ull");
+        if (p.kind == ParamKind::Token) return valLit(dp.encoded);
         // Non-terminal: inline the selected option's value expression.
         const NtOption& opt =
             m_.nonTerminals[p.index].options[dp.ntOption];
@@ -47,170 +50,48 @@ class ExprGen {
       }
 
       case ExprKind::Read:
-        return cat("s", e.storageIndex, "[0]");
+        return cat("Val{s", e.storageIndex, "[0], ", e.width, "}");
 
-      case ExprKind::ReadElem: {
-        const StorageDef& st = m_.storages[e.storageIndex];
-        return cat("s", e.storageIndex, "[(", gen(*e.operands[0]), ") % ",
-                   st.depth, "ull]");
-      }
+      case ExprKind::ReadElem:
+        return cat("Val{s", e.storageIndex, "[", op(0), ".v % ",
+                   m_.storages[e.storageIndex].depth, "ull], ", e.width, "}");
 
       case ExprKind::Slice:
-        return cat("(((", gen(*e.operands[0]), ") >> ", e.sliceLo, ") & ",
-                   maskLit(e.width), ")");
-
-      case ExprKind::Unary: {
-        std::string a = gen(*e.operands[0]);
-        switch (e.unOp) {
-          case UnOp::LogNot: return cat("(uint64_t)((", a, ") == 0)");
-          case UnOp::BitNot:
-            return cat("((~(", a, ")) & ", maskLit(e.width), ")");
-          case UnOp::Neg:
-            return cat("((0 - (", a, ")) & ", maskLit(e.width), ")");
-          case UnOp::RedAnd:
-            return cat("(uint64_t)((", a, ") == ",
-                       maskLit(e.operands[0]->width), ")");
-          case UnOp::RedOr: return cat("(uint64_t)((", a, ") != 0)");
-          case UnOp::RedXor:
-            return cat("((uint64_t)__builtin_popcountll(", a, ") & 1)");
-        }
-        return "0";
-      }
-
+        return cat("slice(", op(0), ", ", e.sliceHi, ", ", e.sliceLo, ")");
+      case ExprKind::Unary:
+        return cat("unOp(UnOp(", int(e.unOp), "), ", op(0), ")");
       case ExprKind::Binary:
-        return genBinary(e);
-
+        return cat("binOp(BinOp(", int(e.binOp), "), ", op(0), ", ", op(1),
+                   ")");
       case ExprKind::Ternary:
-        return cat("((", gen(*e.operands[0]), ") ? (", gen(*e.operands[1]),
-                   ") : (", gen(*e.operands[2]), "))");
+        return cat("(", op(0), ".v ? ", op(1), " : ", op(2), ")");
 
-      case ExprKind::ZExt:
-        return gen(*e.operands[0]);
-      case ExprKind::SExt:
-        return cat("(SE(", gen(*e.operands[0]), ", ",
-                   e.operands[0]->width, ") & ", maskLit(e.width), ")");
-      case ExprKind::Trunc:
-        return cat("((", gen(*e.operands[0]), ") & ", maskLit(e.width), ")");
+      case ExprKind::ZExt: return cat("zext(", op(0), ", ", e.extWidth, ")");
+      case ExprKind::SExt: return cat("sext(", op(0), ", ", e.extWidth, ")");
+      case ExprKind::Trunc: return cat("trunc(", op(0), ", ", e.extWidth, ")");
+      case ExprKind::IToF: return cat("itof(", op(0), ", ", e.extWidth, ")");
+      case ExprKind::FToI: return cat("ftoi(", op(0), ", ", e.extWidth, ")");
 
       case ExprKind::Concat: {
         // Most-significant operand first.
-        std::string out = cat("(", gen(*e.operands[0]), ")");
-        for (std::size_t i = 1; i < e.operands.size(); ++i) {
-          out = cat("(((", out, ") << ", e.operands[i]->width, ") | (",
-                    gen(*e.operands[i]), "))");
-        }
+        std::string out = op(0);
+        for (std::size_t i = 1; i < e.operands.size(); ++i)
+          out = cat("concat(", out, ", ", op(i), ")");
         return out;
       }
 
-      case ExprKind::Carry: {
-        unsigned w = e.operands[0]->width;
-        if (w >= 64)
-          return cat("(uint64_t)(((", gen(*e.operands[0]), ") + (",
-                     gen(*e.operands[1]), ")) < (", gen(*e.operands[0]),
-                     "))");
-        return cat("(uint64_t)((((", gen(*e.operands[0]), ") + (",
-                   gen(*e.operands[1]), ")) >> ", w, ") & 1)");
-      }
-      case ExprKind::Overflow: {
-        unsigned w = e.operands[0]->width;
-        return cat("OVF(", gen(*e.operands[0]), ", ", gen(*e.operands[1]),
-                   ", ", w, ")");
-      }
-      case ExprKind::Borrow:
-        return cat("(uint64_t)((", gen(*e.operands[0]), ") < (",
-                   gen(*e.operands[1]), "))");
-
-      case ExprKind::IToF:
-        return e.extWidth == 32
-                   ? cat("F2B(float(SE(", gen(*e.operands[0]), ", ",
-                         e.operands[0]->width, ")))")
-                   : cat("D2B(double(SE(", gen(*e.operands[0]), ", ",
-                         e.operands[0]->width, ")))");
-      case ExprKind::FToI:
-        return cat("FTOI(", gen(*e.operands[0]), ", ",
-                   e.operands[0]->width, ", ", e.extWidth, ")");
+      case ExprKind::Carry: return cat("carry(", op(0), ", ", op(1), ")");
+      case ExprKind::Overflow:
+        return cat("overflow(", op(0), ", ", op(1), ")");
+      case ExprKind::Borrow: return cat("borrow(", op(0), ", ", op(1), ")");
     }
-    return "0";
+    return "Val{}";
   }
 
  private:
   const Machine& m_;
   const std::vector<Param>* params_;
   const std::vector<DecodedParam>* dparams_;
-
-  std::string genBinary(const Expr& e) const {
-    std::string a = gen(*e.operands[0]);
-    std::string b = gen(*e.operands[1]);
-    unsigned w = e.operands[0]->width;
-    std::string mask = maskLit(e.width);
-    auto wrap = [&](const std::string& expr) {
-      return cat("((", expr, ") & ", mask, ")");
-    };
-    auto boolean = [&](const std::string& expr) {
-      return cat("(uint64_t)(", expr, ")");
-    };
-    auto se = [&](const std::string& x) { return cat("SE(", x, ", ", w, ")"); };
-    switch (e.binOp) {
-      case BinOp::Add: return wrap(cat("(", a, ") + (", b, ")"));
-      case BinOp::Sub: return wrap(cat("(", a, ") - (", b, ")"));
-      case BinOp::Mul: return wrap(cat("(", a, ") * (", b, ")"));
-      case BinOp::UDiv:
-        return wrap(cat("(", b, ") == 0 ? ", maskLit(w), " : (", a, ") / (",
-                        b, ")"));
-      case BinOp::URem:
-        return wrap(cat("(", b, ") == 0 ? (", a, ") : (", a, ") % (", b,
-                        ")"));
-      case BinOp::SDiv:
-        return wrap(cat("(", b, ") == 0 ? ", maskLit(w),
-                        " : (uint64_t)(", se(a), " / ", se(b), ")"));
-      case BinOp::SRem:
-        return wrap(cat("(", b, ") == 0 ? (", a, ") : (uint64_t)(", se(a),
-                        " % ", se(b), ")"));
-      case BinOp::And: return cat("((", a, ") & (", b, "))");
-      case BinOp::Or: return cat("((", a, ") | (", b, "))");
-      case BinOp::Xor: return cat("((", a, ") ^ (", b, "))");
-      case BinOp::Shl:
-        return wrap(cat("(", b, ") >= ", w, " ? 0 : (", a, ") << (", b, ")"));
-      case BinOp::LShr:
-        return cat("((", b, ") >= ", w, " ? 0 : (", a, ") >> (", b, "))");
-      case BinOp::AShr:
-        return wrap(cat("(", b, ") >= ", w, " ? (uint64_t)(", se(a),
-                        " < 0 ? -1 : 0) : (uint64_t)(", se(a), " >> (", b,
-                        "))"));
-      case BinOp::Eq: return boolean(cat("(", a, ") == (", b, ")"));
-      case BinOp::Ne: return boolean(cat("(", a, ") != (", b, ")"));
-      case BinOp::ULt: return boolean(cat("(", a, ") < (", b, ")"));
-      case BinOp::ULe: return boolean(cat("(", a, ") <= (", b, ")"));
-      case BinOp::UGt: return boolean(cat("(", a, ") > (", b, ")"));
-      case BinOp::UGe: return boolean(cat("(", a, ") >= (", b, ")"));
-      case BinOp::SLt: return boolean(cat(se(a), " < ", se(b)));
-      case BinOp::SLe: return boolean(cat(se(a), " <= ", se(b)));
-      case BinOp::SGt: return boolean(cat(se(a), " > ", se(b)));
-      case BinOp::SGe: return boolean(cat(se(a), " >= ", se(b)));
-      case BinOp::LogAnd:
-        return boolean(cat("(", a, ") != 0 && (", b, ") != 0"));
-      case BinOp::LogOr:
-        return boolean(cat("(", a, ") != 0 || (", b, ") != 0"));
-      case BinOp::FAdd: return fpOp("FADD", a, b, w);
-      case BinOp::FSub: return fpOp("FSUB", a, b, w);
-      case BinOp::FMul: return fpOp("FMUL", a, b, w);
-      case BinOp::FDiv: return fpOp("FDIV", a, b, w);
-      case BinOp::FEq: return fpCmp("==", a, b, w);
-      case BinOp::FLt: return fpCmp("<", a, b, w);
-      case BinOp::FLe: return fpCmp("<=", a, b, w);
-    }
-    return "0";
-  }
-
-  static std::string fpOp(const char* name, const std::string& a,
-                          const std::string& b, unsigned w) {
-    return cat(name, w, "(", a, ", ", b, ")");
-  }
-  static std::string fpCmp(const char* op, const std::string& a,
-                           const std::string& b, unsigned w) {
-    return w == 32 ? cat("(uint64_t)(B2F(", a, ") ", op, " B2F(", b, "))")
-                   : cat("(uint64_t)(B2D(", a, ") ", op, " B2D(", b, "))");
-  }
 };
 
 /// Generates the statement bodies of one instruction with two-phase
@@ -278,7 +159,7 @@ class InstGen {
           resolveTarget(stmt->dest, params, dparams, eg, wr);
           std::string v = cat("v", tmp_++);
           os_ << "      uint64_t " << v << " = " << eg.gen(*stmt->value)
-              << ";\n";
+              << ".v;\n";
           wr.valueVar = v;
           writes_.push_back(std::move(wr));
           break;
@@ -286,7 +167,7 @@ class InstGen {
         case StmtKind::If: {
           std::string c = cat("c", tmp_++);
           os_ << "      uint64_t " << c << " = " << eg.gen(*stmt->cond)
-              << ";\n";
+              << ".v;\n";
           std::string thenGuard =
               guard.empty() ? cat("(", c, " != 0)")
                             : cat(guard, " && (", c, " != 0)");
@@ -317,7 +198,7 @@ class InstGen {
     std::string index = "0";
     if (lv.index) {
       std::string a = cat("a", tmp_++);
-      os_ << "      uint64_t " << a << " = (" << eg.gen(*lv.index) << ") % "
+      os_ << "      uint64_t " << a << " = " << eg.gen(*lv.index) << ".v % "
           << st.depth << "ull;\n";
       index = a;
     }
@@ -333,11 +214,18 @@ class InstGen {
 std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
                                 const AssembledProgram& prog,
                                 const CodegenOptions& options) {
+  // Generated code holds every value in 64 bits: the storages (except the
+  // instruction memory, which compiled execution never touches) and every
+  // value the operations compute, which the micro-op compiler's
+  // narrow-width proof bounds.
   for (const auto& st : m.storages) {
     if (st.width > 64 && st.kind != StorageKind::InstructionMemory)
       throw IsdlError(cat("compiled-code simulation does not support ",
                           st.width, "-bit storage '", st.name, "'"));
   }
+  if (!uop::UopTable(m).narrow())
+    throw IsdlError("compiled-code simulation does not support values wider "
+                    "than 64 bits");
 
   Disassembler disasm(sigs);
   DecodedProgram decoded = disasm.decodeProgram(prog.words,
@@ -364,40 +252,8 @@ std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
      << m.name << "'.\n";
   os << "#include <cstdint>\n#include <cstdio>\n#include <cstring>\n";
   os << "#include <chrono>\n";
-  os << "using uint64_t = std::uint64_t; using int64_t = std::int64_t;\n";
-  os << R"(
-static inline int64_t SE(uint64_t x, unsigned w) {
-  if (w >= 64) return (int64_t)x;
-  uint64_t m = 1ull << (w - 1);
-  return (int64_t)((x ^ m) - m);
-}
-static inline uint64_t OVF(uint64_t a, uint64_t b, unsigned w) {
-  uint64_t s = a + b, m = 1ull << (w - 1);
-  return (uint64_t)(((~(a ^ b)) & (s ^ a) & m) != 0);
-}
-static inline float B2F(uint64_t x) { float f; std::uint32_t u = (std::uint32_t)x; std::memcpy(&f, &u, 4); return f; }
-static inline double B2D(uint64_t x) { double d; std::memcpy(&d, &x, 8); return d; }
-static inline uint64_t F2B(float f) { std::uint32_t u; std::memcpy(&u, &f, 4); return u; }
-static inline uint64_t D2B(double d) { uint64_t u; std::memcpy(&u, &d, 8); return u; }
-static inline uint64_t FADD32(uint64_t a, uint64_t b) { return F2B(B2F(a) + B2F(b)); }
-static inline uint64_t FSUB32(uint64_t a, uint64_t b) { return F2B(B2F(a) - B2F(b)); }
-static inline uint64_t FMUL32(uint64_t a, uint64_t b) { return F2B(B2F(a) * B2F(b)); }
-static inline uint64_t FDIV32(uint64_t a, uint64_t b) { return F2B(B2F(a) / B2F(b)); }
-static inline uint64_t FADD64(uint64_t a, uint64_t b) { return D2B(B2D(a) + B2D(b)); }
-static inline uint64_t FSUB64(uint64_t a, uint64_t b) { return D2B(B2D(a) - B2D(b)); }
-static inline uint64_t FMUL64(uint64_t a, uint64_t b) { return D2B(B2D(a) * B2D(b)); }
-static inline uint64_t FDIV64(uint64_t a, uint64_t b) { return D2B(B2D(a) / B2D(b)); }
-static inline uint64_t FTOI(uint64_t x, unsigned fw, unsigned iw) {
-  double d = fw == 32 ? (double)B2F(x) : B2D(x);
-  if (d != d) return 0;
-  double lo = -(double)(1ull << (iw - 1));
-  double hi = (double)(1ull << (iw - 1)) - 1.0;
-  if (d < lo) d = lo;
-  if (d > hi) d = hi;
-  uint64_t m = iw >= 64 ? ~0ull : ((1ull << iw) - 1);
-  return ((uint64_t)(int64_t)d) & m;
-}
-)";
+  os << kNarrowAluSource;
+  os << "using namespace isdl::narrow;\nusing std::uint64_t;\n";
 
   // State arrays (instruction memory is not needed at run time).
   for (std::size_t si = 0; si < m.storages.size(); ++si) {

@@ -10,9 +10,12 @@
 // Semantics: bit-true architectural execution with immediate write-back and
 // static cycle accounting (like the hardware model); the identity
 //     interpreted cycles == compiled cycles + interpreted stall cycles
-// is validated by tests. Storage elements wider than 64 bits (other than
-// the instruction memory, which compiled execution never touches) are not
-// supported and raise IsdlError.
+// is validated by tests. Every operator is a call into rtl/narrow_alu.h,
+// whose text the generated source embeds, so the arithmetic is XSIM's by
+// construction. Storage elements wider than 64 bits (other than the
+// instruction memory, which compiled execution never touches) and machines
+// that fail the micro-op compiler's narrow-width proof (values wider than
+// 64 bits) are not supported and raise IsdlError.
 //
 // The emitted program runs the simulation and prints the final state as
 // `<storage> <element> <hex>` lines plus `cycles N` / `instructions N`,
@@ -37,8 +40,8 @@ struct CodegenOptions {
 };
 
 /// Generates the compiled-code simulator source for `prog` on `machine`.
-/// Throws IsdlError on unsupported machines (storage wider than 64 bits) or
-/// undecodable programs.
+/// Throws IsdlError on unsupported machines (storage or values wider than
+/// 64 bits) or undecodable programs.
 std::string generateCompiledSim(const Machine& machine,
                                 const SignatureTable& sigs,
                                 const AssembledProgram& prog,

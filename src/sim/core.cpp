@@ -319,13 +319,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
         if (useUops) {
           const uop::Program& prog =
               uops_->at(unsigned(f), dop.opIndex).action;
-          if (!prog.empty()) {
-            if (prog.narrow)
-              execProgramNarrow(prog, dop.params, dop.effLatency,
-                                dop.effStall);
-            else
-              execProgram(prog, dop.params, dop.effLatency, dop.effStall);
-          }
+          if (!prog.empty())
+            execProgram(prog, dop.params, dop.effLatency, dop.effStall);
         } else {
           execStmts(machine_.fields[f].operations[dop.opIndex].action,
                     ctxs[f], dop.effLatency, dop.effStall);
@@ -357,12 +352,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
       if (useUops) {
         const uop::Program& prog =
             uops_->at(unsigned(f), dop.opIndex).sideEffects;
-        if (!prog.empty()) {
-          if (prog.narrow)
-            execProgramNarrow(prog, dop.params, dop.effLatency, dop.effStall);
-          else
-            execProgram(prog, dop.params, dop.effLatency, dop.effStall);
-        }
+        if (!prog.empty())
+          execProgram(prog, dop.params, dop.effLatency, dop.effStall);
       } else {
         execStmts(machine_.fields[f].operations[dop.opIndex].sideEffects,
                   ctxs[f], dop.effLatency, dop.effStall);

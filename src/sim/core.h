@@ -15,6 +15,12 @@
 // the description promises full bypass, §4.1.3) or stalls issue until the
 // write retires (producer Stall > 0: interlock). Usage creates structural
 // stalls by keeping a field's functional unit busy.
+//
+// Two evaluators drive the same cycle model: the tree-walking interpreter
+// (BitVector values through rtl::evalExpr, any width) and the micro-op
+// engine (sim/uop.h; ≤64-bit values through rtl/narrow_alu.h), which Xsim
+// installs whenever the machine's compiled programs pass the narrow-width
+// proof. Both stage writes through the same delayed-write queue.
 
 #ifndef ISDL_SIM_CORE_H
 #define ISDL_SIM_CORE_H
@@ -22,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "rtl/narrow_alu.h"
 #include "sim/decoded.h"
 #include "sim/state.h"
 #include "sim/stats.h"
@@ -76,19 +83,12 @@ class ExecEngine {
   void setStatsSink(Stats* stats) { statsSink_ = stats; }
 
   /// Switches issue() to the micro-op compiled fast path (sim/uop.h) and
-  /// preloads the table's constant pool into the scratch register file. Null
-  /// reverts to the tree-walking interpreter. The table must outlive the
-  /// engine and describe the same Machine. Defined in uop.cpp.
+  /// preloads the table's constant pool into the register file. Null
+  /// reverts to the tree-walking interpreter. The table must be narrow
+  /// (uop::UopTable::narrow), outlive the engine and describe the same
+  /// Machine. Defined in uop.cpp.
   void setUopTable(const uop::UopTable* table);
   bool usingUops() const { return uops_ != nullptr; }
-
-  /// Register of the narrow dispatch loop: a masked value plus its width.
-  /// Programs whose static width analysis proved every register ≤ 64 bits
-  /// (uop::Program::narrow) execute over these instead of BitVectors.
-  struct NarrowReg {
-    std::uint64_t v = 0;
-    std::uint32_t w = 0;
-  };
 
  private:
   struct Pending {
@@ -141,10 +141,9 @@ class ExecEngine {
   // execution scratch state (register file, lvalue slots, decoded-parameter
   // frame stack). All grow to high-water marks and are reused across issues.
   const uop::UopTable* uops_ = nullptr;
-  std::vector<BitVector> scratch_;
+  std::vector<narrow::Val> regs_;
   std::vector<ResolvedLv> lvSlots_;
   std::vector<const std::vector<DecodedParam>*> frames_;
-  std::vector<NarrowReg> nscratch_;
 
   /// Reads through the pending-write overlay without copying in the common
   /// no-overlay case: returns a reference into State, or into `tmp` when a
@@ -162,14 +161,10 @@ class ExecEngine {
                  unsigned latency, unsigned stallCost);
   void execOptionSideEffects(const OpContext& ctx, unsigned latency,
                              unsigned stallCost);
-  /// Defined in uop.cpp: the micro-op dispatch loops (general BitVector loop
-  /// and the uint64_t specialization for Program::narrow programs).
+  /// The micro-op dispatch loop. Defined in uop.cpp.
   void execProgram(const uop::Program& prog,
                    const std::vector<DecodedParam>& dparams, unsigned latency,
                    unsigned stallCost);
-  void execProgramNarrow(const uop::Program& prog,
-                         const std::vector<DecodedParam>& dparams,
-                         unsigned latency, unsigned stallCost);
 
   friend class OpContext;
 };

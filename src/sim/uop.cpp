@@ -8,8 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cmath>
+#include <cassert>
 #include <unordered_map>
 
 #include "rtl/eval.h"
@@ -374,8 +373,8 @@ void forEachRegOperand(Uop& u, Fn&& fn) {
 /// in code order (the compiler only emits forward jumps, so every use is
 /// textually preceded by at least one definition; registers written on
 /// several paths merge with max). Returns false when any register, storage
-/// read, or parameter can exceed 64 bits — such programs stay on the wide
-/// BitVector dispatch loop.
+/// read, or parameter can exceed 64 bits. One such program keeps the whole
+/// table off the engine (see UopTable::narrow).
 bool isNarrow(const Machine& m, const std::vector<BitVector>& pool,
               const Program& p) {
   using rtl::BinOp;
@@ -487,6 +486,8 @@ UopTable::UopTable(const Machine& machine) {
   // follow. Tagged const references resolve to their pool register.
   constPool_ = std::move(pool.values);
   const std::uint32_t poolSize = std::uint32_t(constPool_.size());
+  narrow_ = std::all_of(constPool_.begin(), constPool_.end(),
+                        [](const BitVector& c) { return c.width() <= 64; });
   for (auto& row : byFieldOp_) {
     for (OpPrograms& progs : row) {
       for (Program* p : {&progs.action, &progs.sideEffects}) {
@@ -495,7 +496,7 @@ UopTable::UopTable(const Machine& machine) {
             r = (r & kConstTag) ? (r & ~kConstTag) : r + poolSize;
           });
         p->numRegs += poolSize;
-        p->narrow = isNarrow(machine, constPool_, *p);
+        narrow_ = narrow_ && isNarrow(machine, constPool_, *p);
       }
     }
   }
@@ -540,273 +541,34 @@ std::string toString(const Program& p) {
 namespace isdl::sim {
 
 void ExecEngine::setUopTable(const uop::UopTable* table) {
+  assert(!table || table->narrow());
   uops_ = table;
-  // Preload the shared constant pool into the low scratch registers (both
-  // register files). They are never written by programs, so this survives
-  // every issue; growth in execProgram (resize) only appends above them.
-  // Pool constants wider than 64 bits get a placeholder narrow entry: only
-  // non-narrow programs can reference them, and those run on the wide loop.
-  scratch_.clear();
-  nscratch_.clear();
-  if (table) {
-    scratch_.assign(table->constPool().begin(), table->constPool().end());
-    nscratch_.reserve(scratch_.size());
-    for (const BitVector& c : scratch_)
-      nscratch_.push_back(
-          {c.width() <= 64 ? c.toUint64() : 0, c.width()});
-  }
+  // Preload the shared constant pool into the low registers. Programs never
+  // write them, so this survives every issue; growth in execProgram (resize)
+  // only appends above them.
+  regs_.clear();
+  if (table)
+    for (const BitVector& c : table->constPool())
+      regs_.push_back({c.toUint64(), c.width()});
 }
 
-/// Executes one compiled program against the engine's state. Storage reads
-/// and staged writes go through the same readLoc / stageWrite as the
-/// interpreter, so hazard probing, forwarding, stall attribution, write
-/// conflicts, and XTRACE hooks behave identically in both engines.
+/// Executes one compiled program against the engine's state. Registers are
+/// (masked uint64_t, width) pairs and every operator is the shared narrow
+/// ALU's (rtl/narrow_alu.h), so no BitVector is built in the loop except at
+/// the architectural boundary. Storage reads and staged writes go through
+/// the same readLoc / stageWrite as the interpreter, so hazard probing,
+/// forwarding, stall attribution, write conflicts, and XTRACE hooks behave
+/// identically in both engines.
 void ExecEngine::execProgram(const uop::Program& prog,
                              const std::vector<DecodedParam>& dparams,
                              unsigned latency, unsigned stallCost) {
   using uop::Kind;
-  if (scratch_.size() < prog.numRegs) scratch_.resize(prog.numRegs);
+  if (regs_.size() < prog.numRegs) regs_.resize(prog.numRegs);
   if (lvSlots_.size() < prog.numLvSlots) lvSlots_.resize(prog.numLvSlots);
   frames_.clear();
   frames_.push_back(&dparams);
 
-  BitVector* regs = scratch_.data();
-  const uop::Uop* code = prog.code.data();
-  const std::uint32_t n = std::uint32_t(prog.code.size());
-  for (std::uint32_t pc = 0; pc < n;) {
-    const uop::Uop& u = code[pc];
-    switch (u.kind) {
-      case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
-      case Kind::LoadParam:
-        regs[u.dst] = (*frames_.back())[u.a].encoded;
-        ++pc;
-        break;
-      case Kind::ReadStorage: {
-        BitVector tmp;
-        regs[u.dst] = readLocRef(u.a, 0, tmp);
-        ++pc;
-        break;
-      }
-      case Kind::ReadElem: {
-        BitVector tmp;
-        regs[u.dst] = readLocRef(u.a, regs[u.b].toUint64(), tmp);
-        ++pc;
-        break;
-      }
-      case Kind::Slice: regs[u.dst] = regs[u.a].slice(u.hi, u.lo); ++pc; break;
-      case Kind::Unary:
-        regs[u.dst] = rtl::applyUnOp(rtl::UnOp(u.op), regs[u.a]);
-        ++pc;
-        break;
-      case Kind::Binary:
-        regs[u.dst] = rtl::applyBinOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Concat2:
-        regs[u.dst] = regs[u.a].concat(regs[u.b]);
-        ++pc;
-        break;
-      case Kind::ZExt: regs[u.dst] = regs[u.a].zext(u.hi); ++pc; break;
-      case Kind::SExt: regs[u.dst] = regs[u.a].sext(u.hi); ++pc; break;
-      case Kind::Trunc: regs[u.dst] = regs[u.a].trunc(u.hi); ++pc; break;
-      case Kind::IToF:
-        regs[u.dst] = rtl::intToFloat(regs[u.a], u.hi);
-        ++pc;
-        break;
-      case Kind::FToI:
-        regs[u.dst] = rtl::floatToInt(regs[u.a], u.hi);
-        ++pc;
-        break;
-      case Kind::Carry:
-        regs[u.dst] =
-            BitVector(1, regs[u.a].addWithCarry(regs[u.b], false).carryOut);
-        ++pc;
-        break;
-      case Kind::Overflow:
-        regs[u.dst] =
-            BitVector(1, regs[u.a].addWithCarry(regs[u.b], false).overflow);
-        ++pc;
-        break;
-      case Kind::Borrow:
-        // Borrow out of a-b == NOT carry out of a + ~b + 1.
-        regs[u.dst] = BitVector(
-            1, !regs[u.a].addWithCarry(regs[u.b].not_(), true).carryOut);
-        ++pc;
-        break;
-      case Kind::Jump: pc = u.a; break;
-      case Kind::BranchIfZero: pc = regs[u.a].isZero() ? u.b : pc + 1; break;
-      case Kind::BrOption:
-        pc = prog.tables[u.b]
-                       [std::size_t((*frames_.back())[u.a].ntOption)];
-        break;
-      case Kind::PushFrame:
-        frames_.push_back(&(*frames_.back())[u.a].sub);
-        ++pc;
-        break;
-      case Kind::PopFrame: frames_.pop_back(); ++pc; break;
-      case Kind::SetLv: {
-        ResolvedLv& lv = lvSlots_[u.dst];
-        lv.si = u.a;
-        lv.elem = u.b == uop::kNoReg ? 0 : regs[u.b].toUint64();
-        if (lv.elem >= machine_.storages[u.a].depth)
-          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
-                                   "[", lv.elem, "] is out of range"));
-        lv.hasSlice = (u.flags & 1) != 0;
-        lv.hi = u.hi;
-        lv.lo = u.lo;
-        ++pc;
-        break;
-      }
-      case Kind::StageWrite:
-        stageWrite(lvSlots_[u.dst], regs[u.a], latency, stallCost);
-        ++pc;
-        break;
-      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
-    }
-  }
-}
-
-// --- narrow dispatch loop ----------------------------------------------------
-//
-// Same program format, but registers are (masked uint64_t, width) pairs: no
-// BitVector construction, assignment, or destruction anywhere in the loop
-// except at the architectural boundary (storage reads and staged writes).
-// Every helper replicates the corresponding BitVector / rtl::applyBinOp
-// semantics exactly — division by zero yields all-ones (quotient) or the
-// dividend (remainder), shifts saturate at the operand width, float ops
-// round-trip through IEEE bits, float->int clamps like the DSP converters.
-// The differential suites (uop_test, fuzz_diff_test) pin this equivalence.
-
-namespace {
-
-using NReg = ExecEngine::NarrowReg;
-
-inline std::uint64_t maskOf(std::uint32_t w) {
-  return w >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
-}
-
-inline std::int64_t signedOf(std::uint64_t v, std::uint32_t w) {
-  if (w >= 64) return std::int64_t(v);
-  return std::int64_t(v << (64 - w)) >> (64 - w);
-}
-
-inline double narrowBitsToDouble(std::uint64_t v, std::uint32_t w) {
-  if (w == 32) return double(std::bit_cast<float>(std::uint32_t(v)));
-  return std::bit_cast<double>(v);
-}
-
-inline std::uint64_t doubleToNarrowBits(double d, std::uint32_t w) {
-  if (w == 32) return std::bit_cast<std::uint32_t>(float(d));
-  return std::bit_cast<std::uint64_t>(d);
-}
-
-NReg narrowFloatBinOp(rtl::BinOp op, NReg a, NReg b) {
-  using rtl::BinOp;
-  double x = narrowBitsToDouble(a.v, a.w);
-  double y = narrowBitsToDouble(b.v, b.w);
-  switch (op) {
-    case BinOp::FAdd: return {doubleToNarrowBits(x + y, a.w), a.w};
-    case BinOp::FSub: return {doubleToNarrowBits(x - y, a.w), a.w};
-    case BinOp::FMul: return {doubleToNarrowBits(x * y, a.w), a.w};
-    case BinOp::FDiv: return {doubleToNarrowBits(x / y, a.w), a.w};
-    case BinOp::FEq: return {x == y ? 1u : 0u, 1};
-    case BinOp::FLt: return {x < y ? 1u : 0u, 1};
-    case BinOp::FLe: return {x <= y ? 1u : 0u, 1};
-    default: throw rtl::EvalError("not a floating-point operator");
-  }
-}
-
-NReg narrowBinOp(rtl::BinOp op, NReg a, NReg b) {
-  using rtl::BinOp;
-  const std::uint64_t m = maskOf(a.w);
-  switch (op) {
-    case BinOp::Add: return {(a.v + b.v) & m, a.w};
-    case BinOp::Sub: return {(a.v - b.v) & m, a.w};
-    case BinOp::Mul: return {(a.v * b.v) & m, a.w};
-    case BinOp::UDiv: return {b.v ? a.v / b.v : m, a.w};
-    case BinOp::URem: return {b.v ? a.v % b.v : a.v, a.w};
-    case BinOp::SDiv: {
-      if (!b.v) return {m, a.w};
-      // Magnitude division like BitVector::sdiv (also dodges the
-      // INT64_MIN / -1 trap of native signed division at width 64).
-      bool negA = signedOf(a.v, a.w) < 0, negB = signedOf(b.v, b.w) < 0;
-      std::uint64_t q = ((negA ? 0 - a.v : a.v) & m) /
-                        ((negB ? 0 - b.v : b.v) & m);
-      return {(negA != negB ? 0 - q : q) & m, a.w};
-    }
-    case BinOp::SRem: {
-      if (!b.v) return {a.v, a.w};
-      bool negA = signedOf(a.v, a.w) < 0, negB = signedOf(b.v, b.w) < 0;
-      std::uint64_t r = ((negA ? 0 - a.v : a.v) & m) %
-                        ((negB ? 0 - b.v : b.v) & m);
-      return {(negA ? 0 - r : r) & m, a.w};  // takes the dividend's sign
-    }
-    case BinOp::And: return {a.v & b.v, a.w};
-    case BinOp::Or: return {a.v | b.v, a.w};
-    case BinOp::Xor: return {a.v ^ b.v, a.w};
-    case BinOp::Shl: {
-      std::uint64_t amt = b.v > a.w ? a.w : b.v;
-      return {amt >= a.w ? 0 : (a.v << amt) & m, a.w};
-    }
-    case BinOp::LShr: {
-      std::uint64_t amt = b.v > a.w ? a.w : b.v;
-      return {amt >= a.w ? 0 : a.v >> amt, a.w};
-    }
-    case BinOp::AShr: {
-      std::uint64_t amt = b.v > a.w ? a.w : b.v;
-      std::int64_t s = signedOf(a.v, a.w);
-      if (amt >= a.w) return {s < 0 ? m : 0, a.w};
-      return {std::uint64_t(s >> amt) & m, a.w};
-    }
-    case BinOp::Eq: return {a.v == b.v ? 1u : 0u, 1};
-    case BinOp::Ne: return {a.v != b.v ? 1u : 0u, 1};
-    case BinOp::ULt: return {a.v < b.v ? 1u : 0u, 1};
-    case BinOp::ULe: return {a.v <= b.v ? 1u : 0u, 1};
-    case BinOp::UGt: return {a.v > b.v ? 1u : 0u, 1};
-    case BinOp::UGe: return {a.v >= b.v ? 1u : 0u, 1};
-    case BinOp::SLt:
-      return {signedOf(a.v, a.w) < signedOf(b.v, b.w) ? 1u : 0u, 1};
-    case BinOp::SLe:
-      return {signedOf(a.v, a.w) <= signedOf(b.v, b.w) ? 1u : 0u, 1};
-    case BinOp::SGt:
-      return {signedOf(a.v, a.w) > signedOf(b.v, b.w) ? 1u : 0u, 1};
-    case BinOp::SGe:
-      return {signedOf(a.v, a.w) >= signedOf(b.v, b.w) ? 1u : 0u, 1};
-    case BinOp::LogAnd: return {a.v && b.v ? 1u : 0u, 1};
-    case BinOp::LogOr: return {a.v || b.v ? 1u : 0u, 1};
-    case BinOp::FAdd: case BinOp::FSub: case BinOp::FMul: case BinOp::FDiv:
-    case BinOp::FEq: case BinOp::FLt: case BinOp::FLe:
-      return narrowFloatBinOp(op, a, b);
-  }
-  throw rtl::EvalError("bad binary operator");
-}
-
-NReg narrowUnOp(rtl::UnOp op, NReg a) {
-  using rtl::UnOp;
-  const std::uint64_t m = maskOf(a.w);
-  switch (op) {
-    case UnOp::LogNot: return {a.v == 0 ? 1u : 0u, 1};
-    case UnOp::BitNot: return {~a.v & m, a.w};
-    case UnOp::Neg: return {(0 - a.v) & m, a.w};
-    case UnOp::RedAnd: return {a.v == m ? 1u : 0u, 1};
-    case UnOp::RedOr: return {a.v != 0 ? 1u : 0u, 1};
-    case UnOp::RedXor: return {std::uint64_t(std::popcount(a.v)) & 1u, 1};
-  }
-  throw rtl::EvalError("bad unary operator");
-}
-
-}  // namespace
-
-void ExecEngine::execProgramNarrow(const uop::Program& prog,
-                                   const std::vector<DecodedParam>& dparams,
-                                   unsigned latency, unsigned stallCost) {
-  using uop::Kind;
-  if (nscratch_.size() < prog.numRegs) nscratch_.resize(prog.numRegs);
-  if (lvSlots_.size() < prog.numLvSlots) lvSlots_.resize(prog.numLvSlots);
-  frames_.clear();
-  frames_.push_back(&dparams);
-
-  NReg* regs = nscratch_.data();
+  narrow::Val* regs = regs_.data();
   const uop::Uop* code = prog.code.data();
   const std::uint32_t n = std::uint32_t(prog.code.size());
   for (std::uint32_t pc = 0; pc < n;) {
@@ -834,73 +596,39 @@ void ExecEngine::execProgramNarrow(const uop::Program& prog,
         break;
       }
       case Kind::Slice:
-        regs[u.dst] = {(regs[u.a].v >> u.lo) & maskOf(u.hi - u.lo + 1u),
-                       std::uint32_t(u.hi - u.lo + 1u)};
+        regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
         ++pc;
         break;
       case Kind::Unary:
-        regs[u.dst] = narrowUnOp(rtl::UnOp(u.op), regs[u.a]);
+        regs[u.dst] = narrow::unOp(rtl::UnOp(u.op), regs[u.a]);
         ++pc;
         break;
       case Kind::Binary:
-        regs[u.dst] = narrowBinOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
+        regs[u.dst] = narrow::binOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
         ++pc;
         break;
       case Kind::Concat2:
-        regs[u.dst] = {(regs[u.a].v << regs[u.b].w) | regs[u.b].v,
-                       regs[u.a].w + regs[u.b].w};
+        regs[u.dst] = narrow::concat(regs[u.a], regs[u.b]);
         ++pc;
         break;
-      case Kind::ZExt: regs[u.dst] = {regs[u.a].v, u.hi}; ++pc; break;
-      case Kind::SExt:
-        regs[u.dst] = {
-            std::uint64_t(signedOf(regs[u.a].v, regs[u.a].w)) & maskOf(u.hi),
-            u.hi};
-        ++pc;
-        break;
+      case Kind::ZExt: regs[u.dst] = narrow::zext(regs[u.a], u.hi); ++pc; break;
+      case Kind::SExt: regs[u.dst] = narrow::sext(regs[u.a], u.hi); ++pc; break;
       case Kind::Trunc:
-        regs[u.dst] = {regs[u.a].v & maskOf(u.hi), u.hi};
+        regs[u.dst] = narrow::trunc(regs[u.a], u.hi);
         ++pc;
         break;
-      case Kind::IToF:
-        regs[u.dst] = {
-            doubleToNarrowBits(double(signedOf(regs[u.a].v, regs[u.a].w)),
-                               u.hi),
-            u.hi};
+      case Kind::IToF: regs[u.dst] = narrow::itof(regs[u.a], u.hi); ++pc; break;
+      case Kind::FToI: regs[u.dst] = narrow::ftoi(regs[u.a], u.hi); ++pc; break;
+      case Kind::Carry:
+        regs[u.dst] = narrow::carry(regs[u.a], regs[u.b]);
         ++pc;
         break;
-      case Kind::FToI: {
-        double d = narrowBitsToDouble(regs[u.a].v, regs[u.a].w);
-        std::uint64_t r = 0;
-        if (!std::isnan(d)) {
-          // Clamp like rtl::floatToInt (common DSP converter behaviour).
-          double lo = -std::ldexp(1.0, int(u.hi) - 1);
-          double hi = std::ldexp(1.0, int(u.hi) - 1) - 1.0;
-          if (d < lo) d = lo;
-          if (d > hi) d = hi;
-          r = std::uint64_t(std::int64_t(d)) & maskOf(u.hi);
-        }
-        regs[u.dst] = {r, u.hi};
+      case Kind::Overflow:
+        regs[u.dst] = narrow::overflow(regs[u.a], regs[u.b]);
         ++pc;
         break;
-      }
-      case Kind::Carry: {
-        unsigned __int128 t =
-            (unsigned __int128)(regs[u.a].v) + regs[u.b].v;
-        regs[u.dst] = {std::uint64_t(t >> regs[u.a].w) & 1u, 1};
-        ++pc;
-        break;
-      }
-      case Kind::Overflow: {
-        const NReg a = regs[u.a], b = regs[u.b];
-        bool aNeg = signedOf(a.v, a.w) < 0, bNeg = signedOf(b.v, b.w) < 0;
-        bool rNeg = signedOf((a.v + b.v) & maskOf(a.w), a.w) < 0;
-        regs[u.dst] = {(aNeg == bNeg) && (rNeg != aNeg) ? 1u : 0u, 1};
-        ++pc;
-        break;
-      }
       case Kind::Borrow:
-        regs[u.dst] = {regs[u.a].v < regs[u.b].v ? 1u : 0u, 1};
+        regs[u.dst] = narrow::borrow(regs[u.a], regs[u.b]);
         ++pc;
         break;
       case Kind::Jump: pc = u.a; break;

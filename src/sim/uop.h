@@ -13,19 +13,25 @@
 //     side-effect trees — is lowered once into a flat register-based
 //     micro-op Program.
 //   * The processing core executes a Program with a tight switch-dispatch
-//     loop over a reusable BitVector scratch file (ExecEngine::execProgram,
-//     defined in uop.cpp), with no recursion, no virtual calls, and no
-//     per-issue context allocation.
+//     loop over a reusable register file of (uint64_t, width) values
+//     (ExecEngine::execProgram, defined in uop.cpp), with no recursion, no
+//     virtual calls, and no per-issue context allocation. Every operator is
+//     the shared ≤64-bit ALU of rtl/narrow_alu.h.
 //
 // Decode-time choices (which non-terminal option an operand selected) are
 // the only dynamic inputs besides state: they are handled by BrOption jump
 // tables plus a tiny frame stack mirroring the DecodedParam tree, so one
 // compiled Program per operation covers every operand combination.
 //
-// The interpreter stays available (Xsim::setUopEnabled(false), xsim
-// --no-uop) as the fallback and as the differential-testing oracle
-// (tests/fuzz_diff_test.cpp); both paths share the engine's pending-write
-// overlay, so stall and latency accounting is identical by construction.
+// A static width analysis proves at construction that every value of every
+// program fits in 64 bits (UopTable::narrow). When any program fails the
+// proof, Xsim leaves the table uninstalled and runs the interpreter. The
+// interpreter also stays available on request (Xsim::setUopEnabled(false),
+// xsim --no-uop) as the differential-testing oracle
+// (tests/fuzz_diff_test.cpp): it evaluates on BitVector through
+// rtl::applyBinOp, so it checks the narrow ALU rather than sharing it. Both
+// paths share the engine's pending-write overlay, so stall and latency
+// accounting is identical by construction.
 
 #ifndef ISDL_SIM_UOP_H
 #define ISDL_SIM_UOP_H
@@ -92,7 +98,7 @@ struct Uop {
 inline constexpr std::uint32_t kNoReg = 0xffffffffu;
 
 /// A compiled micro-op program: straight-line code with explicit jumps,
-/// executed over a scratch register file of `numRegs` BitVectors and
+/// executed over a scratch register file of `numRegs` narrow values and
 /// `numLvSlots` resolved-lvalue slots (both reused across issues). Register
 /// indices below the owning table's constPool().size() name preloaded
 /// constants; `numRegs` includes them.
@@ -102,12 +108,6 @@ struct Program {
   std::vector<std::string> traps;                  ///< Trap messages
   std::uint32_t numRegs = 0;
   std::uint32_t numLvSlots = 0;
-  /// True when a static width analysis proved every register of this program
-  /// fits in 64 bits. Such programs run on the narrow dispatch loop, which
-  /// keeps values as masked uint64_t (no BitVector in the hot loop); wide
-  /// programs use the general BitVector loop. Both produce identical
-  /// observables — the narrow ALU replicates rtl::applyBinOp bit for bit.
-  bool narrow = false;
 
   bool empty() const { return code.empty(); }
 };
@@ -140,9 +140,15 @@ class UopTable {
   /// table is installed; programs never write those registers.
   const std::vector<BitVector>& constPool() const { return constPool_; }
 
+  /// True when the static width analysis proved that every constant,
+  /// parameter, storage read and intermediate value of every program fits
+  /// in 64 bits. Only such a table can drive the engine.
+  bool narrow() const { return narrow_; }
+
  private:
   std::vector<std::vector<OpPrograms>> byFieldOp_;
   std::vector<BitVector> constPool_;
+  bool narrow_ = false;
 };
 
 /// Human-readable listing of a compiled program (debugging / docs aid).

@@ -25,7 +25,7 @@ Xsim::Xsim(const Machine& machine)
       uops_(std::make_unique<uop::UopTable>(machine)),
       engine_(machine, state_) {
   engine_.setStatsSink(&stats_);
-  engine_.setUopTable(uops_.get());
+  setUopEnabled(true);
   if (!sigs_.valid())
     throw IsdlError("assembly function is not decodeable:\n" +
                     sigDiags_.dump());
@@ -57,8 +57,7 @@ Xsim::Xsim(const Machine& machine)
 }
 
 void Xsim::setUopEnabled(bool enabled) {
-  uopEnabled_ = enabled;
-  engine_.setUopTable(enabled ? uops_.get() : nullptr);
+  engine_.setUopTable(enabled && uops_->narrow() ? uops_.get() : nullptr);
 }
 
 void Xsim::initStats() {

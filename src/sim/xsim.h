@@ -131,11 +131,13 @@ class Xsim {
 
   // --- execution engine selection -------------------------------------------
   /// Selects between the micro-op compiled core (default; sim/uop.h) and the
-  /// tree-walking interpreter. The two are bit-identical by construction —
-  /// the interpreter remains as the differential-testing oracle and as a
-  /// fallback (`xsim --no-uop`).
+  /// tree-walking interpreter. The two are bit-identical — the interpreter
+  /// remains as the differential-testing oracle (`xsim --no-uop`). Machines
+  /// whose programs fail the narrow-width proof (uop::UopTable::narrow) run
+  /// on the interpreter whatever is requested; uopEnabled() reports the
+  /// engine actually in use.
   void setUopEnabled(bool enabled);
-  bool uopEnabled() const { return uopEnabled_; }
+  bool uopEnabled() const { return engine_.usingUops(); }
   const uop::UopTable& uopTable() const { return *uops_; }
 
   /// Commits in-flight delayed writes (call before inspecting final state).
@@ -151,7 +153,6 @@ class Xsim {
   State state_;
   std::unique_ptr<uop::UopTable> uops_;
   ExecEngine engine_;
-  bool uopEnabled_ = true;
   DecodedProgram decoded_;
   AssembledProgram lastProgram_;
   std::set<std::uint64_t> breakpoints_;

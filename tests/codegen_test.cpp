@@ -1,7 +1,8 @@
 // Tests for the compiled-code simulator generator (§6.2 future work): the
 // generated C++ is compiled with the host compiler and executed; its final
-// state must match the interpreted XSIM run bit for bit, and its cycle
-// counter must satisfy the stall identity.
+// state must match the XSIM run bit for bit, and its cycle counter must
+// satisfy the stall identity. Inputs are the bundled kernels, a 64-bit
+// corner-case machine, and generated machines at fixed seeds.
 
 #include "sim/codegen.h"
 
@@ -12,12 +13,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <random>
 #include <sstream>
 
 #include "archs/archs.h"
 #include "isdl/parser.h"
-#include "support/strings.h"
 #include "sim/xsim.h"
+#include "support/strings.h"
+#include "test_machines.h"
+#include "testing/fuzzer.h"
+#include "testing/machinegen.h"
+#include "testing/programgen.h"
 
 namespace isdl::sim {
 namespace {
@@ -88,24 +94,12 @@ ParsedOutput parseOutput(const std::string& text) {
   return p;
 }
 
-void checkBenchmark(std::unique_ptr<Machine> (*loader)(),
-                    const archs::Benchmark& bench) {
-  SCOPED_TRACE(bench.name);
-  auto m = loader();
-  Xsim xsim(*m);
-  Assembler assembler(xsim.signatures());
-  DiagnosticEngine diags;
-  auto prog = assembler.assemble(bench.source, diags);
-  ASSERT_TRUE(prog.has_value()) << diags.dump();
-
-  // Interpreted reference.
-  std::string err;
-  ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
-  ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
+/// Generates, compiles and runs the simulator for `prog`, and compares it
+/// with `xsim`, which has just run `prog` to its halt.
+void expectMatchesXsim(const Machine& m, Xsim& xsim,
+                       const AssembledProgram& prog) {
   xsim.drainPipeline();
-
-  // Generated compiled-code simulator.
-  std::string source = generateCompiledSim(*m, xsim.signatures(), *prog);
+  std::string source = generateCompiledSim(m, xsim.signatures(), prog);
   bool available = false;
   std::string output = compileAndRun(source, &available);
   if (!available) GTEST_SKIP() << "no host C++ compiler";
@@ -119,9 +113,9 @@ void checkBenchmark(std::unique_ptr<Machine> (*loader)(),
 
   // Every non-zero architectural value must match (generated output prints
   // only non-zero locations).
-  for (std::size_t si = 0; si < m->storages.size(); ++si) {
-    if (static_cast<int>(si) == m->imemIndex) continue;
-    const StorageDef& st = m->storages[si];
+  for (std::size_t si = 0; si < m.storages.size(); ++si) {
+    if (static_cast<int>(si) == m.imemIndex) continue;
+    const StorageDef& st = m.storages[si];
     for (std::uint64_t e = 0; e < st.depth; ++e) {
       std::uint64_t expected =
           xsim.state().read(static_cast<unsigned>(si), e).toUint64();
@@ -130,6 +124,22 @@ void checkBenchmark(std::unique_ptr<Machine> (*loader)(),
       EXPECT_EQ(got, expected) << st.name << "[" << e << "]";
     }
   }
+}
+
+void checkBenchmark(std::unique_ptr<Machine> (*loader)(),
+                    const archs::Benchmark& bench) {
+  SCOPED_TRACE(bench.name);
+  auto m = loader();
+  Xsim xsim(*m);
+  Assembler assembler(xsim.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble(bench.source, diags);
+  ASSERT_TRUE(prog.has_value()) << diags.dump();
+
+  std::string err;
+  ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+  ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
+  expectMatchesXsim(*m, xsim, *prog);
 }
 
 TEST(Codegen, SrepFibMatchesInterpreter) {
@@ -156,8 +166,17 @@ TEST(Codegen, SpamFloatDotMatchesInterpreter) {
   checkBenchmark(archs::loadSpam, archs::spamBenchmarks()[0]);
 }
 
+TEST(Codegen, SixtyFourBitCornersMatchInterpreter) {
+  // Signed division of INT64_MIN by -1 (which traps in native C++) and
+  // float -> int saturation at 64 bits.
+  checkBenchmark(+[] { return parseAndCheckIsdl(testing::kW64Isdl); },
+                 {"w64", "", testing::kW64Program, 1000});
+}
+
 TEST(Codegen, RejectsWideArchitecturalState) {
-  auto m = isdl::parseAndCheckIsdl(R"(
+  // A storage wider than 64 bits, and a value wider than 64 bits computed
+  // between 64-bit registers.
+  for (const char* source : {R"(
 machine W {
   section format { word_width = 8; }
   section storage {
@@ -167,13 +186,63 @@ machine W {
   }
   section instruction_set { field F { operation nop() { encode { inst[7] = 0; } } } }
 }
-)");
-  DiagnosticEngine diags;
-  SignatureTable sigs(*m, diags);
-  AssembledProgram prog;
-  prog.words.push_back(BitVector(8, 0));
-  EXPECT_THROW(generateCompiledSim(*m, sigs, prog), IsdlError);
+)",
+                             R"(
+machine C {
+  section format { word_width = 8; }
+  section storage {
+    instruction_memory IM width 8 depth 4;
+    program_counter PC width 4;
+    register A width 64;
+    register B width 64;
+    register Q width 64;
+  }
+  section instruction_set { field F {
+    operation nop() { encode { inst[7] = 0; } }
+    operation mid() { encode { inst[7] = 1; } action { Q <- concat(A, B)[71:8]; } }
+  } }
 }
+)"}) {
+    auto m = isdl::parseAndCheckIsdl(source);
+    DiagnosticEngine diags;
+    SignatureTable sigs(*m, diags);
+    AssembledProgram prog;
+    prog.words.push_back(BitVector(8, 0));
+    EXPECT_THROW(generateCompiledSim(*m, sigs, prog), IsdlError) << m->name;
+  }
+}
+
+// The generated simulator against XSIM on generated machines, at fixed
+// seeds: each seed's machine runs its first halting random program.
+class CodegenGeneratedTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodegenGeneratedTest, MatchesXsim) {
+  const std::uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed);
+  testing::MachineSpec spec = testing::randomMachineSpec(rng);
+  auto m = parseAndCheckIsdl(testing::emitIsdl(spec));
+  Xsim xsim(*m);
+  Assembler assembler(xsim.signatures());
+  for (std::uint64_t lane = 1; lane <= 8; ++lane) {
+    std::mt19937_64 prng(testing::mixSeed(seed, lane));
+    std::string source =
+        join(testing::randomAssemblyProgram(*m, xsim.signatures(), prng, 25),
+             "\n") + "\n";
+    DiagnosticEngine diags;
+    auto prog = assembler.assemble(source, diags);
+    ASSERT_TRUE(prog.has_value()) << diags.dump();
+    std::string err;
+    ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+    if (xsim.run(100000).reason != StopReason::Halted) continue;  // a trap
+    SCOPED_TRACE(cat("machine seed ", seed, ", program lane ", lane));
+    expectMatchesXsim(*m, xsim, *prog);
+    return;
+  }
+  FAIL() << "no halting program for machine seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodegenGeneratedTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace isdl::sim

@@ -89,6 +89,25 @@ TEST(RtlEval, IntFloatConversions) {
   EXPECT_EQ(rtl::floatToInt(big, 16).toInt64(), 32767);
   BitVector neg(32, std::bit_cast<std::uint32_t>(-1e9f));
   EXPECT_EQ(rtl::floatToInt(neg, 16).toInt64(), -32768);
+  // The clamp holds at widths where 2^(w-1) - 1 has no double (w > 54) and
+  // past 64 bits.
+  auto f64 = [](double d) {
+    return BitVector(64, std::bit_cast<std::uint64_t>(d));
+  };
+  for (unsigned w : {16u, 54u, 55u, 64u, 100u}) {
+    SCOPED_TRACE(w);
+    BitVector max = BitVector::allOnes(w).lshr(1);
+    EXPECT_EQ(rtl::floatToInt(f64(1e30), w), max);
+    EXPECT_EQ(rtl::floatToInt(f64(-1e30), w), max.not_());
+  }
+  EXPECT_EQ(rtl::floatToInt(f64(0x1p63 - 1024), 64).toUint64(),
+            0x7ffffffffffffc00u);
+  EXPECT_EQ(rtl::floatToInt(f64(-0x1p63), 64).toUint64(), 0x8000000000000000u);
+  // In range at 100 bits, including magnitudes past 2^63.
+  BitVector e20 = BitVector::fromString(100, "100000000000000000000");
+  EXPECT_EQ(rtl::floatToInt(f64(1e20), 100), e20);
+  EXPECT_EQ(rtl::floatToInt(f64(-1e20), 100), e20.neg());
+  EXPECT_EQ(rtl::floatToInt(f64(-12.75), 100), BitVector::fromInt(100, -12));
 }
 
 TEST(RtlEval, ExprTreeEvaluation) {

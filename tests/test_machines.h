@@ -123,6 +123,88 @@ machine MINI {
 }
 )ISDL";
 
+/// W64: 64-bit registers and the operators whose corner cases sit at the
+/// 64-bit boundary; kW64Program drives them. Signed division of INT64_MIN
+/// by -1 wraps (quotient INT64_MIN, remainder 0), and float -> int
+/// saturates at both ends even though 2^63 - 1 has no double.
+inline constexpr const char* kW64Isdl = R"ISDL(
+machine W64 {
+  section format { word_width = 16; }
+
+  section storage {
+    instruction_memory IM width 16 depth 64;
+    register_file R width 64 depth 8;
+    program_counter PC width 8;
+  }
+
+  section global_definitions {
+    token REG enum width 3 prefix "R" range 0 .. 7;
+    token S6 immediate signed width 6;
+    token U6 immediate unsigned width 6;
+  }
+
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation li(d: REG, i: S6) {
+        encode { inst[15:12] = 4'd1; inst[11:9] = d; inst[5:0] = i; }
+        action { R[d] <- sext(i, 64); }
+      }
+      operation shl(d: REG, a: REG, n: U6) {
+        encode { inst[15:12] = 4'd2; inst[11:9] = d; inst[8:6] = a;
+                 inst[5:0] = n; }
+        action { R[d] <- R[a] << n; }
+      }
+      operation sdiv(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd3; inst[11:9] = d; inst[8:6] = a;
+                 inst[5:3] = b; }
+        action { R[d] <- sdiv(R[a], R[b]); }
+      }
+      operation srem(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd4; inst[11:9] = d; inst[8:6] = a;
+                 inst[5:3] = b; }
+        action { R[d] <- srem(R[a], R[b]); }
+      }
+      operation itof(d: REG, a: REG) {
+        encode { inst[15:12] = 4'd5; inst[11:9] = d; inst[8:6] = a; }
+        action { R[d] <- itof(R[a], 64); }
+      }
+      operation fmul(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd6; inst[11:9] = d; inst[8:6] = a;
+                 inst[5:3] = b; }
+        action { R[d] <- fmul(R[a], R[b]); }
+      }
+      operation ftoi(d: REG, a: REG) {
+        encode { inst[15:12] = 4'd7; inst[11:9] = d; inst[8:6] = a; }
+        action { R[d] <- ftoi(R[a], 64); }
+      }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+
+  section optional { halt_operation = "EX.halt"; }
+}
+)ISDL";
+
+/// Final state: R1 = R2 = INT64_MIN, R3 = -1, R4 = 0, R5 = 2^62,
+/// R6 = 2^124 as a double, R7 = INT64_MAX, R0 = INT64_MIN.
+inline constexpr const char* kW64Program = R"(
+        li R1, 1
+        shl R1, R1, 63
+        li R3, -1
+        sdiv R2, R1, R3
+        srem R4, R1, R3
+        li R5, 1
+        shl R5, R5, 62
+        itof R6, R5
+        fmul R6, R6, R6
+        ftoi R7, R6
+        itof R0, R1
+        fmul R0, R0, R6
+        ftoi R0, R0
+        halt
+)";
+
 }  // namespace isdl::testing
 
 #endif  // ISDL_TESTS_TEST_MACHINES_H
