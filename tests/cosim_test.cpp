@@ -29,6 +29,11 @@ struct CosimCase {
   std::vector<archs::Benchmark> (*benches)();
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change with address-space randomisation, so ctest names would
+// change on every rebuild.
+void PrintTo(const CosimCase& c, std::ostream* os) { *os << c.archName; }
+
 class CosimTest : public ::testing::TestWithParam<CosimCase> {};
 
 TEST_P(CosimTest, HardwareModelMatchesXsim) {

@@ -27,6 +27,11 @@ struct FuzzCase {
   std::unique_ptr<Machine> (*loader)();
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change with address-space randomisation, so ctest names would
+// change on every rebuild.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.name; }
+
 class FuzzDiffTest : public ::testing::TestWithParam<FuzzCase> {};
 
 // Full three-way oracle: interp vs uop exactly (traps included), plus the

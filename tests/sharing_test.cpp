@@ -195,6 +195,13 @@ struct ShareCosimCase {
   std::vector<archs::Benchmark> (*benches)();
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, whose
+// pointers change with address-space randomisation, so ctest names would
+// change on every rebuild.
+void PrintTo(const ShareCosimCase& c, std::ostream* os) {
+  *os << c.archName;
+}
+
 class SharingCosimTest : public ::testing::TestWithParam<ShareCosimCase> {};
 
 TEST_P(SharingCosimTest, SharedNetlistStillMatchesXsim) {
