@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 
 #include "archs/archs.h"
@@ -107,7 +108,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sim::Xsim xsim(*machine);
+  // Building the simulator allocates every storage element, so a legal but
+  // huge memory (a 2^32-deep data_memory) can fail here.
+  std::unique_ptr<sim::Xsim> built;
+  try {
+    built = std::make_unique<sim::Xsim>(*machine);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cannot build the simulator: %s\n", e.what());
+    return 1;
+  }
+  sim::Xsim& xsim = *built;
   if (noUop) xsim.setUopEnabled(false);
   sim::Cli cli(xsim, std::cout);
   std::printf("xsim for machine '%s'\n", machine->name.c_str());

@@ -1,6 +1,7 @@
 #include "hw/datapath.h"
 
 #include <algorithm>
+#include <set>
 
 #include "hw/decode.h"
 #include "isdl/sema.h"
@@ -84,8 +85,19 @@ class Builder {
     std::vector<NetId> paramNets;
   };
 
+  /// Nets lowered by two different operations. Such a node is live in both,
+  /// so the sharing rules' per-operation exclusivity does not hold for it:
+  /// it gets no tag (it is already shared, for free).
+  std::set<NetId> multiOpNets_;
+
   void tagOperator(NetId id) {
-    model_.operatorTags[id] = {curField_, curOp_, curStmt_};
+    if (multiOpNets_.count(id)) return;
+    auto [it, fresh] =
+        model_.operatorTags.try_emplace(id, OpTag{curField_, curOp_, curStmt_});
+    if (!fresh && (it->second.field != curField_ || it->second.op != curOp_)) {
+      model_.operatorTags.erase(it);
+      multiOpNets_.insert(id);
+    }
   }
 
   // --- storage -----------------------------------------------------------------
@@ -558,31 +570,16 @@ void remapModel(HwModel& model, const std::vector<NetId>& remap) {
   fix(model.instrCountReg);
   fix(model.pcReg);
   for (auto& st : model.storage) fix(st.reg);
-  // CSE can merge operator instances from different operations outright. A
-  // merged node is live in several operations at once, so the per-operation
-  // exclusivity reasoning of the sharing rules no longer applies to it:
-  // drop its tag (it already IS shared, for free).
-  std::map<NetId, OpTag> newTags;
-  std::vector<NetId> conflicted;
-  for (const auto& [net, tag] : model.operatorTags) {
-    NetId mapped = remap[net];
-    if (mapped == kNoNet) continue;
-    auto it = newTags.find(mapped);
-    if (it == newTags.end()) {
-      newTags[mapped] = tag;
-    } else if (it->second.field != tag.field || it->second.op != tag.op) {
-      conflicted.push_back(mapped);
-    }
-  }
-  for (NetId id : conflicted) newTags.erase(id);
-  model.operatorTags = std::move(newTags);
+  std::map<NetId, OpTag> tags;
+  for (const auto& [net, tag] : model.operatorTags)
+    if (remap[net] != kNoNet) tags[remap[net]] = tag;
+  model.operatorTags = std::move(tags);
 }
 
 HwModel buildDatapath(const Machine& machine,
                       const sim::SignatureTable& sigs) {
   HwModel model = Builder(machine, sigs).build();
-  std::vector<NetId> remap = model.netlist.cse();
-  remapModel(model, remap);
+  remapModel(model, model.netlist.sweepDead());
   return model;
 }
 

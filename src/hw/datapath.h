@@ -47,6 +47,7 @@ struct HwModel {
   /// decodeLines[f][o] — 1-bit net, high iff field f decodes operation o.
   std::vector<std::vector<NetId>> decodeLines;
   /// Shareable operator nodes (Binary arithmetic etc.) with their origin.
+  /// A node lowered by two different operations has no tag.
   std::map<NetId, OpTag> operatorTags;
 
   NetId instNet = kNoNet;      ///< full fetched instruction image
@@ -66,13 +67,13 @@ struct HwModel {
   std::vector<StorageMap> storage;
 };
 
-/// Builds the complete hardware model (with common subexpressions merged).
+/// Builds the complete hardware model (hash-consed, dead nodes swept).
 /// The machine must have passed checkMachine and have a valid
 /// SignatureTable.
 HwModel buildDatapath(const Machine& machine, const sim::SignatureTable& sigs);
 
-/// Applies a net-id remap (from Netlist::sweepDead or Netlist::cse) to every
-/// net reference the model holds outside the netlist itself.
+/// Applies a net-id remap from Netlist::sweepDead to every net reference the
+/// model holds outside the netlist itself; tags of removed nets are dropped.
 void remapModel(HwModel& model, const std::vector<NetId>& remap);
 
 }  // namespace isdl::hw

@@ -15,7 +15,7 @@ NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
   }
   // An all-don't-care signature matches unconditionally.
   if (acc == kNoNet) acc = nl.one();
-  nl.nodes[acc].name = name;
+  if (nl.nodes[acc].name.empty()) nl.nodes[acc].name = name;
   return acc;
 }
 
@@ -37,7 +37,7 @@ NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
   }
   const bool single = parts.size() == 1;
   NetId out = single ? parts[0] : nl.addConcat(std::move(parts));
-  nl.nodes[out].name = name;
+  if (nl.nodes[out].name.empty()) nl.nodes[out].name = name;
   return out;
 }
 

@@ -7,6 +7,7 @@
 // The same functions generate the option-select lines and sub-parameter
 // extraction for non-terminals, operating on the non-terminal's extracted
 // return-value net instead of the instruction net.
+// A returned net built earlier (the netlist hash-conses) keeps its name.
 
 #ifndef ISDL_HW_DECODE_H
 #define ISDL_HW_DECODE_H

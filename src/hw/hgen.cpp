@@ -22,10 +22,6 @@ HgenOutput runHgen(const Machine& machine, const sim::SignatureTable& sigs,
     SharingOptions so;
     so.useConstraints = options.useConstraints;
     out.stats.sharing = shareResources(out.model, machine, so);
-  } else {
-    // Even the naive scheme sweeps unreachable logic.
-    std::vector<NetId> remap = out.model.netlist.sweepDead();
-    remapModel(out.model, remap);
   }
 
   VerilogOptions vo = options.verilog;

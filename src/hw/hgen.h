@@ -15,7 +15,8 @@
 namespace isdl::hw {
 
 struct HgenOptions {
-  bool share = true;             ///< run the resource-sharing pass (§4.1)
+  bool share = true;             ///< sharing pass (§4.1); the naive
+                                 ///< scheme (false) still sweeps dead logic
   bool useConstraints = true;    ///< constraint-informed sharing (rule R4)
   VerilogOptions verilog;
 };

@@ -1,13 +1,38 @@
 #include "hw/netlist.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "support/diag.h"
-#include "support/strings.h"
 
 namespace isdl::hw {
+
+namespace {
+
+/// Input and Reg nodes are distinct state however alike they look.
+bool mergeable(const Node& n) {
+  return n.kind != NodeKind::Input && n.kind != NodeKind::Reg;
+}
+
+/// What hash-consing compares: everything but the name.
+auto shape(const Node& n) {
+  return std::tie(n.kind, n.width, n.ins, n.unOp, n.binOp, n.hi, n.lo,
+                  n.memId, n.constValue);
+}
+
+/// Hashes the parts of the shape that tell nodes apart in practice.
+std::size_t shapeHash(const Node& n) {
+  std::size_t h = n.constValue.hash();
+  auto mix = [&h](std::size_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  for (NetId in : n.ins) mix(static_cast<std::size_t>(in));
+  for (unsigned v : {static_cast<unsigned>(n.kind),
+                     static_cast<unsigned>(n.binOp), n.width, n.hi, n.lo})
+    mix(v);
+  return h;
+}
+
+}  // namespace
 
 const char* nodeKindName(NodeKind k) {
   switch (k) {
@@ -30,9 +55,24 @@ const char* nodeKindName(NodeKind k) {
   return "?";
 }
 
+NetId Netlist::find(const Node& node, std::size_t hash) const {
+  auto [it, end] = index_.equal_range(hash);
+  for (; it != end; ++it)
+    if (shape(nodes[it->second]) == shape(node)) return it->second;
+  return kNoNet;
+}
+
 NetId Netlist::push(Node node) {
+  const bool merge = mergeable(node);
+  const std::size_t h = merge ? shapeHash(node) : 0;
+  if (NetId hit = merge ? find(node, h) : kNoNet; hit != kNoNet) {
+    if (nodes[hit].name.empty()) nodes[hit].name = std::move(node.name);
+    return hit;
+  }
   nodes.push_back(std::move(node));
-  return static_cast<NetId>(nodes.size() - 1);
+  const auto id = static_cast<NetId>(nodes.size() - 1);
+  if (merge) index_.emplace(h, id);
+  return id;
 }
 
 NetId Netlist::addInput(std::string name, unsigned width) {
@@ -175,16 +215,6 @@ void Netlist::addOutput(std::string name, NetId net) {
   outputs.push_back({std::move(name), net});
 }
 
-NetId Netlist::one() {
-  if (cachedOne_ == kNoNet) cachedOne_ = addConst(BitVector(1, 1));
-  return cachedOne_;
-}
-
-NetId Netlist::zero() {
-  if (cachedZero_ == kNoNet) cachedZero_ = addConst(BitVector(1, 0));
-  return cachedZero_;
-}
-
 NetId Netlist::andNet(NetId a, NetId b) {
   auto constVal = [&](NetId x) -> int {
     if (nodes[x].kind != NodeKind::Const) return -1;
@@ -259,60 +289,6 @@ std::vector<NetId> Netlist::topoOrder() const {
   return order;
 }
 
-std::vector<NetId> Netlist::cse() {
-  // Value-number nodes in creation order; combinational nodes' inputs always
-  // precede them, so one forward pass canonicalises everything. Registers,
-  // inputs and (obviously) nothing stateful merge.
-  struct Key {
-    NodeKind kind;
-    unsigned width;
-    std::vector<NetId> ins;
-    std::string payload;
-    bool operator<(const Key& o) const {
-      return std::tie(kind, width, ins, payload) <
-             std::tie(o.kind, o.width, o.ins, o.payload);
-    }
-  };
-  std::map<Key, NetId> table;
-  std::vector<NetId> canon(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    Node& n = nodes[i];
-    for (NetId& in : n.ins)
-      if (in != kNoNet && n.kind != NodeKind::Reg) in = canon[in];
-    if (n.kind == NodeKind::Reg || n.kind == NodeKind::Input) {
-      canon[i] = static_cast<NetId>(i);
-      continue;
-    }
-    Key key{n.kind, n.width, n.ins,
-            cat(static_cast<int>(n.unOp), ",", static_cast<int>(n.binOp),
-                ",", n.hi, ",", n.lo, ",", n.memId, ",",
-                n.kind == NodeKind::Const ? n.constValue.toHexString() : "")};
-    auto [it, inserted] = table.emplace(std::move(key), static_cast<NetId>(i));
-    canon[i] = it->second;
-  }
-  // Reg inputs and external references rewire to canonical nodes.
-  for (auto& n : nodes)
-    if (n.kind == NodeKind::Reg)
-      for (NetId& in : n.ins)
-        if (in != kNoNet) in = canon[in];
-  for (auto& m : memories)
-    for (auto& p : m.writePorts) {
-      p.enable = canon[p.enable];
-      p.addr = canon[p.addr];
-      p.data = canon[p.data];
-    }
-  for (auto& out : outputs) out.net = canon[out.net];
-  if (cachedOne_ != kNoNet) cachedOne_ = canon[cachedOne_];
-  if (cachedZero_ != kNoNet) cachedZero_ = canon[cachedZero_];
-
-  // Duplicates are now dead; sweep and compose the maps.
-  std::vector<NetId> sweep = sweepDead();
-  std::vector<NetId> combined(canon.size(), kNoNet);
-  for (std::size_t i = 0; i < canon.size(); ++i)
-    combined[i] = sweep[canon[i]];
-  return combined;
-}
-
 std::vector<NetId> Netlist::sweepDead() {
   const std::size_t n = nodes.size();
   std::vector<bool> live(n, false);
@@ -360,8 +336,14 @@ std::vector<NetId> Netlist::sweepDead() {
       p.data = remap[p.data];
     }
   for (auto& out : outputs) out.net = remap[out.net];
-  cachedOne_ = cachedOne_ == kNoNet ? kNoNet : remap[cachedOne_];
-  cachedZero_ = cachedZero_ == kNoNet ? kNoNet : remap[cachedZero_];
+  // Re-index the survivors. Rewiring may have left two of them alike; the
+  // first-born keeps answering for the shape.
+  index_.clear();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!mergeable(nodes[i])) continue;
+    const std::size_t h = shapeHash(nodes[i]);
+    if (find(nodes[i], h) == kNoNet) index_.emplace(h, static_cast<NetId>(i));
+  }
   return remap;
 }
 

@@ -3,6 +3,13 @@
 // sequential state is registers (Reg nodes) and memories (Memory elements
 // with combinational read ports and clocked write ports).
 //
+// Combinational nodes are hash-consed at birth: a builder asked for a node
+// whose kind, width, inputs and payload match a live node returns that node
+// (Input and Reg nodes never merge). Operations of one field extract operands
+// from the same instruction bits, so their operand networks unify, the
+// builders' folds see the merged nets, and resource sharing adds units
+// without operand muxes.
+//
 // The same netlist feeds three consumers:
 //   * hw/verilog.h    — synthesizable-Verilog emission,
 //   * synth/mapper.h  — technology mapping / area / timing estimation,
@@ -14,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rtl/ir.h"
@@ -83,7 +91,7 @@ class Netlist {
   std::vector<Memory> memories;
   std::vector<OutputPort> outputs;
 
-  // --- builders (return the new node's net id) -------------------------------
+  // --- builders (return the net id of the new or merged node) -----------------
   NetId addInput(std::string name, unsigned width);
   NetId addConst(BitVector value, std::string name = {});
   NetId addUnary(rtl::UnOp op, NetId a, std::string name = {});
@@ -108,8 +116,8 @@ class Netlist {
 
   // --- conveniences used heavily by the datapath builder ---------------------
   /// 1-bit constants.
-  NetId one();
-  NetId zero();
+  NetId one() { return addConst(BitVector(1, 1)); }
+  NetId zero() { return addConst(BitVector(1, 0)); }
   /// a AND b for 1-bit control nets, folding constants.
   NetId andNet(NetId a, NetId b);
   /// a OR b for 1-bit control nets, folding constants.
@@ -130,20 +138,19 @@ class Netlist {
   /// Removes nodes unreachable from the design's roots (outputs, registers
   /// and their fan-in, memory write ports, inputs). Returns the old->new
   /// net-id map, with kNoNet for removed nodes — callers holding net ids
-  /// must remap them.
+  /// must remap them. Rebuilds the hash-consing index.
   std::vector<NetId> sweepDead();
 
-  /// Common-subexpression elimination by hash-consing: structurally
-  /// identical combinational nodes collapse to one. This matters a lot for
-  /// generated datapaths — operations of one field extract operands from the
-  /// same instruction bits, so their operand networks unify, which in turn
-  /// lets resource sharing add units without operand muxes. Returns the
-  /// old->new map (dead duplicates removed via sweepDead internally).
-  std::vector<NetId> cse();
-
  private:
+  /// Returns the indexed node of `node`'s shape (which takes `node`'s name if
+  /// it has none), else appends `node`.
   NetId push(Node node);
-  NetId cachedOne_ = kNoNet, cachedZero_ = kNoNet;
+  NetId find(const Node& node, std::size_t shapeHash) const;
+  /// Shape hash -> combinational nodes born with that shape. Only probed, so
+  /// node order stays creation order. Hits are checked against the live
+  /// node: one rewired in place (as resource sharing does) can miss a merge
+  /// but is never returned for a shape it no longer has.
+  std::unordered_multimap<std::size_t, NetId> index_;
 };
 
 }  // namespace isdl::hw

@@ -211,9 +211,10 @@ SharingReport shareResources(HwModel& model, const Machine& machine,
     }
 
     // R5 (structural): two nodes may share a unit only when neither lies in
-    // the other's combinational fan-in — CSE lets a node tagged for one
-    // operation feed another operation's expression, and merging such a pair
-    // would route the shared unit's output back into its own operand mux.
+    // the other's combinational fan-in — hash-consing lets a node tagged for
+    // one operation feed another operation's expression, and merging such a
+    // pair would route the shared unit's output back into its own operand
+    // mux.
     // The decode lines make that loop false dynamically, but the netlist is
     // levelized structurally, so it must stay acyclic. Rewiring extends
     // cones, so this is re-applied after every merge.
@@ -237,8 +238,8 @@ SharingReport shareResources(HwModel& model, const Machine& machine,
     // The paper notes the resource-sharing problem "can be solved using a
     // combinatorial optimization strategy" (§4.1): we only instantiate a
     // clique when the unit saved outweighs the operand muxes added. Mux cost
-    // is computed on *distinct* operand nets — after CSE, operations of one
-    // field usually read identically extracted operands, making their muxes
+    // is computed on *distinct* operand nets — operations of one field
+    // usually read the same hash-consed operand extracts, making their muxes
     // free.
     auto standaloneArea = [&](const Node& node) {
       double w = node.width;

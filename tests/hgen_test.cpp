@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "archs/archs.h"
 #include "sim/signature.h"
 
@@ -107,6 +110,36 @@ TEST(Hgen, Table2ShapeSpamVsSpam2) {
   EXPECT_GE(spam.stats.cycleNs, spam2.stats.cycleNs);
   EXPECT_GT(spam.stats.cycleNs, 0.0);
   EXPECT_GT(spam.stats.synthesisSeconds, 0.0);
+}
+
+TEST(Hgen, DatapathHoldsNoStructuralDuplicates) {
+  // Hash-consing at birth: no two combinational nodes of buildDatapath's
+  // netlist share kind, width, inputs and payload, and the builder's mux
+  // fold sees merged nets, so no mux selects between a net and itself.
+  for (auto loader : {archs::loadSpam, archs::loadSpam2, archs::loadSrep,
+                      archs::loadTdsp}) {
+    auto b = load(loader);
+    const Netlist nl = buildDatapath(*b.machine, *b.sigs).netlist;
+    SCOPED_TRACE(b.machine->name);
+    std::set<std::tuple<NodeKind, unsigned, std::vector<NetId>, int, int,
+                        unsigned, unsigned, int, std::string>>
+        shapes;
+    std::size_t duplicates = 0, sameArmMuxes = 0;
+    for (const Node& n : nl.nodes) {
+      if (n.kind == NodeKind::Input || n.kind == NodeKind::Reg) continue;
+      if (n.kind == NodeKind::Mux && n.ins[1] == n.ins[2]) ++sameArmMuxes;
+      bool fresh =
+          shapes
+              .emplace(n.kind, n.width, n.ins, static_cast<int>(n.unOp),
+                       static_cast<int>(n.binOp), n.hi, n.lo, n.memId,
+                       n.kind == NodeKind::Const ? n.constValue.toHexString()
+                                                 : std::string())
+              .second;
+      if (!fresh) ++duplicates;
+    }
+    EXPECT_EQ(duplicates, 0u);
+    EXPECT_EQ(sameArmMuxes, 0u);
+  }
 }
 
 TEST(Hgen, SharingShrinksDieSize) {

@@ -1,5 +1,5 @@
 // Unit tests for the word-level netlist IR: builders, topological ordering,
-// cycle detection, common-subexpression elimination, dead-node sweeping, and
+// cycle detection, hash-consing at insertion, dead-node sweeping, and
 // the gate simulator's sequential semantics on hand-built circuits.
 
 #include "hw/netlist.h"
@@ -137,41 +137,74 @@ TEST(Netlist, GateSimTwoPhaseRegisterSwap) {
   EXPECT_EQ(gs.peekNet(r2).toUint64(), 2u);
 }
 
-TEST(Netlist, CseMergesStructuralDuplicates) {
+TEST(Netlist, DuplicateNodeReturnsTheSameNet) {
   Netlist nl;
   NetId a = nl.addInput("a", 8);
   NetId b = nl.addInput("b", 8);
-  NetId s1 = nl.addBinary(BinOp::Add, a, b);
-  NetId s2 = nl.addBinary(BinOp::Add, a, b);  // duplicate
-  NetId d = nl.addBinary(BinOp::Xor, s1, s2);
-  nl.addOutput("o", d);
-  std::size_t before = nl.nodes.size();
-  auto remap = nl.cse();
-  EXPECT_LT(nl.nodes.size(), before);
-  // Both adders map to the same surviving net.
-  EXPECT_EQ(remap[s1], remap[s2]);
-  EXPECT_NE(remap[d], kNoNet);
-  // Behaviour: a ^ a == 0 after merging — the xor of two identical nets.
-  synth::GateSim gs(nl);
-  gs.setInput(remap[a], BitVector(8, 3));
-  gs.setInput(remap[b], BitVector(8, 4));
-  gs.step();
-  EXPECT_TRUE(gs.peekNet(nl.outputs[0].net).isZero());
+  NetId sum = nl.addBinary(BinOp::Add, a, b);
+  NetId cat = nl.addConcat({sum, a});
+  const std::size_t size = nl.nodes.size();
+  EXPECT_EQ(nl.addBinary(BinOp::Add, a, b), sum);
+  EXPECT_EQ(nl.addConcat({sum, a}), cat);
+  EXPECT_EQ(nl.one(), nl.addConst(BitVector(1, 1)));
+  EXPECT_EQ(nl.nodes.size(), size + 1);  // only the constant is new
+  // Operand order and operator are part of the shape.
+  EXPECT_NE(nl.addBinary(BinOp::Add, b, a), sum);
+  EXPECT_NE(nl.addBinary(BinOp::Sub, a, b), sum);
+  // A merged node with no name takes the first name offered.
+  nl.addBinary(BinOp::Add, a, b, "s");
+  nl.addBinary(BinOp::Add, a, b, "t");
+  EXPECT_EQ(nl.nodes[sum].name, "s");
 }
 
-TEST(Netlist, CseDistinguishesConstantsAndPayloads) {
+TEST(Netlist, ConstantsAndPayloadsStayDistinct) {
   Netlist nl;
   NetId c1 = nl.addConst(BitVector(8, 1));
-  NetId c2 = nl.addConst(BitVector(8, 2));
-  NetId c1b = nl.addConst(BitVector(8, 1));
+  EXPECT_NE(nl.addConst(BitVector(8, 2)), c1);
+  EXPECT_NE(nl.addConst(BitVector(16, 1)), c1);
+  EXPECT_EQ(nl.addConst(BitVector(8, 1)), c1);
   NetId a = nl.addInput("a", 8);
   NetId s1 = nl.addSlice(a, 3, 0);
-  NetId s2 = nl.addSlice(a, 4, 1);  // same width, different bounds
-  nl.addOutput("x", nl.addConcat({c1, c2, c1b, s1, s2}));
-  auto remap = nl.cse();
-  EXPECT_EQ(remap[c1], remap[c1b]);
-  EXPECT_NE(remap[c1], remap[c2]);
-  EXPECT_NE(remap[s1], remap[s2]);
+  EXPECT_NE(nl.addSlice(a, 4, 1), s1);  // same width, different bounds
+  EXPECT_EQ(nl.addSlice(a, 3, 0), s1);
+  EXPECT_NE(nl.addUnary(UnOp::Neg, a), nl.addUnary(UnOp::BitNot, a));
+  int m0 = nl.addMemory("m0", 8, 4);
+  int m1 = nl.addMemory("m1", 8, 4);
+  NetId addr = nl.addSlice(a, 1, 0);
+  EXPECT_NE(nl.addMemRead(m0, addr), nl.addMemRead(m1, addr));
+  EXPECT_EQ(nl.addMemRead(m0, addr), nl.addMemRead(m0, addr));
+}
+
+TEST(Netlist, InputsAndRegistersNeverMerge) {
+  Netlist nl;
+  EXPECT_NE(nl.addInput("x", 8), nl.addInput("x", 8));
+  NetId r1 = nl.addReg("r", 8);
+  NetId r2 = nl.addReg("r", 8);
+  EXPECT_NE(r1, r2);
+  NetId next = nl.addConst(BitVector(8, 1));
+  nl.setRegInputs(r1, next);
+  nl.setRegInputs(r2, next);
+  nl.sweepDead();
+  EXPECT_EQ(nl.countNodes(NodeKind::Input), 2u);
+  EXPECT_EQ(nl.countNodes(NodeKind::Reg), 2u);
+}
+
+TEST(Netlist, RewiredNodeIsNotReturnedForItsOldShape) {
+  Netlist nl;
+  NetId a = nl.addInput("a", 8);
+  NetId b = nl.addInput("b", 8);
+  NetId sum = nl.addBinary(BinOp::Add, a, b);
+  nl.nodes[sum].ins[1] = a;  // rewired in place: now a + a
+  NetId again = nl.addBinary(BinOp::Add, a, b);
+  EXPECT_NE(again, sum);
+  EXPECT_EQ(nl.nodes[again].ins, (std::vector<NetId>{a, b}));
+  // `sum` is indexed under its birth shape, so this adds a second a + a.
+  NetId twice = nl.addBinary(BinOp::Add, a, a);
+  // Sweeping re-indexes live shapes; the first-born answers for a + a.
+  for (NetId n : {sum, again, twice}) nl.addOutput("o", n);
+  std::vector<NetId> remap = nl.sweepDead();
+  EXPECT_EQ(nl.addBinary(BinOp::Add, remap[a], remap[a]), remap[sum]);
+  EXPECT_EQ(nl.addBinary(BinOp::Add, remap[a], remap[b]), remap[again]);
 }
 
 TEST(Netlist, SweepDeadRemovesUnreachable) {

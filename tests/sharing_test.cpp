@@ -180,6 +180,67 @@ machine CYC {
   EXPECT_NO_THROW(synth::GateSim gs(b.model.netlist));
 }
 
+TEST(Sharing, OperatorBuiltByTwoOperationsCarriesNoTag) {
+  // p and q read their operands from the same instruction bits, so both
+  // lower RF[a] * RF[b] onto one hash-consed multiplier. That node is live
+  // whenever either operation is, so it must not enter the clique search as
+  // either operation's unit. r builds its own product twice in one
+  // statement: one node, still tagged with r.
+  auto b = buildFor(parseAndCheckIsdl(R"(
+machine TWICE {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 32;
+    register_file RF width 12 depth 4;
+    program_counter PC width 12;
+  }
+  section global_definitions {
+    token REG enum width 2 prefix "R" range 0 .. 3;
+  }
+  section instruction_set {
+    field F {
+      operation p(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd1; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:6] = b; }
+        action { RF[d] <- RF[a] * RF[b]; }
+      }
+      operation q(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:6] = b; }
+        action { RF[d] <- RF[a] * RF[b]; }
+      }
+      operation r(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd3; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:6] = b; }
+        action { RF[d] <- (RF[a] * RF[d]) + (RF[a] * RF[d]); }
+      }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "F.halt"; }
+}
+)"));
+  const Netlist& nl = b.model.netlist;
+  std::vector<NetId> muls;
+  for (std::size_t i = 0; i < nl.nodes.size(); ++i)
+    if (nl.nodes[i].kind == NodeKind::Binary &&
+        nl.nodes[i].binOp == rtl::BinOp::Mul)
+      muls.push_back(static_cast<NetId>(i));
+  ASSERT_EQ(muls.size(), 2u);  // p/q's product and r's
+  const unsigned field = 0, opR = 2;
+  std::size_t untagged = 0;
+  for (NetId m : muls) {
+    auto it = b.model.operatorTags.find(m);
+    if (it == b.model.operatorTags.end()) {
+      ++untagged;
+      continue;
+    }
+    EXPECT_EQ(it->second.field, field);
+    EXPECT_EQ(it->second.op, opR);
+  }
+  EXPECT_EQ(untagged, 1u);
+}
+
 TEST(Sharing, ReportAccounting) {
   auto b = buildFor(archs::loadSpam());
   SharingReport r = shareResources(b.model, *b.machine);
