@@ -123,20 +123,14 @@ inline double hwModelCyclesPerSec(const Machine& machine, const char* source,
   opts.share = share;
   hw::HgenOutput hgen = hw::runHgen(machine, xsim.signatures(), opts);
 
-  int dmIndex = -1;
-  for (std::size_t si = 0; si < machine.storages.size(); ++si)
-    if (machine.storages[si].kind == StorageKind::DataMemory)
-      dmIndex = static_cast<int>(si);
-
   synth::GateSim gs(hgen.model.netlist);
   std::uint64_t archCyclesPerRun = 0;
   auto [iters, seconds] = timeLoop(
       [&] {
         gs.reset();
-        gs.loadMemory(hgen.model.storage[machine.imemIndex].mem, prog.words);
-        if (dmIndex >= 0)
-          for (const auto& [addr, value] : prog.dataInit)
-            gs.pokeMemory(hgen.model.storage[dmIndex].mem, addr, value);
+        std::string err;
+        if (!gs.loadProgram(machine, hgen.model, prog, &err))
+          throw IsdlError(err);
         if (!gs.runUntil(hgen.model.haltedReg, maxClocks))
           throw IsdlError("hardware model did not halt");
         archCyclesPerRun = gs.peekNet(hgen.model.cycleCountReg).toUint64();

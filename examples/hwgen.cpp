@@ -84,11 +84,10 @@ int main(int argc, char** argv) {
   xsim.drainPipeline();
 
   synth::GateSim gs(out.model.netlist);
-  gs.loadMemory(out.model.storage[machine->imemIndex].mem, prog->words);
-  for (std::size_t si = 0; si < machine->storages.size(); ++si)
-    if (machine->storages[si].kind == StorageKind::DataMemory)
-      for (const auto& [addr, value] : prog->dataInit)
-        gs.pokeMemory(out.model.storage[si].mem, addr, value);
+  if (!gs.loadProgram(*machine, out.model, *prog, &err)) {
+    std::printf("co-simulation: %s\n", err.c_str());
+    return 1;
+  }
   if (!gs.runUntil(out.model.haltedReg, budget)) {
     std::printf("co-simulation: hardware model did not halt!\n");
     return 1;

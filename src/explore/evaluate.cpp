@@ -65,11 +65,9 @@ Evaluation evaluate(const Machine& machine, const std::string& appSource,
     if (options.measurePower) {
       synth::GateSim gs(hgen.model.netlist);
       gs.enableToggleCounting(true);
-      gs.loadMemory(hgen.model.storage[machine.imemIndex].mem, prog->words);
-      for (std::size_t si = 0; si < machine.storages.size(); ++si)
-        if (machine.storages[si].kind == StorageKind::DataMemory)
-          for (const auto& [addr, value] : prog->dataInit)
-            gs.pokeMemory(hgen.model.storage[si].mem, addr, value);
+      std::string loadError;
+      if (!gs.loadProgram(machine, hgen.model, *prog, &loadError))
+        throw IsdlError("hardware model: " + loadError);
       gs.runUntil(hgen.model.haltedReg, options.powerClocks);
       if (gs.clocks() > 0) {
         double togglesPerCycle = double(gs.toggleCount()) / double(gs.clocks());

@@ -76,6 +76,14 @@ int Machine::findField(std::string_view n) const {
   return findByName(fields, n);
 }
 
+int Machine::dataMemoryIndex() const {
+  int index = -1;
+  for (std::size_t si = 0; si < storages.size(); ++si)
+    if (storages[si].kind == StorageKind::DataMemory)
+      index = static_cast<int>(si);
+  return index;
+}
+
 unsigned Machine::maxSizeWords() const {
   unsigned maxSize = 1;
   for (const auto& f : fields)

@@ -255,6 +255,9 @@ class Machine {
   int pcIndex = -1;
   /// The unique InstructionMemory storage; set by semantic analysis.
   int imemIndex = -1;
+  /// The data memory that `.dm` records initialise and whose width they
+  /// take: the last DataMemory storage, or -1 if there is none.
+  int dataMemoryIndex() const;
 
   /// Max over all (field, operation) of Costs::size — the widest instruction
   /// in words. Signature width = maxSizeWords * wordWidth bits.

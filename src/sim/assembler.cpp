@@ -189,10 +189,10 @@ class Impl {
         if (!expectNumber(a) || !expectNumber(v)) return std::nullopt;
         line.kind = ParsedLine::Kind::Dm;
         line.dmAddress = static_cast<std::uint64_t>(a);
-        // Width comes from the (unique) data memory if present.
-        unsigned dmWidth = machine_.wordWidth;
-        for (const auto& st : machine_.storages)
-          if (st.kind == StorageKind::DataMemory) dmWidth = st.width;
+        // Width comes from the data memory if present.
+        const int dm = machine_.dataMemoryIndex();
+        const unsigned dmWidth =
+            dm >= 0 ? machine_.storages[dm].width : machine_.wordWidth;
         line.dmValue = BitVector::fromInt(dmWidth, v);
         line.sizeWords = 0;
       } else {

@@ -272,10 +272,7 @@ std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
     os << "  std::memset(s" << si << ", 0, sizeof s" << si << ");\n";
   }
   // Data-memory init records.
-  int dmIndex = -1;
-  for (std::size_t si = 0; si < m.storages.size(); ++si)
-    if (m.storages[si].kind == StorageKind::DataMemory)
-      dmIndex = static_cast<int>(si);
+  const int dmIndex = m.dataMemoryIndex();
   for (const auto& [addr, value] : prog.dataInit)
     os << "  s" << dmIndex << "[" << addr << "] = 0x"
        << value.toHexString().substr(2) << "ull;\n";

@@ -91,10 +91,7 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
     state_.write(imem, i, prog.words[i], 0);
 
   // Data-memory initialisation records.
-  int dmIndex = -1;
-  for (std::size_t si = 0; si < machine_->storages.size(); ++si)
-    if (machine_->storages[si].kind == StorageKind::DataMemory)
-      dmIndex = static_cast<int>(si);
+  const int dmIndex = machine_->dataMemoryIndex();
   for (const auto& [addr, value] : prog.dataInit) {
     if (dmIndex < 0) {
       if (error) *error = ".dm record but the machine has no data_memory";
@@ -139,10 +136,7 @@ void Xsim::reset() {
   const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
   for (std::size_t i = 0; i < lastProgram_.words.size(); ++i)
     state_.write(imem, i, lastProgram_.words[i], 0);
-  int dmIndex = -1;
-  for (std::size_t si = 0; si < machine_->storages.size(); ++si)
-    if (machine_->storages[si].kind == StorageKind::DataMemory)
-      dmIndex = static_cast<int>(si);
+  const int dmIndex = machine_->dataMemoryIndex();
   for (const auto& [addr, value] : lastProgram_.dataInit)
     state_.write(static_cast<unsigned>(dmIndex), addr, value, 0);
   state_.setPc(0, 0);

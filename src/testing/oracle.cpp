@@ -48,14 +48,10 @@ void compareWithHardware(const Machine& m, const sim::Xsim& ref,
                          std::uint64_t maxCycles,
                          std::vector<std::string>& out) {
   synth::GateSim gs(model.netlist);
-  gs.loadMemory(model.storage[m.imemIndex].mem, prog.words);
-  int dmIndex = -1;
-  for (std::size_t si = 0; si < m.storages.size(); ++si)
-    if (m.storages[si].kind == StorageKind::DataMemory)
-      dmIndex = static_cast<int>(si);
-  for (const auto& [addr, value] : prog.dataInit) {
-    if (dmIndex < 0) break;
-    gs.pokeMemory(model.storage[dmIndex].mem, addr, value);
+  std::string loadError;
+  if (!gs.loadProgram(m, model, prog, &loadError)) {
+    out.push_back("hardware model: " + loadError);
+    return;
   }
   if (!gs.runUntil(model.haltedReg, maxCycles)) {
     out.push_back(cat("hardware model did not halt within ", maxCycles,

@@ -287,11 +287,7 @@ TEST_P(SharingCosimTest, SharedNetlistStillMatchesXsim) {
     xsim.drainPipeline();
 
     synth::GateSim gs(model.netlist);
-    gs.loadMemory(model.storage[machine->imemIndex].mem, prog->words);
-    for (std::size_t si = 0; si < machine->storages.size(); ++si)
-      if (machine->storages[si].kind == StorageKind::DataMemory)
-        for (const auto& [addr, value] : prog->dataInit)
-          gs.pokeMemory(model.storage[si].mem, addr, value);
+    ASSERT_TRUE(gs.loadProgram(*machine, model, *prog, &err)) << err;
     ASSERT_TRUE(gs.runUntil(model.haltedReg, bench.maxCycles));
 
     for (std::size_t si = 0; si < machine->storages.size(); ++si) {

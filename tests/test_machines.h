@@ -205,6 +205,56 @@ inline constexpr const char* kW64Program = R"(
         halt
 )";
 
+/// WIDE: 96-bit registers, wider than every narrow path; kWideProgram
+/// carries an add across bit 64.
+inline constexpr const char* kWideIsdl = R"ISDL(
+machine WIDE {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 16;
+    register_file R width 96 depth 4;
+    program_counter PC width 8;
+  }
+  section global_definitions {
+    token REG enum width 2 prefix "R" range 0 .. 3;
+    token S8 immediate signed width 8;
+    token U8 immediate unsigned width 8;
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation li(d: REG, i: S8) {
+        encode { inst[15:12] = 4'd1; inst[11:10] = d; inst[7:0] = i; }
+        action { R[d] <- sext(i, 96); }
+      }
+      operation shl(d: REG, a: REG, n: U8) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:0] = n; }
+        action { R[d] <- R[a] << n; }
+      }
+      operation add(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd3; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:6] = b; }
+        action { R[d] <- R[a] + R[b]; }
+      }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "EX.halt"; }
+}
+)ISDL";
+
+/// Final state: R1 = 2^64 - 1, R2 = -1, R3 = 2^64.
+inline constexpr const char* kWideProgram = R"(
+        li R1, 1
+        shl R1, R1, 64
+        li R2, -1
+        add R1, R1, R2
+        li R3, 1
+        add R3, R1, R3
+        halt
+)";
+
 }  // namespace isdl::testing
 
 #endif  // ISDL_TESTS_TEST_MACHINES_H

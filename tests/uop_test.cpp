@@ -177,42 +177,7 @@ TEST(UopEngine, SixtyFourBitCornersMatchInterpreter) {
 // A register wider than 64 bits fails the narrow-width proof, so the
 // default Xsim runs the machine on the interpreter and says so.
 TEST(UopEngine, WideMachineRunsOnInterpreter) {
-  auto m = parseAndCheckIsdl(R"ISDL(
-machine WIDE {
-  section format { word_width = 16; }
-  section storage {
-    instruction_memory IM width 16 depth 16;
-    register_file R width 96 depth 4;
-    program_counter PC width 8;
-  }
-  section global_definitions {
-    token REG enum width 2 prefix "R" range 0 .. 3;
-    token S8 immediate signed width 8;
-    token U8 immediate unsigned width 8;
-  }
-  section instruction_set {
-    field EX {
-      operation nop() { encode { inst[15:12] = 4'd0; } }
-      operation li(d: REG, i: S8) {
-        encode { inst[15:12] = 4'd1; inst[11:10] = d; inst[7:0] = i; }
-        action { R[d] <- sext(i, 96); }
-      }
-      operation shl(d: REG, a: REG, n: U8) {
-        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:8] = a;
-                 inst[7:0] = n; }
-        action { R[d] <- R[a] << n; }
-      }
-      operation add(d: REG, a: REG, b: REG) {
-        encode { inst[15:12] = 4'd3; inst[11:10] = d; inst[9:8] = a;
-                 inst[7:6] = b; }
-        action { R[d] <- R[a] + R[b]; }
-      }
-      operation halt() { encode { inst[15:12] = 4'd15; } }
-    }
-  }
-  section optional { halt_operation = "EX.halt"; }
-}
-)ISDL");
+  auto m = parseAndCheckIsdl(testing::kWideIsdl);
   Xsim xsim(*m);
   EXPECT_FALSE(xsim.uopTable().narrow());
   EXPECT_FALSE(xsim.uopEnabled());
@@ -223,16 +188,7 @@ machine WIDE {
   EXPECT_EQ(cli.errorCount(), 0u);
   EXPECT_NE(out.str().find("execution engine: interp"), std::string::npos);
 
-  // R1 = 2^64 - 1, then R3 = R1 + 1 carries into bit 64.
-  runToHalt(xsim, R"(
-        li R1, 1
-        shl R1, R1, 64
-        li R2, -1
-        add R1, R1, R2
-        li R3, 1
-        add R3, R1, R3
-        halt
-)");
+  runToHalt(xsim, testing::kWideProgram);
   const unsigned rf = unsigned(m->findStorage("R"));
   EXPECT_EQ(xsim.state().read(rf, 1),
             BitVector::fromString(96, "0xffffffffffffffff"));
