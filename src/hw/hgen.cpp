@@ -24,9 +24,7 @@ HgenOutput runHgen(const Machine& machine, const sim::SignatureTable& sigs,
     out.stats.sharing = shareResources(out.model, machine, so);
   }
 
-  VerilogOptions vo = options.verilog;
-  if (vo.moduleName == "isdl_core") vo.moduleName = machine.name + "_core";
-  out.verilog = emitVerilog(out.model.netlist, vo);
+  out.verilog = emitVerilog(out.model.netlist, {machine.name + "_core"});
   out.stats.toolSeconds = secondsSince(t0);
 
   auto t1 = std::chrono::steady_clock::now();

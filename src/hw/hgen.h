@@ -18,7 +18,6 @@ struct HgenOptions {
   bool share = true;             ///< sharing pass (§4.1); the naive
                                  ///< scheme (false) still sweeps dead logic
   bool useConstraints = true;    ///< constraint-informed sharing (rule R4)
-  VerilogOptions verilog;
 };
 
 struct HgenStats {

@@ -1,10 +1,10 @@
 #include "hw/netlist.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <tuple>
 
 #include "support/diag.h"
+#include "support/strings.h"
 
 namespace isdl::hw {
 
@@ -253,40 +253,27 @@ NetId Netlist::withSlice(NetId base, unsigned hi, unsigned lo, NetId part) {
   return addConcat(std::move(parts));
 }
 
-std::vector<NetId> Netlist::topoOrder() const {
-  const std::size_t n = nodes.size();
-  std::vector<int> indegree(n, 0);
-  std::vector<std::vector<NetId>> users(n);
-  auto isSource = [&](NetId id) {
-    NodeKind k = nodes[id].kind;
-    return k == NodeKind::Input || k == NodeKind::Const ||
-           k == NodeKind::Reg;
+void Netlist::checkLevelized() const {
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (NetId in : nodes[i].ins)
+      if (nodes[i].kind != NodeKind::Reg && in >= static_cast<NetId>(i))
+        throw IsdlError(cat("netlist not in evaluation order: node ", i,
+                            " reads node ", in));
+}
+
+void Netlist::rewire(const std::vector<NetId>& to) {
+  auto fix = [&](NetId& id) {
+    if (id != kNoNet) id = to[id];
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (isSource(static_cast<NetId>(i))) continue;
-    for (NetId in : nodes[i].ins) {
-      if (in == kNoNet) continue;
-      // Edges only from combinational producers; Reg outputs are state.
-      ++indegree[i];
-      users[in].push_back(static_cast<NetId>(i));
+  for (auto& node : nodes)
+    for (NetId& in : node.ins) fix(in);
+  for (auto& m : memories)
+    for (auto& p : m.writePorts) {
+      fix(p.enable);
+      fix(p.addr);
+      fix(p.data);
     }
-  }
-  std::vector<NetId> order;
-  order.reserve(n);
-  std::vector<NetId> ready;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indegree[i] == 0) ready.push_back(static_cast<NetId>(i));
-  while (!ready.empty()) {
-    NetId id = ready.back();
-    ready.pop_back();
-    order.push_back(id);
-    for (NetId u : users[id]) {
-      if (--indegree[u] == 0) ready.push_back(u);
-    }
-  }
-  if (order.size() != n)
-    throw IsdlError("combinational cycle in generated netlist");
-  return order;
+  for (auto& out : outputs) fix(out.net);
 }
 
 std::vector<NetId> Netlist::sweepDead() {
@@ -317,25 +304,37 @@ std::vector<NetId> Netlist::sweepDead() {
     for (NetId in : nodes[id].ins) mark(in);
   }
 
+  // Number the survivors in DFS post-order over combinational reads, roots
+  // in index order: a node already after its inputs keeps its place.
   std::vector<NetId> remap(n, kNoNet);
-  std::vector<Node> kept;
-  kept.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!live[i]) continue;
-    remap[i] = static_cast<NetId>(kept.size());
-    kept.push_back(std::move(nodes[i]));
-  }
-  for (auto& node : kept)
-    for (NetId& in : node.ins)
-      if (in != kNoNet) in = remap[in];
-  nodes = std::move(kept);
-  for (auto& m : memories)
-    for (auto& p : m.writePorts) {
-      p.enable = remap[p.enable];
-      p.addr = remap[p.addr];
-      p.data = remap[p.data];
+  std::vector<bool> open(n, false);
+  std::vector<std::pair<NetId, std::size_t>> path;  // node, next input
+  NetId numbered = 0;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (!live[root] || remap[root] != kNoNet) continue;
+    path.push_back({static_cast<NetId>(root), 0});
+    open[root] = true;
+    while (!path.empty()) {
+      auto& [id, next] = path.back();
+      const Node& node = nodes[id];
+      if (node.kind != NodeKind::Reg && next < node.ins.size()) {
+        NetId in = node.ins[next++];
+        if (in == kNoNet || remap[in] != kNoNet) continue;
+        if (open[in])
+          throw IsdlError("combinational cycle in generated netlist");
+        open[in] = true;
+        path.push_back({in, 0});
+        continue;
+      }
+      remap[id] = numbered++;
+      path.pop_back();
     }
-  for (auto& out : outputs) out.net = remap[out.net];
+  }
+  std::vector<Node> kept(static_cast<std::size_t>(numbered));
+  for (std::size_t i = 0; i < n; ++i)
+    if (remap[i] != kNoNet) kept[remap[i]] = std::move(nodes[i]);
+  nodes = std::move(kept);
+  rewire(remap);
   // Re-index the survivors. Rewiring may have left two of them alike; the
   // first-born keeps answering for the shape.
   index_.clear();

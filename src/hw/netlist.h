@@ -10,6 +10,11 @@
 // builders' folds see the merged nets, and resource sharing adds units
 // without operand muxes.
 //
+// Nodes are kept in evaluation order: a combinational node reads only nets
+// born before it (a Reg's inputs are state, so they may point anywhere).
+// sweepDead() restores the order after resource sharing rewires consumers
+// to later shared units; consumers check it once with checkLevelized().
+//
 // The same netlist feeds three consumers:
 //   * hw/verilog.h    — synthesizable-Verilog emission,
 //   * synth/mapper.h  — technology mapping / area / timing estimation,
@@ -127,18 +132,22 @@ class Netlist {
   /// Replaces bits [hi:lo] of `base` with `part` (builds slices + concat).
   NetId withSlice(NetId base, unsigned hi, unsigned lo, NetId part);
 
-  /// Topological order of combinational evaluation: every node appears after
-  /// the nets it reads, with Reg outputs, Inputs and Consts as sources.
-  /// Throws IsdlError on a combinational cycle.
-  std::vector<NetId> topoOrder() const;
+  /// Throws IsdlError unless the netlist is in evaluation order (a cycle, or
+  /// a rewired netlist not yet swept). O(nodes + edges), no allocation.
+  void checkLevelized() const;
+
+  /// Redirects every node input, write port and output from net n to to[n].
+  void rewire(const std::vector<NetId>& to);
 
   /// Counts by kind (for reports and tests).
   std::size_t countNodes(NodeKind kind) const;
 
   /// Removes nodes unreachable from the design's roots (outputs, registers
-  /// and their fan-in, memory write ports, inputs). Returns the old->new
-  /// net-id map, with kNoNet for removed nodes — callers holding net ids
-  /// must remap them. Rebuilds the hash-consing index.
+  /// and their fan-in, memory write ports, inputs) and numbers the survivors
+  /// in evaluation order, keeping every id of a netlist already in order.
+  /// Returns the old->new net-id map, with kNoNet for removed nodes —
+  /// callers holding net ids must remap them. Rebuilds the hash-consing
+  /// index. Throws IsdlError on a combinational cycle.
   std::vector<NetId> sweepDead();
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "support/strings.h"
@@ -126,7 +127,8 @@ class BronKerbosch {
 
 /// The combinational fan-in cone of `start` (including itself): transitive
 /// closure over node inputs with Input/Const/Reg outputs as boundaries —
-/// exactly the edge set Netlist::topoOrder() levelizes.
+/// exactly the edges Netlist::sweepDead() orders and checkLevelized()
+/// checks.
 std::vector<bool> faninCone(const Netlist& nl, NetId start) {
   std::vector<bool> seen(nl.nodes.size(), false);
   std::vector<NetId> stack{start};
@@ -182,8 +184,6 @@ SharingReport shareResources(HwModel& model, const Machine& machine,
     }
     return false;
   };
-
-  std::vector<bool> merged(nl.nodes.size(), false);
 
   for (auto& [cls, members] : classes) {
     report.shareableNodes += members.size();
@@ -399,23 +399,13 @@ SharingReport shareResources(HwModel& model, const Machine& machine,
       }
 
       // ---- rewire consumers of every member to the shared output -----------
-      for (unsigned v : take) {
-        NetId old = members[v].net;
-        merged[old] = true;
-        for (auto& node : nl.nodes) {
-          if (&node == &nl.nodes[shared]) continue;
-          for (NetId& in : node.ins)
-            if (in == old) in = shared;
-        }
-        for (auto& mem : nl.memories)
-          for (auto& port : mem.writePorts) {
-            if (port.enable == old) port.enable = shared;
-            if (port.addr == old) port.addr = shared;
-            if (port.data == old) port.data = shared;
-          }
-        for (auto& out : nl.outputs)
-          if (out.net == old) out.net = shared;
-      }
+      // Consumers born before the unit now read a later net; the sweep at
+      // the end restores evaluation order. R5 keeps every member out of the
+      // unit's fan-in (a violation would surface there as a cycle).
+      std::vector<NetId> to(nl.nodes.size());
+      std::iota(to.begin(), to.end(), 0);
+      for (unsigned v : take) to[members[v].net] = shared;
+      nl.rewire(to);
       pruneDependentPairs(assigned);
     }
     for (std::size_t v = 0; v < n; ++v)
@@ -424,8 +414,7 @@ SharingReport shareResources(HwModel& model, const Machine& machine,
   report.unitsBefore = report.shareableNodes;
 
   // ---- sweep dead members and remap the model's net references --------------
-  std::vector<NetId> remap = nl.sweepDead();
-  remapModel(model, remap);
+  remapModel(model, nl.sweepDead());
   return report;
 }
 

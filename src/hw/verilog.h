@@ -20,7 +20,6 @@ namespace isdl::hw {
 
 struct VerilogOptions {
   std::string moduleName = "isdl_core";
-  bool emitMacroStubs = true;  ///< append stub modules for FP macro blocks
 };
 
 /// Renders the netlist as synthesizable Verilog.

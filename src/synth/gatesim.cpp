@@ -129,7 +129,8 @@ void GateSim::lower() {
     return static_cast<std::uint32_t>(p.args.size());
   };
 
-  for (NetId id : nl_->topoOrder()) {
+  nl_->checkLevelized();
+  for (NetId id = 0; id < static_cast<NetId>(nodes.size()); ++id) {
     const hw::Node& n = nodes[id];
     if (n.kind == NodeKind::Input || n.kind == NodeKind::Reg) continue;
     if (n.kind == NodeKind::Const) {

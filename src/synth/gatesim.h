@@ -49,8 +49,8 @@ namespace isdl::synth {
 class GateSim {
  public:
   /// Lowers `netlist`, which must outlive the simulator. Throws IsdlError on
-  /// a combinational cycle or a register / write port whose data width
-  /// differs from its destination's.
+  /// a netlist out of evaluation order or a register / write port whose data
+  /// width differs from its destination's.
   explicit GateSim(const hw::Netlist& netlist);
 
   /// Zeroes all registers, memories and input nodes.
@@ -106,8 +106,8 @@ class GateSim {
     Reference,  ///< anything else: BitVector and the rtl reference
   };
 
-  /// The combinational program, one instruction per node in topological
-  /// order, struct-of-arrays. Offsets index values_.
+  /// The combinational program, one instruction per node in netlist order,
+  /// struct-of-arrays. Offsets index values_.
   struct Program {
     std::vector<Op> code;
     std::vector<std::uint8_t> op;  ///< UnOp / BinOp ordinal

@@ -188,11 +188,12 @@ AreaReport mapArea(const hw::Netlist& nl, const CellLibrary& lib) {
 }
 
 TimingReport analyzeTiming(const hw::Netlist& nl, const CellLibrary& lib) {
-  std::vector<hw::NetId> order = nl.topoOrder();
+  nl.checkLevelized();
   std::vector<double> arrival(nl.nodes.size(), 0.0);
   std::vector<hw::NetId> from(nl.nodes.size(), hw::kNoNet);
 
-  for (hw::NetId id : order) {
+  for (hw::NetId id = 0; id < static_cast<hw::NetId>(nl.nodes.size());
+       ++id) {
     const hw::Node& n = nl.nodes[id];
     if (n.kind == hw::NodeKind::Reg) {
       arrival[id] = lib.dffClkToQ;

@@ -141,7 +141,7 @@ OracleReport DifferentialOracle::run(const sim::AssembledProgram& prog) {
     if (!model_) {
       model_ = std::make_unique<hw::HwModel>(
           hw::buildDatapath(*m_, uop_.signatures()));
-      if (opts_.applySharing) hw::shareResources(*model_, *m_);
+      hw::shareResources(*model_, *m_);
     }
     before = rep.divergences.size();
     compareWithHardware(*m_, interp_, *model_, prog, opts_.maxCycles,

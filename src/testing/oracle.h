@@ -35,7 +35,6 @@ namespace isdl::testing {
 struct OracleOptions {
   std::uint64_t maxCycles = 100000;
   bool checkHardware = true;   ///< include the HGEN->netlist->gatesim leg
-  bool applySharing = true;    ///< run resource sharing on the hardware model
   obs::Registry* registry = nullptr;  ///< divergence counters (optional)
 };
 

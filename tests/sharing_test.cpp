@@ -11,6 +11,7 @@
 #include "isdl/parser.h"
 #include "sim/xsim.h"
 #include "synth/gatesim.h"
+#include "testing/machinegen.h"
 
 namespace isdl::hw {
 namespace {
@@ -87,7 +88,7 @@ TEST(Sharing, SrepMergesAluAdders) {
   // All 32-bit architectural adders of the field share one AddSub unit.
   EXPECT_GE(b.model.netlist.countNodes(NodeKind::AddSub), 1u);
   // The netlist stays acyclic.
-  EXPECT_NO_THROW(b.model.netlist.topoOrder());
+  EXPECT_NO_THROW(b.model.netlist.checkLevelized());
 }
 
 TEST(Sharing, ConstraintsEnableCrossFieldSharing) {
@@ -144,8 +145,8 @@ TEST(Sharing, NeverCreatesACombinationalCycleAcrossSharedUnits) {
   // compatible) and internally dependency-free — but merging BOTH routes
   // the shared multiplier and the shared adder/subtractor into each other's
   // operand muxes. The exclusive decode lines make that loop false
-  // dynamically, yet the netlist must stay structurally acyclic: GateSim
-  // construction topo-sorts and throws on a cycle.
+  // dynamically, yet the netlist must stay structurally acyclic: sharing's
+  // closing sweep and GateSim construction throw on a cycle.
   auto b = buildFor(parseAndCheckIsdl(R"(
 machine CYC {
   section format { word_width = 16; }
@@ -176,7 +177,7 @@ machine CYC {
   section optional { halt_operation = "F.halt"; }
 }
 )"));
-  shareResources(b.model, *b.machine);
+  EXPECT_NO_THROW(shareResources(b.model, *b.machine));
   EXPECT_NO_THROW(synth::GateSim gs(b.model.netlist));
 }
 
@@ -239,6 +240,35 @@ machine TWICE {
     EXPECT_EQ(it->second.op, opR);
   }
   EXPECT_EQ(untagged, 1u);
+}
+
+TEST(Sharing, GeneratedMachinesStayInEvaluationOrder) {
+  // Rewiring a member's consumers to the shared unit, which is born after
+  // them, breaks evaluation order; the sweep that ends sharing restores it.
+  // Sharing builds only operand muxes and the units, so a node of another
+  // kind that reads a unit was born before it: that seed needed a reorder.
+  auto isShared = [](const Node& n) {
+    return n.name.rfind("shared_", 0) == 0;
+  };
+  std::size_t reordered = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto b = buildFor(
+        parseAndCheckIsdl(testing::emitIsdl(testing::randomMachineSpec(rng))));
+    shareResources(b.model, *b.machine);
+    const Netlist& nl = b.model.netlist;
+    EXPECT_NO_THROW(nl.checkLevelized());
+    bool witness = false;
+    for (const Node& n : nl.nodes) {
+      if (n.kind == NodeKind::Mux || n.kind == NodeKind::Reg || isShared(n))
+        continue;
+      for (NetId in : n.ins)
+        witness = witness || (in != kNoNet && isShared(nl.nodes[in]));
+    }
+    reordered += witness;
+  }
+  EXPECT_GT(reordered, 0u);
 }
 
 TEST(Sharing, ReportAccounting) {
