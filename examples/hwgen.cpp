@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const char* path = argc > 2 ? argv[2] : nullptr;
   if (path) {
     std::ofstream f(path);
-    f << out.verilog;
+    f << hw::emitVerilog(out.model.netlist, {machine->name + "_core"});
     std::printf("  wrote %s\n", path);
   }
 

@@ -1,6 +1,8 @@
 #include "explore/driver.h"
 
 #include <ostream>
+#include <string>
+#include <unordered_map>
 
 #include "explore/pool.h"
 #include "obs/json.h"
@@ -8,6 +10,17 @@
 #include "support/diag.h"
 
 namespace isdl::explore {
+
+namespace {
+
+/// The exact bytes of (ISDL, app); the length prefix keeps two different
+/// pairs from sharing a key.
+std::string memoKey(const Candidate& c) {
+  return std::to_string(c.isdlSource.size()) + ':' + c.isdlSource +
+         c.appSource;
+}
+
+}  // namespace
 
 void ExplorationDriver::Result::writeJson(std::ostream& out) const {
   obs::JsonWriter w(out, /*pretty=*/true);
@@ -39,9 +52,7 @@ void ExplorationDriver::Result::writeJson(std::ostream& out) const {
   // parallel runs (and repeated runs) serialize byte-identically.
   w.key("totals").beginObject();
   for (const auto& [name, value] : counters) {
-    if (name.size() >= 3 && name.compare(name.size() - 3, 3, "_ns") == 0)
-      continue;
-    w.field(name, value);
+    if (!obs::isWallClock(name)) w.field(name, value);
   }
   w.endObject();
   w.key("best_metrics");
@@ -68,6 +79,14 @@ ExplorationDriver::Result ExplorationDriver::run(
                             result.bestEval.metrics.stallFraction(), true,
                             false, {}});
 
+  // Every (ISDL, app) pair scored in this run, keyed by its exact bytes.
+  // An evaluation is a pure function of the pair (options_ is fixed for the
+  // run), so a repeat — the previous best comes back as a neighbour — copies
+  // its first result. Map nodes never move, so workers fill their own slots
+  // while the map stands still.
+  std::unordered_map<std::string, Evaluation> memo;
+  memo.emplace(memoKey(initial), result.bestEval);
+
   // One pool (and one private registry per worker) for the whole run; both
   // are reused across iterations. Workers share nothing while a batch is in
   // flight — each evaluation builds its own Xsim — so the only cross-thread
@@ -83,27 +102,47 @@ ExplorationDriver::Result ExplorationDriver::run(
         generate(result.best, result.bestEval, iter);
     if (neighbours.empty()) break;
 
-    // Shard the neighbourhood across the pool; evals is index-addressed so
-    // the gather below walks generator order regardless of finish order.
-    std::vector<Evaluation> evals(neighbours.size());
-    pool.forEach(neighbours.size(), [&](std::size_t i, unsigned worker) {
+    // Split the neighbourhood: the first sight of a pair is a miss and goes
+    // to the pool; a pair seen in an earlier iteration or earlier in this
+    // batch is a hit. evals is index-addressed, so the gather below walks
+    // generator order regardless of finish order.
+    std::vector<Evaluation*> evals(neighbours.size());
+    std::vector<char> hit(neighbours.size());
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < neighbours.size(); ++i) {
+      auto [slot, fresh] = memo.try_emplace(memoKey(neighbours[i]));
+      evals[i] = &slot->second;
+      hit[i] = !fresh;
+      if (fresh) misses.push_back(i);
+    }
+    pool.forEach(misses.size(), [&](std::size_t k, unsigned worker) {
+      const Candidate& c = neighbours[misses[k]];
+      Evaluation& ev = *evals[misses[k]];
       obs::Registry& reg = workerRegs[worker];
       obs::ScopedTimer t = reg.time("explore/worker_ns");
-      evals[i] = evaluateIsdl(neighbours[i].isdlSource,
-                              neighbours[i].appSource, options_);
-      reg.merge(evals[i].metrics.counters);
+      ev = evaluateIsdl(c.isdlSource, c.appSource, options_);
+      reg.merge(ev.metrics.counters);
       ++reg.counter("explore/candidates");
-      if (!evals[i].ok) ++reg.counter("explore/failed");
+      if (!ev.ok) ++reg.counter("explore/failed");
     });
+    // A hit counts as a scored candidate, like a fresh evaluation, but adds
+    // nothing to the wall-clock timers: they measure work actually done.
+    for (std::size_t i = 0; i < neighbours.size(); ++i) {
+      if (!hit[i]) continue;
+      for (const auto& [name, value] : evals[i]->metrics.counters)
+        if (!obs::isWallClock(name)) totals.counter(name).add(value);
+      ++totals.counter("explore/candidates");
+      if (!evals[i]->ok) ++totals.counter("explore/failed");
+    }
 
     // Deterministic merge, exactly the serial loop's acceptance rule: walk
     // in generator order, strict improvement over the running best, so ties
     // resolve to the earliest candidate no matter which worker ran it.
     bool improved = false;
-    std::size_t bestIdx = 0;
+    std::size_t bestIdx = 0, bestStep = 0;
     double bestNeighbourObj = bestObj;
     for (std::size_t i = 0; i < neighbours.size(); ++i) {
-      const Evaluation& ev = evals[i];
+      const Evaluation& ev = *evals[i];
       Step step;
       step.iteration = iter;
       step.candidateName = neighbours[i].name;
@@ -121,6 +160,7 @@ ExplorationDriver::Result ExplorationDriver::run(
       if (step.objective < bestNeighbourObj) {
         bestNeighbourObj = step.objective;
         bestIdx = i;
+        bestStep = result.history.size();
         improved = true;
       }
       result.history.push_back(step);
@@ -128,14 +168,9 @@ ExplorationDriver::Result ExplorationDriver::run(
     result.iterations = iter;
     if (!improved) break;  // local optimum: Figure 1's loop terminates
     result.best = neighbours[bestIdx];
-    result.bestEval = std::move(evals[bestIdx]);
+    result.bestEval = *evals[bestIdx];
+    result.history[bestStep].accepted = true;
     bestObj = bestNeighbourObj;
-    // Mark the accepted step.
-    for (auto it = result.history.rbegin(); it != result.history.rend(); ++it)
-      if (it->iteration == iter && it->candidateName == result.best.name) {
-        it->accepted = true;
-        break;
-      }
   }
 
   for (const obs::Registry& reg : workerRegs) totals.merge(reg);

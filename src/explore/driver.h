@@ -10,6 +10,11 @@
 // generator order. Parallelism changes wall clock only — the Step history,
 // acceptance decisions and Result::writeJson output are byte-identical to a
 // serial run (tests/explore_parallel_test.cpp enforces this).
+//
+// A candidate whose (ISDL, app) pair was already scored in the same run is
+// not evaluated again: it gets a copy of the first result, from a memo that
+// lives for one run() call. The history, counters and JSON are the same as
+// if it had been re-evaluated; only the wall-clock *_ns timers leave it out.
 
 #ifndef ISDL_EXPLORE_DRIVER_H
 #define ISDL_EXPLORE_DRIVER_H

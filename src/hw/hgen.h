@@ -1,8 +1,10 @@
 // HGEN: the ISDL-to-hardware compiler (paper §4). One call takes a checked
-// Machine through datapath construction, resource sharing, Verilog emission
-// and the quick silicon compiler, producing everything Table 2 reports:
-// cycle length (ns), lines of Verilog, die size (grid cells) and synthesis
-// time (seconds).
+// Machine through datapath construction, resource sharing and the quick
+// silicon compiler, producing everything Table 2 reports: cycle length (ns),
+// lines of Verilog, die size (grid cells) and synthesis time (seconds).
+// The line count is derived from the netlist (verilogLineCount); callers
+// that want the Verilog text render it with
+// emitVerilog(out.model.netlist, {machine.name + "_core"}).
 
 #ifndef ISDL_HW_HGEN_H
 #define ISDL_HW_HGEN_H
@@ -25,7 +27,7 @@ struct HgenStats {
   std::size_t verilogLines = 0;   ///< Table 2 "Lines of Verilog"
   double dieSizeGridCells = 0;    ///< Table 2 "Die Size (grid cells)"
   double synthesisSeconds = 0;    ///< Table 2 "Synthesis time (sec)"
-  double toolSeconds = 0;         ///< HGEN itself (lowering + sharing + emit)
+  double toolSeconds = 0;         ///< HGEN itself (lowering + sharing)
   double siliconSeconds = 0;      ///< the silicon-compiler stage (map + STA)
   SharingReport sharing;
   synth::AreaReport area;
@@ -34,7 +36,6 @@ struct HgenStats {
 
 struct HgenOutput {
   HwModel model;
-  std::string verilog;
   HgenStats stats;
 };
 

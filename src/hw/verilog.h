@@ -29,6 +29,11 @@ std::string emitVerilog(const Netlist& netlist,
 /// Number of newline-terminated lines in `text` (Table 2's metric).
 std::size_t countLines(const std::string& text);
 
+/// countLines(emitVerilog(netlist, options)) without rendering the text:
+/// the emitter's layout is fixed per node, memory and output, so the count
+/// follows from the netlist alone (for any module name without a newline).
+std::size_t verilogLineCount(const Netlist& netlist);
+
 }  // namespace isdl::hw
 
 #endif  // ISDL_HW_VERILOG_H

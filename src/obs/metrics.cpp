@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "obs/json.h"
+#include "obs/registry.h"
 
 namespace isdl::obs {
 
@@ -66,9 +67,7 @@ void MetricsReport::writeJson(JsonWriter& w, bool includeWallClock) const {
 
   w.key("counters").beginObject();
   for (const auto& [name, value] : counters) {
-    if (!includeWallClock && name.size() >= 3 &&
-        name.compare(name.size() - 3, 3, "_ns") == 0)
-      continue;
+    if (!includeWallClock && isWallClock(name)) continue;
     w.field(name, value);
   }
   w.endObject();

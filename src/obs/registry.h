@@ -41,6 +41,12 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
+/// True for a wall-clock timer's name (by convention it ends in "_ns").
+/// Deterministic summaries leave these out.
+inline bool isWallClock(std::string_view name) {
+  return name.size() >= 3 && name.substr(name.size() - 3) == "_ns";
+}
+
 /// Accumulates the wall-clock nanoseconds of a scope into a Counter.
 class ScopedTimer {
  public:

@@ -186,6 +186,41 @@ TEST(ParallelExploration, OneBadCandidateDoesNotPoisonTheBatch) {
   }
 }
 
+// Generator emitting the same improving candidate twice in one batch, once.
+std::vector<Candidate> duplicateGenerator(const Candidate&, const Evaluation&,
+                                          unsigned iteration) {
+  if (iteration > 1) return {};
+  Candidate c = makeSpamVariant({1, 0});
+  return {c, c};
+}
+
+TEST(ParallelExploration, DuplicateInBatchAcceptsTheFirstCopy) {
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    EvaluateOptions options;
+    options.jobs = jobs;
+    ExplorationDriver driver(options);
+    ExplorationDriver::Result result =
+        driver.run(makeSpamVariant({1, 2}), duplicateGenerator,
+                   ExplorationDriver::areaDelayObjective, 4);
+    ASSERT_EQ(result.history.size(), 3u);  // initial + two copies
+    const auto& first = result.history[1];
+    const auto& second = result.history[2];
+    EXPECT_EQ(first.candidateName, "alu1_mov0");
+    EXPECT_EQ(second.candidateName, "alu1_mov0");
+    EXPECT_FALSE(first.failed);
+    EXPECT_FALSE(second.failed);
+    EXPECT_TRUE(first.accepted) << "the earliest strict improvement wins";
+    EXPECT_FALSE(second.accepted);
+    EXPECT_EQ(first.objective, second.objective);
+    EXPECT_EQ(first.runtimeUs, second.runtimeUs);
+    EXPECT_EQ(first.dieSize, second.dieSize);
+    EXPECT_EQ(first.cycles, second.cycles);
+    EXPECT_EQ(first.stallFraction, second.stallFraction);
+    EXPECT_EQ(result.best.name, "alu1_mov0");
+  }
+}
+
 TEST(ParallelExploration, FailedStepErrorReachesTheJson) {
   EvaluateOptions options;
   options.jobs = 2;

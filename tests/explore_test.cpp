@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
+#include <sstream>
+
 #include "archs/archs.h"
+#include "obs/json.h"
 
 namespace isdl::explore {
 namespace {
@@ -120,6 +125,50 @@ TEST(Exploration, IterativeImprovementTrimsUselessMoves) {
       EXPECT_LT(step.objective, prev);
     }
     prev = step.objective;
+  }
+}
+
+// The driver scores each distinct (ISDL, app) pair once per run and serves
+// repeats from its memo; every recorded step must still equal what a fresh
+// evaluation of that candidate gives.
+TEST(Exploration, MemoisedStepsEqualFreshEvaluations) {
+  for (auto objective : {ExplorationDriver::areaDelayObjective,
+                         ExplorationDriver::stallAwareObjective}) {
+    ExplorationDriver driver;
+    ExplorationDriver::Result result = driver.run(
+        makeSpamVariant({1, 2}), spamFamilyGenerator, objective, 16);
+    auto freshEval = [](const std::string& name) {
+      SpamVariantParams p;
+      EXPECT_EQ(std::sscanf(name.c_str(), "alu%u_mov%u", &p.aluUnits,
+                            &p.moveUnits),
+                2);
+      Candidate c = makeSpamVariant(p);
+      return evaluateIsdl(c.isdlSource, c.appSource);
+    };
+    std::set<std::string> names;
+    for (const auto& step : result.history) {
+      names.insert(step.candidateName);
+      if (step.failed) continue;
+      SCOPED_TRACE(::testing::Message() << "iteration " << step.iteration
+                                        << ", " << step.candidateName);
+      Evaluation fresh = freshEval(step.candidateName);
+      ASSERT_TRUE(fresh.ok) << fresh.error;
+      EXPECT_EQ(step.objective, objective(fresh));
+      EXPECT_EQ(step.cycles, fresh.cycles);
+      EXPECT_EQ(step.dieSize, fresh.dieSizeGridCells);
+      EXPECT_EQ(step.stallFraction, fresh.metrics.stallFraction());
+    }
+    // The run does revisit candidates, so the memo was exercised.
+    EXPECT_LT(names.size(), result.history.size());
+
+    auto metricsJson = [](const Evaluation& ev) {
+      std::ostringstream out;
+      obs::JsonWriter w(out, /*pretty=*/true);
+      ev.metrics.writeJson(w, /*includeWallClock=*/false);
+      return out.str();
+    };
+    EXPECT_EQ(metricsJson(result.bestEval),
+              metricsJson(freshEval(result.best.name)));
   }
 }
 

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <tuple>
 
 #include "archs/archs.h"
+#include "isdl/parser.h"
 #include "sim/signature.h"
+#include "support/strings.h"
+#include "testing/machinegen.h"
 
 namespace isdl::hw {
 namespace {
@@ -32,7 +36,8 @@ Built load(std::unique_ptr<Machine> (*loader)()) {
 TEST(Verilog, SrepEmitsWellFormedModule) {
   auto b = load(archs::loadSrep);
   HgenOutput out = runHgen(*b.machine, *b.sigs);
-  const std::string& v = out.verilog;
+  const std::string v =
+      emitVerilog(out.model.netlist, {b.machine->name + "_core"});
   EXPECT_NE(v.find("module SREP_core("), std::string::npos);
   EXPECT_NE(v.find("endmodule"), std::string::npos);
   EXPECT_NE(v.find("always @(posedge clk)"), std::string::npos);
@@ -47,9 +52,57 @@ TEST(Verilog, SrepEmitsWellFormedModule) {
 TEST(Verilog, SpamUsesFpMacroBlocks) {
   auto b = load(archs::loadSpam);
   HgenOutput out = runHgen(*b.machine, *b.sigs);
-  EXPECT_NE(out.verilog.find("isdl_fadd32"), std::string::npos);
-  EXPECT_NE(out.verilog.find("isdl_fdiv32"), std::string::npos);
-  EXPECT_NE(out.verilog.find("module isdl_fadd32"), std::string::npos);
+  const std::string v =
+      emitVerilog(out.model.netlist, {b.machine->name + "_core"});
+  EXPECT_NE(v.find("isdl_fadd32"), std::string::npos);
+  EXPECT_NE(v.find("isdl_fdiv32"), std::string::npos);
+  EXPECT_NE(v.find("module isdl_fadd32"), std::string::npos);
+}
+
+// runHgen reports verilogLineCount, derived from the netlist; it must stay
+// equal to the line count of the text emitVerilog renders.
+void expectLineCountMatchesText(const Machine& machine,
+                                const sim::SignatureTable& sigs) {
+  for (bool share : {true, false}) {
+    SCOPED_TRACE(share ? "shared" : "naive");
+    HgenOptions opts;
+    opts.share = share;
+    HgenOutput out = runHgen(machine, sigs, opts);
+    EXPECT_EQ(out.stats.verilogLines,
+              countLines(emitVerilog(out.model.netlist,
+                                     {machine.name + "_core"})));
+  }
+}
+
+TEST(VerilogLineCount, MatchesEmittedText) {
+  for (auto loader : {archs::loadSpam, archs::loadSpam2, archs::loadSrep,
+                      archs::loadTdsp}) {
+    auto b = load(loader);
+    SCOPED_TRACE(b.machine->name);
+    expectLineCountMatchesText(*b.machine, *b.sigs);
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(cat("machinegen seed ", seed));
+    std::mt19937_64 rng(seed);
+    auto machine =
+        parseAndCheckIsdl(testing::emitIsdl(testing::randomMachineSpec(rng)));
+    DiagnosticEngine diags;
+    sim::SignatureTable sigs(*machine, diags);
+    ASSERT_TRUE(sigs.valid()) << diags.dump();
+    expectLineCountMatchesText(*machine, sigs);
+  }
+  // Shapes the machines above do not produce: a register whose next value
+  // is never wired and a memory without write ports.
+  Netlist nl;
+  NetId a = nl.addInput("a", 8);
+  NetId idle = nl.addReg("idle", 8);
+  NetId r = nl.addReg("r", 8);
+  nl.setRegInputs(r, a, nl.one());
+  int rom = nl.addMemory("rom", 32, 16);
+  NetId word = nl.addMemRead(rom, nl.addSlice(r, 3, 0));
+  nl.addOutput("idle", idle);
+  nl.addOutput("f", nl.addExt(NodeKind::FToI, word, 32));
+  EXPECT_EQ(verilogLineCount(nl), countLines(emitVerilog(nl)));
 }
 
 TEST(Mapper, WiringNodesAreFree) {
