@@ -190,6 +190,13 @@ inline Val slice(Val a, std::uint32_t hi, std::uint32_t lo) {
   return {(a.v >> lo) & maskOf(hi - lo + 1), hi - lo + 1};
 }
 
+/// `base` with bits [hi:lo] replaced by the low hi-lo+1 bits of `part`.
+inline std::uint64_t withSlice(std::uint64_t base, std::uint32_t hi,
+                               std::uint32_t lo, std::uint64_t part) {
+  const std::uint64_t m = maskOf(hi - lo + 1) << lo;
+  return (base & ~m) | ((part << lo) & m);
+}
+
 /// {hi, lo}: `hi` is most significant; the widths sum to at most 64.
 inline Val concat(Val hi, Val lo) {
   return {(hi.v << lo.w) | lo.v, hi.w + lo.w};

@@ -69,12 +69,11 @@ void ExecEngine::reset() {
   pcCommitted_ = false;
 }
 
-const BitVector& ExecEngine::readLocRef(unsigned si, std::uint64_t elem,
-                                        BitVector& tmp) const {
+template <class Forward>
+void ExecEngine::overlayPending(unsigned si, std::uint64_t elem,
+                                Forward forward) const {
   if (heat_) heat_->countRead(si, elem);
-  const BitVector& sv = state_.read(si, elem);
-  if (pendingBySi_[si] == 0) return sv;  // nothing in flight for this storage
-  const BitVector* v = &sv;
+  if (pendingBySi_[si] == 0) return;  // nothing in flight for this storage
   for (const auto& p : pending_) {
     if (p.si != si || p.elem != elem) continue;
     if (phaseB_) {
@@ -83,14 +82,10 @@ const BitVector& ExecEngine::readLocRef(unsigned si, std::uint64_t elem,
       // where flag logic computes from operands in parallel with the ALU).
       // Writes still in flight from EARLIER instructions are forwarded:
       // phase A already charged any stall they warranted.
-      if (p.instrId != instrId_) {
-        tmp = p.hasSlice ? v->withSlice(p.hi, p.lo, p.value) : p.value;
-        v = &tmp;
-      }
+      if (p.instrId != instrId_) forward(p);
     } else if (p.stallCost == 0 || p.instrId == instrId_) {
       // Full bypass (Stall == 0) and this instruction's own staged values.
-      tmp = p.hasSlice ? v->withSlice(p.hi, p.lo, p.value) : p.value;
-      v = &tmp;
+      forward(p);
     } else {
       std::uint64_t needed = p.commitCycle + 1 - cycle_;
       if (needed > requiredStall_) {
@@ -99,12 +94,23 @@ const BitVector& ExecEngine::readLocRef(unsigned si, std::uint64_t elem,
       }
     }
   }
-  return *v;
 }
 
 BitVector ExecEngine::readLoc(unsigned si, std::uint64_t elem) const {
-  BitVector tmp;
-  return readLocRef(si, elem, tmp);
+  BitVector v = state_.read(si, elem);
+  overlayPending(si, elem, [&](const Pending& p) {
+    v = p.hasSlice ? v.withSlice(p.hi, p.lo, p.value) : p.value;
+  });
+  return v;
+}
+
+std::uint64_t ExecEngine::readNarrow(unsigned si, std::uint64_t elem) const {
+  std::uint64_t v = state_.readWord(si, elem);
+  overlayPending(si, elem, [&](const Pending& p) {
+    v = p.hasSlice ? narrow::withSlice(v, p.hi, p.lo, p.value.toUint64())
+                   : p.value.toUint64();
+  });
+  return v;
 }
 
 void ExecEngine::insertPending(Pending&& p) {
@@ -137,10 +143,18 @@ void ExecEngine::commitUpTo(std::uint64_t cycleInclusive) {
     const Pending& p = pending_[i];
     if (p.commitCycle > cycleInclusive) break;
     --pendingBySi_[p.si];
-    if (p.hasSlice)
-      state_.writeSlice(p.si, p.elem, p.hi, p.lo, p.value, p.commitCycle);
-    else
+    if (state_.width(p.si) <= 64) {
+      std::uint64_t v = p.value.toUint64();
+      if (p.hasSlice)
+        v = narrow::withSlice(state_.readWord(p.si, p.elem), p.hi, p.lo, v);
+      state_.writeWord(p.si, p.elem, v, p.commitCycle);
+    } else if (p.hasSlice) {
+      state_.write(p.si, p.elem,
+                   state_.read(p.si, p.elem).withSlice(p.hi, p.lo, p.value),
+                   p.commitCycle);
+    } else {
       state_.write(p.si, p.elem, p.value, p.commitCycle);
+    }
     if (trace_)
       trace_->record({.kind = obs::EventKind::WriteBack,
                       .field = 0,

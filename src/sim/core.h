@@ -145,12 +145,16 @@ class ExecEngine {
   std::vector<ResolvedLv> lvSlots_;
   std::vector<const std::vector<DecodedParam>*> frames_;
 
-  /// Reads through the pending-write overlay without copying in the common
-  /// no-overlay case: returns a reference into State, or into `tmp` when a
-  /// forwarded in-flight value had to be materialised.
-  const BitVector& readLocRef(unsigned si, std::uint64_t elem,
-                              BitVector& tmp) const;
+  /// The pending-write overlay of one read: counts it in the heatmap, calls
+  /// `forward(p)` for every in-flight write the reader sees, oldest first,
+  /// and records the interlock stall of every write it must wait for.
+  template <class Forward>
+  void overlayPending(unsigned si, std::uint64_t elem, Forward forward) const;
+  /// Reads a location through the overlay: the interpreter's BitVector read.
   BitVector readLoc(unsigned si, std::uint64_t elem) const;
+  /// The same read on the low word, for storages at most 64 bits wide (the
+  /// micro-op engine's reads).
+  std::uint64_t readNarrow(unsigned si, std::uint64_t elem) const;
   void commitUpTo(std::uint64_t cycleInclusive);
   void advanceTo(std::uint64_t newCycle);
   void insertPending(Pending&& p);

@@ -1,7 +1,9 @@
 #include "sim/state.h"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "rtl/narrow_alu.h"
 #include "support/strings.h"
 
 namespace isdl::sim {
@@ -27,53 +29,79 @@ void Monitors::fire(const WriteEvent& event) const {
 }
 
 State::State(const Machine& machine) : machine_(&machine) {
-  values_.reserve(machine.storages.size());
+  // Every bound is checked against the vector's capacity before the one
+  // allocation, so a description whose storages cannot be counted in words
+  // (a 2^63-deep 128-bit memory wraps a 64-bit product to 0) is rejected
+  // instead of under-allocated.
+  const std::uint64_t limit = words_.max_size();
+  std::uint64_t total = 0;
+  layout_.reserve(machine.storages.size());
   for (const auto& st : machine.storages) {
-    values_.emplace_back(st.depth, BitVector(st.width));
+    Layout l;
+    l.offset = total;
+    l.depth = st.depth;
+    l.width = st.width;
+    l.wordsPerElement = (st.width + 63) / 64;
+    l.mask = narrow::maskOf(st.width);
+    l.dirtyLo = st.depth;  // nothing written yet
+    if (st.depth > (limit - total) / l.wordsPerElement)
+      throw std::length_error(cat("storage ", st.name, " (depth ", st.depth,
+                                  ", width ", st.width,
+                                  ") is too large to simulate"));
+    total += st.depth * l.wordsPerElement;
+    layout_.push_back(l);
   }
+  words_.assign(total, 0);
 }
 
 void State::reset() {
-  // In place: widths never change, so zeroing beats reconstructing (resets
-  // run once per measured benchmark iteration and exploration candidate).
-  for (auto& storage : values_)
-    for (auto& v : storage) v.zeroFill();
+  // Every location outside a storage's dirty range is still zero, so one
+  // fill over that range restores the whole storage (resets run once per
+  // measured benchmark iteration and exploration candidate).
+  for (Layout& l : layout_) {
+    if (l.dirtyLo < l.dirtyHi)
+      std::fill(words_.begin() + l.offset + l.dirtyLo * l.wordsPerElement,
+                words_.begin() + l.offset + l.dirtyHi * l.wordsPerElement,
+                0);
+    l.dirtyLo = l.depth;
+    l.dirtyHi = 0;
+  }
 }
 
 void State::throwRangeError(unsigned si, std::uint64_t element) const {
   throw rtl::EvalError(cat("access to ", machine_->storages[si].name, "[",
                            element, "] is out of range (depth ",
-                           values_[si].size(), ")"));
+                           layout_[si].depth, ")"));
 }
 
 void State::write(unsigned si, std::uint64_t element, const BitVector& value,
                   std::uint64_t cycle) {
-  checkRange(si, element);
-  BitVector& slot = values_[si][element];
-  if (slot == value) return;
-  if (!monitors_.empty()) {
-    WriteEvent ev{si, element, cycle, slot, value};
-    slot = value;
-    monitors_.fire(ev);
-  } else {
-    slot = value;
+  Layout& l = layout_[si];
+  std::uint64_t* w = slot(si, element);
+  if (value.width() != l.width)
+    throw std::invalid_argument(
+        cat("write of a ", value.width(), "-bit value to ",
+            machine_->storages[si].name, ", which is ", l.width,
+            " bits wide"));
+  if (l.wordsPerElement == 1) {
+    writeWord(si, element, value.toUint64(), cycle);
+    return;
   }
+  bool same = true;
+  for (unsigned i = 0; i < l.wordsPerElement; ++i)
+    same = same && w[i] == value.word(i);
+  if (same) return;
+  BitVector old = monitors_.empty() ? BitVector() : read(si, element);
+  for (unsigned i = 0; i < l.wordsPerElement; ++i) w[i] = value.word(i);
+  markDirty(l, element);
+  if (!monitors_.empty())
+    monitors_.fire({si, element, cycle, std::move(old), value});
 }
 
-void State::writeSlice(unsigned si, std::uint64_t element, unsigned hi,
-                       unsigned lo, const BitVector& value,
-                       std::uint64_t cycle) {
-  checkRange(si, element);
-  write(si, element, values_[si][element].withSlice(hi, lo, value), cycle);
-}
-
-std::uint64_t State::pc() const {
-  return read(static_cast<unsigned>(machine_->pcIndex)).toUint64();
-}
-
-void State::setPc(std::uint64_t value, std::uint64_t cycle) {
-  unsigned pcIdx = static_cast<unsigned>(machine_->pcIndex);
-  write(pcIdx, 0, BitVector(machine_->storages[pcIdx].width, value), cycle);
+void State::fireWordWrite(unsigned si, std::uint64_t element,
+                          std::uint64_t old, std::uint64_t cycle) const {
+  monitors_.fire({si, element, cycle, BitVector(layout_[si].width, old),
+                  read(si, element)});
 }
 
 }  // namespace isdl::sim

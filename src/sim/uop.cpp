@@ -555,10 +555,10 @@ void ExecEngine::setUopTable(const uop::UopTable* table) {
 /// Executes one compiled program against the engine's state. Registers are
 /// (masked uint64_t, width) pairs and every operator is the shared narrow
 /// ALU's (rtl/narrow_alu.h), so no BitVector is built in the loop except at
-/// the architectural boundary. Storage reads and staged writes go through
-/// the same readLoc / stageWrite as the interpreter, so hazard probing,
-/// forwarding, stall attribution, write conflicts, and XTRACE hooks behave
-/// identically in both engines.
+/// the architectural boundary. Storage reads go through readNarrow (the
+/// interpreter's pending-write overlay, on words) and staged writes through
+/// the same stageWrite, so hazard probing, forwarding, stall attribution,
+/// write conflicts, and XTRACE hooks behave identically in both engines.
 void ExecEngine::execProgram(const uop::Program& prog,
                              const std::vector<DecodedParam>& dparams,
                              unsigned latency, unsigned stallCost) {
@@ -581,20 +581,14 @@ void ExecEngine::execProgram(const uop::Program& prog,
         ++pc;
         break;
       }
-      case Kind::ReadStorage: {
-        BitVector tmp;
-        const BitVector& t = readLocRef(u.a, 0, tmp);
-        regs[u.dst] = {t.toUint64(), t.width()};
+      case Kind::ReadStorage:
+        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
         ++pc;
         break;
-      }
-      case Kind::ReadElem: {
-        BitVector tmp;
-        const BitVector& t = readLocRef(u.a, regs[u.b].v, tmp);
-        regs[u.dst] = {t.toUint64(), t.width()};
+      case Kind::ReadElem:
+        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
         ++pc;
         break;
-      }
       case Kind::Slice:
         regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
         ++pc;

@@ -104,14 +104,19 @@ class BitVector {
   /// All-ones vector of the given width.
   static BitVector allOnes(unsigned width);
 
+  /// Vector of `width` bits read from ceil(width/64) little-endian words
+  /// (bits above `width` in the top word are dropped).
+  static BitVector fromWords(unsigned width, const std::uint64_t* src) {
+    BitVector r(width);
+    std::copy(src, src + r.nwords_, r.words());
+    r.clearUnusedBits();
+    return r;
+  }
+  /// Bits [64i + 63 : 64i]; requires i < ceil(width/64).
+  std::uint64_t word(unsigned i) const noexcept { return words()[i]; }
+
   unsigned width() const noexcept { return width_; }
   bool valid() const noexcept { return width_ != 0; }
-
-  /// Sets the value to zero, keeping width and allocation.
-  void zeroFill() noexcept {
-    std::uint64_t* w = words();
-    for (unsigned i = 0; i < nwords_; ++i) w[i] = 0;
-  }
 
   bool bit(unsigned i) const;
   void setBit(unsigned i, bool v);

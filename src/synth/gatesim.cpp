@@ -33,25 +33,10 @@ namespace {
 
 std::uint32_t wordsFor(unsigned width) { return (width + 63) / 64; }
 
-/// Bits [64i + 63 : 64i] of `v`.
-std::uint64_t wordOf(const BitVector& v, unsigned i) {
-  return i == 0 ? v.toUint64() : v.lshr(64 * i).toUint64();
-}
-
 /// Writes `v` resized to `width` as wordsFor(width) words.
 void toWords(const BitVector& v, unsigned width, std::uint64_t* dst) {
   const BitVector r = v.resize(width);
-  for (unsigned i = 0; i < wordsFor(width); ++i) dst[i] = wordOf(r, i);
-}
-
-BitVector fromWords(const std::uint64_t* src, unsigned width) {
-  if (width <= 64) return BitVector(width, src[0]);
-  BitVector r(width);
-  for (unsigned lo = 0; lo < width; lo += 64) {
-    const unsigned hi = std::min(lo + 63, width - 1);
-    r.insertSlice(hi, lo, BitVector(hi - lo + 1, src[lo / 64]));
-  }
-  return r;
+  for (unsigned i = 0; i < wordsFor(width); ++i) dst[i] = r.word(i);
 }
 
 bool anySet(const std::uint64_t* p, std::uint32_t words) {
@@ -304,7 +289,7 @@ void GateSim::pokeMemory(int memId, std::uint64_t addr,
 
 BitVector GateSim::peekMemory(int memId, std::uint64_t addr) const {
   const Mem& m = memory(memId, addr);
-  return fromWords(mems_.data() + m.base + addr * m.words, m.width);
+  return BitVector::fromWords(m.width, mems_.data() + m.base + addr * m.words);
 }
 
 void GateSim::pokeReg(NetId reg, const BitVector& value) {
@@ -316,7 +301,8 @@ void GateSim::setInput(NetId input, const BitVector& value) {
 }
 
 BitVector GateSim::peekNet(NetId net) const {
-  return fromWords(values_.data() + offset_[net], nl_->nodes[net].width);
+  return BitVector::fromWords(nl_->nodes[net].width,
+                              values_.data() + offset_[net]);
 }
 
 NetId GateSim::findOutput(const std::string& name) const {
@@ -441,7 +427,8 @@ std::uint64_t GateSim::evalReference(std::size_t i) {
   const unsigned width = p.w[i];
   std::vector<BitVector> in;
   for (std::uint32_t k = p.x[i]; k < p.y[i]; ++k)
-    in.push_back(fromWords(values_.data() + p.args[k].first, p.args[k].second));
+    in.push_back(BitVector::fromWords(p.args[k].second,
+                                      values_.data() + p.args[k].first));
   BitVector r;
   switch (ref.kind) {
     case NodeKind::Unary:

@@ -2,12 +2,14 @@
 // input must produce a clean diagnostic (never a crash, never a silently
 // wrong program). Each assembler case pins the exact message; the CLI cases
 // assert the error counter and the printed message for malformed batch
-// scripts.
+// scripts; the oversize-machine cases pin a clean report from the simulator
+// and the evaluation pipeline.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "explore/evaluate.h"
 #include "isdl/parser.h"
 #include "sim/assembler.h"
 #include "sim/cli.h"
@@ -196,6 +198,47 @@ TEST_F(CliErrorTest, ErrorsDoNotAbortTheScript) {
   auto [errors, out] = runScript("frobnicate\nx PC\n");
   EXPECT_EQ(errors, 1u);
   EXPECT_NE(out.find("PC"), std::string::npos);
+}
+
+// --- oversize machines -----------------------------------------------------
+
+// 2^63 elements of two words each: the word count wraps to 0 in 64 bits, so
+// a simulator that multiplied without checking would allocate nothing and
+// then write out of bounds. It must refuse before allocating.
+constexpr const char* kOversizeIsdl = R"ISDL(
+machine HUGE {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 16;
+    data_memory DM width 128 depth 9223372036854775808;
+    program_counter PC width 8;
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "EX.halt"; }
+}
+)ISDL";
+
+TEST(OversizeMachine, XsimRefusesBeforeAllocating) {
+  auto m = parseAndCheckIsdl(kOversizeIsdl);
+  ASSERT_EQ(m->storages[m->dataMemoryIndex()].depth, std::uint64_t{1} << 63);
+  try {
+    sim::Xsim xsim(*m);
+    FAIL() << "a 2^63 x 128-bit data memory was accepted";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("DM"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(OversizeMachine, EvaluateReportsAnError) {
+  explore::Evaluation ev = explore::evaluateIsdl(kOversizeIsdl, "halt\n");
+  EXPECT_FALSE(ev.ok);
+  EXPECT_NE(ev.error.find("DM"), std::string::npos) << ev.error;
 }
 
 }  // namespace

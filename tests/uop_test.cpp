@@ -1,7 +1,8 @@
 // Directed tests for the micro-op compilation layer (sim/uop.h): table
 // construction over all example architectures, engine parity on the real
-// benchmark kernels (cycles, stalls and final state — the fuzz suite covers
-// random programs), run-time engine switching, and the CLI `engine` command.
+// benchmark kernels (cycles, stalls and final state, also after reset — the
+// fuzz suite covers random programs), run-time engine switching, and the CLI
+// `engine` command.
 
 #include "sim/uop.h"
 
@@ -71,6 +72,7 @@ void expectSameRun(Xsim& a, Xsim& b, const Machine& m) {
   EXPECT_EQ(a.stats().dataStallsByStorage, b.stats().dataStallsByStorage);
   EXPECT_EQ(a.stats().structStallsByField, b.stats().structStallsByField);
   EXPECT_EQ(a.stats().opCount, b.stats().opCount);
+  EXPECT_EQ(a.stats().fieldUtilization, b.stats().fieldUtilization);
   for (std::size_t si = 0; si < m.storages.size(); ++si)
     for (std::uint64_t e = 0; e < m.storages[si].depth; ++e)
       EXPECT_EQ(a.state().read(unsigned(si), e),
@@ -100,6 +102,14 @@ TEST(UopEngine, BenchmarkKernelsMatchInterpreter) {
       uop.drainPipeline();
       interp.drainPipeline();
       expectSameRun(uop, interp, *m);
+      // reset() restores everything a run wrote, so reset(); run() repeats
+      // the run exactly, however often.
+      for (int round = 0; round < 2; ++round) {
+        uop.reset();
+        ASSERT_EQ(uop.run(bench.maxCycles).reason, StopReason::Halted);
+        uop.drainPipeline();
+        expectSameRun(uop, interp, *m);
+      }
     }
   }
 }

@@ -1,12 +1,19 @@
 // End-to-end tests of the XSIM simulator: two-phase VLIW semantics, latency
 // and stall behaviour, bypass forwarding, branches, breakpoints, monitors,
-// traces and statistics (paper §3).
+// traces, statistics (paper §3), and what State::reset restores after every
+// way of writing the state.
 
 #include "sim/xsim.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <stdexcept>
+
+#include "archs/archs.h"
 #include "isdl/parser.h"
+#include "sim/cli.h"
 #include "test_machines.h"
 
 namespace isdl::sim {
@@ -458,6 +465,179 @@ machine W {
             0xBEEFu);
   EXPECT_EQ(sim.state().read(static_cast<unsigned>(rf), 2).toUint64(), 3u);
   EXPECT_EQ(sim.stats().instructions, 3u);
+}
+
+// --- state writes and reset ---------------------------------------------------
+
+TEST_F(XsimTest, WriteOfMismatchedWidthIsRejected) {
+  load("halt\n");
+  const unsigned rf = static_cast<unsigned>(machine_->findStorage("RF"));
+  sim_.state().write(rf, 1, BitVector(16, 7), 0);
+  try {
+    sim_.state().write(rf, 1, BitVector(32, 9), 0);
+    FAIL() << "a 32-bit write to a 16-bit register file was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("RF"), std::string::npos)
+        << e.what();
+  }
+  // Neither the width nor the value of the element changed.
+  EXPECT_EQ(sim_.state().read(rf, 1), BitVector(16, 7));
+}
+
+// A read past the end of a memory traps on both engines, and the range check
+// comes before the profile's read heatmap counts it: a count first would
+// index past the heatmap's row (evaluate() always profiles).
+TEST(XsimRuntime, OutOfRangeReadTrapsWithProfilingOn) {
+  auto m = parseAndCheckIsdl(R"(
+machine OOB {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 16;
+    data_memory DM width 8 depth 4;
+    register_file R width 8 depth 4;
+    program_counter PC width 8;
+  }
+  section global_definitions {
+    token REG enum width 2 prefix "R" range 0 .. 3;
+    token U8 immediate unsigned width 8;
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation li(d: REG, i: U8) {
+        encode { inst[15:12] = 4'd1; inst[11:10] = d; inst[7:0] = i; }
+        action { R[d] <- i; }
+      }
+      operation ld(d: REG, a: REG) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:8] = a; }
+        action { R[d] <- DM[R[a]]; }
+      }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "EX.halt"; }
+}
+)");
+  for (bool uop : {true, false}) {
+    SCOPED_TRACE(uop ? "uop" : "interp");
+    Xsim sim(*m);
+    sim.setUopEnabled(uop);
+    sim.enableProfile();
+    Assembler assembler(sim.signatures());
+    DiagnosticEngine diags;
+    auto prog = assembler.assemble("li R1, 200\nld R2, R1\nhalt\n", diags);
+    ASSERT_TRUE(prog.has_value()) << diags.dump();
+    ASSERT_TRUE(sim.loadProgram(*prog));
+    RunResult r = sim.run(100);
+    EXPECT_EQ(r.reason, StopReason::RuntimeError);
+    EXPECT_NE(r.message.find("DM[200] is out of range"), std::string::npos)
+        << r.message;
+  }
+}
+
+/// Assembles `source` for `sim` and loads it; the program is returned so
+/// expectLoadedState can tell reloaded words from leftovers.
+AssembledProgram loadSource(Xsim& sim, const char* source) {
+  Assembler assembler(sim.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble(source, diags);
+  EXPECT_TRUE(prog.has_value()) << diags.dump();
+  if (!prog) return {};
+  std::string err;
+  EXPECT_TRUE(sim.loadProgram(*prog, &err)) << err;
+  return *prog;
+}
+
+/// Every location of `sim` is zero except the program words in instruction
+/// memory and the .dm records: the state reset() must restore.
+void expectLoadedState(const Xsim& sim, const AssembledProgram& prog) {
+  const Machine& m = sim.machine();
+  std::map<std::pair<int, std::uint64_t>, BitVector> expected;
+  for (std::size_t i = 0; i < prog.words.size(); ++i)
+    expected[{m.imemIndex, i}] = prog.words[i];
+  for (const auto& [addr, value] : prog.dataInit)
+    expected[{m.dataMemoryIndex(), addr}] = value;
+  for (std::size_t si = 0; si < m.storages.size(); ++si) {
+    const StorageDef& st = m.storages[si];
+    for (std::uint64_t e = 0; e < st.depth; ++e) {
+      auto it = expected.find({int(si), e});
+      EXPECT_EQ(sim.state().read(unsigned(si), e),
+                it == expected.end() ? BitVector(st.width) : it->second)
+          << m.name << " " << st.name << "[" << e << "]";
+    }
+  }
+}
+
+TEST(XsimReset, RestoresTheLoadedStateAfterEveryWritePath) {
+  auto m = parseAndCheckIsdl(testing::kMiniIsdl);
+  Xsim sim(*m);
+  // Committed whole-element writes (li, add, ld), a slice write (add's
+  // CARRY side effect writes CC[0:0]), a store over a .dm record and a
+  // branch that commits PC.
+  const AssembledProgram prog = loadSource(sim, R"(
+li R1, -1
+li R2, 1
+add R3, R1, R2
+li R5, 3
+st R5, R1
+ld R4, R5
+beq R1, R1, 8
+.org 8
+halt
+.dm 3 77
+.dm 200 5
+)");
+  // A monitor armed on every write of the register file.
+  unsigned fires = 0;
+  sim.monitors().add(unsigned(m->findStorage("RF")), std::nullopt,
+                     [&](const WriteEvent&) { ++fires; });
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_EQ(sim.run(1000).reason, StopReason::Halted);
+    sim.drainPipeline();
+    EXPECT_EQ(sim.state().read(unsigned(m->findStorage("CC"))).toUint64(),
+              1u);
+    EXPECT_EQ(sim.state().read(unsigned(m->dataMemoryIndex()), 3).toUint64(),
+              0xffffu);
+    // CLI writes beyond the program and the data records.
+    std::ostringstream out;
+    Cli cli(sim, out);
+    cli.execute("set DM 255 0x1234");
+    cli.execute("set IM 255 0xdeadbeef");
+    cli.execute("set RF 7 9");
+    EXPECT_EQ(cli.errorCount(), 0u) << out.str();
+    sim.reset();
+    expectLoadedState(sim, prog);
+  }
+  EXPECT_GT(fires, 0u);
+}
+
+TEST(XsimReset, RestoresWideStorages) {
+  // 96-bit registers: two words per element, committed by the interpreter.
+  auto m = parseAndCheckIsdl(testing::kWideIsdl);
+  Xsim sim(*m);
+  const AssembledProgram prog = loadSource(sim, testing::kWideProgram);
+  sim.monitors().add(unsigned(m->findStorage("R")), std::nullopt,
+                     [](const WriteEvent&) {});
+  ASSERT_EQ(sim.run(1000).reason, StopReason::Halted);
+  sim.drainPipeline();
+  EXPECT_EQ(sim.state().read(unsigned(m->findStorage("R")), 3),
+            BitVector::fromString(96, "0x10000000000000000"));
+  sim.reset();
+  expectLoadedState(sim, prog);
+
+  // SPAM's 128-bit instruction memory, written past the program.
+  auto spam = archs::loadSpam();
+  Xsim spamSim(*spam);
+  const AssembledProgram spamProg =
+      loadSource(spamSim, archs::spamBenchmarks()[0].source);
+  const unsigned imem = unsigned(spam->imemIndex);
+  spamSim.state().write(imem, spamSim.state().depth(imem) - 1,
+                        BitVector::allOnes(128), 0);
+  ASSERT_EQ(spamSim.run(archs::spamBenchmarks()[0].maxCycles).reason,
+            StopReason::Halted);
+  spamSim.reset();
+  expectLoadedState(spamSim, spamProg);
 }
 
 }  // namespace
