@@ -1,6 +1,7 @@
 #include "sim/assembler.h"
 
-#include <cctype>
+#include <bit>
+#include <cerrno>
 
 #include "support/strings.h"
 
@@ -17,9 +18,17 @@ struct AsmTok {
   unsigned col = 0;
 };
 
+// ASCII character classes: <cctype>'s are out-of-line, locale-aware calls.
+bool isAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+
 /// Tokenizes one line of assembly: identifiers, numbers (decimal / 0x / 0b),
-/// and single-character punctuation. Comments (';', '#', '//') end the line.
-/// Returns false on a malformed number.
+/// and single-character punctuation. Comments (';', '//') end the line.
+/// Returns false on a malformed number or one that does not fit in 64 bits;
+/// that number is then the last token in `out`.
 bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
                 std::string* error) {
   out.clear();
@@ -37,21 +46,21 @@ bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
     // immediate prefix in operand syntax (e.g. "addi R1, #42").
     if (c == ';' || (c == '/' && peek(1) == '/')) break;
     unsigned col = static_cast<unsigned>(i + 1);
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '.') {
-      AsmTok t;
-      t.col = col;
+    if (isAlpha(c) || c == '_' || c == '.') {
+      const std::size_t start = i;
       while (i < line.size() &&
-             (std::isalnum(static_cast<unsigned char>(line[i])) ||
-              line[i] == '_' || line[i] == '.'))
-        t.text += line[i++];
-      out.push_back(std::move(t));
+             (isAlnum(line[i]) || line[i] == '_' || line[i] == '.'))
+        ++i;
+      AsmTok& t = out.emplace_back();
+      t.col = col;
+      t.text.assign(line.substr(start, i - start));
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      AsmTok t;
+    if (isDigit(c)) {
+      AsmTok& t = out.emplace_back();
       t.col = col;
       t.isNumber = true;
-      std::string digits;
+      std::string& digits = t.text;
       int base = 10;
       if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
         base = 16;
@@ -60,13 +69,10 @@ bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
         base = 2;
         i += 2;
       }
-      while (i < line.size() &&
-             (std::isalnum(static_cast<unsigned char>(line[i])) ||
-              line[i] == '_')) {
+      while (i < line.size() && (isAlnum(line[i]) || line[i] == '_')) {
         if (line[i] != '_') digits += line[i];
         ++i;
       }
-      t.text = digits;
       errno = 0;
       char* end = nullptr;
       unsigned long long v = std::strtoull(digits.c_str(), &end, base);
@@ -74,17 +80,44 @@ bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
         if (error) *error = cat("bad number '", digits, "'");
         return false;
       }
+      if (errno == ERANGE) {
+        if (error)
+          *error = cat("number '", digits, "' does not fit in 64 bits");
+        return false;
+      }
       t.number = static_cast<std::int64_t>(v);
-      out.push_back(std::move(t));
       continue;
     }
-    AsmTok t;
+    AsmTok& t = out.emplace_back();
     t.col = col;
-    t.text = std::string(1, c);
+    t.text.assign(1, c);
     ++i;
-    out.push_back(std::move(t));
   }
   return true;
+}
+
+/// Two's-complement negation without signed overflow (-INT64_MIN wraps).
+std::int64_t negate(std::int64_t v) {
+  return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(v));
+}
+
+/// The asm tokens of a syntax literal ("]+" is two). A literal that does
+/// not lex can never match: it becomes one empty token, and no token of a
+/// lexed line is empty.
+std::vector<std::string> lexLiteral(const std::string& literal) {
+  std::vector<AsmTok> toks;
+  if (!lexAsmLine(literal, toks, nullptr)) return {std::string()};
+  std::vector<std::string> out;
+  out.reserve(toks.size());
+  for (auto& t : toks) out.push_back(std::move(t.text));
+  return out;
+}
+
+Assembler::SyntaxLexemes lexSyntax(const std::vector<SyntaxItem>& syntax) {
+  Assembler::SyntaxLexemes out(syntax.size());
+  for (std::size_t i = 0; i < syntax.size(); ++i)
+    if (syntax[i].isLiteral) out[i] = lexLiteral(syntax[i].literal);
+  return out;
 }
 
 // --- parse-time value tree --------------------------------------------------------
@@ -124,10 +157,17 @@ struct ParsedLine {
 
 // --- the assembler implementation ---------------------------------------------------
 
+using LexemeTable = std::vector<std::vector<Assembler::SyntaxLexemes>>;
+
 class Impl {
  public:
-  Impl(const SignatureTable& sigs, DiagnosticEngine& diags)
-      : sigs_(sigs), machine_(sigs.machine()), diags_(diags) {}
+  Impl(const SignatureTable& sigs, const LexemeTable& opLexemes,
+       const LexemeTable& ntLexemes, DiagnosticEngine& diags)
+      : sigs_(sigs),
+        machine_(sigs.machine()),
+        opLexemes_(opLexemes),
+        ntLexemes_(ntLexemes),
+        diags_(diags) {}
 
   std::optional<AssembledProgram> run(std::string_view source) {
     std::vector<ParsedLine> lines;
@@ -139,6 +179,7 @@ class Impl {
       lineNo_ = lineNo;
       std::string lexError;
       if (!lexAsmLine(rawLine, toks_, &lexError)) {
+        pos_ = toks_.size() - 1;  // point at the malformed number
         error(lexError);
         return std::nullopt;
       }
@@ -208,7 +249,6 @@ class Impl {
 
     // ---- pass 2: resolve labels, paint bits ----
     AssembledProgram prog;
-    prog.symbols = symbols_;
     prog.words.assign(address, BitVector(machine_.wordWidth));
     for (auto& line : lines) {
       lineNo_ = line.lineNo;
@@ -227,23 +267,29 @@ class Impl {
           break;
       }
     }
+    prog.symbols = std::move(symbols_);
     return prog;
   }
 
  private:
   const SignatureTable& sigs_;
   const Machine& machine_;
+  const LexemeTable& opLexemes_;  // [field][op][item]
+  const LexemeTable& ntLexemes_;  // [nt][option][item]
   DiagnosticEngine& diags_;
   std::map<std::string, std::uint64_t> symbols_;
 
   std::vector<AsmTok> toks_;
   std::size_t pos_ = 0;
   unsigned lineNo_ = 0;
+  // Scratch reused from line to line: the operation chosen per field (-1
+  // while the field is free), and one operation's parameter values.
+  std::vector<int> choice_;
+  std::vector<BitVector> paramValues_;
 
   static bool isIdentTok(const AsmTok& t) {
     return !t.isNumber && !t.text.empty() &&
-           (std::isalpha(static_cast<unsigned char>(t.text[0])) ||
-            t.text[0] == '_');
+           (isAlpha(t.text[0]) || t.text[0] == '_');
   }
 
   void error(std::string msg) {
@@ -262,7 +308,7 @@ class Impl {
       return false;
     }
     out = toks_[pos_].number;
-    if (neg) out = -out;
+    if (neg) out = negate(out);
     ++pos_;
     return true;
   }
@@ -275,11 +321,12 @@ class Impl {
       braced = true;
       ++pos_;
     }
-    std::vector<bool> fieldUsed(machine_.fields.size(), false);
+    choice_.assign(machine_.fields.size(), -1);
+    line.ops.reserve(machine_.fields.size());
     for (;;) {
       ParsedOp op;
-      if (!parseOneOp(fieldUsed, op)) return false;
-      fieldUsed[op.fieldIndex] = true;
+      if (!parseOneOp(op)) return false;
+      choice_[op.fieldIndex] = int(op.opIndex);
       line.ops.push_back(std::move(op));
       if (braced && pos_ < toks_.size() && toks_[pos_].text == "|") {
         ++pos_;
@@ -296,10 +343,8 @@ class Impl {
     }
 
     // Fill the remaining fields with their nop and check constraints.
-    std::vector<int> choice(machine_.fields.size(), -1);
-    for (const auto& op : line.ops) choice[op.fieldIndex] = int(op.opIndex);
     for (std::size_t f = 0; f < machine_.fields.size(); ++f) {
-      if (choice[f] >= 0) continue;
+      if (choice_[f] >= 0) continue;
       int nop = machine_.fields[f].nopIndex;
       if (nop < 0) {
         error(cat("no operation given for field '", machine_.fields[f].name,
@@ -310,10 +355,10 @@ class Impl {
       op.fieldIndex = static_cast<unsigned>(f);
       op.opIndex = static_cast<unsigned>(nop);
       op.effSize = machine_.fields[f].operations[nop].costs.size;
-      choice[f] = nop;
+      choice_[f] = nop;
       line.ops.push_back(std::move(op));
     }
-    if (const Constraint* c = machine_.firstViolatedConstraint(choice)) {
+    if (const Constraint* c = machine_.firstViolatedConstraint(choice_)) {
       error(cat("instruction violates constraint: never ", c->text));
       return false;
     }
@@ -325,65 +370,66 @@ class Impl {
 
   /// Parses one "mnemonic operands" group, resolving the mnemonic to a
   /// (field, operation) pair. A "FIELD.op" spelling pins the field; a bare
-  /// mnemonic takes the first unused field defining it whose operand syntax
-  /// matches.
-  bool parseOneOp(const std::vector<bool>& fieldUsed, ParsedOp& out) {
+  /// mnemonic takes the first free field (choice_) defining it whose
+  /// operand syntax matches.
+  bool parseOneOp(ParsedOp& out) {
     if (pos_ >= toks_.size() || !isIdentTok(toks_[pos_])) {
       error("expected an operation mnemonic");
       return false;
     }
-    std::string mnemonic = toks_[pos_].text;
-    std::string fieldName;
-    if (auto dot = mnemonic.find('.'); dot != std::string::npos) {
+    std::string_view mnemonic = toks_[pos_].text;
+    std::string_view fieldName;
+    if (auto dot = mnemonic.find('.'); dot != std::string_view::npos) {
       fieldName = mnemonic.substr(0, dot);
       mnemonic = mnemonic.substr(dot + 1);
     }
     ++pos_;
 
-    std::vector<std::pair<unsigned, unsigned>> candidates;
+    const std::size_t savedPos = pos_;
+    bool known = false;
     for (std::size_t f = 0; f < machine_.fields.size(); ++f) {
       const Field& field = machine_.fields[f];
       if (!fieldName.empty() && field.name != fieldName) continue;
-      if (fieldUsed[f]) continue;
-      for (std::size_t o = 0; o < field.operations.size(); ++o)
-        if (field.operations[o].name == mnemonic)
-          candidates.emplace_back(unsigned(f), unsigned(o));
-    }
-    if (candidates.empty()) {
-      error(cat("unknown operation '",
-                fieldName.empty() ? mnemonic : fieldName + "." + mnemonic,
-                "' (or its field is already occupied)"));
-      return false;
-    }
-
-    std::size_t savedPos = pos_;
-    for (auto [f, o] : candidates) {
-      pos_ = savedPos;
-      const Operation& op = machine_.fields[f].operations[o];
-      ParsedOp attempt;
-      attempt.fieldIndex = f;
-      attempt.opIndex = o;
-      attempt.params.resize(op.params.size());
-      attempt.effSize = op.costs.size;
-      if (matchSyntax(op.syntax, op.params, attempt.params, attempt.effSize)) {
-        out = std::move(attempt);
-        return true;
+      if (choice_[f] >= 0) continue;
+      for (std::size_t o = 0; o < field.operations.size(); ++o) {
+        const Operation& op = field.operations[o];
+        if (op.name != mnemonic) continue;
+        known = true;
+        pos_ = savedPos;
+        ParsedOp attempt;
+        attempt.fieldIndex = unsigned(f);
+        attempt.opIndex = unsigned(o);
+        attempt.params.resize(op.params.size());
+        attempt.effSize = op.costs.size;
+        if (matchSyntax(op.syntax, opLexemes_[f][o], op.params,
+                        attempt.params, attempt.effSize)) {
+          out = std::move(attempt);
+          return true;
+        }
       }
     }
     pos_ = savedPos;
+    if (!known) {
+      error(cat("unknown operation '", toks_[pos_ - 1].text,
+                "' (or its field is already occupied)"));
+      return false;
+    }
     error(cat("operands do not match the syntax of '", mnemonic, "'"));
     return false;
   }
 
-  /// Matches a syntax pattern at the current cursor; fills bindings and adds
-  /// option size extras to effSize. On failure the cursor is left wherever
-  /// the mismatch occurred (callers save/restore for backtracking).
+  /// Matches a syntax pattern, whose literals lexed to `lexemes`, at the
+  /// current cursor; fills bindings and adds option size extras to effSize.
+  /// On failure the cursor is left wherever the mismatch occurred (callers
+  /// save/restore for backtracking).
   bool matchSyntax(const std::vector<SyntaxItem>& syntax,
+                   const Assembler::SyntaxLexemes& lexemes,
                    const std::vector<Param>& params,
                    std::vector<ParamBinding>& bindings, unsigned& effSize) {
-    for (const auto& item : syntax) {
+    for (std::size_t i = 0; i < syntax.size(); ++i) {
+      const SyntaxItem& item = syntax[i];
       if (item.isLiteral) {
-        if (!matchLiteral(item.literal)) return false;
+        if (!matchLiteral(lexemes[i])) return false;
       } else {
         if (!matchParam(params[item.paramIndex], bindings[item.paramIndex],
                         effSize))
@@ -393,13 +439,10 @@ class Impl {
     return true;
   }
 
-  /// Matches the lexemes of `literal` one asm token at a time ("]+", for
-  /// example, is two tokens).
-  bool matchLiteral(const std::string& literal) {
-    std::vector<AsmTok> litToks;
-    if (!lexAsmLine(literal, litToks, nullptr)) return false;
-    for (const auto& lt : litToks) {
-      if (pos_ >= toks_.size() || toks_[pos_].text != lt.text) return false;
+  /// Matches a literal's lexemes one asm token at a time.
+  bool matchLiteral(const std::vector<std::string>& lexemes) {
+    for (const std::string& lexeme : lexemes) {
+      if (pos_ >= toks_.size() || toks_[pos_].text != lexeme) return false;
       ++pos_;
     }
     return true;
@@ -430,7 +473,7 @@ class Impl {
       }
       if (pos_ < toks_.size() && toks_[pos_].isNumber) {
         std::int64_t v = toks_[pos_].number;
-        if (neg) v = -v;
+        if (neg) v = negate(v);
         ++pos_;
         out.fromLiteral = true;
         out.literal = v;
@@ -464,7 +507,8 @@ class Impl {
       attempt.width = nt.returnWidth;
       attempt.sub.resize(opt.params.size());
       unsigned extra = 0;
-      if (matchSyntax(opt.syntax, opt.params, attempt.sub, extra) &&
+      if (matchSyntax(opt.syntax, ntLexemes_[p.index][o], opt.params,
+                      attempt.sub, extra) &&
           (!found || pos_ > bestEnd)) {
         found = true;
         bestEnd = pos_;
@@ -545,33 +589,28 @@ class Impl {
           machine_.fields[pop.fieldIndex].operations[pop.opIndex];
       const Signature& sig = sigs_.operation(pop.fieldIndex, pop.opIndex);
 
-      std::vector<BitVector> paramValues;
-      paramValues.reserve(op.params.size());
-      for (std::size_t i = 0; i < op.params.size(); ++i) {
-        BitVector v;
-        if (!resolveBinding(op.params[i], pop.params[i], v)) return false;
-        paramValues.push_back(std::move(v));
-      }
+      paramValues_.resize(op.params.size());
+      for (std::size_t i = 0; i < op.params.size(); ++i)
+        if (!resolveBinding(op.params[i], pop.params[i], paramValues_[i]))
+          return false;
 
       // Conflict check: two operations of the instruction must not paint the
       // same bit (the constraints section should have excluded such pairs).
-      BitVector opMask = sig.careMask().or_(sig.paramMask());
-      for (unsigned bit = 0; bit < opMask.width(); ++bit) {
-        if (opMask.bit(bit) && painted.bit(bit)) {
-          error(cat("operation '", op.name, "' sets instruction bit ", bit,
+      // The error names the lowest clashing bit.
+      const BitVector& owned = sig.ownedMask();
+      for (unsigned i = 0; i < owned.numWords(); ++i) {
+        if (std::uint64_t clash = owned.word(i) & painted.word(i)) {
+          error(cat("operation '", op.name, "' sets instruction bit ",
+                    64 * i + unsigned(std::countr_zero(clash)),
                     " already set by another field's operation; add a "
                     "constraint to forbid this combination"));
           return false;
         }
+        painted.setWord(i, painted.word(i) | owned.word(i));
       }
-      BitVector opImage(opMask.width());
-      sig.assemble(opImage, paramValues);
-      for (unsigned bit = 0; bit < opMask.width(); ++bit) {
-        if (opMask.bit(bit)) {
-          image.setBit(bit, opImage.bit(bit));
-          painted.setBit(bit, true);
-        }
-      }
+      // No other operation has painted an owned bit, and assemble() writes
+      // exactly the owned bits.
+      sig.assemble(image, paramValues_);
     }
 
     for (unsigned w = 0; w < line.sizeWords; ++w)
@@ -584,11 +623,26 @@ class Impl {
 }  // namespace
 
 Assembler::Assembler(const SignatureTable& sigs)
-    : sigs_(&sigs), machine_(&sigs.machine()) {}
+    : sigs_(&sigs), machine_(&sigs.machine()) {
+  opLexemes_.reserve(machine_->fields.size());
+  for (const Field& field : machine_->fields) {
+    std::vector<SyntaxLexemes>& ops = opLexemes_.emplace_back();
+    ops.reserve(field.operations.size());
+    for (const Operation& op : field.operations)
+      ops.push_back(lexSyntax(op.syntax));
+  }
+  ntLexemes_.reserve(machine_->nonTerminals.size());
+  for (const NonTerminal& nt : machine_->nonTerminals) {
+    std::vector<SyntaxLexemes>& options = ntLexemes_.emplace_back();
+    options.reserve(nt.options.size());
+    for (const NtOption& opt : nt.options)
+      options.push_back(lexSyntax(opt.syntax));
+  }
+}
 
 std::optional<AssembledProgram> Assembler::assemble(
     std::string_view source, DiagnosticEngine& diags) const {
-  return Impl(*sigs_, diags).run(source);
+  return Impl(*sigs_, opLexemes_, ntLexemes_, diags).run(source);
 }
 
 }  // namespace isdl::sim

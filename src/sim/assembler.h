@@ -41,6 +41,9 @@ struct AssembledProgram {
   std::vector<std::pair<std::uint64_t, BitVector>> dataInit;
 };
 
+/// Built once per machine, then assembles any number of programs. The
+/// constructor lexes every literal of the machine's operand syntax, so
+/// matching a line compares tokens it already has.
 class Assembler {
  public:
   explicit Assembler(const SignatureTable& sigs);
@@ -49,9 +52,15 @@ class Assembler {
   std::optional<AssembledProgram> assemble(std::string_view source,
                                            DiagnosticEngine& diags) const;
 
+  /// The asm tokens of each item of one syntax pattern: empty for a
+  /// parameter item, the lexemes of the literal for a literal item.
+  using SyntaxLexemes = std::vector<std::vector<std::string>>;
+
  private:
   const SignatureTable* sigs_;
   const Machine* machine_;
+  std::vector<std::vector<SyntaxLexemes>> opLexemes_;  // [field][op][item]
+  std::vector<std::vector<SyntaxLexemes>> ntLexemes_;  // [nt][option][item]
 };
 
 }  // namespace isdl::sim

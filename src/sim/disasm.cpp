@@ -5,7 +5,9 @@
 namespace isdl::sim {
 
 Disassembler::Disassembler(const SignatureTable& sigs)
-    : sigs_(&sigs), machine_(&sigs.machine()) {}
+    : sigs_(&sigs),
+      machine_(&sigs.machine()),
+      maxWords_(sigs.machine().maxSizeWords()) {}
 
 namespace {
 
@@ -85,13 +87,12 @@ std::optional<DecodedInstruction> Disassembler::decodeAt(
     return std::nullopt;
   }
   const unsigned wordWidth = machine_->wordWidth;
-  const unsigned maxWords = machine_->maxSizeWords();
 
   // Assemble the widest possible instruction image; words past the end of
   // memory read as zero (their bits are only consulted by multi-word
   // operations, which then simply fail to match).
-  BitVector image(maxWords * wordWidth);
-  for (unsigned w = 0; w < maxWords; ++w) {
+  BitVector image(maxWords_ * wordWidth);
+  for (unsigned w = 0; w < maxWords_; ++w) {
     if (addr + w < memory.size())
       image.insertSlice((w + 1) * wordWidth - 1, w * wordWidth,
                         memory[addr + w]);

@@ -45,6 +45,7 @@ class Disassembler {
  private:
   const SignatureTable* sigs_;
   const Machine* machine_;
+  unsigned maxWords_;  ///< words of the longest instruction
 
   bool decodeParams(const Signature& sig, const std::vector<Param>& params,
                     const BitVector& word, std::vector<DecodedParam>& out,

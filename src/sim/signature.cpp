@@ -1,10 +1,20 @@
 #include "sim/signature.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "support/strings.h"
 
 namespace isdl::sim {
+
+namespace {
+
+/// The low `len` bits set, 1 <= len <= 64.
+std::uint64_t lowMask(unsigned len) {
+  return len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+}
+
+}  // namespace
 
 Signature::Signature(unsigned widthBits, std::size_t numParams,
                      const std::vector<EncodeAssign>& encode)
@@ -51,35 +61,86 @@ Signature::Signature(unsigned widthBits, std::size_t numParams,
         break;
     }
   }
+  if (widthBits != 0) ownedMask_ = careMask_.or_(paramMask_);
+
+  // Cut each parameter's bit map into runs of consecutive bits, breaking at
+  // every 64-bit word boundary of the instruction and of the parameter.
+  runStart_.reserve(numParams + 1);
+  for (std::size_t p = 0; p < numParams; ++p) {
+    runStart_.push_back(static_cast<unsigned>(runs_.size()));
+    const std::vector<unsigned>& bits = paramBits_[p];
+    for (unsigned k = 0; k < bits.size();) {
+      if (bits[k] == ~0u) {
+        ++k;
+        continue;
+      }
+      Run run{bits[k], k, 1};
+      while (k + run.len < bits.size() &&
+             bits[k + run.len] == run.instLo + run.len &&
+             (k + run.len) % 64 != 0 && (run.instLo + run.len) % 64 != 0)
+        ++run.len;
+      runs_.push_back(run);
+      k += run.len;
+    }
+  }
+  runStart_.push_back(static_cast<unsigned>(runs_.size()));
+}
+
+void Signature::throwNarrowWord(const BitVector& word,
+                                const char* what) const {
+  throw std::out_of_range(cat("Signature::", what, ": a ", word.width(),
+                              "-bit word is narrower than the ", width_,
+                              "-bit signature"));
 }
 
 bool Signature::matches(const BitVector& word) const {
   if (width_ == 0) return true;
-  // word may be wider; compare only our bits.
-  for (unsigned b = 0; b < width_; ++b) {
-    if (careMask_.bit(b) && word.bit(b) != constBits_.bit(b)) return false;
-  }
+  requireWordWidth(word, "matches");
+  for (unsigned i = 0; i < careMask_.numWords(); ++i)
+    if ((word.word(i) ^ constBits_.word(i)) & careMask_.word(i)) return false;
   return true;
 }
 
 void Signature::assemble(BitVector& word,
                          const std::vector<BitVector>& paramValues) const {
-  for (unsigned b = 0; b < width_; ++b)
-    if (careMask_.bit(b)) word.setBit(b, constBits_.bit(b));
+  if (width_ == 0) return;
+  requireWordWidth(word, "assemble");
+  if (paramValues.size() < paramBits_.size())
+    throw std::out_of_range(cat("Signature::assemble: ", paramValues.size(),
+                                " parameter values for ", paramBits_.size(),
+                                " parameters"));
+  for (std::size_t p = 0; p < paramBits_.size(); ++p)
+    if (paramValues[p].width() < paramBits_[p].size())
+      throw std::out_of_range(cat("Signature::assemble: parameter ", p,
+                                  " is ", paramValues[p].width(),
+                                  " bits wide but encoded in ",
+                                  paramBits_[p].size()));
+
+  for (unsigned i = 0; i < careMask_.numWords(); ++i)
+    word.setWord(i, (word.word(i) & ~careMask_.word(i)) | constBits_.word(i));
   for (std::size_t p = 0; p < paramBits_.size(); ++p) {
     const BitVector& v = paramValues[p];
-    for (unsigned k = 0; k < paramBits_[p].size(); ++k) {
-      unsigned instBit = paramBits_[p][k];
-      if (instBit != ~0u) word.setBit(instBit, v.bit(k));
+    for (unsigned r = runStart_[p]; r < runStart_[p + 1]; ++r) {
+      const Run& run = runs_[r];
+      const std::uint64_t field = lowMask(run.len);
+      const std::uint64_t bits =
+          (v.word(run.paramLo / 64) >> (run.paramLo % 64)) & field;
+      const unsigned wi = run.instLo / 64, shift = run.instLo % 64;
+      word.setWord(wi, (word.word(wi) & ~(field << shift)) | (bits << shift));
     }
   }
 }
 
 BitVector Signature::extractParam(unsigned p, const BitVector& word) const {
-  const auto& bits = paramBits_[p];
-  BitVector v(static_cast<unsigned>(bits.size()));
-  for (unsigned k = 0; k < bits.size(); ++k)
-    if (bits[k] != ~0u) v.setBit(k, word.bit(bits[k]));
+  requireWordWidth(word, "extractParam");
+  BitVector v(paramWidth(p));
+  for (unsigned r = runStart_[p]; r < runStart_[p + 1]; ++r) {
+    const Run& run = runs_[r];
+    const std::uint64_t bits =
+        (word.word(run.instLo / 64) >> (run.instLo % 64)) & lowMask(run.len);
+    const unsigned wi = run.paramLo / 64;
+    v.setWord(wi, v.word(wi) | (bits << (run.paramLo % 64)));
+  }
   return v;
 }
 
@@ -109,10 +170,13 @@ std::string Signature::toString() const {
 }
 
 bool distinguishable(const Signature& a, const Signature& b) {
-  unsigned overlap = std::min(a.widthBits(), b.widthBits());
-  for (unsigned bit = 0; bit < overlap; ++bit) {
-    if (a.careMask().bit(bit) && b.careMask().bit(bit) &&
-        a.constBits().bit(bit) != b.constBits().bit(bit))
+  // Care bits lie below each signature's width, so the words both masks
+  // have cover the overlap exactly.
+  const unsigned n =
+      std::min(a.careMask().numWords(), b.careMask().numWords());
+  for (unsigned i = 0; i < n; ++i) {
+    if (a.careMask().word(i) & b.careMask().word(i) &
+        (a.constBits().word(i) ^ b.constBits().word(i)))
       return true;
   }
   return false;

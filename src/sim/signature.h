@@ -45,18 +45,23 @@ class Signature {
   const BitVector& constBits() const { return constBits_; }
   /// Bits set from any parameter.
   const BitVector& paramMask() const { return paramMask_; }
+  /// Bits this signature sets at all: careMask | paramMask.
+  const BitVector& ownedMask() const { return ownedMask_; }
 
   /// True if `word`'s constant bits match this signature. `word` may be
-  /// wider than the signature (extra bits ignored) but not narrower.
+  /// wider than the signature (extra bits ignored) but not narrower
+  /// (std::out_of_range).
   bool matches(const BitVector& word) const;
 
   /// Paints constants and parameter values into `word` (in place). Bits this
-  /// signature does not own are left untouched. `paramValues[i]` must have
-  /// the declared encoding width of parameter i.
+  /// signature does not own are left untouched. `paramValues[i]` must be at
+  /// least as wide as paramWidth(i), and `word` at least as wide as the
+  /// signature; otherwise std::out_of_range.
   void assemble(BitVector& word,
                 const std::vector<BitVector>& paramValues) const;
 
-  /// Gathers the encoded value of parameter `p` back out of `word`.
+  /// Gathers the encoded value of parameter `p` back out of `word` (at least
+  /// as wide as the signature; otherwise std::out_of_range).
   BitVector extractParam(unsigned p, const BitVector& word) const;
 
   /// Declared width of parameter p's encoded value.
@@ -64,12 +69,9 @@ class Signature {
     return static_cast<unsigned>(paramBits_[p].size());
   }
 
-  /// (instruction bit, parameter bit) pairs for parameter p — exposed for
-  /// the hardware decode generator, which turns them into extraction wiring.
-  struct ParamBit {
-    unsigned instBit;
-  };
-  /// instBitOfParamBit(p)[k] = instruction bit that carries bit k of param p.
+  /// instBitsOfParam(p)[k] = instruction bit that carries bit k of param p.
+  /// Exposed for the hardware decode generator, which turns it into
+  /// extraction wiring.
   const std::vector<unsigned>& instBitsOfParam(unsigned p) const {
     return paramBits_[p];
   }
@@ -79,12 +81,34 @@ class Signature {
   std::string toString() const;
 
  private:
+  /// Parameter bits [paramLo, paramLo + len) travel in instruction bits
+  /// [instLo, instLo + len). A run crosses no 64-bit word boundary on
+  /// either side, so it moves with one shift and one mask.
+  struct Run {
+    unsigned instLo;
+    unsigned paramLo;
+    unsigned len;
+  };
+
   unsigned width_;
   BitVector careMask_;
   BitVector constBits_;
   BitVector paramMask_;
+  BitVector ownedMask_;
   /// paramBits_[p][k] = instruction bit carrying bit k of parameter p.
   std::vector<std::vector<unsigned>> paramBits_;
+  /// The runs of every parameter, parameter 0's first; parameter p's are
+  /// runs_[runStart_[p] .. runStart_[p + 1]).
+  std::vector<Run> runs_;
+  std::vector<unsigned> runStart_;
+
+  /// Throws std::out_of_range naming `what` if `word` is narrower than the
+  /// signature.
+  void requireWordWidth(const BitVector& word, const char* what) const {
+    if (word.width() < width_) throwNarrowWord(word, what);
+  }
+  [[noreturn]] void throwNarrowWord(const BitVector& word,
+                                    const char* what) const;
 };
 
 /// True if the two signatures are distinguishable: some bit is constant in

@@ -105,17 +105,15 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
   }
 
   // Off-line disassembly (paper §3.1): decode the whole program region now.
-  std::vector<BitVector> image;
-  image.reserve(prog.words.size());
-  for (std::size_t i = 0; i < prog.words.size(); ++i)
-    image.push_back(state_.read(imem, i));
-  decoded_ = disasm_.decodeProgram(image, prog.words.size());
+  // State::write takes only values of the memory's width, so the words just
+  // written are exactly prog.words.
+  decoded_ = disasm_.decodeProgram(prog.words, prog.words.size());
 
   state_.setPc(0, 0);
   if (!prog.words.empty() && !decoded_.hasInstructionAt(0)) {
     if (error) {
       std::string msg;
-      disasm_.decodeAt(image, 0, &msg);
+      disasm_.decodeAt(prog.words, 0, &msg);
       *error = "no decodable instruction at address 0: " + msg;
     }
     return false;

@@ -225,7 +225,21 @@ void BitVector::insertSlice(unsigned hi, unsigned lo, const BitVector& v) {
     inline_[0] = (inline_[0] & ~(field << lo)) | (v.inline_[0] << lo);
     return;
   }
-  for (unsigned i = 0; i < v.width_; ++i) setBit(lo + i, v.bit(i));
+  // Word-at-a-time: source word i lands in destination word lo/64 + i and,
+  // when lo is not word-aligned, spills its top bits into the next word.
+  std::uint64_t* dst = words();
+  const std::uint64_t* src = v.words();
+  const unsigned shift = lo % 64;
+  for (unsigned i = 0; i < v.nwords_; ++i) {
+    const unsigned n = std::min(64u, v.width_ - 64 * i);
+    const std::uint64_t field = n == 64 ? ~std::uint64_t{0}
+                                        : (std::uint64_t{1} << n) - 1;
+    const unsigned d = lo / 64 + i;
+    dst[d] = (dst[d] & ~(field << shift)) | (src[i] << shift);
+    if (shift != 0 && shift + n > 64)
+      dst[d + 1] = (dst[d + 1] & ~(field >> (64 - shift))) |
+                   (src[i] >> (64 - shift));
+  }
 }
 
 BitVector BitVector::concat(const BitVector& low) const {

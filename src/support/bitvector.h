@@ -114,6 +114,13 @@ class BitVector {
   }
   /// Bits [64i + 63 : 64i]; requires i < ceil(width/64).
   std::uint64_t word(unsigned i) const noexcept { return words()[i]; }
+  /// Sets bits [64i + 63 : 64i] to `v`; requires i < ceil(width/64). Bits of
+  /// `v` above the width (in the top word) are dropped.
+  void setWord(unsigned i, std::uint64_t v) noexcept {
+    words()[i] = i + 1 == nwords_ ? v & topWordMask(width_) : v;
+  }
+  /// ceil(width/64): the number of words word() and setWord() address.
+  unsigned numWords() const noexcept { return nwords_; }
 
   unsigned width() const noexcept { return width_; }
   bool valid() const noexcept { return width_ != 0; }

@@ -86,7 +86,7 @@ sim::AssembledProgram randomEncodedProgram(const Machine& m,
         const Operation& op = m.fields[f].operations[choice[f]];
         const sim::Signature& sig =
             sigs.operation(unsigned(f), unsigned(choice[f]));
-        BitVector mask = sig.careMask().or_(sig.paramMask());
+        const BitVector& mask = sig.ownedMask();
         if (!mask.and_(painted).isZero()) {
           conflict = true;
           break;
@@ -209,7 +209,7 @@ std::vector<std::string> randomAssemblyProgram(const Machine& m,
         int o = choice[f] >= 0 ? choice[f] : m.fields[f].nopIndex;
         if (o < 0) continue;
         const sim::Signature& sig = sigs.operation(unsigned(f), unsigned(o));
-        BitVector mask = sig.careMask().or_(sig.paramMask());
+        const BitVector& mask = sig.ownedMask();
         if (!mask.and_(painted).isZero())
           conflict = true;
         else

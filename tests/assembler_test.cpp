@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archs/archs.h"
 #include "isdl/parser.h"
 #include "sim/disasm.h"
 #include "test_machines.h"
@@ -248,6 +249,125 @@ machine M {
   DiagnosticEngine diags2;
   EXPECT_TRUE(assembler.assemble("big 5\nalso 9\n", diags2).has_value())
       << diags2.dump();
+}
+
+TEST(AssemblerConflict, ClashInSecondWordNamesLowestBit) {
+  // The conflict check runs a 64-bit word at a time; the message must still
+  // name the lowest shared bit, here in the upper word of a 128-bit word.
+  auto m = parseAndCheckIsdl(R"(
+machine W {
+  section format { word_width = 128; }
+  section storage {
+    instruction_memory IM width 128 depth 16;
+    program_counter PC width 4;
+  }
+  section global_definitions { token U8 immediate unsigned width 8; }
+  section instruction_set {
+    field A {
+      operation anop() { encode { inst[127:126] = 2'd0; } }
+      operation big(i: U8) { encode { inst[127:126] = 2'd1; inst[75:68] = i; } }
+    }
+    field B {
+      operation bnop() { encode { inst[1:0] = 2'd0; } }
+      operation also(i: U8) { encode { inst[1:0] = 2'd1; inst[77:70] = i; } }
+    }
+  }
+}
+)");
+  DiagnosticEngine sigDiags;
+  SignatureTable sigs(*m, sigDiags);
+  ASSERT_TRUE(sigs.valid());
+  Assembler assembler(sigs);
+  DiagnosticEngine diags;
+  EXPECT_FALSE(assembler.assemble("{ big 5 | also 9 }\n", diags).has_value());
+  EXPECT_NE(diags.dump().find("sets instruction bit 70 already set"),
+            std::string::npos)
+      << diags.dump();
+
+  // Without the clash both words are painted, and the same Assembler keeps
+  // assembling.
+  DiagnosticEngine diags2;
+  auto prog = assembler.assemble("{ big 0xAB | bnop }\nalso 0xCD\n", diags2);
+  ASSERT_TRUE(prog.has_value()) << diags2.dump();
+  ASSERT_EQ(prog->words.size(), 2u);
+  EXPECT_EQ(prog->words[0].slice(127, 126).toUint64(), 1u);
+  EXPECT_EQ(prog->words[0].slice(75, 68).toUint64(), 0xABu);
+  EXPECT_EQ(prog->words[0].slice(1, 0).toUint64(), 0u);
+  EXPECT_EQ(prog->words[1].slice(77, 70).toUint64(), 0xCDu);
+  EXPECT_EQ(prog->words[1].slice(1, 0).toUint64(), 1u);
+  EXPECT_EQ(prog->words[1].slice(127, 126).toUint64(), 0u);
+}
+
+// Number literals on SREP, whose li takes a signed and lui an unsigned
+// 16-bit immediate.
+class SrepNumberTest : public ::testing::Test {
+ protected:
+  SrepNumberTest()
+      : machine_(archs::loadSrep()),
+        sigs_(*machine_, sigDiags_),
+        assembler_(sigs_) {}
+
+  std::string errorOf(std::string_view src) {
+    DiagnosticEngine diags;
+    EXPECT_FALSE(assembler_.assemble(src, diags).has_value()) << src;
+    return diags.dump();
+  }
+
+  std::unique_ptr<Machine> machine_;
+  DiagnosticEngine sigDiags_;
+  SignatureTable sigs_;
+  Assembler assembler_;
+};
+
+TEST_F(SrepNumberTest, DecimalBeyond64BitsIsRejected) {
+  // strtoull saturates to 2^64 - 1, which once read as -1 and fit.
+  const std::string err = errorOf("li R1, 99999999999999999999\nhalt\n");
+  EXPECT_NE(err.find("number '99999999999999999999' does not fit in 64 bits"),
+            std::string::npos)
+      << err;
+}
+
+TEST_F(SrepNumberTest, HexBeyond64BitsIsRejected) {
+  const std::string err = errorOf("lui R1, 0xFFFFFFFFFFFFFFFFFF\nhalt\n");
+  EXPECT_NE(err.find("number 'FFFFFFFFFFFFFFFFFF' does not fit in 64 bits"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("immediate -1"), std::string::npos) << err;
+}
+
+TEST_F(SrepNumberTest, NegatedInt64MinIsOutOfRange) {
+  // -(-2^63) wraps to -2^63 in unsigned arithmetic instead of overflowing.
+  const std::string err = errorOf("li R1, -0x8000000000000000\nhalt\n");
+  EXPECT_NE(err.find("immediate -9223372036854775808 out of range for a "
+                     "16-bit signed field"),
+            std::string::npos)
+      << err;
+  // The same spelling in a directive wraps the same way.
+  DiagnosticEngine diags;
+  auto prog = assembler_.assemble(".dm 0 -0x8000000000000000\nhalt\n", diags);
+  ASSERT_TRUE(prog.has_value()) << diags.dump();
+  ASSERT_EQ(prog->dataInit.size(), 1u);
+  EXPECT_TRUE(prog->dataInit[0].second.isZero());
+}
+
+TEST_F(SrepNumberTest, LexErrorPointsAtTheNumber) {
+  // The column is the malformed number's, not that of whatever token the
+  // previous line's parse stopped at.
+  EXPECT_NE(errorOf("halt\nli R2, 0x\n").find("2:8: error: bad number"),
+            std::string::npos);
+  EXPECT_NE(errorOf("halt\nli R2, 99999999999999999999\n")
+                .find("2:8: error: number"),
+            std::string::npos);
+}
+
+TEST_F(SrepNumberTest, RangeLimitsStillAssemble) {
+  DiagnosticEngine diags;
+  EXPECT_TRUE(assembler_
+                  .assemble("li R1, -32768\nlui R2, 0xFFFF\n"
+                            ".word 0xFFFFFFFFFFFFFFFF\nhalt\n",
+                            diags)
+                  .has_value())
+      << diags.dump();
 }
 
 }  // namespace

@@ -150,6 +150,44 @@ TEST(BitVector, SliceAcrossWordBoundary) {
   EXPECT_EQ(v.slice(71, 64).toUint64(), 0xBEu);
 }
 
+TEST(BitVector, InsertSliceMatchesPerBitReference) {
+  std::mt19937_64 rng(42);
+  auto random = [&](unsigned width) {
+    BitVector v(width);
+    for (unsigned i = 0; i < v.numWords(); ++i) v.setWord(i, rng());
+    return v;
+  };
+  const unsigned widths[] = {65, 96, 128, 130, 200};
+  for (unsigned width : widths) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const unsigned lo = static_cast<unsigned>(rng() % width);
+      const unsigned hi = lo + static_cast<unsigned>(rng() % (width - lo));
+      const BitVector base = random(width);
+      const BitVector v = random(hi - lo + 1);
+      BitVector ref = base;
+      for (unsigned i = 0; i < v.width(); ++i) ref.setBit(lo + i, v.bit(i));
+      BitVector got = base;
+      got.insertSlice(hi, lo, v);
+      ASSERT_EQ(got, ref) << "width " << width << " [" << hi << ":" << lo
+                          << "]";
+    }
+  }
+}
+
+TEST(BitVector, SetWordKeepsTopWordClean) {
+  BitVector v(70);
+  EXPECT_EQ(v.numWords(), 2u);
+  v.setWord(0, ~std::uint64_t{0});
+  v.setWord(1, ~std::uint64_t{0});
+  EXPECT_EQ(v.word(1), 0x3Fu);  // bits 69..64 only
+  EXPECT_TRUE(v.isAllOnes());
+  EXPECT_EQ(v, BitVector::allOnes(70));
+  BitVector w(64);
+  w.setWord(0, 0x8000000000000001u);
+  EXPECT_EQ(w.toUint64(), 0x8000000000000001u);
+  EXPECT_EQ(BitVector().numWords(), 0u);
+}
+
 TEST(BitVector, InsertSliceChecksWidths) {
   BitVector v(16);
   EXPECT_THROW(v.insertSlice(7, 0, BitVector(4, 1)), std::invalid_argument);

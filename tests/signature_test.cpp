@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "archs/archs.h"
 #include "isdl/parser.h"
 #include "isdl/sema.h"
 #include "test_machines.h"
@@ -204,6 +207,242 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{0u, 6u}, std::pair{0u, 7u}, std::pair{0u, 8u},
                       std::pair{0u, 9u}, std::pair{1u, 0u}, std::pair{1u, 1u},
                       std::pair{1u, 2u}));
+
+// --- word boundaries -------------------------------------------------------
+//
+// Signature moves constants and parameter runs a 64-bit word at a time. The
+// per-bit reference below is the definition it must agree with.
+
+void refAssemble(const Signature& sig, BitVector& word,
+                 const std::vector<BitVector>& params) {
+  for (unsigned b = 0; b < sig.widthBits(); ++b)
+    if (sig.careMask().bit(b)) word.setBit(b, sig.constBits().bit(b));
+  for (unsigned p = 0; p < params.size(); ++p) {
+    const std::vector<unsigned>& bits = sig.instBitsOfParam(p);
+    for (unsigned k = 0; k < bits.size(); ++k)
+      if (bits[k] != ~0u) word.setBit(bits[k], params[p].bit(k));
+  }
+}
+
+BitVector refExtract(const Signature& sig, unsigned p, const BitVector& word) {
+  const std::vector<unsigned>& bits = sig.instBitsOfParam(p);
+  BitVector v(static_cast<unsigned>(bits.size()));
+  for (unsigned k = 0; k < bits.size(); ++k)
+    if (bits[k] != ~0u) v.setBit(k, word.bit(bits[k]));
+  return v;
+}
+
+bool refMatches(const Signature& sig, const BitVector& word) {
+  for (unsigned b = 0; b < sig.widthBits(); ++b)
+    if (sig.careMask().bit(b) && word.bit(b) != sig.constBits().bit(b))
+      return false;
+  return true;
+}
+
+bool refDistinguishable(const Signature& a, const Signature& b) {
+  unsigned overlap = std::min(a.widthBits(), b.widthBits());
+  for (unsigned bit = 0; bit < overlap; ++bit)
+    if (a.careMask().bit(bit) && b.careMask().bit(bit) &&
+        a.constBits().bit(bit) != b.constBits().bit(bit))
+      return true;
+  return false;
+}
+
+BitVector randomBits(unsigned width, std::mt19937_64& rng) {
+  BitVector v(width);
+  for (unsigned i = 0; i < v.numWords(); ++i) v.setWord(i, rng());
+  return v;
+}
+
+EncodeAssign constAssign(unsigned hi, unsigned lo, std::uint64_t value) {
+  EncodeAssign ea;
+  ea.hi = hi;
+  ea.lo = lo;
+  ea.src = EncodeAssign::Src::Const;
+  ea.constValue = BitVector(hi - lo + 1, value);
+  return ea;
+}
+
+EncodeAssign paramAssign(unsigned hi, unsigned lo, unsigned param) {
+  EncodeAssign ea;
+  ea.hi = hi;
+  ea.lo = lo;
+  ea.src = EncodeAssign::Src::Param;
+  ea.paramIndex = param;
+  return ea;
+}
+
+EncodeAssign sliceAssign(unsigned hi, unsigned lo, unsigned param,
+                         unsigned paramHi, unsigned paramLo) {
+  EncodeAssign ea = paramAssign(hi, lo, param);
+  ea.src = EncodeAssign::Src::ParamSlice;
+  ea.paramHi = paramHi;
+  ea.paramLo = paramLo;
+  return ea;
+}
+
+struct WideCase {
+  const char* name;
+  unsigned width;
+  std::size_t numParams;
+  std::vector<EncodeAssign> encode;
+};
+
+std::vector<WideCase> wideCases() {
+  return {
+      // 65 bits: the opcode is the lone bit 64; a 64-bit parameter fills the
+      // whole first word.
+      {"w65", 65, 1, {constAssign(64, 64, 1), paramAssign(63, 0, 0)}},
+      // 96 bits: a Param run straddles bit 64, and a ParamSlice run of a
+      // second parameter straddles it on the parameter side too.
+      {"w96",
+       96,
+       2,
+       {constAssign(95, 90, 0x2B), paramAssign(71, 56, 0),
+        sliceAssign(89, 72, 1, 69, 52), sliceAssign(51, 0, 1, 51, 0),
+        constAssign(55, 52, 0x9)}},
+      // 128 bits: one parameter split across both words, out of order; a
+      // 72-bit parameter whose own bit 64 lands mid-word; constants in both
+      // words.
+      {"w128",
+       128,
+       2,
+       {constAssign(127, 120, 0xA5), sliceAssign(119, 112, 0, 15, 8),
+        sliceAssign(7, 0, 0, 7, 0), paramAssign(111, 40, 1),
+        constAssign(39, 8, 0xDEADBEEF)}},
+  };
+}
+
+TEST(SignatureWords, WideSignaturesMatchPerBitReference) {
+  std::mt19937_64 rng(20260418);
+  for (const WideCase& c : wideCases()) {
+    SCOPED_TRACE(c.name);
+    const Signature sig(c.width, c.numParams, c.encode);
+    EXPECT_EQ(sig.ownedMask(), sig.careMask().or_(sig.paramMask()));
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<BitVector> params;
+      for (unsigned p = 0; p < c.numParams; ++p)
+        params.push_back(randomBits(sig.paramWidth(p), rng));
+
+      // Paint over random junk: bits the signature does not own survive.
+      const BitVector junk = randomBits(c.width + 40, rng);
+      BitVector word = junk, ref = junk;
+      sig.assemble(word, params);
+      refAssemble(sig, ref, params);
+      ASSERT_EQ(word, ref);
+      EXPECT_TRUE(sig.matches(word));
+      for (unsigned p = 0; p < c.numParams; ++p) {
+        EXPECT_EQ(sig.extractParam(p, word), params[p]);
+        EXPECT_EQ(sig.extractParam(p, junk), refExtract(sig, p, junk));
+      }
+      EXPECT_EQ(sig.matches(junk), refMatches(sig, junk));
+
+      // Flipping one constant bit breaks the match, in either word.
+      BitVector flipped = word;
+      unsigned b;
+      do {
+        b = static_cast<unsigned>(rng() % c.width);
+      } while (!sig.careMask().bit(b));
+      flipped.setBit(b, !flipped.bit(b));
+      EXPECT_FALSE(sig.matches(flipped));
+    }
+  }
+}
+
+TEST(SignatureWords, DistinguishableMatchesPerBitReference) {
+  std::mt19937_64 rng(7);
+  // Random constant patterns over widths that end on either side of a word
+  // boundary; overlaps of unequal widths compare only the shared bits.
+  const unsigned widths[] = {1, 63, 64, 65, 96, 128, 130};
+  for (int trial = 0; trial < 400; ++trial) {
+    Signature sigs[2] = {Signature(1, 0, {}), Signature(1, 0, {})};
+    for (Signature& sig : sigs) {
+      const unsigned w = widths[rng() % std::size(widths)];
+      std::vector<EncodeAssign> encode;
+      for (unsigned b = 0; b < w; ++b)
+        if (rng() % 8 == 0) encode.push_back(constAssign(b, b, rng() & 1));
+      sig = Signature(w, 0, encode);
+    }
+    EXPECT_EQ(distinguishable(sigs[0], sigs[1]),
+              refDistinguishable(sigs[0], sigs[1]));
+    EXPECT_EQ(distinguishable(sigs[1], sigs[0]),
+              refDistinguishable(sigs[0], sigs[1]));
+  }
+  // Bit 64 alone tells these two apart; bit 100 lies outside the 96-bit one.
+  const Signature a(96, 0, {constAssign(64, 64, 0)});
+  const Signature b(128, 0, {constAssign(64, 64, 1), constAssign(100, 100, 1)});
+  const Signature c(128, 0, {constAssign(100, 100, 0)});
+  EXPECT_TRUE(distinguishable(a, b));
+  EXPECT_FALSE(distinguishable(a, c));
+  EXPECT_TRUE(distinguishable(b, c));
+}
+
+TEST(SignatureWords, NarrowWordsAndValuesThrow) {
+  for (const WideCase& c : wideCases()) {
+    SCOPED_TRACE(c.name);
+    const Signature sig(c.width, c.numParams, c.encode);
+    std::vector<BitVector> params;
+    for (unsigned p = 0; p < c.numParams; ++p)
+      params.emplace_back(sig.paramWidth(p));
+
+    BitVector narrow(c.width - 1);
+    EXPECT_THROW(sig.matches(narrow), std::out_of_range);
+    EXPECT_THROW(sig.extractParam(0, narrow), std::out_of_range);
+    EXPECT_THROW(sig.assemble(narrow, params), std::out_of_range);
+    // A word narrower by whole words must not read the missing ones as zero.
+    BitVector oneWord(64);
+    EXPECT_THROW(sig.matches(oneWord), std::out_of_range);
+
+    BitVector word(c.width);
+    for (unsigned p = 0; p < c.numParams; ++p) {
+      std::vector<BitVector> shortParams = params;
+      shortParams[p] = BitVector(sig.paramWidth(p) - 1);
+      EXPECT_THROW(sig.assemble(word, shortParams), std::out_of_range);
+    }
+    EXPECT_THROW(sig.assemble(word, {}), std::out_of_range);
+    EXPECT_NO_THROW(sig.assemble(word, params));
+  }
+}
+
+TEST(SignatureWords, SpamRoundTripThrough128BitWord) {
+  auto m = archs::loadSpam();
+  ASSERT_NE(m, nullptr);
+  DiagnosticEngine diags;
+  SignatureTable table(*m, diags);
+  ASSERT_TRUE(table.valid()) << diags.dump();
+  std::mt19937_64 rng(128);
+  unsigned checked = 0;
+  for (unsigned f = 0; f < m->fields.size(); ++f) {
+    for (unsigned o = 0; o < m->fields[f].operations.size(); ++o) {
+      const Signature& sig = table.operation(f, o);
+      ASSERT_EQ(sig.widthBits() % 128, 0u);
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<BitVector> params;
+        for (std::size_t p = 0; p < m->fields[f].operations[o].params.size();
+             ++p)
+          params.push_back(randomBits(sig.paramWidth(unsigned(p)), rng));
+        const BitVector junk = randomBits(sig.widthBits(), rng);
+        BitVector word = junk, ref = junk;
+        sig.assemble(word, params);
+        refAssemble(sig, ref, params);
+        ASSERT_EQ(word, ref) << m->fields[f].operations[o].name;
+        ASSERT_TRUE(sig.matches(word));
+        for (unsigned p = 0; p < params.size(); ++p)
+          EXPECT_EQ(sig.extractParam(p, word), params[p]);
+        // Every other operation of the field rejects the word.
+        for (unsigned other = 0; other < m->fields[f].operations.size();
+             ++other) {
+          if (other != o) {
+            EXPECT_FALSE(table.operation(f, other).matches(word));
+          }
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 
 }  // namespace
 }  // namespace isdl::sim
