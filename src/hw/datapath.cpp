@@ -460,19 +460,9 @@ class Builder {
     model_.haltedReg = nl().addReg("halted", 1);
     runEnable_ = nl().notNet(model_.haltedReg);
 
-    NetId haltNow = nl().zero();
-    auto it = m_.optionalInfo.find("halt_operation");
-    if (it != m_.optionalInfo.end()) {
-      auto dot = it->second.find('.');
-      int f = m_.findField(it->second.substr(0, dot));
-      if (f >= 0) {
-        const Field& field = m_.fields[f];
-        std::string opName = it->second.substr(dot + 1);
-        for (std::size_t o = 0; o < field.operations.size(); ++o)
-          if (field.operations[o].name == opName)
-            haltNow = model_.decodeLines[f][o];
-      }
-    }
+    const std::optional<OpRef>& halt = m_.haltOp;
+    NetId haltNow = halt ? model_.decodeLines[halt->fieldIndex][halt->opIndex]
+                         : nl().zero();
     nl().setRegInputs(model_.haltedReg,
                       nl().orNet(model_.haltedReg, haltNow), runEnable_);
 

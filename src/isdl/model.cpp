@@ -47,12 +47,6 @@ bool isAddressed(StorageKind k) {
   return false;
 }
 
-const Operation* Field::findOperation(std::string_view opName) const {
-  for (const auto& op : operations)
-    if (op.name == opName) return &op;
-  return nullptr;
-}
-
 namespace {
 template <typename Vec>
 int findByName(const Vec& v, std::string_view n) {
@@ -61,6 +55,10 @@ int findByName(const Vec& v, std::string_view n) {
   return -1;
 }
 }  // namespace
+
+int Field::findOperation(std::string_view opName) const {
+  return findByName(operations, opName);
+}
 
 int Machine::findToken(std::string_view n) const { return findByName(tokens, n); }
 int Machine::findNonTerminal(std::string_view n) const {

@@ -9,7 +9,7 @@
 //   storage               -> Machine::storages, Machine::aliases
 //   instruction set       -> Machine::fields (lists of Operations)
 //   constraints           -> Machine::constraints
-//   optional arch info    -> Machine::optionalInfo
+//   optional arch info    -> Machine::optionalInfo, Machine::haltOp
 
 #ifndef ISDL_ISDL_MODEL_H
 #define ISDL_ISDL_MODEL_H
@@ -207,7 +207,8 @@ struct Field {
   /// set by semantic analysis, -1 if none.
   int nopIndex = -1;
 
-  const Operation* findOperation(std::string_view opName) const;
+  /// Index of the operation named `opName`, or -1.
+  int findOperation(std::string_view opName) const;
 };
 
 // --- Constraints --------------------------------------------------------------------
@@ -255,6 +256,10 @@ class Machine {
   int pcIndex = -1;
   /// The unique InstructionMemory storage; set by semantic analysis.
   int imemIndex = -1;
+  /// The operation named by optional-info `halt_operation = "F.op"`; set by
+  /// semantic analysis, empty if none is declared (the machine then stops
+  /// only on cycle budgets).
+  std::optional<OpRef> haltOp;
   /// The data memory that `.dm` records initialise and whose width they
   /// take: the last DataMemory storage, or -1 if there is none.
   int dataMemoryIndex() const;

@@ -382,7 +382,7 @@ class Parser {
   Operation parseOperation(const Field& field) {
     expectIdent("operation");
     const Token& nameTok = expect(Tok::Identifier);
-    if (field.findOperation(nameTok.text))
+    if (field.findOperation(nameTok.text) >= 0)
       fail(nameTok.loc, cat("redefinition of operation '", field.name, ".",
                             nameTok.text, "'"));
     Operation op;
@@ -436,10 +436,7 @@ class Parser {
           fail(fieldTok.loc, cat("unknown field '", fieldTok.text, "'"));
         expect(Tok::Dot);
         const Token& opTok = expect(Tok::Identifier);
-        const Field& f = machine_->fields[fi];
-        int oi = -1;
-        for (std::size_t i = 0; i < f.operations.size(); ++i)
-          if (f.operations[i].name == opTok.text) oi = static_cast<int>(i);
+        int oi = machine_->fields[fi].findOperation(opTok.text);
         if (oi < 0)
           fail(opTok.loc, cat("unknown operation '", fieldTok.text, ".",
                               opTok.text, "'"));

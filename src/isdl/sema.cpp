@@ -32,6 +32,7 @@ class Checker {
 
   bool run() {
     checkStructure();
+    resolveHaltOperation();
     resolveNonTerminals();
     checkInstructionSet();
     return !diags_.hasErrors();
@@ -105,6 +106,23 @@ class Checker {
         }
       }
     }
+  }
+
+  /// Resolves optional-info `halt_operation = "F.op"` into Machine::haltOp,
+  /// the one place every back end reads it from.
+  void resolveHaltOperation() {
+    auto it = m_.optionalInfo.find("halt_operation");
+    if (it == m_.optionalInfo.end()) return;
+    const std::string& name = it->second;
+    auto dot = name.find('.');
+    int f = dot == std::string::npos ? -1 : m_.findField(name.substr(0, dot));
+    int o = f < 0 ? -1 : m_.fields[f].findOperation(name.substr(dot + 1));
+    if (o < 0) {
+      error({}, cat("optional halt_operation '", name,
+                    "' does not name a field.operation"));
+      return;
+    }
+    m_.haltOp = OpRef{static_cast<unsigned>(f), static_cast<unsigned>(o)};
   }
 
   // --- non-terminal resolution -----------------------------------------------------

@@ -1,10 +1,11 @@
 // Semantic analysis for a parsed Machine: RTL width checking/inference,
 // encoding validation (coverage, overlap, Axiom-1 discipline), non-terminal
 // value/lvalue width resolution, and structural checks (unique PC and
-// instruction memory, field nop detection, sane costs/timing).
+// instruction memory, field nop detection, the halt operation, sane
+// costs/timing).
 //
 // checkMachine() must run before any tool generation; it also fills in the
-// derived fields of Machine (pcIndex, imemIndex, Field::nopIndex,
+// derived fields of Machine (pcIndex, imemIndex, haltOp, Field::nopIndex,
 // NonTerminal::valueWidth/lvalueWidth) and the `width` of every RTL node.
 
 #ifndef ISDL_ISDL_SEMA_H

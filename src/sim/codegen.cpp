@@ -231,22 +231,6 @@ std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
   DecodedProgram decoded = disasm.decodeProgram(prog.words,
                                                 prog.words.size());
 
-  // Halt operation.
-  int haltField = -1, haltOp = -1;
-  if (auto it = m.optionalInfo.find("halt_operation");
-      it != m.optionalInfo.end()) {
-    auto dot = it->second.find('.');
-    int f = m.findField(it->second.substr(0, dot));
-    if (f >= 0) {
-      const Field& field = m.fields[f];
-      for (std::size_t o = 0; o < field.operations.size(); ++o)
-        if (field.operations[o].name == it->second.substr(dot + 1)) {
-          haltField = f;
-          haltOp = static_cast<int>(o);
-        }
-    }
-  }
-
   std::ostringstream os;
   os << "// Compiled-code simulator generated by GENSIM for machine '"
      << m.name << "'.\n";
@@ -289,16 +273,14 @@ std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
     os << "    case " << addr << "ull: { // "
        << disasm.render(inst) << "\n";
     InstGen ig(m, os);
-    bool isHalt = false;
+    const bool isHalt =
+        m.haltOp && inst.ops[m.haltOp->fieldIndex].opIndex == m.haltOp->opIndex;
     // All reads (actions and side effects) see the pre-cycle state; commits
     // happen afterwards, side-effect writes last (matching XSIM and the
     // hardware model).
     for (std::size_t f = 0; f < inst.ops.size(); ++f) {
       const Operation& op = m.fields[f].operations[inst.ops[f].opIndex];
       ig.collectOp(op.action, op.params, inst.ops[f].params);
-      if (static_cast<int>(f) == haltField &&
-          static_cast<int>(inst.ops[f].opIndex) == haltOp)
-        isHalt = true;
     }
     for (std::size_t f = 0; f < inst.ops.size(); ++f) {
       const Operation& op = m.fields[f].operations[inst.ops[f].opIndex];

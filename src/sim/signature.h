@@ -131,11 +131,6 @@ class SignatureTable {
     return ntSigs_[nt][option];
   }
 
-  /// Total instruction bits an operation occupies (size words * word width).
-  unsigned opWidthBits(unsigned field, unsigned op) const {
-    return opSigs_[field][op].widthBits();
-  }
-
   bool valid() const { return valid_; }
 
  private:

@@ -6,7 +6,6 @@
 
 #include "sim/uop.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <unordered_map>
@@ -59,8 +58,12 @@ struct ConstPool {
 class Compiler {
  public:
   Compiler(const Machine& m, const std::vector<bool>& ntHasSideEffects,
-           ConstPool& pool, Program& p)
-      : m_(m), ntHasSideEffects_(ntHasSideEffects), pool_(pool), p_(p) {}
+           ConstPool& pool, bool& narrow, Program& p)
+      : m_(m),
+        ntHasSideEffects_(ntHasSideEffects),
+        pool_(pool),
+        narrow_(narrow),
+        p_(p) {}
 
   void compileStmts(const std::vector<rtl::StmtPtr>& stmts,
                     const std::vector<Param>& params) {
@@ -122,6 +125,9 @@ class Compiler {
   std::uint32_t compileExpr(const rtl::Expr& e,
                             const std::vector<Param>& params) {
     using rtl::ExprKind;
+    // Sema's width bounds every value this node computes, the partial
+    // concatenations of a Concat included.
+    if (e.width > 64) narrow_ = false;
     switch (e.kind) {
       case ExprKind::Const:
         // No uop at all: the constant lives in a preloaded pool register.
@@ -130,12 +136,7 @@ class Compiler {
         const Param& p = params[e.paramIndex];
         std::uint32_t r = newReg();
         if (p.kind == ParamKind::Token) {
-          // hi carries the token's static bit width for the narrow-program
-          // width analysis; the runtime value keeps its encoded width.
-          emit({.kind = Kind::LoadParam,
-                .hi = std::uint16_t(m_.tokens[p.index].width),
-                .dst = r,
-                .a = e.paramIndex});
+          emit({.kind = Kind::LoadParam, .dst = r, .a = e.paramIndex});
           return r;
         }
         const NonTerminal& nt = m_.nonTerminals[p.index];
@@ -315,6 +316,7 @@ class Compiler {
   const Machine& m_;
   const std::vector<bool>& ntHasSideEffects_;
   ConstPool& pool_;
+  bool& narrow_;
   Program& p_;
 };
 
@@ -369,73 +371,6 @@ void forEachRegOperand(Uop& u, Fn&& fn) {
   }
 }
 
-/// Static width analysis: an upper bound on every register's width, walked
-/// in code order (the compiler only emits forward jumps, so every use is
-/// textually preceded by at least one definition; registers written on
-/// several paths merge with max). Returns false when any register, storage
-/// read, or parameter can exceed 64 bits. One such program keeps the whole
-/// table off the engine (see UopTable::narrow).
-bool isNarrow(const Machine& m, const std::vector<BitVector>& pool,
-              const Program& p) {
-  using rtl::BinOp;
-  using rtl::UnOp;
-  std::vector<std::uint32_t> bound(p.numRegs, 0);
-  for (std::size_t i = 0; i < pool.size(); ++i) bound[i] = pool[i].width();
-  bool ok = true;
-  auto def = [&](std::uint32_t r, std::uint32_t w) {
-    if (w > bound[r]) bound[r] = w;
-    if (w > 64) ok = false;
-  };
-  for (const Uop& u : p.code) {
-    switch (u.kind) {
-      case Kind::Move: def(u.dst, bound[u.a]); break;
-      case Kind::LoadParam: def(u.dst, u.hi); break;
-      case Kind::ReadStorage:
-      case Kind::ReadElem: def(u.dst, m.storages[u.a].width); break;
-      case Kind::Slice: def(u.dst, u.hi - u.lo + 1); break;
-      case Kind::Unary: {
-        UnOp op = UnOp(u.op);
-        bool bit = op == UnOp::LogNot || op == UnOp::RedAnd ||
-                   op == UnOp::RedOr || op == UnOp::RedXor;
-        def(u.dst, bit ? 1 : bound[u.a]);
-        break;
-      }
-      case Kind::Binary: {
-        BinOp op = BinOp(u.op);
-        if (rtl::isComparison(op) || op == BinOp::LogAnd ||
-            op == BinOp::LogOr) {
-          def(u.dst, 1);
-        } else if (op == BinOp::Shl || op == BinOp::LShr ||
-                   op == BinOp::AShr) {
-          def(u.dst, bound[u.a]);
-        } else {
-          def(u.dst, std::max(bound[u.a], bound[u.b]));
-        }
-        break;
-      }
-      case Kind::Concat2: def(u.dst, bound[u.a] + bound[u.b]); break;
-      case Kind::ZExt:
-      case Kind::SExt:
-      case Kind::Trunc:
-      case Kind::IToF:
-      case Kind::FToI: def(u.dst, u.hi); break;
-      case Kind::Carry:
-      case Kind::Overflow:
-      case Kind::Borrow: def(u.dst, 1); break;
-      case Kind::Jump:
-      case Kind::BranchIfZero:
-      case Kind::BrOption:
-      case Kind::PushFrame:
-      case Kind::PopFrame:
-      case Kind::SetLv:
-      case Kind::StageWrite:
-      case Kind::Trap: break;
-    }
-    if (!ok) return false;
-  }
-  return true;
-}
-
 /// ntHasSideEffects[i]: does non-terminal i contribute phase-B statements
 /// through any option, transitively? Used to prune BrOption/PushFrame
 /// scaffolding for the (common) effect-free operands.
@@ -473,9 +408,9 @@ UopTable::UopTable(const Machine& machine) {
     for (std::size_t o = 0; o < field.operations.size(); ++o) {
       const Operation& op = field.operations[o];
       OpPrograms& progs = byFieldOp_[f][o];
-      Compiler(machine, ntSide, pool, progs.action)
+      Compiler(machine, ntSide, pool, narrow_, progs.action)
           .compileStmts(op.action, op.params);
-      Compiler sfx(machine, ntSide, pool, progs.sideEffects);
+      Compiler sfx(machine, ntSide, pool, narrow_, progs.sideEffects);
       sfx.compileStmts(op.sideEffects, op.params);
       sfx.compileOptionSideEffects(op.params);
     }
@@ -486,8 +421,6 @@ UopTable::UopTable(const Machine& machine) {
   // follow. Tagged const references resolve to their pool register.
   constPool_ = std::move(pool.values);
   const std::uint32_t poolSize = std::uint32_t(constPool_.size());
-  narrow_ = std::all_of(constPool_.begin(), constPool_.end(),
-                        [](const BitVector& c) { return c.width() <= 64; });
   for (auto& row : byFieldOp_) {
     for (OpPrograms& progs : row) {
       for (Program* p : {&progs.action, &progs.sideEffects}) {
@@ -496,7 +429,6 @@ UopTable::UopTable(const Machine& machine) {
             r = (r & kConstTag) ? (r & ~kConstTag) : r + poolSize;
           });
         p->numRegs += poolSize;
-        narrow_ = narrow_ && isNarrow(machine, constPool_, *p);
       }
     }
   }

@@ -23,15 +23,17 @@
 // tables plus a tiny frame stack mirroring the DecodedParam tree, so one
 // compiled Program per operation covers every operand combination.
 //
-// A static width analysis proves at construction that every value of every
-// program fits in 64 bits (UopTable::narrow). When any program fails the
-// proof, Xsim leaves the table uninstalled and runs the interpreter. The
-// interpreter also stays available on request (Xsim::setUopEnabled(false),
-// xsim --no-uop) as the differential-testing oracle
-// (tests/fuzz_diff_test.cpp): it evaluates on BitVector through
-// rtl::applyBinOp, so it checks the narrow ALU rather than sharing it. Both
-// paths share the engine's pending-write overlay, so stall and latency
-// accounting is identical by construction.
+// The compiler proves at construction that every value of every program
+// fits in 64 bits (UopTable::narrow): semantic analysis has already stored
+// the width of every RTL expression, and no compiled value is wider than
+// the expression it comes from. When any program fails the proof, Xsim
+// leaves the table uninstalled and runs the interpreter. The interpreter
+// also stays available on request (Xsim::setUopEnabled(false), xsim
+// --no-uop) as the differential-testing oracle (tests/fuzz_diff_test.cpp):
+// it evaluates on BitVector through rtl::applyBinOp, so it checks the
+// narrow ALU rather than sharing it. Both paths share the engine's
+// pending-write overlay, so stall and latency accounting is identical by
+// construction.
 
 #ifndef ISDL_SIM_UOP_H
 #define ISDL_SIM_UOP_H
@@ -140,15 +142,16 @@ class UopTable {
   /// table is installed; programs never write those registers.
   const std::vector<BitVector>& constPool() const { return constPool_; }
 
-  /// True when the static width analysis proved that every constant,
-  /// parameter, storage read and intermediate value of every program fits
-  /// in 64 bits. Only such a table can drive the engine.
+  /// True when every constant, parameter, storage read and intermediate
+  /// value of every program fits in 64 bits, read off the widths semantic
+  /// analysis stored on the compiled RTL expressions. Only such a table can
+  /// drive the engine.
   bool narrow() const { return narrow_; }
 
  private:
   std::vector<std::vector<OpPrograms>> byFieldOp_;
   std::vector<BitVector> constPool_;
-  bool narrow_ = false;
+  bool narrow_ = true;
 };
 
 /// Human-readable listing of a compiled program (debugging / docs aid).

@@ -30,29 +30,6 @@ Xsim::Xsim(const Machine& machine)
     throw IsdlError("assembly function is not decodeable:\n" +
                     sigDiags_.dump());
 
-  // Resolve the optional halt operation ("FIELD.op" in the optional
-  // section). Architectures without one stop via cycle budgets.
-  auto it = machine.optionalInfo.find("halt_operation");
-  if (it != machine.optionalInfo.end()) {
-    auto dot = it->second.find('.');
-    if (dot != std::string::npos) {
-      int f = machine.findField(it->second.substr(0, dot));
-      if (f >= 0) {
-        const Field& field = machine.fields[f];
-        std::string opName = it->second.substr(dot + 1);
-        for (std::size_t o = 0; o < field.operations.size(); ++o) {
-          if (field.operations[o].name == opName) {
-            haltField_ = f;
-            haltOp_ = static_cast<int>(o);
-          }
-        }
-      }
-    }
-    if (haltField_ < 0)
-      throw IsdlError(cat("optional halt_operation '", it->second,
-                          "' does not name a field.operation"));
-  }
-
   initStats();
 }
 
@@ -73,51 +50,37 @@ void Xsim::initStats() {
 }
 
 bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
-  lastProgram_ = prog;
-  state_.reset();
-  engine_.reset();
-  initStats();
-  warnedSelfModify_ = false;
-
-  const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
-  if (prog.words.size() > state_.depth(imem)) {
-    if (error)
-      *error = cat("program (", prog.words.size(),
-                   " words) does not fit in instruction memory (depth ",
-                   state_.depth(imem), ")");
+  // Validate and decode before touching any state, so a rejected image
+  // leaves the previous program loaded.
+  auto fail = [&](std::string msg) {
+    if (error) *error = std::move(msg);
     return false;
-  }
-  for (std::size_t i = 0; i < prog.words.size(); ++i)
-    state_.write(imem, i, prog.words[i], 0);
-
-  // Data-memory initialisation records.
+  };
+  const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
+  if (prog.words.size() > state_.depth(imem))
+    return fail(cat("program (", prog.words.size(),
+                      " words) does not fit in instruction memory (depth ",
+                      state_.depth(imem), ")"));
   const int dmIndex = machine_->dataMemoryIndex();
-  for (const auto& [addr, value] : prog.dataInit) {
-    if (dmIndex < 0) {
-      if (error) *error = ".dm record but the machine has no data_memory";
-      return false;
-    }
-    if (addr >= state_.depth(dmIndex)) {
-      if (error) *error = cat(".dm address ", addr, " out of range");
-      return false;
-    }
-    state_.write(static_cast<unsigned>(dmIndex), addr, value, 0);
+  for (const auto& record : prog.dataInit) {
+    if (dmIndex < 0)
+      return fail(".dm record but the machine has no data_memory");
+    if (record.first >= state_.depth(dmIndex))
+      return fail(cat(".dm address ", record.first, " out of range"));
   }
 
   // Off-line disassembly (paper §3.1): decode the whole program region now.
-  // State::write takes only values of the memory's width, so the words just
-  // written are exactly prog.words.
-  decoded_ = disasm_.decodeProgram(prog.words, prog.words.size());
-
-  state_.setPc(0, 0);
-  if (!prog.words.empty() && !decoded_.hasInstructionAt(0)) {
-    if (error) {
-      std::string msg;
-      disasm_.decodeAt(prog.words, 0, &msg);
-      *error = "no decodable instruction at address 0: " + msg;
-    }
-    return false;
+  DecodedProgram decoded = disasm_.decodeProgram(prog.words, prog.words.size());
+  if (!prog.words.empty() && !decoded.hasInstructionAt(0)) {
+    std::string msg;
+    disasm_.decodeAt(prog.words, 0, &msg);
+    return fail("no decodable instruction at address 0: " + msg);
   }
+
+  decoded_ = std::move(decoded);
+  programWords_ = prog.words;
+  programData_ = prog.dataInit;
+  reset();
   return true;
 }
 
@@ -132,10 +95,10 @@ void Xsim::reset() {
   warnedSelfModify_ = false;
 
   const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
-  for (std::size_t i = 0; i < lastProgram_.words.size(); ++i)
-    state_.write(imem, i, lastProgram_.words[i], 0);
+  for (std::size_t i = 0; i < programWords_.size(); ++i)
+    state_.write(imem, i, programWords_[i], 0);
   const int dmIndex = machine_->dataMemoryIndex();
-  for (const auto& [addr, value] : lastProgram_.dataInit)
+  for (const auto& [addr, value] : programData_)
     state_.write(static_cast<unsigned>(dmIndex), addr, value, 0);
   state_.setPc(0, 0);
 }
@@ -168,21 +131,19 @@ std::optional<RunResult> Xsim::executeOne() {
   stats_.instructions += 1;
   stats_.dataStallCycles += info.dataStallCycles;
   stats_.structStallCycles += info.structStallCycles;
-  bool isHalt = false;
   for (std::size_t f = 0; f < inst.ops.size(); ++f) {
     stats_.opCount[f][inst.ops[f].opIndex] += 1;
     if (static_cast<int>(inst.ops[f].opIndex) != machine_->fields[f].nopIndex)
       stats_.fieldUtilization[f] += 1;
-    if (static_cast<int>(f) == haltField_ &&
-        static_cast<int>(inst.ops[f].opIndex) == haltOp_)
-      isHalt = true;
   }
   stats_.cycles = engine_.cycle();
 
   if (!info.pcCommitted)
     state_.setPc(addr + inst.sizeWords, engine_.cycle());
 
-  if (isHalt) return RunResult{StopReason::Halted, {}};
+  const std::optional<OpRef>& halt = machine_->haltOp;
+  if (halt && inst.ops[halt->fieldIndex].opIndex == halt->opIndex)
+    return RunResult{StopReason::Halted, {}};
   return std::nullopt;
 }
 

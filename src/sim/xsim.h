@@ -56,7 +56,8 @@ struct RunResult {
 class Xsim {
  public:
   /// Builds the simulator for a checked Machine. Throws IsdlError if the
-  /// description's assembly function is not decodeable.
+  /// description's assembly function is not decodeable. Stops on
+  /// Machine::haltOp when the description names one.
   explicit Xsim(const Machine& machine);
 
   const Machine& machine() const { return *machine_; }
@@ -68,11 +69,12 @@ class Xsim {
 
   /// Loads a program image: copies words into instruction memory, applies
   /// .dm data-memory records, runs the off-line disassembler, resets PC.
-  /// Returns false (with a message) if the program region contains no
-  /// decodable instruction at address 0.
+  /// Returns false (with a message), and leaves the previous program and
+  /// all state untouched, if the image does not fit the memories or the
+  /// program region contains no decodable instruction at address 0.
   bool loadProgram(const AssembledProgram& prog, std::string* error = nullptr);
 
-  /// Resets state and statistics and reloads the last program.
+  /// Resets state and statistics and reloads the last accepted program.
   void reset();
 
   /// Runs until a stop condition; at most `maxCycles` total machine cycles.
@@ -154,7 +156,9 @@ class Xsim {
   std::unique_ptr<uop::UopTable> uops_;
   ExecEngine engine_;
   DecodedProgram decoded_;
-  AssembledProgram lastProgram_;
+  /// The last accepted program image, replayed by reset().
+  std::vector<BitVector> programWords_;
+  std::vector<std::pair<std::uint64_t, BitVector>> programData_;
   std::set<std::uint64_t> breakpoints_;
   std::function<void(std::uint64_t)> breakpointHook_;
   std::function<void(std::uint64_t)> trace_;
@@ -163,8 +167,6 @@ class Xsim {
   std::unique_ptr<obs::TraceBuffer> traceBuf_;
   obs::StorageHeatmap heat_;
   bool profiling_ = false;
-  int haltField_ = -1;
-  int haltOp_ = -1;
   bool warnedSelfModify_ = false;
 
   /// Executes exactly one instruction; returns nullopt to continue.

@@ -10,20 +10,6 @@
 
 namespace isdl {
 
-inline bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-inline std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r' || s.front() == '\n'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r' || s.back() == '\n'))
-    s.remove_suffix(1);
-  return s;
-}
-
 inline std::vector<std::string_view> splitLines(std::string_view text) {
   std::vector<std::string_view> lines;
   std::size_t start = 0;

@@ -305,12 +305,6 @@ BitVector GateSim::peekNet(NetId net) const {
                               values_.data() + offset_[net]);
 }
 
-NetId GateSim::findOutput(const std::string& name) const {
-  for (const auto& out : nl_->outputs)
-    if (out.name == name) return out.net;
-  return kNoNet;
-}
-
 // Constants never change, so they are written once per reset, on the first
 // clock, whose toggles they count.
 void GateSim::loadConsts() {

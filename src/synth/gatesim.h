@@ -79,9 +79,6 @@ class GateSim {
   BitVector peekNet(hw::NetId net) const;
   void setInput(hw::NetId input, const BitVector& value);
 
-  /// Named output lookup; returns kNoNet if absent.
-  hw::NetId findOutput(const std::string& name) const;
-
   // --- clocking -------------------------------------------------------------------
   /// Simulates one clock: combinational evaluation + sequential commit.
   void step();

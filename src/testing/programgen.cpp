@@ -23,18 +23,16 @@ bool operationTouchesPc(const Machine& m, const Operation& op) {
   return touches;
 }
 
-std::string haltOperationName(const Machine& m) {
-  auto it = m.optionalInfo.find("halt_operation");
-  if (it == m.optionalInfo.end()) return "";
-  return it->second.substr(it->second.find('.') + 1);
+namespace {
+bool isHaltOperation(const Machine& m, std::size_t field, std::size_t op) {
+  return m.haltOp && m.haltOp->fieldIndex == field && m.haltOp->opIndex == op;
 }
+}  // namespace
 
 sim::AssembledProgram randomEncodedProgram(const Machine& m,
                                            const sim::SignatureTable& sigs,
                                            std::mt19937& rng,
                                            unsigned length) {
-  const std::string haltOpName = haltOperationName(m);
-
   // Random encoded value for one parameter (recursing into non-terminals).
   std::function<BitVector(const Param&)> randomParam =
       [&](const Param& p) -> BitVector {
@@ -67,7 +65,7 @@ sim::AssembledProgram randomEncodedProgram(const Machine& m,
         for (int tries = 0; tries < 50; ++tries) {
           int o = int(rng() % m.fields[f].operations.size());
           const Operation& op = m.fields[f].operations[o];
-          if (op.name == haltOpName || operationTouchesPc(m, op) ||
+          if (isHaltOperation(m, f, o) || operationTouchesPc(m, op) ||
               op.costs.size != 1)
             continue;
           choice[f] = o;
@@ -105,10 +103,9 @@ sim::AssembledProgram randomEncodedProgram(const Machine& m,
   {
     BitVector word(wordWidth);
     for (std::size_t f = 0; f < m.fields.size(); ++f) {
-      int o = m.fields[f].nopIndex;
-      for (std::size_t k = 0; k < m.fields[f].operations.size(); ++k)
-        if (m.fields[f].operations[k].name == haltOpName)
-          o = static_cast<int>(k);
+      int o = m.haltOp && m.haltOp->fieldIndex == f
+                  ? static_cast<int>(m.haltOp->opIndex)
+                  : m.fields[f].nopIndex;
       if (o < 0) continue;
       sigs.operation(unsigned(f), unsigned(o)).assemble(word, {});
     }
@@ -166,20 +163,14 @@ std::vector<std::string> randomAssemblyProgram(const Machine& m,
                                                const sim::SignatureTable& sigs,
                                                std::mt19937_64& rng,
                                                unsigned length) {
-  const std::string haltOpName = haltOperationName(m);
-
   // Eligible (non-control, single-word, non-halt) operations per field.
   std::vector<std::vector<unsigned>> eligible(m.fields.size());
-  int haltField = -1, haltOp = -1;
   for (std::size_t f = 0; f < m.fields.size(); ++f) {
     for (std::size_t o = 0; o < m.fields[f].operations.size(); ++o) {
       const Operation& op = m.fields[f].operations[o];
-      if (op.name == haltOpName) {
-        haltField = int(f);
-        haltOp = int(o);
+      if (isHaltOperation(m, f, o) || operationTouchesPc(m, op) ||
+          op.costs.size != 1)
         continue;
-      }
-      if (operationTouchesPc(m, op) || op.costs.size != 1) continue;
       eligible[f].push_back(unsigned(o));
     }
   }
@@ -228,10 +219,10 @@ std::vector<std::string> randomAssemblyProgram(const Machine& m,
       break;
     }
   }
-  if (haltField >= 0)
+  if (m.haltOp)
     lines.push_back(renderOperation(
-        m, unsigned(haltField),
-        m.fields[haltField].operations[unsigned(haltOp)], rng));
+        m, m.haltOp->fieldIndex,
+        m.fields[m.haltOp->fieldIndex].operations[m.haltOp->opIndex], rng));
   return lines;
 }
 

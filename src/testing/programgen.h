@@ -36,10 +36,6 @@ namespace isdl::testing {
 /// (such operations are excluded from random straight-line programs).
 bool operationTouchesPc(const Machine& m, const Operation& op);
 
-/// The bare operation name of the machine's designated halt operation (from
-/// optional-info `halt_operation = "F.op"`), or "" if none is declared.
-std::string haltOperationName(const Machine& m);
-
 /// Builds a random straight-line program: `length` instructions made of
 /// randomly chosen non-control operations with random operands, then halt.
 /// Instructions are assembled per-field via signatures, so every operand

@@ -72,8 +72,9 @@ TEST(Parser, MiniMachineStructure) {
   EXPECT_EQ(m->fields[0].operations.size(), 10u);
   EXPECT_EQ(m->fields[1].operations.size(), 3u);
 
-  const Operation* add = m->fields[0].findOperation("add");
-  ASSERT_NE(add, nullptr);
+  const int addIndex = m->fields[0].findOperation("add");
+  ASSERT_GE(addIndex, 0);
+  const Operation* add = &m->fields[0].operations[addIndex];
   EXPECT_EQ(add->params.size(), 3u);
   EXPECT_EQ(add->encode.size(), 4u);
   EXPECT_EQ(add->encode[0].src, EncodeAssign::Src::Const);
@@ -88,8 +89,9 @@ TEST(Parser, MiniMachineStructure) {
   EXPECT_EQ(add->costs.size, 1u);
   EXPECT_EQ(add->timing.latency, 1u);
 
-  const Operation* ld = m->fields[0].findOperation("ld");
-  ASSERT_NE(ld, nullptr);
+  const int ldIndex = m->fields[0].findOperation("ld");
+  ASSERT_GE(ldIndex, 0);
+  const Operation* ld = &m->fields[0].operations[ldIndex];
   EXPECT_EQ(ld->costs.stall, 1u);
   EXPECT_EQ(ld->timing.latency, 2u);
 

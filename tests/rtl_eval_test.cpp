@@ -1,15 +1,11 @@
-// Tests for the RTL evaluator and constant folder, driven through parsed
-// operation actions so the whole front-end pipeline is exercised.
+// Tests for the RTL evaluator and IR helpers, on hand-built expression
+// trees.
 
 #include "rtl/eval.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include "isdl/parser.h"
-#include "rtl/fold.h"
-#include "support/strings.h"
 
 namespace isdl {
 namespace {
@@ -149,80 +145,6 @@ TEST(RtlEval, CarryOverflowBorrow) {
   EXPECT_EQ(rtl::evalExpr(*mk(rtl::ExprKind::Overflow, 100, 100), ctx).toUint64(), 1u);
   EXPECT_EQ(rtl::evalExpr(*mk(rtl::ExprKind::Borrow, 1, 2), ctx).toUint64(), 1u);
   EXPECT_EQ(rtl::evalExpr(*mk(rtl::ExprKind::Borrow, 2, 1), ctx).toUint64(), 0u);
-}
-
-TEST(RtlFold, FoldsConstantSubtrees) {
-  // (4'd2 + 4'd3) * p0 -> 4'd5 * p0
-  auto e = Expr::makeBinary(
-      BinOp::Mul,
-      Expr::makeBinary(BinOp::Add, Expr::makeConst(BitVector(4, 2)),
-                       Expr::makeConst(BitVector(4, 3))),
-      Expr::makeParam(0));
-  auto folded = rtl::foldExpr(*e);
-  ASSERT_EQ(folded->kind, rtl::ExprKind::Binary);
-  EXPECT_TRUE(rtl::isConstValue(*folded->operands[0], 5));
-  EXPECT_EQ(folded->operands[1]->kind, rtl::ExprKind::Param);
-}
-
-TEST(RtlFold, AlgebraicIdentities) {
-  auto param = [] { return Expr::makeParam(0); };
-  auto zero = [] { return Expr::makeConst(BitVector(8, 0)); };
-  auto one = [] { return Expr::makeConst(BitVector(8, 1)); };
-
-  auto addZero = rtl::foldExpr(*Expr::makeBinary(BinOp::Add, param(), zero()));
-  EXPECT_EQ(addZero->kind, rtl::ExprKind::Param);
-
-  auto mulOne = rtl::foldExpr(*Expr::makeBinary(BinOp::Mul, one(), param()));
-  EXPECT_EQ(mulOne->kind, rtl::ExprKind::Param);
-
-  auto mulZero = rtl::foldExpr(*Expr::makeBinary(BinOp::Mul, param(), zero()));
-  EXPECT_TRUE(rtl::isConstValue(*mulZero, 0));
-
-  auto andOnes = rtl::foldExpr(*Expr::makeBinary(
-      BinOp::And, param(), Expr::makeConst(BitVector::allOnes(8))));
-  EXPECT_EQ(andOnes->kind, rtl::ExprKind::Param);
-
-  auto ternConst = rtl::foldExpr(*Expr::makeTernary(
-      Expr::makeConst(BitVector(1, 1)), param(), zero()));
-  EXPECT_EQ(ternConst->kind, rtl::ExprKind::Param);
-}
-
-TEST(RtlFold, DoesNotFoldStateReads) {
-  auto e = Expr::makeBinary(BinOp::Add, Expr::makeRead(0),
-                            Expr::makeConst(BitVector(8, 0)));
-  auto folded = rtl::foldExpr(*e);
-  EXPECT_EQ(folded->kind, rtl::ExprKind::Read);  // x+0 identity still applies
-}
-
-TEST(RtlFold, FoldsThroughParsedAction) {
-  // The action computes A <- A + (2+3)*1; folding the parsed tree should
-  // leave A + 5.
-  DiagnosticEngine diags;
-  auto m = parseIsdl(R"(
-machine M {
-  section format { word_width = 8; }
-  section storage {
-    instruction_memory IM width 8 depth 4;
-    program_counter PC width 4;
-    register A width 8;
-  }
-  section instruction_set {
-    field F {
-      operation op() {
-        encode { inst[7] = 1; }
-        action { A <- A + (8'd2 + 8'd3) * 8'd1; }
-      }
-    }
-  }
-}
-)",
-                     diags);
-  ASSERT_NE(m, nullptr) << diags.dump();
-  const auto& stmt = *m->fields[0].operations[0].action[0];
-  auto folded = rtl::foldExpr(*stmt.value);
-  ASSERT_EQ(folded->kind, rtl::ExprKind::Binary);
-  EXPECT_EQ(folded->binOp, BinOp::Add);
-  EXPECT_TRUE(rtl::isConstValue(*folded->operands[1], 5));
 }
 
 TEST(RtlIr, CloneIsDeep) {

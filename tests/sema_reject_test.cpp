@@ -177,6 +177,27 @@ machine T {
 }
 )";
 
+/// A valid machine whose optional section names `haltOperation`.
+std::string withHalt(const std::string& haltOperation) {
+  return cat(R"(
+machine T {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 32;
+    program_counter PC width 12;
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = ")",
+             haltOperation, R"("; }
+}
+)");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     InvalidDescriptions, SemaRejectTest,
     ::testing::Values(
@@ -192,6 +213,15 @@ INSTANTIATE_TEST_SUITE_P(
         RejectCase{"NtOptionsDisagreeOnValueWidth", kNtDisagree,
                    "options of non-terminal 'S' disagree on value width "
                    "(8 vs 16)"},
+        RejectCase{"HaltOperationUnknownOp", withHalt("EX.hlt"),
+                   "optional halt_operation 'EX.hlt' does not name a "
+                   "field.operation"},
+        RejectCase{"HaltOperationWithoutField", withHalt("halt"),
+                   "optional halt_operation 'halt' does not name a "
+                   "field.operation"},
+        RejectCase{"HaltOperationUnknownField", withHalt("NOFIELD.halt"),
+                   "optional halt_operation 'NOFIELD.halt' does not name a "
+                   "field.operation"},
         // --- encoding ----------------------------------------------------
         RejectCase{"EncodeBitTwice",
                    withOp("operation a(d: REG) { encode { inst[15:12] = 4'd1;"

@@ -385,5 +385,30 @@ TEST(Sema, WarnOnInstructionMemoryWrite) {
   EXPECT_NE(diags.dump().find("off-line"), std::string::npos);
 }
 
+TEST(Sema, ResolvesHaltOperation) {
+  const std::string sections = R"(
+  section instruction_set {
+    field F { operation nop() { encode { inst[15:12] = 4'd0; } } }
+    field G {
+      operation nop() { encode { inst[11:8] = 4'd0; } }
+      operation halt() { encode { inst[11:8] = 4'd15; } }
+    }
+  }
+)";
+  DiagnosticEngine diags;
+  auto m = parseIsdl(machineWith(sections +
+                                 "  section optional { halt_operation = "
+                                 "\"G.halt\"; }"),
+                     diags);
+  ASSERT_NE(m, nullptr) << diags.dump();
+  ASSERT_TRUE(checkMachine(*m, diags)) << diags.dump();
+  EXPECT_EQ(m->haltOp, (OpRef{1, 1}));
+
+  auto none = parseIsdl(machineWith(sections), diags);
+  ASSERT_NE(none, nullptr) << diags.dump();
+  ASSERT_TRUE(checkMachine(*none, diags)) << diags.dump();
+  EXPECT_FALSE(none->haltOp.has_value());
+}
+
 }  // namespace
 }  // namespace isdl

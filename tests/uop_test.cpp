@@ -14,6 +14,7 @@
 #include "isdl/parser.h"
 #include "sim/cli.h"
 #include "sim/xsim.h"
+#include "support/strings.h"
 #include "test_machines.h"
 
 namespace isdl::sim {
@@ -184,26 +185,99 @@ TEST(UopEngine, SixtyFourBitCornersMatchInterpreter) {
   EXPECT_EQ(r(0), 0x8000000000000000u);  // ftoi(-2^187) saturates
 }
 
-// A register wider than 64 bits fails the narrow-width proof, so the
-// default Xsim runs the machine on the interpreter and says so.
-TEST(UopEngine, WideMachineRunsOnInterpreter) {
-  auto m = parseAndCheckIsdl(testing::kWideIsdl);
-  Xsim xsim(*m);
-  EXPECT_FALSE(xsim.uopTable().narrow());
-  EXPECT_FALSE(xsim.uopEnabled());
-  std::ostringstream out;
-  Cli cli(xsim, out);
-  cli.execute("engine uop");
-  EXPECT_FALSE(xsim.uopEnabled());
-  EXPECT_EQ(cli.errorCount(), 0u);
-  EXPECT_NE(out.str().find("execution engine: interp"), std::string::npos);
+/// 64-bit registers, li, halt and one more operation `opDef`, with
+/// `defs` added to the global definitions.
+std::string wide64Machine(const char* defs, const char* opDef) {
+  return cat(R"(
+machine W64 {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 16;
+    register_file R width 64 depth 4;
+    program_counter PC width 8;
+  }
+  section global_definitions {
+    token REG enum width 2 prefix "R" range 0 .. 3;
+    token S8 immediate signed width 8;
+)",
+             defs, R"(
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation li(d: REG, i: S8) {
+        encode { inst[15:12] = 4'd1; inst[11:10] = d; inst[7:0] = i; }
+        action { R[d] <- sext(i, 64); }
+      }
+)",
+             opDef, R"(
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "EX.halt"; }
+}
+)");
+}
 
-  runToHalt(xsim, testing::kWideProgram);
-  const unsigned rf = unsigned(m->findStorage("R"));
-  EXPECT_EQ(xsim.state().read(rf, 1),
-            BitVector::fromString(96, "0xffffffffffffffff"));
-  EXPECT_EQ(xsim.state().read(rf, 3),
-            BitVector::fromString(96, "0x10000000000000000"));
+// A value wider than 64 bits fails the narrow-width proof, so the default
+// Xsim runs the machine on the interpreter and says so. The wide value is a
+// register, an intermediate of 64-bit operands, or a non-terminal's option
+// value.
+TEST(UopEngine, WideMachineRunsOnInterpreter) {
+  // R1 = 1, R2 = -1, so {R1, R2}[71:8] = 0x01ffffffffffffff.
+  const char* kPairProgram = "li R1, 1\nli R2, -1\nop R3, R1, R2\nhalt\n";
+  struct Case {
+    const char* name;
+    std::string isdl;
+    const char* program;
+    std::vector<std::pair<unsigned, const char*>> finalRegs;
+  };
+  const Case cases[] = {
+      {"96-bit registers", testing::kWideIsdl, testing::kWideProgram,
+       {{1, "0xffffffffffffffff"}, {3, "0x10000000000000000"}}},
+      {"128-bit intermediate",
+       wide64Machine("", R"(
+      operation op(d: REG, a: REG, b: REG) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:8] = a;
+                 inst[7:6] = b; }
+        action { R[d] <- concat(R[a], R[b])[71:8]; }
+      })"),
+       kPairProgram, {{3, "0x01ffffffffffffff"}}},
+      {"128-bit option value",
+       wide64Machine(R"(
+    nonterminal PAIR returns width 4 {
+      option regs(a: REG, b: REG) {
+        syntax a "," b;
+        encode { $$[3:2] = a; $$[1:0] = b; }
+        value { concat(R[a], R[b]) }
+      }
+    })",
+                     R"(
+      operation op(d: REG, p: PAIR) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[9:6] = p; }
+        action { R[d] <- p[71:8]; }
+      })"),
+       kPairProgram, {{3, "0x01ffffffffffffff"}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto m = parseAndCheckIsdl(c.isdl);
+    Xsim xsim(*m);
+    EXPECT_FALSE(xsim.uopTable().narrow());
+    EXPECT_FALSE(xsim.uopEnabled());
+    std::ostringstream out;
+    Cli cli(xsim, out);
+    cli.execute("engine uop");
+    EXPECT_FALSE(xsim.uopEnabled());
+    EXPECT_EQ(cli.errorCount(), 0u);
+    EXPECT_NE(out.str().find("execution engine: interp"), std::string::npos);
+
+    runToHalt(xsim, c.program);
+    const unsigned rf = unsigned(m->findStorage("R"));
+    for (const auto& [element, value] : c.finalRegs)
+      EXPECT_EQ(xsim.state().read(rf, element),
+                BitVector::fromString(m->storages[rf].width, value));
+  }
 }
 
 }  // namespace

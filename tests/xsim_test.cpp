@@ -155,11 +155,10 @@ done: halt
   sim_.drainPipeline();
   EXPECT_EQ(reg(1), 3u);
   // addi executed 3 times, beq 3 times, jmp twice.
-  const Operation* addi = machine_->fields[0].findOperation("addi");
-  (void)addi;
-  EXPECT_EQ(sim_.stats().opCount[0][2], 3u);  // addi
-  EXPECT_EQ(sim_.stats().opCount[0][7], 3u);  // beq
-  EXPECT_EQ(sim_.stats().opCount[0][8], 2u);  // jmp
+  const Field& ex = machine_->fields[0];
+  EXPECT_EQ(sim_.stats().opCount[0][ex.findOperation("addi")], 3u);
+  EXPECT_EQ(sim_.stats().opCount[0][ex.findOperation("beq")], 3u);
+  EXPECT_EQ(sim_.stats().opCount[0][ex.findOperation("jmp")], 2u);
 }
 
 TEST_F(XsimTest, NonTerminalRegAndImmOptionsExecute) {
@@ -279,6 +278,67 @@ TEST_F(XsimTest, ResetReloadsProgramAndState) {
   EXPECT_EQ(sim_.run(1000).reason, StopReason::Halted);
   sim_.drainPipeline();
   EXPECT_EQ(reg(1), 5u);
+}
+
+// A rejected image changes nothing: the previous program's state stays, and
+// reset() replays the previous program, not the rejected one.
+TEST_F(XsimTest, RejectedLoadKeepsThePreviousProgram) {
+  load("li R1, 5\nhalt\n");
+  EXPECT_EQ(sim_.run(1000).reason, StopReason::Halted);
+  sim_.drainPipeline();
+
+  Assembler assembler(sim_.signatures());
+  DiagnosticEngine diags;
+  auto farData = assembler.assemble(".dm 5000 1\nli R1, 7\nhalt\n", diags);
+  ASSERT_TRUE(farData.has_value()) << diags.dump();
+  AssembledProgram tooLong = *farData;
+  tooLong.dataInit.clear();
+  tooLong.words.resize(257, tooLong.words[0]);
+  AssembledProgram undecodable = tooLong;
+  undecodable.words = {BitVector(32, 0xA0000000)};  // unassigned EX opcode
+
+  const std::pair<const AssembledProgram*, const char*> rejected[] = {
+      {&*farData, ".dm address 5000 out of range"},
+      {&tooLong, "program (257 words) does not fit in instruction memory"},
+      {&undecodable, "no decodable instruction at address 0"},
+  };
+  for (const auto& [prog, message] : rejected) {
+    SCOPED_TRACE(message);
+    std::string err;
+    EXPECT_FALSE(sim_.loadProgram(*prog, &err));
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+    EXPECT_EQ(reg(1), 5u);
+    EXPECT_EQ(sim_.stats().instructions, 2u);
+
+    sim_.reset();
+    EXPECT_EQ(reg(1), 0u);
+    EXPECT_EQ(sim_.run(1000).reason, StopReason::Halted);
+    sim_.drainPipeline();
+    EXPECT_EQ(reg(1), 5u);
+    EXPECT_EQ(sim_.stats().instructions, 2u);
+  }
+}
+
+// With no data_memory a .dm record has nowhere to go: the load is rejected
+// and reset() replays the previous program only.
+TEST(XsimLoad, DataRecordWithoutDataMemoryIsRejected) {
+  auto m = parseAndCheckIsdl(testing::kWideIsdl);
+  Xsim sim(*m);
+  Assembler assembler(sim.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble("li R1, 5\nhalt\n", diags);
+  ASSERT_TRUE(prog.has_value()) << diags.dump();
+  std::string err;
+  ASSERT_TRUE(sim.loadProgram(*prog, &err)) << err;
+
+  AssembledProgram withData = *prog;
+  withData.dataInit.emplace_back(0, BitVector(8, 1));
+  EXPECT_FALSE(sim.loadProgram(withData, &err));
+  EXPECT_EQ(err, ".dm record but the machine has no data_memory");
+  sim.reset();
+  EXPECT_EQ(sim.run(1000).reason, StopReason::Halted);
+  sim.drainPipeline();
+  EXPECT_EQ(sim.state().read(unsigned(m->findStorage("R")), 1).toUint64(), 5u);
 }
 
 TEST_F(XsimTest, FieldUtilizationStatistics) {
