@@ -1,59 +1,57 @@
 #include "isdl/lexer.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
+#include <optional>
 
 #include "support/strings.h"
 
 namespace isdl {
 
-const char* tokName(Tok t) {
-  switch (t) {
-    case Tok::Identifier: return "identifier";
-    case Tok::Integer: return "integer";
-    case Tok::SizedInt: return "sized integer";
-    case Tok::String: return "string";
-    case Tok::LBrace: return "'{'";
-    case Tok::RBrace: return "'}'";
-    case Tok::LParen: return "'('";
-    case Tok::RParen: return "')'";
-    case Tok::LBracket: return "'['";
-    case Tok::RBracket: return "']'";
-    case Tok::Semi: return "';'";
-    case Tok::Comma: return "','";
-    case Tok::Colon: return "':'";
-    case Tok::Question: return "'?'";
-    case Tok::Dot: return "'.'";
-    case Tok::DotDot: return "'..'";
-    case Tok::Dollar2: return "'$$'";
-    case Tok::Assign: return "'='";
-    case Tok::Arrow: return "'<-'";
-    case Tok::Plus: return "'+'";
-    case Tok::Minus: return "'-'";
-    case Tok::Star: return "'*'";
-    case Tok::Slash: return "'/'";
-    case Tok::Percent: return "'%'";
-    case Tok::Amp: return "'&'";
-    case Tok::Pipe: return "'|'";
-    case Tok::Caret: return "'^'";
-    case Tok::Tilde: return "'~'";
-    case Tok::Bang: return "'!'";
-    case Tok::AmpAmp: return "'&&'";
-    case Tok::PipePipe: return "'||'";
-    case Tok::Shl: return "'<<'";
-    case Tok::Shr: return "'>>'";
-    case Tok::AShr: return "'>>>'";
-    case Tok::EqEq: return "'=='";
-    case Tok::BangEq: return "'!='";
-    case Tok::Lt: return "'<'";
-    case Tok::Le: return "'<='";
-    case Tok::Gt: return "'>'";
-    case Tok::Ge: return "'>='";
-    case Tok::EndOfFile: return "end of input";
-  }
-  return "?";
-}
-
 namespace {
+
+/// Every punctuation kind, spelled once with its quotes: the lexer matches
+/// the text between the quotes and tokName() prints the whole entry (a
+/// string literal, so `quoted.data()` is NUL-terminated).
+struct Punct {
+  std::string_view quoted;
+  Tok kind;
+
+  constexpr std::string_view spelling() const {
+    return quoted.substr(1, quoted.size() - 2);
+  }
+};
+
+/// Entries sharing a first character are adjacent, longest first, so the
+/// first entry of a run that matches at the cursor is the longest match.
+constexpr Punct kPunct[] = {
+    {"'>>>'", Tok::AShr},   {"'>>'", Tok::Shr},     {"'>='", Tok::Ge},
+    {"'>'", Tok::Gt},       {"'<-'", Tok::Arrow},   {"'<<'", Tok::Shl},
+    {"'<='", Tok::Le},      {"'<'", Tok::Lt},       {"'=='", Tok::EqEq},
+    {"'='", Tok::Assign},   {"'!='", Tok::BangEq},  {"'!'", Tok::Bang},
+    {"'&&'", Tok::AmpAmp},  {"'&'", Tok::Amp},      {"'||'", Tok::PipePipe},
+    {"'|'", Tok::Pipe},     {"'..'", Tok::DotDot},  {"'.'", Tok::Dot},
+    {"'$$'", Tok::Dollar2}, {"'{'", Tok::LBrace},   {"'}'", Tok::RBrace},
+    {"'('", Tok::LParen},   {"')'", Tok::RParen},   {"'['", Tok::LBracket},
+    {"']'", Tok::RBracket}, {"';'", Tok::Semi},     {"','", Tok::Comma},
+    {"':'", Tok::Colon},    {"'?'", Tok::Question}, {"'+'", Tok::Plus},
+    {"'-'", Tok::Minus},    {"'*'", Tok::Star},     {"'/'", Tok::Slash},
+    {"'%'", Tok::Percent},  {"'^'", Tok::Caret},    {"'~'", Tok::Tilde},
+};
+constexpr int kNumPunct = static_cast<int>(std::size(kPunct));
+
+/// For each character, the index of the first kPunct entry it starts, or
+/// kNumPunct if none does.
+constexpr auto kPunctStart = [] {
+  std::array<std::int8_t, 256> start{};
+  start.fill(kNumPunct);
+  for (int i = kNumPunct - 1; i >= 0; --i)
+    start[static_cast<unsigned char>(kPunct[i].spelling()[0])] =
+        static_cast<std::int8_t>(i);
+  return start;
+}();
 
 class Lexer {
  public:
@@ -64,11 +62,10 @@ class Lexer {
     std::vector<Token> out;
     for (;;) {
       skipWhitespaceAndComments();
-      Token t = next();
-      bool end = t.is(Tok::EndOfFile);
-      out.push_back(std::move(t));
-      if (end) break;
+      if (atEnd()) break;
+      if (std::optional<Token> t = next()) out.push_back(std::move(*t));
     }
+    out.push_back(make(Tok::EndOfFile, here()));
     return out;
   }
 
@@ -127,9 +124,10 @@ class Lexer {
     return t;
   }
 
-  Token next() {
+  /// Lexes the token at the cursor, or reports a bad character, skips it and
+  /// returns nothing so that run() resumes after whitespace and comments.
+  std::optional<Token> next() {
     SourceLoc loc = here();
-    if (atEnd()) return make(Tok::EndOfFile, loc);
     char c = peek();
 
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
@@ -137,94 +135,19 @@ class Lexer {
     if (std::isdigit(static_cast<unsigned char>(c))) return lexNumber(loc);
     if (c == '"') return lexString(loc);
 
-    advance();
-    switch (c) {
-      case '{': return make(Tok::LBrace, loc);
-      case '}': return make(Tok::RBrace, loc);
-      case '(': return make(Tok::LParen, loc);
-      case ')': return make(Tok::RParen, loc);
-      case '[': return make(Tok::LBracket, loc);
-      case ']': return make(Tok::RBracket, loc);
-      case ';': return make(Tok::Semi, loc);
-      case ',': return make(Tok::Comma, loc);
-      case ':': return make(Tok::Colon, loc);
-      case '?': return make(Tok::Question, loc);
-      case '+': return make(Tok::Plus, loc);
-      case '-': return make(Tok::Minus, loc);
-      case '*': return make(Tok::Star, loc);
-      case '/': return make(Tok::Slash, loc);
-      case '%': return make(Tok::Percent, loc);
-      case '^': return make(Tok::Caret, loc);
-      case '~': return make(Tok::Tilde, loc);
-      case '.':
-        if (peek() == '.') {
-          advance();
-          return make(Tok::DotDot, loc);
-        }
-        return make(Tok::Dot, loc);
-      case '$':
-        if (peek() == '$') {
-          advance();
-          return make(Tok::Dollar2, loc);
-        }
-        diags_.error(loc, "stray '$' (did you mean '$$'?)");
-        return next();
-      case '&':
-        if (peek() == '&') {
-          advance();
-          return make(Tok::AmpAmp, loc);
-        }
-        return make(Tok::Amp, loc);
-      case '|':
-        if (peek() == '|') {
-          advance();
-          return make(Tok::PipePipe, loc);
-        }
-        return make(Tok::Pipe, loc);
-      case '!':
-        if (peek() == '=') {
-          advance();
-          return make(Tok::BangEq, loc);
-        }
-        return make(Tok::Bang, loc);
-      case '=':
-        if (peek() == '=') {
-          advance();
-          return make(Tok::EqEq, loc);
-        }
-        return make(Tok::Assign, loc);
-      case '<':
-        if (peek() == '-') {
-          advance();
-          return make(Tok::Arrow, loc);
-        }
-        if (peek() == '<') {
-          advance();
-          return make(Tok::Shl, loc);
-        }
-        if (peek() == '=') {
-          advance();
-          return make(Tok::Le, loc);
-        }
-        return make(Tok::Lt, loc);
-      case '>':
-        if (peek() == '>') {
-          advance();
-          if (peek() == '>') {
-            advance();
-            return make(Tok::AShr, loc);
-          }
-          return make(Tok::Shr, loc);
-        }
-        if (peek() == '=') {
-          advance();
-          return make(Tok::Ge, loc);
-        }
-        return make(Tok::Gt, loc);
-      default:
-        diags_.error(loc, cat("unexpected character '", c, "'"));
-        return next();
+    for (int i = kPunctStart[static_cast<unsigned char>(c)];
+         i < kNumPunct && kPunct[i].spelling()[0] == c; ++i) {
+      std::string_view s = kPunct[i].spelling();
+      if (src_.compare(pos_, s.size(), s) == 0) {
+        pos_ += s.size();  // punctuation never spans a line
+        col_ += static_cast<unsigned>(s.size());
+        return make(kPunct[i].kind, loc);
+      }
     }
+    advance();
+    diags_.error(loc, c == '$' ? std::string("stray '$' (did you mean '$$'?)")
+                               : cat("unexpected character '", c, "'"));
+    return std::nullopt;
   }
 
   Token lexIdentifier(SourceLoc loc) {
@@ -251,9 +174,9 @@ class Lexer {
     if (!atEnd() && peek() == '\'') {
       // Sized literal: <width>'<base><digits>
       advance();
-      unsigned width = 0;
+      unsigned width = 0;  // saturates at 4097, so it cannot wrap
       for (char d : text)
-        if (d != '_') width = width * 10 + unsigned(d - '0');
+        if (d != '_') width = std::min(width * 10 + unsigned(d - '0'), 4097u);
       if (width == 0 || width > 4096) {
         diags_.error(loc, "sized literal width out of range");
         width = 1;
@@ -296,9 +219,14 @@ class Lexer {
     }
     Token t = make(Tok::Integer, loc, text);
     try {
-      // Parse into 64 bits for convenience; wider values must be sized.
-      BitVector v = BitVector::fromString(64, text);
-      t.intValue = v.toUint64();
+      // Four bits per character hold every digit; wider values must be sized.
+      BitVector v = BitVector::fromString(
+          std::max(64u, 4 * static_cast<unsigned>(text.size())), text);
+      if (v.lshr(64).isZero())
+        t.intValue = v.toUint64();
+      else
+        diags_.error(loc, "integer literal does not fit in 64 bits (use a "
+                          "sized literal)");
     } catch (const std::invalid_argument& e) {
       diags_.error(loc, cat("bad integer literal: ", e.what()));
     }
@@ -333,6 +261,20 @@ class Lexer {
 };
 
 }  // namespace
+
+const char* tokName(Tok t) {
+  switch (t) {
+    case Tok::Identifier: return "identifier";
+    case Tok::Integer: return "integer";
+    case Tok::SizedInt: return "sized integer";
+    case Tok::String: return "string";
+    case Tok::EndOfFile: return "end of input";
+    default: break;
+  }
+  for (const Punct& p : kPunct)
+    if (p.kind == t) return p.quoted.data();
+  return "?";
+}
 
 std::vector<Token> lex(std::string_view source, DiagnosticEngine& diags) {
   return Lexer(source, diags).run();

@@ -244,6 +244,8 @@ class Machine {
   std::vector<Field> fields;
   std::vector<Constraint> constraints;
   std::map<std::string, std::string> optionalInfo;
+  /// Where each optionalInfo value was written, for diagnostics.
+  std::map<std::string, SourceLoc> optionalLocs;
 
   // --- lookups (linear scans are fine: descriptions are small) -------------
   int findToken(std::string_view n) const;

@@ -1,5 +1,6 @@
 #include "isdl/parser.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "isdl/lexer.h"
@@ -13,6 +14,28 @@ namespace {
 /// Thrown internally to abort the parse after the first syntax error; callers
 /// of parseIsdl see a nullptr plus diagnostics.
 struct ParseAbort {};
+
+/// The infix operators of RTL expressions, loosest-binding level first.
+struct InfixOp {
+  Tok tok;
+  rtl::BinOp op;
+  int level;
+};
+constexpr InfixOp kInfix[] = {
+    {Tok::PipePipe, rtl::BinOp::LogOr, 0},
+    {Tok::AmpAmp, rtl::BinOp::LogAnd, 1},
+    {Tok::Pipe, rtl::BinOp::Or, 2},
+    {Tok::Caret, rtl::BinOp::Xor, 3},
+    {Tok::Amp, rtl::BinOp::And, 4},
+    {Tok::EqEq, rtl::BinOp::Eq, 5},   {Tok::BangEq, rtl::BinOp::Ne, 5},
+    {Tok::Lt, rtl::BinOp::ULt, 6},    {Tok::Le, rtl::BinOp::ULe, 6},
+    {Tok::Gt, rtl::BinOp::UGt, 6},    {Tok::Ge, rtl::BinOp::UGe, 6},
+    {Tok::Shl, rtl::BinOp::Shl, 7},   {Tok::Shr, rtl::BinOp::LShr, 7},
+    {Tok::AShr, rtl::BinOp::AShr, 7},
+    {Tok::Plus, rtl::BinOp::Add, 8},  {Tok::Minus, rtl::BinOp::Sub, 8},
+    {Tok::Star, rtl::BinOp::Mul, 9},  {Tok::Slash, rtl::BinOp::UDiv, 9},
+    {Tok::Percent, rtl::BinOp::URem, 9},
+};
 
 class Parser {
  public:
@@ -459,6 +482,7 @@ class Parser {
       const Token& val = expect(Tok::String);
       expect(Tok::Semi);
       machine_->optionalInfo[key.text] = val.text;
+      machine_->optionalLocs[key.text] = val.loc;
     }
   }
 
@@ -514,9 +538,7 @@ class Parser {
         items.push_back({true, advance().text, 0});
       } else if (check(Tok::Identifier)) {
         const Token& t = advance();
-        int pi = -1;
-        for (std::size_t i = 0; i < params.size(); ++i)
-          if (params[i].name == t.text) pi = static_cast<int>(i);
+        int pi = findParam(&params, t.text);
         if (pi < 0)
           fail(t.loc, cat("syntax item '", t.text,
                           "' is not a parameter (quote literals)"));
@@ -571,9 +593,7 @@ class Parser {
         ea.constValue = t.sizedValue;
       } else {
         const Token& t = expect(Tok::Identifier);
-        int pi = -1;
-        for (std::size_t i = 0; i < params.size(); ++i)
-          if (params[i].name == t.text) pi = static_cast<int>(i);
+        int pi = findParam(&params, t.text);
         if (pi < 0)
           fail(t.loc, cat("'", t.text, "' is not a parameter"));
         ea.paramIndex = static_cast<unsigned>(pi);
@@ -667,10 +687,11 @@ class Parser {
     return rtl::Stmt::makeAssign(std::move(dest), std::move(value), loc);
   }
 
-  int findParam(std::string_view name) const {
-    if (!paramScope_) return -1;
-    for (std::size_t i = 0; i < paramScope_->size(); ++i)
-      if ((*paramScope_)[i].name == name) return static_cast<int>(i);
+  static int findParam(const std::vector<Param>* params,
+                       std::string_view name) {
+    if (!params) return -1;
+    for (std::size_t i = 0; i < params->size(); ++i)
+      if ((*params)[i].name == name) return static_cast<int>(i);
     return -1;
   }
 
@@ -679,7 +700,7 @@ class Parser {
     rtl::Lvalue lv;
     lv.loc = nameTok.loc;
 
-    int pi = findParam(nameTok.text);
+    int pi = findParam(paramScope_, nameTok.text);
     if (pi >= 0) {
       lv.isParam = true;
       lv.paramIndex = static_cast<unsigned>(pi);
@@ -730,7 +751,7 @@ class Parser {
   rtl::ExprPtr parseExpr() { return parseTernary(); }
 
   rtl::ExprPtr parseTernary() {
-    rtl::ExprPtr cond = parseLogOr();
+    rtl::ExprPtr cond = parseBinary(0);
     if (accept(Tok::Question)) {
       SourceLoc loc = cond->loc;
       rtl::ExprPtr a = parseExpr();
@@ -742,124 +763,20 @@ class Parser {
     return cond;
   }
 
-  rtl::ExprPtr parseLogOr() {
-    rtl::ExprPtr lhs = parseLogAnd();
-    while (check(Tok::PipePipe)) {
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(rtl::BinOp::LogOr, std::move(lhs),
-                                  parseLogAnd(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseLogAnd() {
-    rtl::ExprPtr lhs = parseBitOr();
-    while (check(Tok::AmpAmp)) {
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(rtl::BinOp::LogAnd, std::move(lhs),
-                                  parseBitOr(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseBitOr() {
-    rtl::ExprPtr lhs = parseBitXor();
-    while (check(Tok::Pipe)) {
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(rtl::BinOp::Or, std::move(lhs),
-                                  parseBitXor(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseBitXor() {
-    rtl::ExprPtr lhs = parseBitAnd();
-    while (check(Tok::Caret)) {
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(rtl::BinOp::Xor, std::move(lhs),
-                                  parseBitAnd(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseBitAnd() {
-    rtl::ExprPtr lhs = parseEquality();
-    while (check(Tok::Amp)) {
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(rtl::BinOp::And, std::move(lhs),
-                                  parseEquality(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseEquality() {
-    rtl::ExprPtr lhs = parseRelational();
-    for (;;) {
-      rtl::BinOp op;
-      if (check(Tok::EqEq)) op = rtl::BinOp::Eq;
-      else if (check(Tok::BangEq)) op = rtl::BinOp::Ne;
-      else break;
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(op, std::move(lhs), parseRelational(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseRelational() {
-    rtl::ExprPtr lhs = parseShift();
-    for (;;) {
-      rtl::BinOp op;
-      if (check(Tok::Lt)) op = rtl::BinOp::ULt;
-      else if (check(Tok::Le)) op = rtl::BinOp::ULe;
-      else if (check(Tok::Gt)) op = rtl::BinOp::UGt;
-      else if (check(Tok::Ge)) op = rtl::BinOp::UGe;
-      else break;
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(op, std::move(lhs), parseShift(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseShift() {
-    rtl::ExprPtr lhs = parseAdditive();
-    for (;;) {
-      rtl::BinOp op;
-      if (check(Tok::Shl)) op = rtl::BinOp::Shl;
-      else if (check(Tok::Shr)) op = rtl::BinOp::LShr;
-      else if (check(Tok::AShr)) op = rtl::BinOp::AShr;
-      else break;
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(op, std::move(lhs), parseAdditive(), loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseAdditive() {
-    rtl::ExprPtr lhs = parseMultiplicative();
-    for (;;) {
-      rtl::BinOp op;
-      if (check(Tok::Plus)) op = rtl::BinOp::Add;
-      else if (check(Tok::Minus)) op = rtl::BinOp::Sub;
-      else break;
-      SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(op, std::move(lhs), parseMultiplicative(),
-                                  loc);
-    }
-    return lhs;
-  }
-
-  rtl::ExprPtr parseMultiplicative() {
+  /// Precedence climbing over kInfix: parses a chain of operators at
+  /// `minLevel` or tighter, each level left-associative.
+  rtl::ExprPtr parseBinary(int minLevel) {
     rtl::ExprPtr lhs = parseUnary();
     for (;;) {
-      rtl::BinOp op;
-      if (check(Tok::Star)) op = rtl::BinOp::Mul;
-      else if (check(Tok::Slash)) op = rtl::BinOp::UDiv;
-      else if (check(Tok::Percent)) op = rtl::BinOp::URem;
-      else break;
+      Tok next = peek().kind;
+      const InfixOp* op =
+          std::find_if(std::begin(kInfix), std::end(kInfix),
+                       [next](const InfixOp& o) { return o.tok == next; });
+      if (op == std::end(kInfix) || op->level < minLevel) return lhs;
       SourceLoc loc = advance().loc;
-      lhs = rtl::Expr::makeBinary(op, std::move(lhs), parseUnary(), loc);
+      lhs = rtl::Expr::makeBinary(op->op, std::move(lhs),
+                                  parseBinary(op->level + 1), loc);
     }
-    return lhs;
   }
 
   rtl::ExprPtr parseUnary() {
@@ -909,7 +826,7 @@ class Parser {
     const Token& nameTok = expect(Tok::Identifier);
     if (check(Tok::LParen)) return parseBuiltinCall(nameTok);
 
-    int pi = findParam(nameTok.text);
+    int pi = findParam(paramScope_, nameTok.text);
     if (pi >= 0)
       return rtl::Expr::makeParam(static_cast<unsigned>(pi), nameTok.loc);
 

@@ -118,8 +118,10 @@ class Checker {
     int f = dot == std::string::npos ? -1 : m_.findField(name.substr(0, dot));
     int o = f < 0 ? -1 : m_.fields[f].findOperation(name.substr(dot + 1));
     if (o < 0) {
-      error({}, cat("optional halt_operation '", name,
-                    "' does not name a field.operation"));
+      auto loc = m_.optionalLocs.find("halt_operation");
+      error(loc == m_.optionalLocs.end() ? SourceLoc{} : loc->second,
+            cat("optional halt_operation '", name,
+                "' does not name a field.operation"));
       return;
     }
     m_.haltOp = OpRef{static_cast<unsigned>(f), static_cast<unsigned>(o)};

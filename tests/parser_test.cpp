@@ -247,10 +247,14 @@ machine M {
 }
 
 TEST(Parser, ErrorStrayDollar) {
-  expectParseError("machine M { section format { $ } }", "stray '$'");
+  DiagnosticEngine diags;
+  EXPECT_EQ(parseIsdl("machine M { section format { $ } }", diags), nullptr);
+  EXPECT_EQ(diags.dump(), "1:30: error: stray '$' (did you mean '$$'?)\n");
 }
 
-TEST(Parser, RtlExpressionPrecedence) {
+/// Parses `expr` as the value of an action over registers A..D (storages
+/// S2..S5) and renders it with rtl::toString.
+std::string parseRtlExpr(const std::string& expr) {
   auto m = parseOk(R"(
 machine M {
   section format { word_width = 8; }
@@ -259,23 +263,94 @@ machine M {
     program_counter PC width 4;
     register A width 8;
     register B width 8;
+    register C width 8;
+    register D width 8;
   }
   section instruction_set {
     field F {
-      operation op() {
-        encode { inst[7] = 1; }
-        action { A <- A + B * A; }
-      }
+      operation op() { encode { inst[7] = 1; } action { A <- )" +
+                   expr + R"(; } }
     }
   }
 }
 )");
-  const auto& stmt = *m->fields[0].operations[0].action[0];
-  ASSERT_EQ(stmt.kind, rtl::StmtKind::Assign);
-  // Must parse as A + (B * A).
-  ASSERT_EQ(stmt.value->kind, rtl::ExprKind::Binary);
-  EXPECT_EQ(stmt.value->binOp, rtl::BinOp::Add);
-  EXPECT_EQ(stmt.value->operands[1]->binOp, rtl::BinOp::Mul);
+  if (!m) return "<parse error>";
+  return rtl::toString(*m->fields[0].operations[0].action[0]->value);
+}
+
+TEST(Parser, RtlExpressionPrecedence) {
+  // Each pair straddles one boundary between adjacent levels, written both
+  // ways round, so the tighter operator groups first wherever it stands.
+  const std::pair<const char*, const char*> cases[] = {
+      {"A || B && C", "(S2 || (S3 && S4))"},
+      {"A && B || C", "((S2 && S3) || S4)"},
+      {"A && B | C", "(S2 && (S3 | S4))"},
+      {"A | B && C", "((S2 | S3) && S4)"},
+      {"A | B ^ C", "(S2 | (S3 ^ S4))"},
+      {"A ^ B | C", "((S2 ^ S3) | S4)"},
+      {"A ^ B & C", "(S2 ^ (S3 & S4))"},
+      {"A & B ^ C", "((S2 & S3) ^ S4)"},
+      {"A & B == C", "(S2 & (S3 == S4))"},
+      {"A != B & C", "((S2 != S3) & S4)"},
+      {"A == B < C", "(S2 == (S3 <u S4))"},
+      {"A >= B != C", "((S2 >=u S3) != S4)"},
+      {"A <= B << C", "(S2 <=u (S3 << S4))"},
+      {"A >>> B > C", "((S2 >>> S3) >u S4)"},
+      {"A >> B + C", "(S2 >> (S3 + S4))"},
+      {"A - B << C", "((S2 - S3) << S4)"},
+      {"A + B * C", "(S2 + (S3 * S4))"},
+      {"A % B - C", "((S2 %u S3) - S4)"},
+      {"A / -B", "(S2 /u -(S3))"},
+      {"~A * B", "(~(S2) * S3)"},
+      {"!A && B", "(!(S2) && S3)"},
+      {"(A + B) * C", "((S2 + S3) * S4)"},
+  };
+  for (const auto& [expr, expected] : cases)
+    EXPECT_EQ(parseRtlExpr(expr), expected) << expr;
+}
+
+TEST(Parser, RtlBinaryLevelsAreLeftAssociative) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"A || B || C", "((S2 || S3) || S4)"},
+      {"A && B && C", "((S2 && S3) && S4)"},
+      {"A | B | C", "((S2 | S3) | S4)"},
+      {"A ^ B ^ C", "((S2 ^ S3) ^ S4)"},
+      {"A & B & C", "((S2 & S3) & S4)"},
+      {"A == B != C", "((S2 == S3) != S4)"},
+      {"A < B >= C", "((S2 <u S3) >=u S4)"},
+      {"A << B >> C", "((S2 << S3) >> S4)"},
+      {"A >>> B << C", "((S2 >>> S3) << S4)"},
+      {"A - B - C", "((S2 - S3) - S4)"},
+      {"A - B + C", "((S2 - S3) + S4)"},
+      {"A / B % C", "((S2 /u S3) %u S4)"},
+      {"A * B / C", "((S2 * S3) /u S4)"},
+  };
+  for (const auto& [expr, expected] : cases)
+    EXPECT_EQ(parseRtlExpr(expr), expected) << expr;
+}
+
+TEST(Parser, RtlTernaryIsRightAssociative) {
+  EXPECT_EQ(parseRtlExpr("A ? B : C ? D : A"), "(S2 ? S3 : (S4 ? S5 : S2))");
+  EXPECT_EQ(parseRtlExpr("A || B ? C + D : A"), "((S2 || S3) ? (S4 + S5) : S2)");
+}
+
+TEST(Parser, RtlBinaryNodeKeepsOperatorLocation) {
+  auto m = parseOk(R"(machine M {
+  section format { word_width = 8; }
+  section storage {
+    instruction_memory IM width 8 depth 4;
+    program_counter PC width 4;
+    register A width 8;
+  }
+  section instruction_set {
+    field F { operation op() { encode { inst[7] = 1; } action {
+A <- A + A * A; } } }
+  }
+}
+)");
+  const rtl::Expr& sum = *m->fields[0].operations[0].action[0]->value;
+  EXPECT_EQ(sum.loc.str(), "10:8");
+  EXPECT_EQ(sum.operands[1]->loc.str(), "10:12");
 }
 
 TEST(Parser, RtlTernaryAndBuiltins) {

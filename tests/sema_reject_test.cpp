@@ -214,14 +214,14 @@ INSTANTIATE_TEST_SUITE_P(
                    "options of non-terminal 'S' disagree on value width "
                    "(8 vs 16)"},
         RejectCase{"HaltOperationUnknownOp", withHalt("EX.hlt"),
-                   "optional halt_operation 'EX.hlt' does not name a "
-                   "field.operation"},
+                   "14:39: error: optional halt_operation 'EX.hlt' does not "
+                   "name a field.operation"},
         RejectCase{"HaltOperationWithoutField", withHalt("halt"),
-                   "optional halt_operation 'halt' does not name a "
-                   "field.operation"},
+                   "14:39: error: optional halt_operation 'halt' does not "
+                   "name a field.operation"},
         RejectCase{"HaltOperationUnknownField", withHalt("NOFIELD.halt"),
-                   "optional halt_operation 'NOFIELD.halt' does not name a "
-                   "field.operation"},
+                   "14:39: error: optional halt_operation 'NOFIELD.halt' "
+                   "does not name a field.operation"},
         // --- encoding ----------------------------------------------------
         RejectCase{"EncodeBitTwice",
                    withOp("operation a(d: REG) { encode { inst[15:12] = 4'd1;"
