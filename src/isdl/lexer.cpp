@@ -187,24 +187,30 @@ class Lexer {
                           peek() == '_'))
         digits += advance();
       Token t = make(Tok::SizedInt, loc, text + "'" + base + digits);
+      t.sizedValue = BitVector(width);
+      // Parse with room for every digit (four bits hold any of them), so a
+      // value too large for its width is reported instead of truncated.
+      const unsigned room =
+          width + 4 * static_cast<unsigned>(std::max<std::size_t>(
+                          digits.size(), 1));
+      std::string_view prefix;
+      switch (base) {
+        case 'd': case 'D': break;
+        case 'h': case 'H': case 'x': case 'X': prefix = "0x"; break;
+        case 'b': case 'B': prefix = "0b"; break;
+        default:
+          diags_.error(loc, "bad base in sized literal (use d, h or b)");
+          return t;
+      }
       try {
-        switch (base) {
-          case 'd': case 'D':
-            t.sizedValue = BitVector::fromString(width, digits);
-            break;
-          case 'h': case 'H': case 'x': case 'X':
-            t.sizedValue = BitVector::fromString(width, "0x" + digits);
-            break;
-          case 'b': case 'B':
-            t.sizedValue = BitVector::fromString(width, "0b" + digits);
-            break;
-          default:
-            diags_.error(loc, "bad base in sized literal (use d, h or b)");
-            t.sizedValue = BitVector(width);
-        }
+        BitVector v = BitVector::fromString(room, cat(prefix, digits));
+        if (!v.lshr(width).isZero())
+          diags_.error(loc, cat("sized literal ", t.text,
+                                " does not fit in ", width, " bits"));
+        else
+          t.sizedValue = v.trunc(width);
       } catch (const std::invalid_argument& e) {
         diags_.error(loc, cat("bad sized literal: ", e.what()));
-        t.sizedValue = BitVector(width);
       }
       return t;
     }

@@ -361,7 +361,7 @@ bool Cli::execute(const std::string& line) {
     out_ << "execution engine: "
          << (sim_.uopEnabled() ? "uop (micro-op compiled)"
                                : "interp (tree-walking)");
-    if (!sim_.uopTable().narrow())
+    if (!sim_.binder().narrow())
       out_ << " [micro-op engine unavailable: a value exceeds 64 bits]";
     out_ << "\n";
     return true;

@@ -216,14 +216,14 @@ std::string generateCompiledSim(const Machine& m, const SignatureTable& sigs,
                                 const CodegenOptions& options) {
   // Generated code holds every value in 64 bits: the storages (except the
   // instruction memory, which compiled execution never touches) and every
-  // value the operations compute, which the micro-op compiler's
-  // narrow-width proof bounds.
+  // value the operations compute, which the bound engine's narrow-width
+  // proof bounds.
   for (const auto& st : m.storages) {
     if (st.width > 64 && st.kind != StorageKind::InstructionMemory)
       throw IsdlError(cat("compiled-code simulation does not support ",
                           st.width, "-bit storage '", st.name, "'"));
   }
-  if (!uop::UopTable(m).narrow())
+  if (!uop::isNarrow(m))
     throw IsdlError("compiled-code simulation does not support values wider "
                     "than 64 bits");
 

@@ -55,16 +55,18 @@ class ExecEngine::OpContext final : public rtl::EvalContext {
 ExecEngine::ExecEngine(const Machine& machine, State& state)
     : machine_(machine),
       state_(state),
-      pendingBySi_(machine.storages.size(), 0),
-      fieldBusyUntil_(machine.fields.size(), 0) {}
+      pendingBySi_(machine.storages.size(), 0) {}
 
 void ExecEngine::reset() {
   pending_.clear();
+  pendingHead_ = 0;
+  wide_.clear();
+  wideFree_.clear();
   std::fill(pendingBySi_.begin(), pendingBySi_.end(), 0);
   stagedLocal_.clear();
-  std::fill(fieldBusyUntil_.begin(), fieldBusyUntil_.end(), 0);
+  busyUntil_ = 0;
+  busyField_ = 0;
   cycle_ = 0;
-  seq_ = 0;
   instrId_ = 0;
   pcCommitted_ = false;
 }
@@ -74,7 +76,8 @@ void ExecEngine::overlayPending(unsigned si, std::uint64_t elem,
                                 Forward forward) const {
   if (heat_) heat_->countRead(si, elem);
   if (pendingBySi_[si] == 0) return;  // nothing in flight for this storage
-  for (const auto& p : pending_) {
+  for (std::size_t i = pendingHead_; i < pending_.size(); ++i) {
+    const Pending& p = pending_[i];
     if (p.si != si || p.elem != elem) continue;
     if (phaseB_) {
       // Side effects read the same pre-cycle state as the actions ("after"
@@ -97,9 +100,11 @@ void ExecEngine::overlayPending(unsigned si, std::uint64_t elem,
 }
 
 BitVector ExecEngine::readLoc(unsigned si, std::uint64_t elem) const {
+  if (!isWide(si)) return BitVector(state_.width(si), readNarrow(si, elem));
   BitVector v = state_.read(si, elem);
   overlayPending(si, elem, [&](const Pending& p) {
-    v = p.hasSlice ? v.withSlice(p.hi, p.lo, p.value) : p.value;
+    const BitVector& w = wide_[p.value];
+    v = p.hasSlice ? v.withSlice(p.hi, p.lo, w) : w;
   });
   return v;
 }
@@ -107,53 +112,71 @@ BitVector ExecEngine::readLoc(unsigned si, std::uint64_t elem) const {
 std::uint64_t ExecEngine::readNarrow(unsigned si, std::uint64_t elem) const {
   std::uint64_t v = state_.readWord(si, elem);
   overlayPending(si, elem, [&](const Pending& p) {
-    v = p.hasSlice ? narrow::withSlice(v, p.hi, p.lo, p.value.toUint64())
-                   : p.value.toUint64();
+    v = p.hasSlice ? narrow::withSlice(v, p.hi, p.lo, p.value) : p.value;
   });
   return v;
 }
 
-void ExecEngine::insertPending(Pending&& p) {
-  // Keep the queue sorted by (commitCycle, seq) — retirement order — so
-  // commitUpTo pops a prefix instead of stable_sorting the whole vector.
-  // seq increases monotonically, so equal commit cycles insert at the end of
-  // their run and later writes win deterministically.
+std::uint32_t ExecEngine::allocWide(BitVector&& value) {
+  if (wideFree_.empty()) {
+    wide_.push_back(std::move(value));
+    return std::uint32_t(wide_.size() - 1);
+  }
+  std::uint32_t i = wideFree_.back();
+  wideFree_.pop_back();
+  wide_[i] = std::move(value);
+  return i;
+}
+
+void ExecEngine::discardStaged() {
+  for (const Pending& p : stagedLocal_)
+    if (isWide(p.si)) wideFree_.push_back(std::uint32_t(p.value));
+  stagedLocal_.clear();
+}
+
+void ExecEngine::insertPending(const Pending& p) {
+  // Keep the queue sorted by commit cycle — retirement order — so
+  // commitUpTo pops a prefix instead of stable_sorting the whole vector. A
+  // new entry goes after every entry retiring in the same cycle, so later
+  // writes win deterministically.
   ++pendingBySi_[p.si];
   // Common case: staging order already matches retirement order (equal
   // latencies), so the new entry appends.
-  if (pending_.empty() || pending_.back().commitCycle <= p.commitCycle) {
-    pending_.push_back(std::move(p));
+  if (pending_.size() == pendingHead_ ||
+      pending_.back().commitCycle <= p.commitCycle) {
+    pending_.push_back(p);
     return;
   }
-  auto it = std::upper_bound(pending_.begin(), pending_.end(), p,
-                             [](const Pending& a, const Pending& b) {
-                               if (a.commitCycle != b.commitCycle)
-                                 return a.commitCycle < b.commitCycle;
-                               return a.seq < b.seq;
+  auto it = std::upper_bound(pending_.begin() + std::ptrdiff_t(pendingHead_),
+                             pending_.end(), p.commitCycle,
+                             [](std::uint64_t c, const Pending& q) {
+                               return c < q.commitCycle;
                              });
-  pending_.insert(it, std::move(p));
+  pending_.insert(it, p);
 }
 
 void ExecEngine::commitUpTo(std::uint64_t cycleInclusive) {
-  // pending_ is sorted by (commitCycle, seq): retire the due prefix.
-  if (pending_.empty() || pending_.front().commitCycle > cycleInclusive)
+  // pending_ is sorted by commit cycle: retire the due prefix.
+  std::size_t i = pendingHead_;
+  if (i == pending_.size() || pending_[i].commitCycle > cycleInclusive)
     return;
-  std::size_t i = 0;
   for (; i < pending_.size(); ++i) {
     const Pending& p = pending_[i];
     if (p.commitCycle > cycleInclusive) break;
     --pendingBySi_[p.si];
-    if (state_.width(p.si) <= 64) {
-      std::uint64_t v = p.value.toUint64();
+    if (!isWide(p.si)) {
+      std::uint64_t v = p.value;
       if (p.hasSlice)
         v = narrow::withSlice(state_.readWord(p.si, p.elem), p.hi, p.lo, v);
       state_.writeWord(p.si, p.elem, v, p.commitCycle);
-    } else if (p.hasSlice) {
-      state_.write(p.si, p.elem,
-                   state_.read(p.si, p.elem).withSlice(p.hi, p.lo, p.value),
-                   p.commitCycle);
     } else {
-      state_.write(p.si, p.elem, p.value, p.commitCycle);
+      BitVector& w = wide_[p.value];
+      state_.write(p.si, p.elem,
+                   p.hasSlice
+                       ? state_.read(p.si, p.elem).withSlice(p.hi, p.lo, w)
+                       : w,
+                   p.commitCycle);
+      wideFree_.push_back(std::uint32_t(p.value));
     }
     if (trace_)
       trace_->record({.kind = obs::EventKind::WriteBack,
@@ -166,7 +189,19 @@ void ExecEngine::commitUpTo(std::uint64_t cycleInclusive) {
                       .addr = p.instrId});
     if (static_cast<int>(p.si) == machine_.pcIndex) pcCommitted_ = true;
   }
-  pending_.erase(pending_.begin(), pending_.begin() + i);
+  if (i == pending_.size()) {
+    pending_.clear();
+    pendingHead_ = 0;
+  } else {
+    pendingHead_ = i;
+    // Reclaim the retired prefix once it outweighs the live entries, so a
+    // queue that never empties stays bounded at amortised O(1) per entry.
+    if (pendingHead_ > 32 && 2 * pendingHead_ > pending_.size()) {
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + std::ptrdiff_t(pendingHead_));
+      pendingHead_ = 0;
+    }
+  }
 }
 
 void ExecEngine::advanceTo(std::uint64_t newCycle) {
@@ -176,45 +211,44 @@ void ExecEngine::advanceTo(std::uint64_t newCycle) {
   }
 }
 
-void ExecEngine::stageWrite(const ResolvedLv& lv, BitVector value,
-                            unsigned latency, unsigned stallCost) {
+void ExecEngine::stageWrite(const uop::WriteSlot& lv, std::uint64_t word,
+                            BitVector* wide) {
+  // Two statements of the same instruction phase driving the same bits is
+  // write contention, whatever their latencies — one functional unit's
+  // write port cannot carry both (and the flow-through hardware model
+  // would resolve the race differently than latency ordering would).
+  // Cross-instruction write-after-write races are legal (the later
+  // instruction wins, enforced by commit order); only two statements of the
+  // same instruction phase driving the same bits are a description bug.
+  if (!stagedLocal_.empty()) {
+    const unsigned pHi =
+        lv.hasSlice ? lv.hi : machine_.storages[lv.si].width - 1;
+    const unsigned pLo = lv.hasSlice ? lv.lo : 0;
+    for (const Pending& q : stagedLocal_) {
+      if (q.si != lv.si || q.elem != lv.elem) continue;
+      const unsigned qHi = q.hasSlice ? q.hi : pHi;
+      const unsigned qLo = q.hasSlice ? q.lo : 0;
+      if (pLo <= qHi && qLo <= pHi)
+        throw EvalError(cat("write conflict: two RTL statements write ",
+                            machine_.storages[lv.si].name, "[", lv.elem,
+                            "] in the same cycle"));
+    }
+  }
   Pending p;
   p.si = lv.si;
   p.elem = lv.elem;
   p.hasSlice = lv.hasSlice;
   p.hi = lv.hi;
   p.lo = lv.lo;
-  p.value = std::move(value);
-  p.commitCycle = cycle_ + latency - 1;
-  p.stallCost = stallCost;
+  p.value = wide ? allocWide(std::move(*wide)) : word;
+  p.commitCycle = cycle_ + lv.latency - 1;
+  p.stallCost = lv.stallCost;
   p.instrId = instrId_;
-  p.seq = seq_++;
-
-  // Two statements of the same instruction phase driving the same bits is
-  // write contention, whatever their latencies — one functional unit's
-  // write port cannot carry both (and the flow-through hardware model
-  // would resolve the race differently than latency ordering would).
-  auto overlaps = [&](const Pending& q) {
-    if (q.si != p.si || q.elem != p.elem) return false;
-    unsigned pHi = p.hasSlice ? p.hi : machine_.storages[p.si].width - 1;
-    unsigned pLo = p.hasSlice ? p.lo : 0;
-    unsigned qHi = q.hasSlice ? q.hi : pHi;
-    unsigned qLo = q.hasSlice ? q.lo : 0;
-    return pLo <= qHi && qLo <= pHi;
-  };
-  // Cross-instruction write-after-write races are legal (the later
-  // instruction wins, enforced by commit order); only two statements of the
-  // same instruction phase driving the same bits are a description bug.
-  for (const auto& q : stagedLocal_)
-    if (overlaps(q))
-      throw EvalError(cat("write conflict: two RTL statements write ",
-                          machine_.storages[p.si].name, "[", p.elem,
-                          "] in the same cycle"));
-  stagedLocal_.push_back(std::move(p));
+  stagedLocal_.push_back(p);
 }
 
-ExecEngine::ResolvedLv ExecEngine::resolveLvalue(const rtl::Lvalue& lv,
-                                                 const OpContext& ctx) const {
+uop::WriteSlot ExecEngine::resolveLvalue(const rtl::Lvalue& lv,
+                                         const OpContext& ctx) const {
   if (lv.isParam) {
     const Param& p = ctx.params()[lv.paramIndex];
     const DecodedParam& dp = ctx.dparams()[lv.paramIndex];
@@ -226,7 +260,7 @@ ExecEngine::ResolvedLv ExecEngine::resolveLvalue(const rtl::Lvalue& lv,
     OpContext child(*this, opt.params, dp.sub);
     return resolveLvalue(*opt.lvalue, child);
   }
-  ResolvedLv r;
+  uop::WriteSlot r;
   r.si = lv.storageIndex;
   r.elem = lv.index ? rtl::evalExpr(*lv.index, ctx).toUint64() : 0;
   if (r.elem >= machine_.storages[r.si].depth)
@@ -244,9 +278,14 @@ void ExecEngine::execStmts(const std::vector<rtl::StmtPtr>& stmts,
   for (const auto& stmt : stmts) {
     switch (stmt->kind) {
       case rtl::StmtKind::Assign: {
-        ResolvedLv lv = resolveLvalue(stmt->dest, ctx);
+        uop::WriteSlot lv = resolveLvalue(stmt->dest, ctx);
+        lv.latency = latency;
+        lv.stallCost = stallCost;
         BitVector value = rtl::evalExpr(*stmt->value, ctx);
-        stageWrite(lv, std::move(value), latency, stallCost);
+        if (isWide(lv.si))
+          stageWrite(lv, 0, &value);
+        else
+          stageWrite(lv, value.toUint64(), nullptr);
         break;
       }
       case rtl::StmtKind::If: {
@@ -274,43 +313,129 @@ void ExecEngine::execOptionSideEffects(const OpContext& ctx, unsigned latency,
   }
 }
 
-ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
+/// Executes uops [pc, end) of one bound record against the engine's state.
+/// Registers are (masked uint64_t, width) pairs and every operator is the
+/// shared narrow ALU's (rtl/narrow_alu.h), so no BitVector is built in the
+/// loop except for a write to a storage wider than 64 bits. Storage reads go
+/// through readNarrow (the interpreter's pending-write overlay, on words)
+/// and staged writes through the same stageWrite, so hazard probing,
+/// forwarding, stall attribution, write conflicts, and XTRACE hooks behave
+/// identically in both engines.
+void ExecEngine::execProgram(uop::BoundProgram& prog,
+                             const uop::BoundProgram::Record& rec,
+                             std::uint32_t pc, std::uint32_t end) {
+  using uop::Kind;
+  narrow::Val* regs = prog.regs.data() + rec.regs;
+  uop::WriteSlot* slots = prog.slots.data() + rec.slots;
+  const uop::Uop* code = prog.code.data() + rec.code;
+  while (pc < end) {
+    const uop::Uop& u = code[pc];
+    switch (u.kind) {
+      case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
+      case Kind::ReadStorage:
+        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
+        ++pc;
+        break;
+      case Kind::ReadElem:
+        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
+        ++pc;
+        break;
+      case Kind::Slice:
+        regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
+        ++pc;
+        break;
+      case Kind::Unary:
+        regs[u.dst] = narrow::unOp(rtl::UnOp(u.op), regs[u.a]);
+        ++pc;
+        break;
+      case Kind::Binary:
+        regs[u.dst] = narrow::binOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Concat2:
+        regs[u.dst] = narrow::concat(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::ZExt: regs[u.dst] = narrow::zext(regs[u.a], u.hi); ++pc; break;
+      case Kind::SExt: regs[u.dst] = narrow::sext(regs[u.a], u.hi); ++pc; break;
+      case Kind::Trunc:
+        regs[u.dst] = narrow::trunc(regs[u.a], u.hi);
+        ++pc;
+        break;
+      case Kind::IToF: regs[u.dst] = narrow::itof(regs[u.a], u.hi); ++pc; break;
+      case Kind::FToI: regs[u.dst] = narrow::ftoi(regs[u.a], u.hi); ++pc; break;
+      case Kind::Carry:
+        regs[u.dst] = narrow::carry(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Overflow:
+        regs[u.dst] = narrow::overflow(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Borrow:
+        regs[u.dst] = narrow::borrow(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Jump: pc = u.a; break;
+      case Kind::BranchIfZero: pc = regs[u.a].v == 0 ? u.b : pc + 1; break;
+      case Kind::SetLv: {
+        uop::WriteSlot& s = slots[u.dst];
+        s.elem = regs[u.b].v;
+        if (s.elem >= state_.depth(u.a))
+          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
+                                   "[", s.elem, "] is out of range"));
+        ++pc;
+        break;
+      }
+      case Kind::StageWrite: {
+        const uop::WriteSlot& s = slots[u.dst];
+        const narrow::Val v = regs[u.a];
+        if (state_.width(s.si) <= 64) {
+          stageWrite(s, v.v, nullptr);
+        } else {
+          BitVector wide(v.w, v.v);
+          stageWrite(s, 0, &wide);
+        }
+        ++pc;
+        break;
+      }
+      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
+    }
+  }
+}
+
+ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
+                                        uop::BoundProgram* bound) {
   IssueInfo info;
   ++instrId_;
 
   // Structural hazards: every functional unit the instruction touches must
   // be free (Usage timing, paper §2.1.3).
-  std::uint64_t busy = cycle_;
-  std::size_t busiestField = 0;
-  for (std::size_t f = 0; f < inst.ops.size(); ++f)
-    if (fieldBusyUntil_[f] > busy) {
-      busy = fieldBusyUntil_[f];
-      busiestField = f;
-    }
-  if (busy > cycle_) {
-    info.structStallCycles = busy - cycle_;
+  if (busyUntil_ > cycle_) {
+    info.structStallCycles = busyUntil_ - cycle_;
     if (statsSink_)
-      statsSink_->structStallsByField[busiestField] += busy - cycle_;
+      statsSink_->structStallsByField[busyField_] += busyUntil_ - cycle_;
     if (trace_)
       trace_->record({.kind = obs::EventKind::StructStall,
-                      .field = static_cast<std::uint16_t>(busiestField),
+                      .field = static_cast<std::uint16_t>(busyField_),
                       .op = 0,
                       .storage = 0,
                       .elem = 0,
                       .cycle = cycle_,
-                      .dur = static_cast<std::uint32_t>(busy - cycle_),
+                      .dur = static_cast<std::uint32_t>(busyUntil_ - cycle_),
                       .addr = inst.address});
-    advanceTo(busy);
+    advanceTo(busyUntil_);
   }
 
-  const bool useUops = uops_ != nullptr;
+  const uop::BoundProgram::Record* rec =
+      bound ? &bound->byAddress[inst.address] : nullptr;
 
   // Interpreter path only: per-field evaluation contexts are invariant
   // across the phase-A hazard-retry loop, so they are hoisted and a retry
-  // redoes only the evaluation itself. The uop path has no per-issue
+  // redoes only the evaluation itself. The bound path has no per-issue
   // allocations at all.
   std::vector<OpContext> ctxs;
-  if (!useUops) {
+  if (!rec) {
     ctxs.reserve(inst.ops.size());
     for (std::size_t f = 0; f < inst.ops.size(); ++f)
       ctxs.emplace_back(
@@ -327,15 +452,11 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
       if (cycle_ > 0) commitUpTo(cycle_ - 1);
       requiredStall_ = 0;
       phaseB_ = false;
-      stagedLocal_.clear();
-      for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-        const DecodedOp& dop = inst.ops[f];
-        if (useUops) {
-          const uop::Program& prog =
-              uops_->at(unsigned(f), dop.opIndex).action;
-          if (!prog.empty())
-            execProgram(prog, dop.params, dop.effLatency, dop.effStall);
-        } else {
+      if (rec) {
+        if (rec->phaseB != 0) execProgram(*bound, *rec, 0, rec->phaseB);
+      } else {
+        for (std::size_t f = 0; f < inst.ops.size(); ++f) {
+          const DecodedOp& dop = inst.ops[f];
           execStmts(machine_.fields[f].operations[dop.opIndex].action,
                     ctxs[f], dop.effLatency, dop.effStall);
         }
@@ -353,32 +474,30 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
                         .cycle = cycle_,
                         .dur = static_cast<std::uint32_t>(requiredStall_),
                         .addr = inst.address});
-      stagedLocal_.clear();
+      discardStaged();
       advanceTo(cycle_ + requiredStall_);
     }
 
     // Publish phase-A writes, then run phase B (side effects observe them).
-    for (auto& w : stagedLocal_) insertPending(std::move(w));
+    for (const Pending& w : stagedLocal_) insertPending(w);
     stagedLocal_.clear();
     phaseB_ = true;
-    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-      const DecodedOp& dop = inst.ops[f];
-      if (useUops) {
-        const uop::Program& prog =
-            uops_->at(unsigned(f), dop.opIndex).sideEffects;
-        if (!prog.empty())
-          execProgram(prog, dop.params, dop.effLatency, dop.effStall);
-      } else {
+    if (rec) {
+      if (rec->end != rec->phaseB)
+        execProgram(*bound, *rec, rec->phaseB, rec->end);
+    } else {
+      for (std::size_t f = 0; f < inst.ops.size(); ++f) {
+        const DecodedOp& dop = inst.ops[f];
         execStmts(machine_.fields[f].operations[dop.opIndex].sideEffects,
                   ctxs[f], dop.effLatency, dop.effStall);
         execOptionSideEffects(ctxs[f], dop.effLatency, dop.effStall);
       }
     }
-    for (auto& w : stagedLocal_) insertPending(std::move(w));
+    for (const Pending& w : stagedLocal_) insertPending(w);
     stagedLocal_.clear();
     phaseB_ = false;
   } catch (const EvalError& e) {
-    stagedLocal_.clear();
+    discardStaged();
     phaseB_ = false;
     info.ok = false;
     info.error = e.what();
@@ -403,8 +522,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst) {
   }
 
   // Occupy functional units.
-  for (std::size_t f = 0; f < inst.ops.size(); ++f)
-    fieldBusyUntil_[f] = cycle_ + inst.ops[f].effUsage;
+  busyUntil_ = cycle_ + inst.usage;
+  busyField_ = inst.usageField;
 
   // Advance through the instruction's cycle window, retiring writes that
   // fall inside it and tracking PC commits (branch taken).

@@ -17,10 +17,10 @@
 // stalls by keeping a field's functional unit busy.
 //
 // Two evaluators drive the same cycle model: the tree-walking interpreter
-// (BitVector values through rtl::evalExpr, any width) and the micro-op
-// engine (sim/uop.h; ≤64-bit values through rtl/narrow_alu.h), which Xsim
-// installs whenever the machine's compiled programs pass the narrow-width
-// proof. Both stage writes through the same delayed-write queue.
+// (BitVector values through rtl::evalExpr, any width) and the bound
+// micro-op records of sim/uop.h (≤64-bit values through rtl/narrow_alu.h),
+// which Xsim passes in whenever the machine passes the narrow-width proof.
+// Both stage writes through the same delayed-write queue.
 
 #ifndef ISDL_SIM_CORE_H
 #define ISDL_SIM_CORE_H
@@ -28,20 +28,15 @@
 #include <string>
 #include <vector>
 
-#include "rtl/narrow_alu.h"
 #include "sim/decoded.h"
 #include "sim/state.h"
 #include "sim/stats.h"
+#include "sim/uop.h"
 
 namespace isdl::obs {
 class TraceBuffer;
 struct StorageHeatmap;
 }  // namespace isdl::obs
-
-namespace isdl::sim::uop {
-struct Program;
-class UopTable;
-}  // namespace isdl::sim::uop
 
 namespace isdl::sim {
 
@@ -61,8 +56,11 @@ class ExecEngine {
   };
 
   /// Executes one instruction starting at the current cycle; advances the
-  /// cycle by the instruction's cycle cost plus any stalls.
-  IssueInfo issue(const DecodedInstruction& inst);
+  /// cycle by the instruction's cycle cost plus any stalls. With `bound`,
+  /// runs the instruction's bound record there (which must be bound);
+  /// without, interprets the decoded instruction.
+  IssueInfo issue(const DecodedInstruction& inst,
+                  uop::BoundProgram* bound = nullptr);
 
   std::uint64_t cycle() const { return cycle_; }
 
@@ -76,45 +74,48 @@ class ExecEngine {
   /// Ring buffer receiving issue/stall/write-back events.
   void setTrace(obs::TraceBuffer* trace) { trace_ = trace; }
   /// Heatmap receiving one countRead per architectural read the core
-  /// performs (the write side layers on Monitors, see Xsim::enableProfile).
+  /// performs (State counts the writes, see Xsim::enableProfile).
   void setHeatmap(obs::StorageHeatmap* heat) { heat_ = heat; }
   /// Stats whose stall-attribution vectors the engine fills (sized by the
   /// owner; the aggregate counters stay owned by the scheduler).
   void setStatsSink(Stats* stats) { statsSink_ = stats; }
 
-  /// Switches issue() to the micro-op compiled fast path (sim/uop.h) and
-  /// preloads the table's constant pool into the register file. Null
-  /// reverts to the tree-walking interpreter. The table must be narrow
-  /// (uop::UopTable::narrow), outlive the engine and describe the same
-  /// Machine. Defined in uop.cpp.
-  void setUopTable(const uop::UopTable* table);
-  bool usingUops() const { return uops_ != nullptr; }
-
  private:
+  /// One staged or in-flight write. Trivially copyable: the value of a
+  /// storage at most 64 bits wide is the word itself, and a wider storage's
+  /// value sits in wide_, `value` being its index there.
   struct Pending {
     unsigned si = 0;
-    std::uint64_t elem = 0;
     bool hasSlice = false;
     unsigned hi = 0, lo = 0;
-    BitVector value;
+    std::uint64_t elem = 0;
+    std::uint64_t value = 0;
     std::uint64_t commitCycle = 0;  ///< retires at the END of this cycle
     unsigned stallCost = 0;         ///< producer's Stall; 0 = bypassable
     std::uint64_t instrId = 0;      ///< issuing instruction (for phase B)
-    std::uint64_t seq = 0;          ///< staging order
   };
 
   const Machine& machine_;
   State& state_;
-  /// Delayed-write queue, kept sorted by (commitCycle, seq) on insert so
-  /// commitUpTo retires a prefix instead of re-sorting every call.
+  /// Delayed-write queue from pendingHead_ on, kept sorted by commit cycle
+  /// (staging order within one) on insert, so commitUpTo retires a prefix by
+  /// advancing the head instead of re-sorting or shifting every call.
   std::vector<Pending> pending_;
+  std::size_t pendingHead_ = 0;
+  /// Values of pending writes to storages wider than 64 bits, and the free
+  /// entries among them.
+  std::vector<BitVector> wide_;
+  std::vector<std::uint32_t> wideFree_;
   /// Overlay index: pending-entry count per storage. readLoc skips the
   /// pending scan entirely for storages with nothing in flight (the common
   /// case), which is what de-quadratifies the read path.
   std::vector<std::uint32_t> pendingBySi_;
-  std::vector<std::uint64_t> fieldBusyUntil_;
+  /// Every instruction occupies every field's unit for its effective Usage
+  /// from its issue cycle, so the unit that frees last is the one with the
+  /// largest Usage of the last instruction: its field and free cycle.
+  std::uint64_t busyUntil_ = 0;
+  unsigned busyField_ = 0;
   std::uint64_t cycle_ = 0;
-  std::uint64_t seq_ = 0;
   std::uint64_t instrId_ = 0;
   bool pcCommitted_ = false;
 
@@ -130,20 +131,6 @@ class ExecEngine {
   Stats* statsSink_ = nullptr;
 
   class OpContext;
-  struct ResolvedLv {
-    unsigned si = 0;
-    std::uint64_t elem = 0;
-    bool hasSlice = false;
-    unsigned hi = 0, lo = 0;
-  };
-
-  // Micro-op fast path (sim/uop.h): compiled programs plus the reusable
-  // execution scratch state (register file, lvalue slots, decoded-parameter
-  // frame stack). All grow to high-water marks and are reused across issues.
-  const uop::UopTable* uops_ = nullptr;
-  std::vector<narrow::Val> regs_;
-  std::vector<ResolvedLv> lvSlots_;
-  std::vector<const std::vector<DecodedParam>*> frames_;
 
   /// The pending-write overlay of one read: counts it in the heatmap, calls
   /// `forward(p)` for every in-flight write the reader sees, oldest first,
@@ -157,18 +144,25 @@ class ExecEngine {
   std::uint64_t readNarrow(unsigned si, std::uint64_t elem) const;
   void commitUpTo(std::uint64_t cycleInclusive);
   void advanceTo(std::uint64_t newCycle);
-  void insertPending(Pending&& p);
-  void stageWrite(const ResolvedLv& lv, BitVector value, unsigned latency,
-                  unsigned stallCost);
-  ResolvedLv resolveLvalue(const rtl::Lvalue& lv, const OpContext& ctx) const;
+  void insertPending(const Pending& p);
+  /// Stages a write of `word`, or of `*wide` when the storage is wider than
+  /// 64 bits; throws on a write conflict within the phase.
+  void stageWrite(const uop::WriteSlot& lv, std::uint64_t word,
+                  BitVector* wide);
+  /// Drops the writes staged by the phase in progress.
+  void discardStaged();
+  std::uint32_t allocWide(BitVector&& value);
+  bool isWide(unsigned si) const { return state_.width(si) > 64; }
+  uop::WriteSlot resolveLvalue(const rtl::Lvalue& lv,
+                               const OpContext& ctx) const;
   void execStmts(const std::vector<rtl::StmtPtr>& stmts, const OpContext& ctx,
                  unsigned latency, unsigned stallCost);
   void execOptionSideEffects(const OpContext& ctx, unsigned latency,
                              unsigned stallCost);
-  /// The micro-op dispatch loop. Defined in uop.cpp.
-  void execProgram(const uop::Program& prog,
-                   const std::vector<DecodedParam>& dparams, unsigned latency,
-                   unsigned stallCost);
+  /// The micro-op dispatch loop over uops [pc, end) of a bound record.
+  void execProgram(uop::BoundProgram& prog,
+                   const uop::BoundProgram::Record& rec, std::uint32_t pc,
+                   std::uint32_t end);
 
   friend class OpContext;
 };

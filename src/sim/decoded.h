@@ -1,7 +1,9 @@
 // Decoded instruction representation. The paper's XSIM simulators
 // disassemble the program off-line at load time (§3.1); the result is an
-// array of DecodedInstructions that the processing core executes directly,
-// with no per-cycle decoding work.
+// array of DecodedInstructions, with no per-cycle decoding work. The
+// interpreter walks their parameter trees on every issue; the bound engine
+// walks each one once, when the instruction first issues, into a flat record
+// (sim/uop.h) and then runs that record.
 
 #ifndef ISDL_SIM_DECODED_H
 #define ISDL_SIM_DECODED_H
@@ -51,6 +53,10 @@ struct DecodedInstruction {
   /// Aggregate cycle cost: max over fields of the operation's cycle cost
   /// plus its chosen options' extras. Filled by the disassembler.
   unsigned cycles = 1;
+  /// The largest effective Usage over fields, and the first field with it:
+  /// the functional unit the instruction keeps busy longest.
+  unsigned usage = 1;
+  unsigned usageField = 0;
 };
 
 /// A fully decoded program: the off-line disassembly cache.

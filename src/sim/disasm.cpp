@@ -136,6 +136,10 @@ std::optional<DecodedInstruction> Disassembler::decodeAt(
       }
       maxCycles = std::max(maxCycles, dop.effCycle);
       maxSize = std::max(maxSize, dop.effSize);
+      if (f == 0 || dop.effUsage > inst.usage) {
+        inst.usage = dop.effUsage;
+        inst.usageField = static_cast<unsigned>(f);
+      }
       inst.ops[f] = std::move(dop);
       matched = true;
       break;  // the match is unique for a decodeable assembly function

@@ -20,7 +20,6 @@ void Monitors::remove(int handle) {
 }
 
 void Monitors::fire(const WriteEvent& event) const {
-  if (observer_) observer_(event);
   for (const auto& w : watches_) {
     if (w.storageIndex != event.storageIndex) continue;
     if (w.element && *w.element != event.element) continue;
@@ -94,6 +93,7 @@ void State::write(unsigned si, std::uint64_t element, const BitVector& value,
   BitVector old = monitors_.empty() ? BitVector() : read(si, element);
   for (unsigned i = 0; i < l.wordsPerElement; ++i) w[i] = value.word(i);
   markDirty(l, element);
+  if (heat_) heat_->countWrite(si, element);
   if (!monitors_.empty())
     monitors_.fire({si, element, cycle, std::move(old), value});
 }

@@ -2,7 +2,7 @@
 // "Monitors"). State generation (§3.3.1) allocates room for every storage
 // element of the ISDL description in one word array; every write is routed
 // through the monitor hooks so user-defined watchpoints can observe any
-// change.
+// change, and counted in the XTRACE storage heatmap when one is attached.
 
 #ifndef ISDL_SIM_STATE_H
 #define ISDL_SIM_STATE_H
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "isdl/model.h"
+#include "obs/metrics.h"
 #include "rtl/eval.h"
 #include "support/bitvector.h"
 
@@ -41,12 +42,7 @@ class Monitors {
   int add(unsigned storageIndex, std::optional<std::uint64_t> element,
           Callback callback);
   void remove(int handle);
-  bool empty() const { return watches_.empty() && !observer_; }
-
-  /// Global observer fired on every value-changing write of any storage,
-  /// before the per-location watches — the hook the XTRACE storage heatmap
-  /// layers on. Pass nullptr to remove.
-  void setWriteObserver(Callback callback) { observer_ = std::move(callback); }
+  bool empty() const { return watches_.empty(); }
 
   void fire(const WriteEvent& event) const;
 
@@ -58,7 +54,6 @@ class Monitors {
     Callback callback;
   };
   std::vector<Watch> watches_;
-  Callback observer_;
   int nextHandle_ = 1;
 };
 
@@ -77,6 +72,9 @@ class State {
 
   const Machine& machine() const { return *machine_; }
   Monitors& monitors() { return monitors_; }
+  /// Counts every value-changing write of any location into `heat`'s write
+  /// rows (sized for this machine); null stops counting.
+  void setHeatmap(obs::StorageHeatmap* heat) { heat_ = heat; }
 
   /// Zeroes every storage element (no monitor events): one fill per storage
   /// over the elements changed since the previous reset.
@@ -117,6 +115,7 @@ class State {
     const std::uint64_t old = w;
     w = value;
     markDirty(l, element);
+    if (heat_) heat_->countWrite(si, element);
     if (!monitors_.empty()) fireWordWrite(si, element, old, cycle);
   }
 
@@ -145,6 +144,7 @@ class State {
   std::vector<Layout> layout_;
   std::vector<std::uint64_t> words_;
   Monitors monitors_;
+  obs::StorageHeatmap* heat_ = nullptr;
 
   unsigned pcIndex() const { return static_cast<unsigned>(machine_->pcIndex); }
   const std::uint64_t* slot(unsigned si, std::uint64_t element) const {

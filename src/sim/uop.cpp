@@ -1,17 +1,14 @@
-// Micro-op compiler and dispatch loop. The compiler mirrors the
-// interpreter's evaluation order exactly (sim/core.cpp: evalExpr,
-// resolveLvalue-before-value, depth-first option side effects), so the two
-// engines agree on every observable: final state, cycle counts, stall
-// attribution, heatmap read counts, and which trap fires first.
+// The binder and the narrow-width proof. The binder mirrors the interpreter's evaluation
+// order exactly (sim/core.cpp: evalExpr, resolveLvalue-before-value,
+// depth-first option side effects), so the two engines agree on every
+// observable: final state, cycle counts, stall attribution, heatmap read
+// counts, and which trap fires first.
 
 #include "sim/uop.h"
 
 #include <atomic>
-#include <cassert>
-#include <unordered_map>
 
 #include "rtl/eval.h"
-#include "sim/core.h"
 #include "support/strings.h"
 
 namespace isdl::sim::uop {
@@ -33,185 +30,231 @@ bool testFaultInjection() {
 
 namespace {
 
-/// During compilation constants are referenced as kConstTag | poolIndex;
-/// a rewrite pass (UopTable ctor) renumbers everything once the shared pool
-/// size is final: pool entries occupy registers [0, poolSize), locals follow.
-constexpr std::uint32_t kConstTag = 0x80000000u;
-
-/// Shared, deduplicated constant pool for every program of one UopTable.
-/// The engine preloads it into the persistent scratch register file, so a
-/// constant costs nothing at dispatch time — there is no "load const" uop.
-struct ConstPool {
-  std::unordered_map<BitVector, std::uint32_t> index;
-  std::vector<BitVector> values;
-
-  std::uint32_t ref(const BitVector& v) {
-    auto [it, inserted] = index.try_emplace(v, std::uint32_t(values.size()));
-    if (inserted) values.push_back(v);
-    return kConstTag | it->second;
-  }
-};
-
-/// Lowers one operation's statement lists into a Program. One compiler
-/// instance per Program; register and lvalue-slot numbering is monotonic
-/// (programs are small, reuse is not worth the bookkeeping).
-class Compiler {
+/// The width proof behind isNarrow: walks every tree an operation can
+/// evaluate, through every option of every non-terminal operand.
+class NarrowProof {
  public:
-  Compiler(const Machine& m, const std::vector<bool>& ntHasSideEffects,
-           ConstPool& pool, bool& narrow, Program& p)
-      : m_(m),
-        ntHasSideEffects_(ntHasSideEffects),
-        pool_(pool),
-        narrow_(narrow),
-        p_(p) {}
+  explicit NarrowProof(const Machine& m) : m_(m) {}
 
-  void compileStmts(const std::vector<rtl::StmtPtr>& stmts,
-                    const std::vector<Param>& params) {
-    for (const auto& stmt : stmts) compileStmt(*stmt, params);
+  bool stmts(const std::vector<rtl::StmtPtr>& list,
+             const std::vector<Param>& params) const {
+    for (const auto& s : list) {
+      if (s->kind == rtl::StmtKind::Assign) {
+        if (!lvalue(s->dest, params) || !expr(*s->value, params)) return false;
+      } else if (!expr(*s->cond, params) || !stmts(s->thenStmts, params) ||
+                 !stmts(s->elseStmts, params)) {
+        return false;
+      }
+    }
+    return true;
   }
 
-  /// Side effects contributed by selected non-terminal options, depth-first
-  /// in parameter order — the interpreter's execOptionSideEffects.
-  void compileOptionSideEffects(const std::vector<Param>& params) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const Param& p = params[i];
+  /// Side effects the options of non-terminal operands contribute.
+  bool optionSideEffects(const std::vector<Param>& params) const {
+    for (const Param& p : params) {
       if (p.kind != ParamKind::NonTerminal) continue;
-      if (!ntHasSideEffects_[p.index]) continue;  // prune effect-free operands
-      const NonTerminal& nt = m_.nonTerminals[p.index];
-      forEachOption(nt, std::uint32_t(i), [&](const NtOption& opt) {
-        emit({.kind = Kind::PushFrame, .a = std::uint32_t(i)});
-        compileStmts(opt.sideEffects, opt.params);
-        compileOptionSideEffects(opt.params);
-        emit({.kind = Kind::PopFrame});
-        return true;  // fall through to the common join
-      });
+      for (const NtOption& opt : m_.nonTerminals[p.index].options)
+        if (!stmts(opt.sideEffects, opt.params) ||
+            !optionSideEffects(opt.params))
+          return false;
     }
+    return true;
   }
 
  private:
-  std::uint32_t newReg() { return p_.numRegs++; }
-
-  std::uint32_t emit(Uop u) {
-    p_.code.push_back(u);
-    return std::uint32_t(p_.code.size() - 1);
-  }
-
-  std::uint32_t here() const { return std::uint32_t(p_.code.size()); }
-
-  std::uint32_t addTrap(std::string msg) {
-    p_.traps.push_back(std::move(msg));
-    return std::uint32_t(p_.traps.size() - 1);
-  }
-
-  /// Emits a BrOption over `nt`'s options for parameter `paramIndex`. `body`
-  /// compiles one option's code; returning false means the branch ends in a
-  /// trap and needs no jump to the join point. All non-trapping branches are
-  /// patched to converge immediately after the last one.
-  template <typename Body>
-  void forEachOption(const NonTerminal& nt, std::uint32_t paramIndex,
-                     Body&& body) {
-    std::uint32_t tbl = std::uint32_t(p_.tables.size());
-    p_.tables.emplace_back(nt.options.size(), 0);
-    emit({.kind = Kind::BrOption, .a = paramIndex, .b = tbl});
-    std::vector<std::uint32_t> joins;
-    for (std::size_t o = 0; o < nt.options.size(); ++o) {
-      p_.tables[tbl][o] = here();
-      if (body(nt.options[o]))
-        joins.push_back(emit({.kind = Kind::Jump}));
-    }
-    for (std::uint32_t j : joins) p_.code[j].a = here();
-  }
-
-  std::uint32_t compileExpr(const rtl::Expr& e,
-                            const std::vector<Param>& params) {
-    using rtl::ExprKind;
+  bool expr(const rtl::Expr& e, const std::vector<Param>& params) const {
     // Sema's width bounds every value this node computes, the partial
     // concatenations of a Concat included.
-    if (e.width > 64) narrow_ = false;
+    if (e.width > 64) return false;
+    if (e.kind == rtl::ExprKind::Param &&
+        params[e.paramIndex].kind == ParamKind::NonTerminal) {
+      for (const NtOption& opt :
+           m_.nonTerminals[params[e.paramIndex].index].options)
+        if (opt.value && !expr(*opt.value, opt.params)) return false;
+    }
+    for (const auto& operand : e.operands)
+      if (!expr(*operand, params)) return false;
+    return true;
+  }
+
+  bool lvalue(const rtl::Lvalue& lv, const std::vector<Param>& params) const {
+    if (lv.isParam) {
+      for (const NtOption& opt :
+           m_.nonTerminals[params[lv.paramIndex].index].options)
+        if (opt.lvalue && !lvalue(*opt.lvalue, opt.params)) return false;
+      return true;
+    }
+    return !lv.index || expr(*lv.index, params);
+  }
+
+  const Machine& m_;
+};
+
+/// The operands of one operation or selected non-terminal option: the
+/// parameter declarations and the values this instruction decoded for them.
+struct Operands {
+  const std::vector<Param>& params;
+  const std::vector<DecodedParam>& values;
+};
+
+/// Lowers one decoded instruction into its record. Registers are numbered
+/// per record and never reused, so every register has one producer on any
+/// path; constants (operand values and folded results) are registers whose
+/// value is set here.
+class RecordCompiler {
+ public:
+  RecordCompiler(const Machine& m, bool injectFault, BoundProgram& prog,
+                 BoundProgram::Record& rec)
+      : m_(m), injectFault_(injectFault), prog_(prog), rec_(rec) {
+    rec_.code = std::uint32_t(prog.code.size());
+    rec_.regs = std::uint32_t(prog.regs.size());
+    rec_.slots = std::uint32_t(prog.slots.size());
+  }
+
+  void compile(const DecodedInstruction& inst) {
+    // Phase A: every field's action; phase B: every field's side effects,
+    // then those of its selected options, depth-first.
+    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
+      const DecodedOp& dop = inst.ops[f];
+      const Operation& op = m_.fields[f].operations[dop.opIndex];
+      setTiming(dop);
+      compileStmts(op.action, {op.params, dop.params});
+    }
+    rec_.phaseB = here();
+    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
+      const DecodedOp& dop = inst.ops[f];
+      const Operation& op = m_.fields[f].operations[dop.opIndex];
+      setTiming(dop);
+      compileStmts(op.sideEffects, {op.params, dop.params});
+      compileOptionSideEffects({op.params, dop.params});
+    }
+    rec_.end = here();
+    rec_.bound = true;
+  }
+
+ private:
+  void setTiming(const DecodedOp& dop) {
+    latency_ = dop.effLatency;
+    stallCost_ = dop.effStall;
+  }
+
+  std::uint32_t here() const {
+    return std::uint32_t(prog_.code.size()) - rec_.code;
+  }
+  std::uint32_t emit(Uop u) {
+    prog_.code.push_back(u);
+    return here() - 1;
+  }
+  Uop& at(std::uint32_t pc) { return prog_.code[rec_.code + pc]; }
+
+  std::uint32_t newReg(narrow::Val v, bool constant) {
+    prog_.regs.push_back(v);
+    isConst_.push_back(constant);
+    return std::uint32_t(isConst_.size() - 1);
+  }
+  std::uint32_t constant(narrow::Val v) { return newReg(v, true); }
+  std::uint32_t constant(const BitVector& v) {
+    return constant(narrow::Val{v.toUint64(), v.width()});
+  }
+  bool isConst(std::uint32_t r) const { return isConst_[r]; }
+  narrow::Val val(std::uint32_t r) const { return prog_.regs[rec_.regs + r]; }
+  /// Emits value uop `u` into a fresh register.
+  std::uint32_t produce(Uop u) {
+    u.dst = newReg({}, false);
+    emit(u);
+    return u.dst;
+  }
+  void trap(std::string msg) {
+    prog_.traps.push_back(std::move(msg));
+    emit({.kind = Kind::Trap, .a = std::uint32_t(prog_.traps.size() - 1)});
+  }
+
+  /// The option operand `i` selected, and that option's own operands.
+  const NtOption& selected(const Operands& ops, unsigned i) const {
+    return m_.nonTerminals[ops.params[i].index]
+        .options[std::size_t(ops.values[i].ntOption)];
+  }
+
+  void compileStmts(const std::vector<rtl::StmtPtr>& stmts,
+                    const Operands& ops) {
+    for (const auto& stmt : stmts) compileStmt(*stmt, ops);
+  }
+
+  void compileOptionSideEffects(const Operands& ops) {
+    for (std::size_t i = 0; i < ops.params.size(); ++i) {
+      if (ops.params[i].kind != ParamKind::NonTerminal) continue;
+      const NtOption& opt = selected(ops, unsigned(i));
+      Operands sub{opt.params, ops.values[i].sub};
+      compileStmts(opt.sideEffects, sub);
+      compileOptionSideEffects(sub);
+    }
+  }
+
+  std::uint32_t compileExpr(const rtl::Expr& e, const Operands& ops) {
+    using rtl::ExprKind;
     switch (e.kind) {
-      case ExprKind::Const:
-        // No uop at all: the constant lives in a preloaded pool register.
-        return pool_.ref(e.constant);
+      case ExprKind::Const: return constant(e.constant);
       case ExprKind::Param: {
-        const Param& p = params[e.paramIndex];
-        std::uint32_t r = newReg();
-        if (p.kind == ParamKind::Token) {
-          emit({.kind = Kind::LoadParam, .dst = r, .a = e.paramIndex});
-          return r;
+        const DecodedParam& dp = ops.values[e.paramIndex];
+        if (ops.params[e.paramIndex].kind == ParamKind::Token)
+          return constant(dp.encoded);
+        const NtOption& opt = selected(ops, e.paramIndex);
+        if (!opt.value) {
+          trap(cat("non-terminal '",
+                   m_.nonTerminals[ops.params[e.paramIndex].index].name,
+                   "' option has no value but was read"));
+          return newReg({}, false);  // never read: the trap ends the issue
         }
-        const NonTerminal& nt = m_.nonTerminals[p.index];
-        forEachOption(nt, e.paramIndex, [&](const NtOption& opt) {
-          if (!opt.value) {
-            emit({.kind = Kind::Trap,
-                  .a = addTrap(cat("non-terminal '", nt.name,
-                                   "' option has no value but was read"))});
-            return false;
-          }
-          emit({.kind = Kind::PushFrame, .a = e.paramIndex});
-          std::uint32_t rr = compileExpr(*opt.value, opt.params);
-          emit({.kind = Kind::Move, .dst = r, .a = rr});
-          emit({.kind = Kind::PopFrame});
-          return true;
-        });
-        return r;
+        return compileExpr(*opt.value, {opt.params, dp.sub});
       }
-      case ExprKind::Read: {
-        std::uint32_t r = newReg();
-        emit({.kind = Kind::ReadStorage, .dst = r, .a = e.storageIndex});
-        return r;
-      }
+      case ExprKind::Read:
+        return produce({.kind = Kind::ReadStorage, .a = e.storageIndex});
       case ExprKind::ReadElem: {
-        std::uint32_t idx = compileExpr(*e.operands[0], params);
-        std::uint32_t r = newReg();
-        emit({.kind = Kind::ReadElem, .dst = r, .a = e.storageIndex, .b = idx});
-        return r;
+        std::uint32_t idx = compileExpr(*e.operands[0], ops);
+        return produce(
+            {.kind = Kind::ReadElem, .a = e.storageIndex, .b = idx});
       }
       case ExprKind::Slice: {
-        std::uint32_t a = compileExpr(*e.operands[0], params);
-        std::uint32_t r = newReg();
-        emit({.kind = Kind::Slice,
-              .hi = std::uint16_t(e.sliceHi),
-              .lo = std::uint16_t(e.sliceLo),
-              .dst = r,
-              .a = a});
-        return r;
+        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        if (isConst(a)) return constant(narrow::slice(val(a), e.sliceHi,
+                                                      e.sliceLo));
+        return produce({.kind = Kind::Slice,
+                        .hi = std::uint16_t(e.sliceHi),
+                        .lo = std::uint16_t(e.sliceLo),
+                        .a = a});
       }
       case ExprKind::Unary: {
-        std::uint32_t a = compileExpr(*e.operands[0], params);
-        std::uint32_t r = newReg();
-        emit({.kind = Kind::Unary,
-              .op = std::uint8_t(e.unOp),
-              .dst = r,
-              .a = a});
-        return r;
+        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        if (isConst(a)) return constant(narrow::unOp(e.unOp, val(a)));
+        return produce(
+            {.kind = Kind::Unary, .op = std::uint8_t(e.unOp), .a = a});
       }
       case ExprKind::Binary: {
-        std::uint32_t a = compileExpr(*e.operands[0], params);
-        std::uint32_t b = compileExpr(*e.operands[1], params);
-        std::uint32_t r = newReg();
+        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        std::uint32_t b = compileExpr(*e.operands[1], ops);
         rtl::BinOp op = e.binOp;
-        if (op == rtl::BinOp::Add && testFaultInjection())
+        if (op == rtl::BinOp::Add && injectFault_)
           op = rtl::BinOp::Sub;  // deliberate mis-lowering (see uop.h)
-        emit({.kind = Kind::Binary,
-              .op = std::uint8_t(op),
-              .dst = r,
-              .a = a,
-              .b = b});
-        return r;
+        if (isConst(a) && isConst(b))
+          return constant(narrow::binOp(op, val(a), val(b)));
+        return produce(
+            {.kind = Kind::Binary, .op = std::uint8_t(op), .a = a, .b = b});
       }
       case ExprKind::Ternary: {
         // Lazy branches, like the interpreter: the untaken side must not
         // evaluate (its reads and traps must not happen).
-        std::uint32_t c = compileExpr(*e.operands[0], params);
-        std::uint32_t r = newReg();
+        std::uint32_t c = compileExpr(*e.operands[0], ops);
+        if (isConst(c))
+          return compileExpr(*e.operands[val(c).v ? 1 : 2], ops);
+        std::uint32_t r = newReg({}, false);
         std::uint32_t bz = emit({.kind = Kind::BranchIfZero, .a = c});
-        std::uint32_t t = compileExpr(*e.operands[1], params);
+        std::uint32_t t = compileExpr(*e.operands[1], ops);
         emit({.kind = Kind::Move, .dst = r, .a = t});
         std::uint32_t j = emit({.kind = Kind::Jump});
-        p_.code[bz].b = here();
-        std::uint32_t f = compileExpr(*e.operands[2], params);
+        at(bz).b = here();
+        std::uint32_t f = compileExpr(*e.operands[2], ops);
         emit({.kind = Kind::Move, .dst = r, .a = f});
-        p_.code[j].a = here();
+        at(j).a = here();
         return r;
       }
       case ExprKind::ZExt:
@@ -219,376 +262,180 @@ class Compiler {
       case ExprKind::Trunc:
       case ExprKind::IToF:
       case ExprKind::FToI: {
+        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        const unsigned w = e.extWidth;
+        if (isConst(a)) {
+          narrow::Val x = val(a);
+          return constant(e.kind == ExprKind::ZExt    ? narrow::zext(x, w)
+                          : e.kind == ExprKind::SExt  ? narrow::sext(x, w)
+                          : e.kind == ExprKind::Trunc ? narrow::trunc(x, w)
+                          : e.kind == ExprKind::IToF  ? narrow::itof(x, w)
+                                                      : narrow::ftoi(x, w));
+        }
         Kind k = e.kind == ExprKind::ZExt    ? Kind::ZExt
                  : e.kind == ExprKind::SExt  ? Kind::SExt
                  : e.kind == ExprKind::Trunc ? Kind::Trunc
                  : e.kind == ExprKind::IToF  ? Kind::IToF
                                              : Kind::FToI;
-        std::uint32_t a = compileExpr(*e.operands[0], params);
-        std::uint32_t r = newReg();
-        emit({.kind = k, .hi = std::uint16_t(e.extWidth), .dst = r, .a = a});
-        return r;
+        return produce({.kind = k, .hi = std::uint16_t(w), .a = a});
       }
       case ExprKind::Concat: {
-        std::uint32_t acc = compileExpr(*e.operands[0], params);
+        std::uint32_t acc = compileExpr(*e.operands[0], ops);
         for (std::size_t i = 1; i < e.operands.size(); ++i) {
-          std::uint32_t lo = compileExpr(*e.operands[i], params);
-          std::uint32_t r = newReg();
-          emit({.kind = Kind::Concat2, .dst = r, .a = acc, .b = lo});
-          acc = r;
+          std::uint32_t lo = compileExpr(*e.operands[i], ops);
+          acc = isConst(acc) && isConst(lo)
+                    ? constant(narrow::concat(val(acc), val(lo)))
+                    : produce({.kind = Kind::Concat2, .a = acc, .b = lo});
         }
         return acc;
       }
       case ExprKind::Carry:
       case ExprKind::Overflow:
       case ExprKind::Borrow: {
+        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        std::uint32_t b = compileExpr(*e.operands[1], ops);
+        if (isConst(a) && isConst(b)) {
+          narrow::Val x = val(a), y = val(b);
+          return constant(e.kind == ExprKind::Carry      ? narrow::carry(x, y)
+                          : e.kind == ExprKind::Overflow ? narrow::overflow(x, y)
+                                                         : narrow::borrow(x, y));
+        }
         Kind k = e.kind == ExprKind::Carry      ? Kind::Carry
                  : e.kind == ExprKind::Overflow ? Kind::Overflow
                                                 : Kind::Borrow;
-        std::uint32_t a = compileExpr(*e.operands[0], params);
-        std::uint32_t b = compileExpr(*e.operands[1], params);
-        std::uint32_t r = newReg();
-        emit({.kind = k, .dst = r, .a = a, .b = b});
-        return r;
+        return produce({.kind = k, .a = a, .b = b});
       }
     }
     throw EvalError("bad expression kind");
   }
 
-  void compileStmt(const rtl::Stmt& stmt, const std::vector<Param>& params) {
+  void compileStmt(const rtl::Stmt& stmt, const Operands& ops) {
     switch (stmt.kind) {
       case rtl::StmtKind::Assign: {
         // Interpreter order: resolve the lvalue (index expressions and
         // option recursion included) before evaluating the value.
-        std::uint32_t slot = p_.numLvSlots++;
-        compileLvalue(stmt.dest, params, slot);
-        std::uint32_t v = compileExpr(*stmt.value, params);
+        std::uint32_t slot = std::uint32_t(prog_.slots.size()) - rec_.slots;
+        prog_.slots.push_back({.latency = latency_, .stallCost = stallCost_});
+        compileLvalue(stmt.dest, ops, slot);
+        std::uint32_t v = compileExpr(*stmt.value, ops);
         emit({.kind = Kind::StageWrite, .dst = slot, .a = v});
         break;
       }
       case rtl::StmtKind::If: {
-        std::uint32_t c = compileExpr(*stmt.cond, params);
+        std::uint32_t c = compileExpr(*stmt.cond, ops);
+        if (isConst(c)) {
+          compileStmts(val(c).v ? stmt.thenStmts : stmt.elseStmts, ops);
+          break;
+        }
         std::uint32_t bz = emit({.kind = Kind::BranchIfZero, .a = c});
-        compileStmts(stmt.thenStmts, params);
+        compileStmts(stmt.thenStmts, ops);
         if (stmt.elseStmts.empty()) {
-          p_.code[bz].b = here();
+          at(bz).b = here();
         } else {
           std::uint32_t j = emit({.kind = Kind::Jump});
-          p_.code[bz].b = here();
-          compileStmts(stmt.elseStmts, params);
-          p_.code[j].a = here();
+          at(bz).b = here();
+          compileStmts(stmt.elseStmts, ops);
+          at(j).a = here();
         }
         break;
       }
     }
   }
 
-  void compileLvalue(const rtl::Lvalue& lv, const std::vector<Param>& params,
+  void compileLvalue(const rtl::Lvalue& lv, const Operands& ops,
                      std::uint32_t slot) {
     if (lv.isParam) {
-      const Param& p = params[lv.paramIndex];
-      const NonTerminal& nt = m_.nonTerminals[p.index];
-      forEachOption(nt, lv.paramIndex, [&](const NtOption& opt) {
-        if (!opt.lvalue) {
-          emit({.kind = Kind::Trap,
-                .a = addTrap(cat("non-terminal '", nt.name,
-                                 "' option has no lvalue but was written"))});
-          return false;
-        }
-        emit({.kind = Kind::PushFrame, .a = lv.paramIndex});
-        compileLvalue(*opt.lvalue, opt.params, slot);
-        emit({.kind = Kind::PopFrame});
-        return true;
-      });
+      const NtOption& opt = selected(ops, lv.paramIndex);
+      if (!opt.lvalue) {
+        trap(cat("non-terminal '",
+                 m_.nonTerminals[ops.params[lv.paramIndex].index].name,
+                 "' option has no lvalue but was written"));
+        return;
+      }
+      compileLvalue(*opt.lvalue, {opt.params, ops.values[lv.paramIndex].sub},
+                    slot);
       return;
     }
-    std::uint32_t elemReg = kNoReg;
-    if (lv.index) elemReg = compileExpr(*lv.index, params);
-    emit({.kind = Kind::SetLv,
-          .flags = std::uint8_t(lv.hasSlice ? 1 : 0),
-          .hi = std::uint16_t(lv.sliceHi),
-          .lo = std::uint16_t(lv.sliceLo),
-          .dst = slot,
-          .a = lv.storageIndex,
-          .b = elemReg});
+    WriteSlot& s = prog_.slots[rec_.slots + slot];
+    s.si = lv.storageIndex;
+    s.hasSlice = lv.hasSlice;
+    s.hi = lv.sliceHi;
+    s.lo = lv.sliceLo;
+    if (!lv.index) return;
+    std::uint32_t idx = compileExpr(*lv.index, ops);
+    if (!isConst(idx)) {
+      emit({.kind = Kind::SetLv, .dst = slot, .a = lv.storageIndex, .b = idx});
+      return;
+    }
+    const StorageDef& st = m_.storages[lv.storageIndex];
+    prog_.slots[rec_.slots + slot].elem = val(idx).v;
+    if (val(idx).v >= st.depth)
+      trap(cat("write to ", st.name, "[", val(idx).v, "] is out of range"));
   }
 
   const Machine& m_;
-  const std::vector<bool>& ntHasSideEffects_;
-  ConstPool& pool_;
-  bool& narrow_;
-  Program& p_;
+  const bool injectFault_;
+  BoundProgram& prog_;
+  BoundProgram::Record& rec_;
+  std::vector<bool> isConst_;  ///< per record-relative register
+  unsigned latency_ = 1, stallCost_ = 0;
 };
-
-/// Applies `fn` to every operand field of `u` that names a register (as
-/// opposed to a storage/param/table index, jump target, or lvalue slot).
-template <typename Fn>
-void forEachRegOperand(Uop& u, Fn&& fn) {
-  switch (u.kind) {
-    case Kind::Move:
-    case Kind::Slice:
-    case Kind::Unary:
-    case Kind::ZExt:
-    case Kind::SExt:
-    case Kind::Trunc:
-    case Kind::IToF:
-    case Kind::FToI:
-      fn(u.dst);
-      fn(u.a);
-      break;
-    case Kind::Binary:
-    case Kind::Concat2:
-    case Kind::Carry:
-    case Kind::Overflow:
-    case Kind::Borrow:
-      fn(u.dst);
-      fn(u.a);
-      fn(u.b);
-      break;
-    case Kind::LoadParam:
-    case Kind::ReadStorage:
-      fn(u.dst);
-      break;
-    case Kind::ReadElem:
-      fn(u.dst);
-      fn(u.b);
-      break;
-    case Kind::BranchIfZero:
-      fn(u.a);
-      break;
-    case Kind::SetLv:
-      if (u.b != kNoReg) fn(u.b);  // dst is an lvalue slot, a is a storage
-      break;
-    case Kind::StageWrite:
-      fn(u.a);  // dst is an lvalue slot
-      break;
-    case Kind::Jump:
-    case Kind::BrOption:
-    case Kind::PushFrame:
-    case Kind::PopFrame:
-    case Kind::Trap:
-      break;
-  }
-}
-
-/// ntHasSideEffects[i]: does non-terminal i contribute phase-B statements
-/// through any option, transitively? Used to prune BrOption/PushFrame
-/// scaffolding for the (common) effect-free operands.
-std::vector<bool> computeNtSideEffects(const Machine& m) {
-  std::vector<bool> has(m.nonTerminals.size(), false);
-  // Fixed point over the (acyclic in practice, but don't assume) nt graph.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::size_t i = 0; i < m.nonTerminals.size(); ++i) {
-      if (has[i]) continue;
-      for (const NtOption& opt : m.nonTerminals[i].options) {
-        bool h = !opt.sideEffects.empty();
-        for (const Param& p : opt.params)
-          if (p.kind == ParamKind::NonTerminal && has[p.index]) h = true;
-        if (h) {
-          has[i] = true;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return has;
-}
 
 }  // namespace
 
-UopTable::UopTable(const Machine& machine) {
-  ConstPool pool;
-  std::vector<bool> ntSide = computeNtSideEffects(machine);
-  byFieldOp_.resize(machine.fields.size());
-  for (std::size_t f = 0; f < machine.fields.size(); ++f) {
-    const Field& field = machine.fields[f];
-    byFieldOp_[f].resize(field.operations.size());
-    for (std::size_t o = 0; o < field.operations.size(); ++o) {
-      const Operation& op = field.operations[o];
-      OpPrograms& progs = byFieldOp_[f][o];
-      Compiler(machine, ntSide, pool, narrow_, progs.action)
-          .compileStmts(op.action, op.params);
-      Compiler sfx(machine, ntSide, pool, narrow_, progs.sideEffects);
-      sfx.compileStmts(op.sideEffects, op.params);
-      sfx.compileOptionSideEffects(op.params);
-    }
-  }
-
-  // The pool size is now final: renumber so pool constants occupy registers
-  // [0, poolSize) of the shared scratch file and each program's locals
-  // follow. Tagged const references resolve to their pool register.
-  constPool_ = std::move(pool.values);
-  const std::uint32_t poolSize = std::uint32_t(constPool_.size());
-  for (auto& row : byFieldOp_) {
-    for (OpPrograms& progs : row) {
-      for (Program* p : {&progs.action, &progs.sideEffects}) {
-        for (Uop& u : p->code)
-          forEachRegOperand(u, [&](std::uint32_t& r) {
-            r = (r & kConstTag) ? (r & ~kConstTag) : r + poolSize;
-          });
-        p->numRegs += poolSize;
-      }
-    }
-  }
+bool isNarrow(const Machine& m) {
+  NarrowProof proof(m);
+  for (const Field& field : m.fields)
+    for (const Operation& op : field.operations)
+      if (!proof.stmts(op.action, op.params) ||
+          !proof.stmts(op.sideEffects, op.params) ||
+          !proof.optionSideEffects(op.params))
+        return false;
+  return true;
 }
 
-std::uint64_t UopTable::totalUops() const {
-  std::uint64_t n = 0;
-  for (const auto& row : byFieldOp_)
-    for (const OpPrograms& p : row)
-      n += p.action.code.size() + p.sideEffects.code.size();
-  return n;
+void BoundProgram::clear(std::size_t addresses) {
+  byAddress.assign(addresses, Record{});
+  code.clear();
+  regs.clear();
+  slots.clear();
+  traps.clear();
 }
 
-std::string toString(const Program& p) {
+Binder::Binder(const Machine& machine)
+    : machine_(&machine),
+      narrow_(isNarrow(machine)),
+      injectFault_(testFaultInjection()) {}
+
+void Binder::bind(const DecodedInstruction& inst, BoundProgram& prog) const {
+  RecordCompiler(*machine_, injectFault_, prog, prog.byAddress[inst.address])
+      .compile(inst);
+}
+
+std::string toString(const BoundProgram& prog, std::uint64_t address) {
   static constexpr const char* kNames[] = {
-      "move",  "ldparam", "read", "readelem", "slice", "unary", "binary",
-      "cat2",  "zext",    "sext", "trunc",    "itof",  "ftoi",  "carry",
-      "ovf",   "borrow",  "jump", "brz",      "bropt", "push",  "pop",
-      "setlv", "stage",   "trap"};
+      "move",  "read", "readelem", "slice", "unary", "binary", "cat2",
+      "zext",  "sext", "trunc",    "itof",  "ftoi",  "carry",  "ovf",
+      "borrow", "jump", "brz",     "setlv", "stage", "trap"};
+  const BoundProgram::Record& rec = prog.byAddress[address];
   std::string out;
-  for (std::size_t i = 0; i < p.code.size(); ++i) {
-    const Uop& u = p.code[i];
+  for (std::uint32_t i = 0; i <= rec.end; ++i) {
+    if (i == rec.phaseB) out += "-- phase B\n";
+    if (i == rec.end) break;
+    const Uop& u = prog.code[rec.code + i];
     out += cat(i, ": ", kNames[std::size_t(u.kind)]);
     switch (u.kind) {
       case Kind::Unary: out += cat(" ", rtl::unOpName(rtl::UnOp(u.op))); break;
       case Kind::Binary:
         out += cat(" ", rtl::binOpName(rtl::BinOp(u.op)));
         break;
-      case Kind::Trap: out += cat(" \"", p.traps[u.a], "\""); break;
+      case Kind::Trap: out += cat(" \"", prog.traps[u.a], "\""); break;
       default: break;
     }
-    out += cat(" dst=", u.dst, " a=", u.a == kNoReg ? -1 : std::int64_t(u.a),
-               " b=", u.b, " hi=", u.hi, " lo=", u.lo, "\n");
+    out += cat(" dst=", u.dst, " a=", u.a, " b=", u.b, " hi=", u.hi,
+               " lo=", u.lo, "\n");
   }
   return out;
 }
 
 }  // namespace isdl::sim::uop
-
-// --- dispatch loop -----------------------------------------------------------
-
-namespace isdl::sim {
-
-void ExecEngine::setUopTable(const uop::UopTable* table) {
-  assert(!table || table->narrow());
-  uops_ = table;
-  // Preload the shared constant pool into the low registers. Programs never
-  // write them, so this survives every issue; growth in execProgram (resize)
-  // only appends above them.
-  regs_.clear();
-  if (table)
-    for (const BitVector& c : table->constPool())
-      regs_.push_back({c.toUint64(), c.width()});
-}
-
-/// Executes one compiled program against the engine's state. Registers are
-/// (masked uint64_t, width) pairs and every operator is the shared narrow
-/// ALU's (rtl/narrow_alu.h), so no BitVector is built in the loop except at
-/// the architectural boundary. Storage reads go through readNarrow (the
-/// interpreter's pending-write overlay, on words) and staged writes through
-/// the same stageWrite, so hazard probing, forwarding, stall attribution,
-/// write conflicts, and XTRACE hooks behave identically in both engines.
-void ExecEngine::execProgram(const uop::Program& prog,
-                             const std::vector<DecodedParam>& dparams,
-                             unsigned latency, unsigned stallCost) {
-  using uop::Kind;
-  if (regs_.size() < prog.numRegs) regs_.resize(prog.numRegs);
-  if (lvSlots_.size() < prog.numLvSlots) lvSlots_.resize(prog.numLvSlots);
-  frames_.clear();
-  frames_.push_back(&dparams);
-
-  narrow::Val* regs = regs_.data();
-  const uop::Uop* code = prog.code.data();
-  const std::uint32_t n = std::uint32_t(prog.code.size());
-  for (std::uint32_t pc = 0; pc < n;) {
-    const uop::Uop& u = code[pc];
-    switch (u.kind) {
-      case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
-      case Kind::LoadParam: {
-        const BitVector& enc = (*frames_.back())[u.a].encoded;
-        regs[u.dst] = {enc.toUint64(), enc.width()};
-        ++pc;
-        break;
-      }
-      case Kind::ReadStorage:
-        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
-        ++pc;
-        break;
-      case Kind::ReadElem:
-        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
-        ++pc;
-        break;
-      case Kind::Slice:
-        regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
-        ++pc;
-        break;
-      case Kind::Unary:
-        regs[u.dst] = narrow::unOp(rtl::UnOp(u.op), regs[u.a]);
-        ++pc;
-        break;
-      case Kind::Binary:
-        regs[u.dst] = narrow::binOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Concat2:
-        regs[u.dst] = narrow::concat(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::ZExt: regs[u.dst] = narrow::zext(regs[u.a], u.hi); ++pc; break;
-      case Kind::SExt: regs[u.dst] = narrow::sext(regs[u.a], u.hi); ++pc; break;
-      case Kind::Trunc:
-        regs[u.dst] = narrow::trunc(regs[u.a], u.hi);
-        ++pc;
-        break;
-      case Kind::IToF: regs[u.dst] = narrow::itof(regs[u.a], u.hi); ++pc; break;
-      case Kind::FToI: regs[u.dst] = narrow::ftoi(regs[u.a], u.hi); ++pc; break;
-      case Kind::Carry:
-        regs[u.dst] = narrow::carry(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Overflow:
-        regs[u.dst] = narrow::overflow(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Borrow:
-        regs[u.dst] = narrow::borrow(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Jump: pc = u.a; break;
-      case Kind::BranchIfZero: pc = regs[u.a].v == 0 ? u.b : pc + 1; break;
-      case Kind::BrOption:
-        pc = prog.tables[u.b]
-                       [std::size_t((*frames_.back())[u.a].ntOption)];
-        break;
-      case Kind::PushFrame:
-        frames_.push_back(&(*frames_.back())[u.a].sub);
-        ++pc;
-        break;
-      case Kind::PopFrame: frames_.pop_back(); ++pc; break;
-      case Kind::SetLv: {
-        ResolvedLv& lv = lvSlots_[u.dst];
-        lv.si = u.a;
-        lv.elem = u.b == uop::kNoReg ? 0 : regs[u.b].v;
-        if (lv.elem >= machine_.storages[u.a].depth)
-          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
-                                   "[", lv.elem, "] is out of range"));
-        lv.hasSlice = (u.flags & 1) != 0;
-        lv.hi = u.hi;
-        lv.lo = u.lo;
-        ++pc;
-        break;
-      }
-      case Kind::StageWrite:
-        stageWrite(lvSlots_[u.dst], BitVector(regs[u.a].w, regs[u.a].v),
-                   latency, stallCost);
-        ++pc;
-        break;
-      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
-    }
-  }
-}
-
-}  // namespace isdl::sim

@@ -1,37 +1,38 @@
-// Micro-op compiled execution engine (the XSIM fast path).
+// Instruction-set compiled execution (the XSIM fast path).
 //
 // The interpreter in sim/core.cpp re-walks the rtl::Expr AST of every
 // operation action for every issued instruction, re-resolving non-terminal
 // option values recursively through virtual EvalContext calls each time. The
 // generated-simulator literature (Reshadi & Dutt; Blanqui et al., see
-// PAPERS.md) shows that pre-compiling the semantic functions into flat,
-// dispatchable code is what moves ADL-generated simulators from "correct" to
-// "fast". This header is that compilation layer:
+// PAPERS.md) gets its cycle-accurate speed from decoding each instruction
+// once and specialising its operation templates with that instruction's
+// operand values. This header is that layer:
 //
-//   * At Xsim construction, every (field, operation) action and side-effect
-//     tree — including the transitive non-terminal option value / lvalue /
-//     side-effect trees — is lowered once into a flat register-based
-//     micro-op Program.
-//   * The processing core executes a Program with a tight switch-dispatch
-//     loop over a reusable register file of (uint64_t, width) values
-//     (ExecEngine::execProgram, defined in uop.cpp), with no recursion, no
-//     virtual calls, and no per-issue context allocation. Every operator is
-//     the shared ≤64-bit ALU of rtl/narrow_alu.h.
+//   * Every decoded instruction binds once, on its first issue, into one
+//     flat record (BoundProgram::Record): a straight-line micro-op range per
+//     phase covering every field. Operand values are constants of the
+//     record, the non-terminal option each operand selected is resolved
+//     away (its value, lvalue and side-effect trees are compiled in place),
+//     and operators whose operands are all constants fold through the shared
+//     ≤64-bit ALU of rtl/narrow_alu.h. Each write slot carries its field's
+//     effective latency and stall.
+//   * The processing core runs a phase's range with one switch-dispatch loop
+//     (ExecEngine::execProgram, in sim/core.cpp) over the record's own
+//     registers: no recursion, no virtual calls, no per-issue allocation and
+//     no walk of the decoded parameters.
 //
-// Decode-time choices (which non-terminal option an operand selected) are
-// the only dynamic inputs besides state: they are handled by BrOption jump
-// tables plus a tiny frame stack mirroring the DecodedParam tree, so one
-// compiled Program per operation covers every operand combination.
+// Binding on first issue rather than at load: the disassembler decodes at
+// every word address, and short runs (the fuzzer's) issue only a few of
+// them, so binding only what runs keeps loadProgram as cheap as before.
 //
-// The compiler proves at construction that every value of every program
-// fits in 64 bits (UopTable::narrow): semantic analysis has already stored
-// the width of every RTL expression, and no compiled value is wider than
-// the expression it comes from. When any program fails the proof, Xsim
-// leaves the table uninstalled and runs the interpreter. The interpreter
-// also stays available on request (Xsim::setUopEnabled(false), xsim
-// --no-uop) as the differential-testing oracle (tests/fuzz_diff_test.cpp):
-// it evaluates on BitVector through rtl::applyBinOp, so it checks the
-// narrow ALU rather than sharing it. Both paths share the engine's
+// isNarrow() proves from the widths semantic analysis stored on every RTL
+// expression that every value a bound record can compute fits in 64 bits.
+// When the proof fails, Xsim runs the interpreter. The interpreter also stays
+// available on request (Xsim::setUopEnabled(false), xsim --no-uop) as the
+// differential-testing oracle (tests/fuzz_diff_test.cpp,
+// tests/bound_diff_test.cpp): it walks the decoded parameters and evaluates
+// on BitVector through rtl::applyBinOp, so it checks the binder and the
+// narrow ALU rather than sharing them. Both paths share the engine's
 // pending-write overlay, so stall and latency accounting is identical by
 // construction.
 
@@ -43,16 +44,16 @@
 #include <vector>
 
 #include "isdl/model.h"
-#include "support/bitvector.h"
+#include "rtl/narrow_alu.h"
+#include "sim/decoded.h"
 
 namespace isdl::sim::uop {
 
 enum class Kind : std::uint8_t {
   // Value producers (result into register `dst`). There is no "load
-  // constant" uop: constants live in a shared pool preloaded into the low
-  // registers of the engine's scratch file (see UopTable::constPool).
+  // constant" uop: constants, operand values included, are registers the
+  // binder preloads.
   Move,         ///< dst = reg a
-  LoadParam,    ///< dst = current frame's param a encoded value (tokens)
   ReadStorage,  ///< dst = storage a (through the pending-write overlay)
   ReadElem,     ///< dst = storage a [ reg b ]
   Slice,        ///< dst = reg a [hi:lo]
@@ -67,102 +68,103 @@ enum class Kind : std::uint8_t {
   Carry,        ///< dst = carry-out of reg a + reg b (1 bit)
   Overflow,     ///< dst = signed overflow of reg a + reg b (1 bit)
   Borrow,       ///< dst = borrow-out of reg a - reg b (1 bit)
-  // Control flow.
+  // Control flow (data-dependent only: RTL `if` and `?:`).
   Jump,          ///< pc = a
   BranchIfZero,  ///< pc = reg a == 0 ? b : pc+1
-  BrOption,      ///< pc = tables[b][current frame's param a selected option]
-  // Decoded-parameter frame stack (non-terminal recursion).
-  PushFrame,  ///< enter param a's selected-option sub-parameters
-  PopFrame,   ///< return to the enclosing parameter frame
   // Effects.
-  SetLv,       ///< lv slot dst = {storage a, elem reg b (kNoReg => 0),
-               ///<               hasSlice = flags&1, hi, lo}; bounds-checked
-  StageWrite,  ///< stage reg a into lv slot dst (delayed-write queue)
+  SetLv,       ///< write slot dst's element = reg b; range-checked
+               ///< against storage a (its other fields are bound)
+  StageWrite,  ///< stage reg a into write slot dst (delayed-write queue)
   Trap,        ///< throw EvalError(traps[a])
 };
 
-/// One micro-op. Fixed 20-byte layout; variable payloads (jump tables, trap
-/// messages) live in side pools in the Program so the dispatch loop walks a
-/// dense array.
+/// One micro-op. Fixed 20-byte layout; trap messages live in a side pool so
+/// the dispatch loop walks a dense array.
 struct Uop {
   Kind kind;
   std::uint8_t op = 0;     ///< rtl::BinOp / rtl::UnOp ordinal (Unary/Binary)
-  std::uint8_t flags = 0;  ///< SetLv: bit 0 = hasSlice
-  std::uint16_t hi = 0;    ///< Slice/SetLv high bit; *Ext/Trunc/IToF/FToI width
-  std::uint16_t lo = 0;    ///< Slice/SetLv low bit
-  std::uint32_t dst = 0;   ///< result register; SetLv/StageWrite: lv slot
-  std::uint32_t a = 0;     ///< operand register / param index / storage index /
+  std::uint16_t hi = 0;    ///< Slice high bit; *Ext/Trunc/IToF/FToI width
+  std::uint16_t lo = 0;    ///< Slice low bit
+  std::uint32_t dst = 0;   ///< result register; SetLv/StageWrite: write slot
+  std::uint32_t a = 0;     ///< operand register / storage index /
                            ///< jump target / trap index
-  std::uint32_t b = 0;     ///< 2nd operand register / table index
+  std::uint32_t b = 0;     ///< 2nd operand register / branch target
 };
 
-/// Sentinel for "no element register" (SetLv of a non-addressed storage).
-inline constexpr std::uint32_t kNoReg = 0xffffffffu;
+/// Where and when one RTL assignment of a bound instruction writes. Every
+/// field but `elem` is fixed at bind time; `elem` too when the index is a
+/// constant, else a SetLv uop fills it in at run time.
+struct WriteSlot {
+  unsigned si = 0;
+  std::uint64_t elem = 0;
+  bool hasSlice = false;
+  unsigned hi = 0, lo = 0;
+  unsigned latency = 1;    ///< the writing field's effective Latency
+  unsigned stallCost = 0;  ///< the writing field's effective Stall
+};
 
-/// A compiled micro-op program: straight-line code with explicit jumps,
-/// executed over a scratch register file of `numRegs` narrow values and
-/// `numLvSlots` resolved-lvalue slots (both reused across issues). Register
-/// indices below the owning table's constPool().size() name preloaded
-/// constants; `numRegs` includes them.
-struct Program {
+/// The bound form of a loaded program. Each record's code, registers and
+/// write slots sit in shared arenas, so binding an instruction appends and
+/// issuing one indexes; register, slot and jump operands are relative to
+/// their record.
+struct BoundProgram {
+  struct Record {
+    bool bound = false;
+    std::uint32_t code = 0;    ///< first uop in `code`
+    std::uint32_t phaseB = 0;  ///< phase A is [0, phaseB), relative
+    std::uint32_t end = 0;     ///< phase B is [phaseB, end), relative
+    std::uint32_t regs = 0;    ///< first register in `regs`
+    std::uint32_t slots = 0;   ///< first write slot in `slots`
+  };
+
+  std::vector<Record> byAddress;  ///< parallel to DecodedProgram::byAddress
   std::vector<Uop> code;
-  std::vector<std::vector<std::uint32_t>> tables;  ///< BrOption jump tables
-  std::vector<std::string> traps;                  ///< Trap messages
-  std::uint32_t numRegs = 0;
-  std::uint32_t numLvSlots = 0;
+  /// Constants are preloaded at bind time and never written; the other
+  /// registers are the record's scratch values.
+  std::vector<narrow::Val> regs;
+  std::vector<WriteSlot> slots;
+  std::vector<std::string> traps;
 
-  bool empty() const { return code.empty(); }
+  /// Forgets every record: the next issue of each address binds again.
+  void clear(std::size_t addresses);
 };
 
-/// The two programs of one operation, matching the paper's two-phase cycle:
-/// `action` runs in phase A (with hazard-probe retry), `sideEffects` in
-/// phase B (operation side effects plus the transitive side effects of every
-/// selected non-terminal option, in the interpreter's depth-first order).
-struct OpPrograms {
-  Program action;
-  Program sideEffects;
-};
+/// True when every constant, parameter, storage read and intermediate value
+/// any operation of `m` can compute fits in 64 bits, read off the widths
+/// semantic analysis stored on the RTL expressions (an operand that selects
+/// a non-terminal option brings that option's value, lvalue and side-effect
+/// trees). Only such a machine runs bound, and only such a machine can be
+/// emitted as a compiled-code simulator (sim/codegen.h).
+bool isNarrow(const Machine& m);
 
-/// Compiled micro-op programs for every (field, operation) of a Machine.
-/// Built once at Xsim construction; immutable afterwards, so one table can
-/// back any number of engines.
-class UopTable {
+/// Binds decoded instructions of one machine. Immutable after construction,
+/// so one binder can serve any number of programs.
+class Binder {
  public:
-  explicit UopTable(const Machine& machine);
+  explicit Binder(const Machine& machine);
 
-  const OpPrograms& at(unsigned field, unsigned op) const {
-    return byFieldOp_[field][op];
-  }
-
-  /// Total micro-ops across all programs (introspection for tests/benches).
-  std::uint64_t totalUops() const;
-
-  /// Deduplicated constants shared by every program of this table. The
-  /// engine copies them once into scratch registers [0, size()) when the
-  /// table is installed; programs never write those registers.
-  const std::vector<BitVector>& constPool() const { return constPool_; }
-
-  /// True when every constant, parameter, storage read and intermediate
-  /// value of every program fits in 64 bits, read off the widths semantic
-  /// analysis stored on the compiled RTL expressions. Only such a table can
-  /// drive the engine.
+  /// Same as isNarrow(machine), computed once.
   bool narrow() const { return narrow_; }
 
+  /// Appends the bound form of `inst` to `prog`'s arenas and fills
+  /// `prog.byAddress[inst.address]`. Requires narrow().
+  void bind(const DecodedInstruction& inst, BoundProgram& prog) const;
+
  private:
-  std::vector<std::vector<OpPrograms>> byFieldOp_;
-  std::vector<BitVector> constPool_;
-  bool narrow_ = true;
+  const Machine* machine_;
+  bool narrow_;
+  bool injectFault_;  ///< testFaultInjection() when the binder was built
 };
 
-/// Human-readable listing of a compiled program (debugging / docs aid).
-std::string toString(const Program& p);
+/// Human-readable listing of one bound record (debugging / docs aid).
+std::string toString(const BoundProgram& prog, std::uint64_t address);
 
-/// Test-only fault injection: while enabled, UopTable lowers every RTL `+`
-/// as `-`, deliberately breaking the compiled engine. The conformance fuzzer
-/// (src/testing) uses this to prove the differential oracle catches and
-/// shrinks real lowering bugs; it is also reachable via the hidden
-/// ISDL_FUZZ_INJECT_FAULT=1 environment flag of the isdl-fuzz driver. Only
-/// affects tables built while the flag is on.
+/// Test-only fault injection: while enabled, binders built from then on lower
+/// every RTL `+` as `-`, deliberately breaking the bound engine. The
+/// conformance fuzzer (src/testing) uses this to prove the differential
+/// oracle catches and shrinks real lowering bugs; it is also reachable via
+/// the hidden ISDL_FUZZ_INJECT_FAULT=1 environment flag of the isdl-fuzz
+/// driver.
 void setTestFaultInjection(bool enabled);
 bool testFaultInjection();
 

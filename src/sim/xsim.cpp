@@ -22,7 +22,7 @@ Xsim::Xsim(const Machine& machine)
       sigs_(machine, sigDiags_),
       disasm_(sigs_),
       state_(machine),
-      uops_(std::make_unique<uop::UopTable>(machine)),
+      binder_(machine),
       engine_(machine, state_) {
   engine_.setStatsSink(&stats_);
   setUopEnabled(true);
@@ -33,10 +33,6 @@ Xsim::Xsim(const Machine& machine)
   initStats();
 }
 
-void Xsim::setUopEnabled(bool enabled) {
-  engine_.setUopTable(enabled && uops_->narrow() ? uops_.get() : nullptr);
-}
-
 void Xsim::initStats() {
   stats_ = Stats{};
   stats_.opCount.clear();
@@ -45,6 +41,7 @@ void Xsim::initStats() {
   stats_.fieldUtilization.assign(machine_->fields.size(), 0);
   stats_.dataStallsByStorage.assign(machine_->storages.size(), 0);
   stats_.structStallsByField.assign(machine_->fields.size(), 0);
+  issues_.assign(decoded_.byAddress.size(), 0);
   if (traceBuf_) traceBuf_->clear();
   if (profiling_) heat_.clear();
 }
@@ -78,6 +75,7 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
   }
 
   decoded_ = std::move(decoded);
+  bound_.clear(decoded_.byAddress.size());
   programWords_ = prog.words;
   programData_ = prog.dataInit;
   reset();
@@ -86,13 +84,13 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
 
 void Xsim::reset() {
   // Restores state, statistics and memory images but keeps the off-line
-  // disassembly: the program words are the ones decoded_ was built from, so
-  // re-running the decoder (which dominates loadProgram) is pure waste.
-  // Benchmarks and the exploration loop reset once per measured run.
+  // disassembly and the bound records: the program words are the ones
+  // decoded_ was built from, so re-running the decoder (which dominates
+  // loadProgram) or the binder is pure waste. Benchmarks and the
+  // exploration loop reset once per measured run.
   state_.reset();
   engine_.reset();
   initStats();
-  warnedSelfModify_ = false;
 
   const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
   for (std::size_t i = 0; i < programWords_.size(); ++i)
@@ -123,19 +121,19 @@ std::optional<RunResult> Xsim::executeOne() {
   const DecodedInstruction& inst = decoded_.byAddress[addr];
   if (trace_) trace_(addr);
 
-  ExecEngine::IssueInfo info = engine_.issue(inst);
+  uop::BoundProgram* bound = nullptr;
+  if (useBound_) {
+    bound = &bound_;
+    if (!bound_.byAddress[addr].bound) binder_.bind(inst, bound_);
+  }
+  ExecEngine::IssueInfo info = engine_.issue(inst, bound);
   if (!info.ok)
     return RunResult{StopReason::RuntimeError,
                      cat("at address ", addr, ": ", info.error)};
 
-  stats_.instructions += 1;
+  ++issues_[addr];
   stats_.dataStallCycles += info.dataStallCycles;
   stats_.structStallCycles += info.structStallCycles;
-  for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-    stats_.opCount[f][inst.ops[f].opIndex] += 1;
-    if (static_cast<int>(inst.ops[f].opIndex) != machine_->fields[f].nopIndex)
-      stats_.fieldUtilization[f] += 1;
-  }
   stats_.cycles = engine_.cycle();
 
   if (!info.pcCommitted)
@@ -145,6 +143,23 @@ std::optional<RunResult> Xsim::executeOne() {
   if (halt && inst.ops[halt->fieldIndex].opIndex == halt->opIndex)
     return RunResult{StopReason::Halted, {}};
   return std::nullopt;
+}
+
+const Stats& Xsim::stats() const {
+  for (std::size_t addr = 0; addr < issues_.size(); ++addr) {
+    const std::uint64_t n = issues_[addr];
+    if (n == 0) continue;
+    issues_[addr] = 0;
+    const DecodedInstruction& inst = decoded_.byAddress[addr];
+    stats_.instructions += n;
+    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
+      stats_.opCount[f][inst.ops[f].opIndex] += n;
+      if (static_cast<int>(inst.ops[f].opIndex) !=
+          machine_->fields[f].nopIndex)
+        stats_.fieldUtilization[f] += n;
+    }
+  }
+  return stats_;
 }
 
 RunResult Xsim::run(std::uint64_t maxCycles) {
@@ -200,18 +215,14 @@ void Xsim::enableProfile() {
   for (const auto& st : machine_->storages) depths.push_back(st.depth);
   heat_.configure(depths);
   engine_.setHeatmap(&heat_);
-  // Write side rides the monitor hook: every value-changing commit of any
-  // storage lands here (reads are counted inside the core).
-  state_.monitors().setWriteObserver([this](const WriteEvent& ev) {
-    heat_.countWrite(ev.storageIndex, ev.element);
-  });
+  state_.setHeatmap(&heat_);
   profiling_ = true;
 }
 
 void Xsim::disableProfile() {
   if (!profiling_) return;
   engine_.setHeatmap(nullptr);
-  state_.monitors().setWriteObserver(nullptr);
+  state_.setHeatmap(nullptr);
   profiling_ = false;
 }
 
@@ -230,26 +241,27 @@ obs::NameTable Xsim::nameTable() const {
 obs::MetricsReport Xsim::metricsReport() const {
   obs::MetricsReport r;
   r.arch = machine_->name;
-  r.cycles = stats_.cycles;
-  r.instructions = stats_.instructions;
-  r.dataStallCycles = stats_.dataStallCycles;
-  r.structStallCycles = stats_.structStallCycles;
+  const Stats& st = stats();
+  r.cycles = st.cycles;
+  r.instructions = st.instructions;
+  r.dataStallCycles = st.dataStallCycles;
+  r.structStallCycles = st.structStallCycles;
 
   for (std::size_t f = 0; f < machine_->fields.size(); ++f) {
     const Field& field = machine_->fields[f];
-    r.utilization.push_back({field.name, stats_.fieldUtilization[f]});
+    r.utilization.push_back({field.name, st.fieldUtilization[f]});
     for (std::size_t o = 0; o < field.operations.size(); ++o)
-      if (stats_.opCount[f][o])
+      if (st.opCount[f][o])
         r.opCounts.push_back(
-            {field.name, field.operations[o].name, stats_.opCount[f][o]});
-    if (stats_.structStallsByField[f])
+            {field.name, field.operations[o].name, st.opCount[f][o]});
+    if (st.structStallsByField[f])
       r.structStallsByField.push_back(
-          {field.name, stats_.structStallsByField[f]});
+          {field.name, st.structStallsByField[f]});
   }
   for (std::size_t si = 0; si < machine_->storages.size(); ++si)
-    if (stats_.dataStallsByStorage[si])
+    if (st.dataStallsByStorage[si])
       r.dataStallsByProducer.push_back(
-          {machine_->storages[si].name, stats_.dataStallsByStorage[si]});
+          {machine_->storages[si].name, st.dataStallsByStorage[si]});
 
   if (profiling_) {
     for (std::size_t si = 0; si < machine_->storages.size(); ++si) {

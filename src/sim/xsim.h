@@ -100,7 +100,9 @@ class Xsim {
     trace_ = std::move(cb);
   }
 
-  const Stats& stats() const { return stats_; }
+  /// Statistics since the last load or reset. Issue counts are kept per
+  /// instruction while running and folded in here.
+  const Stats& stats() const;
   std::uint64_t cycle() const { return engine_.cycle(); }
 
   // --- XTRACE observability (paper Figure 1's measurement edge) -------------
@@ -115,7 +117,7 @@ class Xsim {
   void writeChromeTrace(std::ostream& out) const;
 
   /// Enables per-storage access heatmaps: reads counted in the core, writes
-  /// layered on the Monitors write observer. Cleared by loadProgram/reset.
+  /// in State's commit path. Cleared by loadProgram/reset.
   void enableProfile();
   void disableProfile();
   bool profiling() const { return profiling_; }
@@ -132,15 +134,18 @@ class Xsim {
   void writeMetricsJson(std::ostream& out) const;
 
   // --- execution engine selection -------------------------------------------
-  /// Selects between the micro-op compiled core (default; sim/uop.h) and the
+  /// Selects between the bound micro-op records (default; sim/uop.h) and the
   /// tree-walking interpreter. The two are bit-identical — the interpreter
   /// remains as the differential-testing oracle (`xsim --no-uop`). Machines
-  /// whose programs fail the narrow-width proof (uop::UopTable::narrow) run
-  /// on the interpreter whatever is requested; uopEnabled() reports the
-  /// engine actually in use.
-  void setUopEnabled(bool enabled);
-  bool uopEnabled() const { return engine_.usingUops(); }
-  const uop::UopTable& uopTable() const { return *uops_; }
+  /// that fail the narrow-width proof (uop::isNarrow) run on the
+  /// interpreter whatever is requested; uopEnabled() reports the engine
+  /// actually in use.
+  void setUopEnabled(bool enabled) { useBound_ = enabled && binder_.narrow(); }
+  bool uopEnabled() const { return useBound_; }
+  const uop::Binder& binder() const { return binder_; }
+  /// The loaded program's bound records; an instruction binds on its first
+  /// issue by the bound engine.
+  const uop::BoundProgram& boundProgram() const { return bound_; }
 
   /// Commits in-flight delayed writes (call before inspecting final state).
   void drainPipeline() { engine_.drain(); }
@@ -153,21 +158,26 @@ class Xsim {
   SignatureTable sigs_;
   Disassembler disasm_;
   State state_;
-  std::unique_ptr<uop::UopTable> uops_;
+  uop::Binder binder_;
+  bool useBound_ = false;
   ExecEngine engine_;
   DecodedProgram decoded_;
+  uop::BoundProgram bound_;
   /// The last accepted program image, replayed by reset().
   std::vector<BitVector> programWords_;
   std::vector<std::pair<std::uint64_t, BitVector>> programData_;
   std::set<std::uint64_t> breakpoints_;
   std::function<void(std::uint64_t)> breakpointHook_;
   std::function<void(std::uint64_t)> trace_;
-  Stats stats_;
+  /// Everything but opCount, fieldUtilization and instructions is current;
+  /// those three lag by the counts in issues_ until stats() folds them in.
+  mutable Stats stats_;
+  /// Issues of each instruction since the last fold, by address.
+  mutable std::vector<std::uint64_t> issues_;
   obs::Registry registry_;
   std::unique_ptr<obs::TraceBuffer> traceBuf_;
   obs::StorageHeatmap heat_;
   bool profiling_ = false;
-  bool warnedSelfModify_ = false;
 
   /// Executes exactly one instruction; returns nullopt to continue.
   std::optional<RunResult> executeOne();

@@ -84,11 +84,12 @@ MachineResult fuzzOneMachine(const FuzzConfig& cfg, std::uint64_t index,
   try {
     DifferentialOracle oracle(*machine, oopts);
     sim::Assembler assembler(oracle.signatures());
+    const AssemblyGenerator generator(*machine, oracle.signatures());
 
     for (unsigned p = 0; p < cfg.programsPerMachine; ++p) {
       std::mt19937_64 prng(mixSeed(machineSeed, p + 1));
-      std::vector<std::string> lines = randomAssemblyProgram(
-          *machine, oracle.signatures(), prng, cfg.programLength);
+      std::vector<std::string> lines =
+          generator.generate(prng, cfg.programLength);
 
       DiagnosticEngine adiags;
       auto prog = assembler.assemble(join(lines, "\n") + "\n", adiags);

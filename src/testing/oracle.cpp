@@ -40,6 +40,12 @@ void compareStats(const sim::Stats& a, const sim::Stats& b, const char* aName,
   if (a.structStallsByField != b.structStallsByField)
     out.push_back(cat("struct stall attribution by field differs (", aName,
                       " vs ", bName, ")"));
+  if (a.opCount != b.opCount)
+    out.push_back(cat("operation issue counts differ (", aName, " vs ", bName,
+                      ")"));
+  if (a.fieldUtilization != b.fieldUtilization)
+    out.push_back(cat("field utilization differs (", aName, " vs ", bName,
+                      ")"));
 }
 
 void compareWithHardware(const Machine& m, const sim::Xsim& ref,

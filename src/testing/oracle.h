@@ -78,7 +78,8 @@ void compareFinalState(const Machine& m, const sim::Xsim& a,
                        const sim::Xsim& b, const char* aName,
                        const char* bName, std::vector<std::string>& out);
 
-/// Appends a line per differing cycle/instruction/stall-attribution stat.
+/// Appends a line per differing Stats field: cycles, instructions, stall
+/// cycles and attribution, operation issue counts and field utilization.
 void compareStats(const sim::Stats& a, const sim::Stats& b, const char* aName,
                   const char* bName, std::vector<std::string>& out);
 

@@ -159,34 +159,46 @@ std::string renderOperation(const Machine& m, unsigned f, const Operation& op,
 
 }  // namespace
 
-std::vector<std::string> randomAssemblyProgram(const Machine& m,
-                                               const sim::SignatureTable& sigs,
-                                               std::mt19937_64& rng,
-                                               unsigned length) {
-  // Eligible (non-control, single-word, non-halt) operations per field.
-  std::vector<std::vector<unsigned>> eligible(m.fields.size());
+AssemblyGenerator::AssemblyGenerator(const Machine& m,
+                                     const sim::SignatureTable& sigs)
+    : m_(&m),
+      words_((m.wordWidth + 63) / 64),
+      eligible_(m.fields.size()),
+      masks_(m.fields.size()) {
   for (std::size_t f = 0; f < m.fields.size(); ++f) {
-    for (std::size_t o = 0; o < m.fields[f].operations.size(); ++o) {
-      const Operation& op = m.fields[f].operations[o];
-      if (isHaltOperation(m, f, o) || operationTouchesPc(m, op) ||
-          op.costs.size != 1)
-        continue;
-      eligible[f].push_back(unsigned(o));
+    const Field& field = m.fields[f];
+    masks_[f].resize(field.operations.size() * words_);
+    for (std::size_t o = 0; o < field.operations.size(); ++o) {
+      const BitVector& mask =
+          sigs.operation(unsigned(f), unsigned(o)).ownedMask();
+      for (unsigned w = 0; w < words_; ++w)
+        masks_[f][o * words_ + w] = mask.word(w);
+      // Eligible: non-control, single-word, non-halt.
+      const Operation& op = field.operations[o];
+      if (!isHaltOperation(m, f, o) && !operationTouchesPc(m, op) &&
+          op.costs.size == 1)
+        eligible_[f].push_back(unsigned(o));
     }
   }
+}
 
+std::vector<std::string> AssemblyGenerator::generate(std::mt19937_64& rng,
+                                                     unsigned length) const {
+  const Machine& m = *m_;
   std::vector<std::string> lines;
+  std::vector<int> choice(m.fields.size());
+  std::vector<std::uint64_t> painted(words_);
   for (unsigned i = 0; i < length; ++i) {
     for (int attempt = 0; attempt < 100; ++attempt) {
       // Pick a subset of fields (70% each); fields without a nop cannot be
       // omitted in assembly, so they are always included when possible.
-      std::vector<int> choice(m.fields.size(), -1);
+      std::fill(choice.begin(), choice.end(), -1);
       unsigned included = 0;
       for (std::size_t f = 0; f < m.fields.size(); ++f) {
-        if (eligible[f].empty()) continue;
+        if (eligible_[f].empty()) continue;
         bool mustInclude = m.fields[f].nopIndex < 0;
         if (!mustInclude && rng() % 10 >= 7) continue;
-        choice[f] = int(eligible[f][rng() % eligible[f].size()]);
+        choice[f] = int(eligible_[f][rng() % eligible_[f].size()]);
         ++included;
       }
       if (included == 0) continue;
@@ -194,17 +206,16 @@ std::vector<std::string> randomAssemblyProgram(const Machine& m,
 
       // Reject cross-field encoding conflicts (absent fields contribute
       // their nop's bits, exactly as the assembler will place them).
-      BitVector painted(m.wordWidth);
+      std::fill(painted.begin(), painted.end(), 0);
       bool conflict = false;
       for (std::size_t f = 0; f < m.fields.size() && !conflict; ++f) {
         int o = choice[f] >= 0 ? choice[f] : m.fields[f].nopIndex;
         if (o < 0) continue;
-        const sim::Signature& sig = sigs.operation(unsigned(f), unsigned(o));
-        const BitVector& mask = sig.ownedMask();
-        if (!mask.and_(painted).isZero())
-          conflict = true;
-        else
-          painted = painted.or_(mask);
+        const std::uint64_t* mask = masks_[f].data() + std::size_t(o) * words_;
+        for (unsigned w = 0; w < words_; ++w) {
+          conflict = conflict || (mask[w] & painted[w]) != 0;
+          painted[w] |= mask[w];
+        }
       }
       if (conflict) continue;
 
@@ -224,6 +235,13 @@ std::vector<std::string> randomAssemblyProgram(const Machine& m,
         m, m.haltOp->fieldIndex,
         m.fields[m.haltOp->fieldIndex].operations[m.haltOp->opIndex], rng));
   return lines;
+}
+
+std::vector<std::string> randomAssemblyProgram(const Machine& m,
+                                               const sim::SignatureTable& sigs,
+                                               std::mt19937_64& rng,
+                                               unsigned length) {
+  return AssemblyGenerator(m, sigs).generate(rng, length);
 }
 
 }  // namespace isdl::testing

@@ -44,10 +44,33 @@ sim::AssembledProgram randomEncodedProgram(const Machine& m,
                                            const sim::SignatureTable& sigs,
                                            std::mt19937& rng, unsigned length);
 
-/// Builds a random program as assembly-source lines; the last line is the
-/// halt instruction (omitted if the machine declares none). Bundles with
-/// more than one field render as `{ F0.op ... | F1.op ... }`; mnemonics are
-/// always field-qualified. Fields may be omitted only when they have a nop.
+/// Random assembly programs for one machine. The eligible operations of
+/// each field and every operation's owned encoding bits (as words, for the
+/// clash test) are derived once, at construction, so each program costs
+/// only its random choices and its rendering.
+class AssemblyGenerator {
+ public:
+  AssemblyGenerator(const Machine& m, const sim::SignatureTable& sigs);
+
+  /// Builds a random program as assembly-source lines; the last line is the
+  /// halt instruction (omitted if the machine declares none). Bundles with
+  /// more than one field render as `{ F0.op ... | F1.op ... }`; mnemonics
+  /// are always field-qualified. Fields may be omitted only when they have a
+  /// nop.
+  std::vector<std::string> generate(std::mt19937_64& rng,
+                                    unsigned length) const;
+
+ private:
+  const Machine* m_;
+  unsigned words_;  ///< 64-bit words per instruction word
+  /// Non-control, single-word, non-halt operations per field.
+  std::vector<std::vector<unsigned>> eligible_;
+  /// masks_[f][o * words_ + w]: word w of operation o's owned bits.
+  std::vector<std::vector<std::uint64_t>> masks_;
+};
+
+/// One program of AssemblyGenerator(m, sigs); build the generator once when
+/// generating several programs for one machine.
 std::vector<std::string> randomAssemblyProgram(const Machine& m,
                                                const sim::SignatureTable& sigs,
                                                std::mt19937_64& rng,

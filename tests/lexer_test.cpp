@@ -133,6 +133,29 @@ TEST(Lexer, SizedLiteralWidthOutOfRange) {
   }
 }
 
+TEST(Lexer, SizedLiteralValueMustFitItsWidth) {
+  // Leading zeros and underscores are free; the largest value of each width
+  // fits.
+  auto toks = lexOk("4'hF 8'd255 2'b11 4'h00F 8'b1111_1111");
+  EXPECT_EQ(toks[0].sizedValue.toUint64(), 15u);
+  EXPECT_EQ(toks[1].sizedValue.toUint64(), 255u);
+  EXPECT_EQ(toks[2].sizedValue.toUint64(), 3u);
+  EXPECT_EQ(toks[3].sizedValue.toUint64(), 15u);
+  EXPECT_EQ(toks[4].sizedValue.toUint64(), 255u);
+  // One past is reported, naming the width, instead of truncated.
+  const std::pair<const char*, const char*> cases[] = {
+      {"4'hFF", "1:1: error: sized literal 4'hFF does not fit in 4 bits\n"},
+      {"8'd256", "1:1: error: sized literal 8'd256 does not fit in 8 bits\n"},
+      {"2'b1111",
+       "1:1: error: sized literal 2'b1111 does not fit in 2 bits\n"},
+  };
+  for (const auto& [src, message] : cases) {
+    DiagnosticEngine diags;
+    lex(src, diags);
+    EXPECT_EQ(diags.dump(), message) << src;
+  }
+}
+
 TEST(Lexer, UnsizedIntegerBeyond64Bits) {
   auto toks =
       lexOk("18446744073709551615 0xFFFF_FFFF_FFFF_FFFF 0x0000000000000000001");

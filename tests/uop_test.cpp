@@ -1,5 +1,5 @@
-// Directed tests for the micro-op compilation layer (sim/uop.h): table
-// construction over all example architectures, engine parity on the real
+// Directed tests for the bound micro-op engine (sim/uop.h): lazy binding
+// over all example architectures, the bound listing, engine parity on the real
 // benchmark kernels (cycles, stalls and final state, also after reset — the
 // fuzz suite covers random programs), run-time engine switching, and the CLI
 // `engine` command.
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "archs/archs.h"
@@ -33,36 +34,62 @@ const ArchCase kArchs[] = {
     {"TDSP", archs::loadTdsp, archs::tdspBenchmarks},
 };
 
-TEST(UopTable, CompilesEveryOperationOfEveryArch) {
+/// Assembles `source` and loads it into `xsim`.
+void load(Xsim& xsim, const std::string& source) {
+  Assembler assembler(xsim.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble(source, diags);
+  ASSERT_TRUE(prog.has_value()) << diags.dump();
+  std::string err;
+  ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+}
+
+// Binding is lazy: exactly the instructions a run issues are bound, each
+// once, and a reset keeps them.
+TEST(UopBinder, BindsEveryIssuedInstructionOfEveryKernel) {
   for (const ArchCase& a : kArchs) {
-    SCOPED_TRACE(a.name);
     auto m = a.loader();
-    uop::UopTable table(*m);
-    EXPECT_GT(table.totalUops(), 0u);
-    for (std::size_t f = 0; f < m->fields.size(); ++f) {
-      for (std::size_t o = 0; o < m->fields[f].operations.size(); ++o) {
-        const Operation& op = m->fields[f].operations[o];
-        const uop::OpPrograms& p = table.at(unsigned(f), unsigned(o));
-        // An operation with statements must compile to a non-empty program.
-        if (!op.action.empty()) {
-          EXPECT_FALSE(p.action.empty()) << op.name;
-        }
-      }
+    for (const archs::Benchmark& bench : a.benchmarks()) {
+      SCOPED_TRACE(::testing::Message() << a.name << "/" << bench.name);
+      Xsim xsim(*m);
+      ASSERT_TRUE(xsim.binder().narrow());
+      load(xsim, bench.source);
+      std::set<std::uint64_t> issued;
+      xsim.setTraceCallback([&](std::uint64_t addr) { issued.insert(addr); });
+      ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
+      const uop::BoundProgram& bound = xsim.boundProgram();
+      for (std::size_t addr = 0; addr < bound.byAddress.size(); ++addr)
+        EXPECT_EQ(bound.byAddress[addr].bound, issued.count(addr) != 0)
+            << "address " << addr;
+      EXPECT_GT(bound.code.size(), 0u);
+      const std::size_t uops = bound.code.size();
+      xsim.reset();
+      ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
+      EXPECT_EQ(xsim.boundProgram().code.size(), uops);
     }
   }
 }
 
-TEST(UopTable, ToStringIsReadable) {
+// Operand values are constants of the record: `addi R2, #3` reads RF[2]
+// and adds the folded zext(3, 16) without any operand walk, and the
+// non-terminal's other option (a register read) is not in the record.
+TEST(UopBinder, ToStringIsReadable) {
   auto m = parseAndCheckIsdl(testing::kMiniIsdl);
-  uop::UopTable table(*m);
-  std::string all;
-  for (std::size_t f = 0; f < m->fields.size(); ++f)
-    for (std::size_t o = 0; o < m->fields[f].operations.size(); ++o)
-      all += uop::toString(table.at(unsigned(f), unsigned(o)).action);
-  // Some operation writes architectural state, so a stage-write uop and a
-  // parameter load must appear somewhere in the listings.
-  EXPECT_NE(all.find("stage"), std::string::npos);
-  EXPECT_NE(all.find("ldparam"), std::string::npos);
+  Xsim xsim(*m);
+  load(xsim, "li R2, 4\naddi R2, #3\nadd R3, R1, R2\nhalt\n");
+  ASSERT_EQ(xsim.run(100).reason, StopReason::Halted);
+  const std::string addi = uop::toString(xsim.boundProgram(), 1);
+  EXPECT_EQ(addi,
+            "0: readelem dst=2 a=2 b=1 hi=0 lo=0\n"
+            "1: binary + dst=5 a=2 b=4 hi=0 lo=0\n"
+            "2: stage dst=0 a=5 b=0 hi=0 lo=0\n"
+            "-- phase B\n");
+  // add's carry side effect runs in phase B.
+  const std::string add = uop::toString(xsim.boundProgram(), 2);
+  EXPECT_NE(add.find("-- phase B"), std::string::npos);
+  EXPECT_NE(add.find("carry"), std::string::npos);
+  EXPECT_EQ(xsim.state().read(unsigned(m->findStorage("RF")), 2).toUint64(),
+            7u);
 }
 
 void expectSameRun(Xsim& a, Xsim& b, const Machine& m) {
@@ -158,12 +185,7 @@ TEST(UopEngine, CliEngineCommandSwitches) {
 
 /// Assembles `source` and runs it to its halt on `xsim`.
 void runToHalt(Xsim& xsim, const char* source) {
-  Assembler assembler(xsim.signatures());
-  DiagnosticEngine diags;
-  auto prog = assembler.assemble(source, diags);
-  ASSERT_TRUE(prog.has_value()) << diags.dump();
-  std::string err;
-  ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+  load(xsim, source);
   ASSERT_EQ(xsim.run(1000).reason, StopReason::Halted);
   xsim.drainPipeline();
 }
@@ -263,7 +285,7 @@ TEST(UopEngine, WideMachineRunsOnInterpreter) {
     SCOPED_TRACE(c.name);
     auto m = parseAndCheckIsdl(c.isdl);
     Xsim xsim(*m);
-    EXPECT_FALSE(xsim.uopTable().narrow());
+    EXPECT_FALSE(xsim.binder().narrow());
     EXPECT_FALSE(xsim.uopEnabled());
     std::ostringstream out;
     Cli cli(xsim, out);
