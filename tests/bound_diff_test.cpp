@@ -164,11 +164,16 @@ TEST(BoundDiff, SteppingAndBreakpoints) {
     auto prog = assemble(pair.bound, bench.source);
     ASSERT_TRUE(prog && pair.load(*prog));
 
+    // The cycle budget and the failure check keep a diverging engine from
+    // stepping forever.
     StopReason reason = StopReason::MaxInstructions;
-    for (std::uint64_t n = 1; reason == StopReason::MaxInstructions;
+    for (std::uint64_t n = 1; reason == StopReason::MaxInstructions &&
+                              pair.bound.cycle() < bench.maxCycles &&
+                              !HasFailure();
          n = n % 7 + 1)
       reason = pair.both([&](Xsim& x) { return x.step(n); }).reason;
     EXPECT_EQ(reason, StopReason::Halted);
+    if (HasFailure()) return;
 
     // Break where the twentieth instruction issues, inside the kernel's
     // loop, for a few hits; then run on to the halt.
@@ -184,7 +189,7 @@ TEST(BoundDiff, SteppingAndBreakpoints) {
     for (int hit = 0; hit < 4; ++hit) {
       reason = pair.both([&](Xsim& x) { return x.run(bench.maxCycles); })
                    .reason;
-      if (reason != StopReason::Breakpoint) break;
+      if (reason != StopReason::Breakpoint || HasFailure()) break;
     }
     EXPECT_EQ(reason, StopReason::Breakpoint);
     for (Xsim* x : {&pair.bound, &pair.interp}) x->removeBreakpoint(at);
