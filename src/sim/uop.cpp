@@ -169,7 +169,7 @@ class RecordCompiler {
     emit({.kind = Kind::Trap, .a = std::uint32_t(prog_.traps.size() - 1)});
   }
 
-  /// The option operand `i` selected, and that option's own operands.
+  /// The non-terminal option operand `i` selected.
   const NtOption& selected(const Operands& ops, unsigned i) const {
     return m_.nonTerminals[ops.params[i].index]
         .options[std::size_t(ops.values[i].ntOption)];
