@@ -177,7 +177,8 @@ class Lexer {
       unsigned width = 0;  // saturates at 4097, so it cannot wrap
       for (char d : text)
         if (d != '_') width = std::min(width * 10 + unsigned(d - '0'), 4097u);
-      if (width == 0 || width > 4096) {
+      const bool widthOk = width != 0 && width <= 4096;
+      if (!widthOk) {
         diags_.error(loc, "sized literal width out of range");
         width = 1;
       }
@@ -188,6 +189,8 @@ class Lexer {
         digits += advance();
       Token t = make(Tok::SizedInt, loc, text + "'" + base + digits);
       t.sizedValue = BitVector(width);
+      // A bad width is the one error: no value fits a width that is not.
+      if (!widthOk) return t;
       // Parse with room for every digit (four bits hold any of them), so a
       // value too large for its width is reported instead of truncated.
       const unsigned room =

@@ -125,7 +125,9 @@ TEST(Lexer, UnexpectedCharacterRecovers) {
 
 TEST(Lexer, SizedLiteralWidthOutOfRange) {
   // 4294967297 wraps to 1 in 32 bits; it must not pass as a 1-bit width.
-  for (const char* src : {"4294967297'd1", "4097'd1", "0'd1"}) {
+  // The width error is the only one, whatever the value.
+  for (const char* src : {"4294967297'd1", "4097'd1", "0'd1", "4097'd5",
+                          "5000'd7", "0'hFF"}) {
     DiagnosticEngine diags;
     lex(src, diags);
     EXPECT_EQ(diags.dump(), "1:1: error: sized literal width out of range\n")
