@@ -313,97 +313,6 @@ void ExecEngine::execOptionSideEffects(const OpContext& ctx, unsigned latency,
   }
 }
 
-/// Executes uops [pc, end) of one bound record against the engine's state.
-/// Registers are (masked uint64_t, width) pairs and every operator is the
-/// shared narrow ALU's (rtl/narrow_alu.h), so no BitVector is built in the
-/// loop except for a write to a storage wider than 64 bits. Storage reads go
-/// through readNarrow (the interpreter's pending-write overlay, on words)
-/// and staged writes through the same stageWrite, so hazard probing,
-/// forwarding, stall attribution, write conflicts, and XTRACE hooks behave
-/// identically in both engines.
-void ExecEngine::execProgram(uop::BoundProgram& prog,
-                             const uop::BoundProgram::Record& rec,
-                             std::uint32_t pc, std::uint32_t end) {
-  using uop::Kind;
-  narrow::Val* regs = prog.regs.data() + rec.regs;
-  uop::WriteSlot* slots = prog.slots.data() + rec.slots;
-  const uop::Uop* code = prog.code.data() + rec.code;
-  while (pc < end) {
-    const uop::Uop& u = code[pc];
-    switch (u.kind) {
-      case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
-      case Kind::ReadStorage:
-        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
-        ++pc;
-        break;
-      case Kind::ReadElem:
-        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
-        ++pc;
-        break;
-      case Kind::Slice:
-        regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
-        ++pc;
-        break;
-      case Kind::Unary:
-        regs[u.dst] = narrow::unOp(rtl::UnOp(u.op), regs[u.a]);
-        ++pc;
-        break;
-      case Kind::Binary:
-        regs[u.dst] = narrow::binOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Concat2:
-        regs[u.dst] = narrow::concat(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::ZExt: regs[u.dst] = narrow::zext(regs[u.a], u.hi); ++pc; break;
-      case Kind::SExt: regs[u.dst] = narrow::sext(regs[u.a], u.hi); ++pc; break;
-      case Kind::Trunc:
-        regs[u.dst] = narrow::trunc(regs[u.a], u.hi);
-        ++pc;
-        break;
-      case Kind::IToF: regs[u.dst] = narrow::itof(regs[u.a], u.hi); ++pc; break;
-      case Kind::FToI: regs[u.dst] = narrow::ftoi(regs[u.a], u.hi); ++pc; break;
-      case Kind::Carry:
-        regs[u.dst] = narrow::carry(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Overflow:
-        regs[u.dst] = narrow::overflow(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Borrow:
-        regs[u.dst] = narrow::borrow(regs[u.a], regs[u.b]);
-        ++pc;
-        break;
-      case Kind::Jump: pc = u.a; break;
-      case Kind::BranchIfZero: pc = regs[u.a].v == 0 ? u.b : pc + 1; break;
-      case Kind::SetLv: {
-        uop::WriteSlot& s = slots[u.dst];
-        s.elem = regs[u.b].v;
-        if (s.elem >= state_.depth(u.a))
-          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
-                                   "[", s.elem, "] is out of range"));
-        ++pc;
-        break;
-      }
-      case Kind::StageWrite: {
-        const uop::WriteSlot& s = slots[u.dst];
-        const narrow::Val v = regs[u.a];
-        if (state_.width(s.si) <= 64) {
-          stageWrite(s, v.v, nullptr);
-        } else {
-          BitVector wide(v.w, v.v);
-          stageWrite(s, 0, &wide);
-        }
-        ++pc;
-        break;
-      }
-      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
-    }
-  }
-}
-
 ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
                                         uop::BoundProgram* bound) {
   IssueInfo info;
@@ -427,15 +336,12 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
     advanceTo(busyUntil_);
   }
 
-  const uop::BoundProgram::Record* rec =
-      bound ? &bound->byAddress[inst.address] : nullptr;
-
   // Interpreter path only: per-field evaluation contexts are invariant
   // across the phase-A hazard-retry loop, so they are hoisted and a retry
   // redoes only the evaluation itself. The bound path has no per-issue
   // allocations at all.
   std::vector<OpContext> ctxs;
-  if (!rec) {
+  if (!bound) {
     ctxs.reserve(inst.ops.size());
     for (std::size_t f = 0; f < inst.ops.size(); ++f)
       ctxs.emplace_back(
@@ -452,8 +358,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
       if (cycle_ > 0) commitUpTo(cycle_ - 1);
       requiredStall_ = 0;
       phaseB_ = false;
-      if (rec) {
-        if (rec->phaseB != 0) execProgram(*bound, *rec, 0, rec->phaseB);
+      if (bound) {
+        execProgram(*bound, inst.address, false);
       } else {
         for (std::size_t f = 0; f < inst.ops.size(); ++f) {
           const DecodedOp& dop = inst.ops[f];
@@ -482,9 +388,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
     for (const Pending& w : stagedLocal_) insertPending(w);
     stagedLocal_.clear();
     phaseB_ = true;
-    if (rec) {
-      if (rec->end != rec->phaseB)
-        execProgram(*bound, *rec, rec->phaseB, rec->end);
+    if (bound) {
+      execProgram(*bound, inst.address, true);
     } else {
       for (std::size_t f = 0; f < inst.ops.size(); ++f) {
         const DecodedOp& dop = inst.ops[f];

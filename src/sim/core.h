@@ -57,8 +57,8 @@ class ExecEngine {
 
   /// Executes one instruction starting at the current cycle; advances the
   /// cycle by the instruction's cycle cost plus any stalls. With `bound`,
-  /// runs the instruction's bound record there (which must be bound);
-  /// without, interprets the decoded instruction.
+  /// runs the instruction's record there (the loaded program bound by
+  /// uop::Binder::bind); without, interprets the decoded instruction.
   IssueInfo issue(const DecodedInstruction& inst,
                   uop::BoundProgram* bound = nullptr);
 
@@ -159,10 +159,10 @@ class ExecEngine {
                  unsigned latency, unsigned stallCost);
   void execOptionSideEffects(const OpContext& ctx, unsigned latency,
                              unsigned stallCost);
-  /// The micro-op dispatch loop over uops [pc, end) of a bound record.
-  void execProgram(uop::BoundProgram& prog,
-                   const uop::BoundProgram::Record& rec, std::uint32_t pc,
-                   std::uint32_t end);
+  /// Runs phase A (or, with `phaseB`, phase B) of the bound record at
+  /// `address`: the micro-op dispatch loop, defined in uop.cpp.
+  void execProgram(uop::BoundProgram& prog, std::uint64_t address,
+                   bool phaseB);
 
   friend class OpContext;
 };

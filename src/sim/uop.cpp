@@ -1,4 +1,5 @@
-// The binder and the narrow-width proof. The binder mirrors the interpreter's evaluation
+// The binder, the narrow-width proof and the bound records' dispatch loop.
+// The binder mirrors the interpreter's evaluation
 // order exactly (sim/core.cpp: evalExpr, resolveLvalue-before-value,
 // depth-first option side effects), so the two engines agree on every
 // observable: final state, cycle counts, stall attribution, heatmap read
@@ -9,6 +10,7 @@
 #include <atomic>
 
 #include "rtl/eval.h"
+#include "sim/core.h"
 #include "support/strings.h"
 
 namespace isdl::sim::uop {
@@ -129,7 +131,6 @@ class RecordCompiler {
       compileOptionSideEffects({op.params, dop.params});
     }
     rec_.end = here();
-    rec_.bound = true;
   }
 
  private:
@@ -394,22 +395,19 @@ bool isNarrow(const Machine& m) {
   return true;
 }
 
-void BoundProgram::clear(std::size_t addresses) {
-  byAddress.assign(addresses, Record{});
-  code.clear();
-  regs.clear();
-  slots.clear();
-  traps.clear();
-}
-
 Binder::Binder(const Machine& machine)
     : machine_(&machine),
       narrow_(isNarrow(machine)),
       injectFault_(testFaultInjection()) {}
 
-void Binder::bind(const DecodedInstruction& inst, BoundProgram& prog) const {
-  RecordCompiler(*machine_, injectFault_, prog, prog.byAddress[inst.address])
-      .compile(inst);
+BoundProgram Binder::bind(const DecodedProgram& program) const {
+  BoundProgram prog;
+  prog.byAddress.resize(program.byAddress.size());
+  for (std::size_t addr = 0; addr < program.byAddress.size(); ++addr)
+    if (program.hasInstructionAt(addr))
+      RecordCompiler(*machine_, injectFault_, prog, prog.byAddress[addr])
+          .compile(program.byAddress[addr]);
+  return prog;
 }
 
 std::string toString(const BoundProgram& prog, std::uint64_t address) {
@@ -439,3 +437,103 @@ std::string toString(const BoundProgram& prog, std::uint64_t address) {
 }
 
 }  // namespace isdl::sim::uop
+
+// --- dispatch loop -----------------------------------------------------------
+
+namespace isdl::sim {
+
+/// Executes one phase of the bound record at `address` against the engine's
+/// state: phase A is the record's uops [0, phaseB), phase B [phaseB, end).
+/// Registers are (masked uint64_t, width) pairs and every operator is the
+/// shared narrow ALU's (rtl/narrow_alu.h), so no BitVector is built in the
+/// loop except for a write to a storage wider than 64 bits. Storage reads go
+/// through readNarrow (the interpreter's pending-write overlay, on words)
+/// and staged writes through the same stageWrite, so hazard probing,
+/// forwarding, stall attribution, write conflicts, and XTRACE hooks behave
+/// identically in both engines.
+void ExecEngine::execProgram(uop::BoundProgram& prog, std::uint64_t address,
+                             bool phaseB) {
+  using uop::Kind;
+  const uop::BoundProgram::Record& rec = prog.byAddress[address];
+  std::uint32_t pc = phaseB ? rec.phaseB : 0;
+  const std::uint32_t end = phaseB ? rec.end : rec.phaseB;
+  narrow::Val* regs = prog.regs.data() + rec.regs;
+  uop::WriteSlot* slots = prog.slots.data() + rec.slots;
+  const uop::Uop* code = prog.code.data() + rec.code;
+  while (pc < end) {
+    const uop::Uop& u = code[pc];
+    switch (u.kind) {
+      case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
+      case Kind::ReadStorage:
+        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
+        ++pc;
+        break;
+      case Kind::ReadElem:
+        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
+        ++pc;
+        break;
+      case Kind::Slice:
+        regs[u.dst] = narrow::slice(regs[u.a], u.hi, u.lo);
+        ++pc;
+        break;
+      case Kind::Unary:
+        regs[u.dst] = narrow::unOp(rtl::UnOp(u.op), regs[u.a]);
+        ++pc;
+        break;
+      case Kind::Binary:
+        regs[u.dst] = narrow::binOp(rtl::BinOp(u.op), regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Concat2:
+        regs[u.dst] = narrow::concat(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::ZExt: regs[u.dst] = narrow::zext(regs[u.a], u.hi); ++pc; break;
+      case Kind::SExt: regs[u.dst] = narrow::sext(regs[u.a], u.hi); ++pc; break;
+      case Kind::Trunc:
+        regs[u.dst] = narrow::trunc(regs[u.a], u.hi);
+        ++pc;
+        break;
+      case Kind::IToF: regs[u.dst] = narrow::itof(regs[u.a], u.hi); ++pc; break;
+      case Kind::FToI: regs[u.dst] = narrow::ftoi(regs[u.a], u.hi); ++pc; break;
+      case Kind::Carry:
+        regs[u.dst] = narrow::carry(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Overflow:
+        regs[u.dst] = narrow::overflow(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Borrow:
+        regs[u.dst] = narrow::borrow(regs[u.a], regs[u.b]);
+        ++pc;
+        break;
+      case Kind::Jump: pc = u.a; break;
+      case Kind::BranchIfZero: pc = regs[u.a].v == 0 ? u.b : pc + 1; break;
+      case Kind::SetLv: {
+        uop::WriteSlot& s = slots[u.dst];
+        s.elem = regs[u.b].v;
+        if (s.elem >= state_.depth(u.a))
+          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
+                                   "[", s.elem, "] is out of range"));
+        ++pc;
+        break;
+      }
+      case Kind::StageWrite: {
+        const uop::WriteSlot& s = slots[u.dst];
+        const narrow::Val v = regs[u.a];
+        if (state_.width(s.si) <= 64) {
+          stageWrite(s, v.v, nullptr);
+        } else {
+          BitVector wide(v.w, v.v);
+          stageWrite(s, 0, &wide);
+        }
+        ++pc;
+        break;
+      }
+      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
+    }
+  }
+}
+
+}  // namespace isdl::sim

@@ -8,7 +8,7 @@
 // once and specialising its operation templates with that instruction's
 // operand values. This header is that layer:
 //
-//   * Every decoded instruction binds once, on its first issue, into one
+//   * Every decoded instruction binds once, when the program loads, into one
 //     flat record (BoundProgram::Record): a straight-line micro-op range per
 //     phase covering every field. Operand values are constants of the
 //     record, the non-terminal option each operand selected is resolved
@@ -16,14 +16,18 @@
 //     and operators whose operands are all constants fold through the shared
 //     ≤64-bit ALU of rtl/narrow_alu.h. Each write slot carries its field's
 //     effective latency and stall.
-//   * The processing core runs a phase's range with one switch-dispatch loop
-//     (ExecEngine::execProgram, in sim/core.cpp) over the record's own
-//     registers: no recursion, no virtual calls, no per-issue allocation and
-//     no walk of the decoded parameters.
+//   * The processing core runs a phase with one switch-dispatch loop
+//     (ExecEngine::execProgram, defined in uop.cpp next to the binder that
+//     writes the records) over the record's own registers: no recursion, no
+//     virtual calls, no per-issue allocation and no walk of the decoded
+//     parameters. The core names an instruction by its address and a phase;
+//     only this module knows the record layout.
 //
-// Binding on first issue rather than at load: the disassembler decodes at
-// every word address, and short runs (the fuzzer's) issue only a few of
-// them, so binding only what runs keeps loadProgram as cheap as before.
+// Binding at load rather than on first issue: on every perfbench workload
+// (sim, explore, power, fuzz) each decoded address of a program that runs is
+// issued, so binding on demand saves no work and would cost a check on every
+// issue. Xsim binds when a program loads with the bound engine selected, or
+// when the engine is selected later (Xsim::setUopEnabled).
 //
 // isNarrow() proves from the widths semantic analysis stored on every RTL
 // expression that every value a bound record can compute fits in 64 bits.
@@ -106,10 +110,9 @@ struct WriteSlot {
 /// The bound form of a loaded program. Each record's code, registers and
 /// write slots sit in shared arenas, so binding an instruction appends and
 /// issuing one indexes; register, slot and jump operands are relative to
-/// their record.
+/// their record. An address with no decoded instruction has an empty record.
 struct BoundProgram {
   struct Record {
-    bool bound = false;
     std::uint32_t code = 0;    ///< first uop in `code`
     std::uint32_t phaseB = 0;  ///< phase A is [0, phaseB), relative
     std::uint32_t end = 0;     ///< phase B is [phaseB, end), relative
@@ -124,9 +127,6 @@ struct BoundProgram {
   std::vector<narrow::Val> regs;
   std::vector<WriteSlot> slots;
   std::vector<std::string> traps;
-
-  /// Forgets every record: the next issue of each address binds again.
-  void clear(std::size_t addresses);
 };
 
 /// True when every constant, parameter, storage read and intermediate value
@@ -146,9 +146,8 @@ class Binder {
   /// Same as isNarrow(machine), computed once.
   bool narrow() const { return narrow_; }
 
-  /// Appends the bound form of `inst` to `prog`'s arenas and fills
-  /// `prog.byAddress[inst.address]`. Requires narrow().
-  void bind(const DecodedInstruction& inst, BoundProgram& prog) const;
+  /// Binds every decoded instruction of `program`. Requires narrow().
+  BoundProgram bind(const DecodedProgram& program) const;
 
  private:
   const Machine* machine_;

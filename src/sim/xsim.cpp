@@ -75,11 +75,17 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
   }
 
   decoded_ = std::move(decoded);
-  bound_.clear(decoded_.byAddress.size());
+  bound_ = useBound_ ? binder_.bind(decoded_) : uop::BoundProgram{};
   programWords_ = prog.words;
   programData_ = prog.dataInit;
   reset();
   return true;
+}
+
+void Xsim::setUopEnabled(bool enabled) {
+  useBound_ = enabled && binder_.narrow();
+  if (useBound_ && bound_.byAddress.size() != decoded_.byAddress.size())
+    bound_ = binder_.bind(decoded_);  // loaded under the interpreter
 }
 
 void Xsim::reset() {
@@ -121,12 +127,8 @@ std::optional<RunResult> Xsim::executeOne() {
   const DecodedInstruction& inst = decoded_.byAddress[addr];
   if (trace_) trace_(addr);
 
-  uop::BoundProgram* bound = nullptr;
-  if (useBound_) {
-    bound = &bound_;
-    if (!bound_.byAddress[addr].bound) binder_.bind(inst, bound_);
-  }
-  ExecEngine::IssueInfo info = engine_.issue(inst, bound);
+  ExecEngine::IssueInfo info =
+      engine_.issue(inst, useBound_ ? &bound_ : nullptr);
   if (!info.ok)
     return RunResult{StopReason::RuntimeError,
                      cat("at address ", addr, ": ", info.error)};
@@ -145,7 +147,7 @@ std::optional<RunResult> Xsim::executeOne() {
   return std::nullopt;
 }
 
-const Stats& Xsim::stats() const {
+void Xsim::foldIssues() {
   for (std::size_t addr = 0; addr < issues_.size(); ++addr) {
     const std::uint64_t n = issues_[addr];
     if (n == 0) continue;
@@ -159,12 +161,18 @@ const Stats& Xsim::stats() const {
         stats_.fieldUtilization[f] += n;
     }
   }
-  return stats_;
 }
+
+/// Folds the issue counts however run() or step() returns.
+struct Xsim::FoldOnReturn {
+  Xsim& sim;
+  ~FoldOnReturn() { sim.foldIssues(); }
+};
 
 RunResult Xsim::run(std::uint64_t maxCycles) {
   ++registry_.counter("sim/runs");
   obs::ScopedTimer timer = registry_.time("sim/run_ns");
+  FoldOnReturn fold{*this};
   bool first = true;
   for (;;) {
     if (engine_.cycle() >= maxCycles)
@@ -172,7 +180,10 @@ RunResult Xsim::run(std::uint64_t maxCycles) {
               cat("cycle budget of ", maxCycles, " exhausted")};
     std::uint64_t addr = state_.pc();
     if (!first && breakpoints_.count(addr)) {
-      if (breakpointHook_) breakpointHook_(addr);
+      if (breakpointHook_) {
+        foldIssues();
+        breakpointHook_(addr);
+      }
       return {StopReason::Breakpoint, cat("breakpoint at address ", addr)};
     }
     first = false;
@@ -181,6 +192,7 @@ RunResult Xsim::run(std::uint64_t maxCycles) {
 }
 
 RunResult Xsim::step(std::uint64_t n) {
+  FoldOnReturn fold{*this};
   for (std::uint64_t i = 0; i < n; ++i) {
     if (auto stop = executeOne()) return *stop;
   }

@@ -101,8 +101,10 @@ class Xsim {
   }
 
   /// Statistics since the last load or reset. Issue counts are kept per
-  /// instruction while running and folded in here.
-  const Stats& stats() const;
+  /// instruction while running and folded in when run() or step() returns
+  /// and before the breakpoint hook runs; the trace callback and monitors,
+  /// which run mid-instruction, see the counts of the last fold.
+  const Stats& stats() const { return stats_; }
   std::uint64_t cycle() const { return engine_.cycle(); }
 
   // --- XTRACE observability (paper Figure 1's measurement edge) -------------
@@ -139,12 +141,13 @@ class Xsim {
   /// remains as the differential-testing oracle (`xsim --no-uop`). Machines
   /// that fail the narrow-width proof (uop::isNarrow) run on the
   /// interpreter whatever is requested; uopEnabled() reports the engine
-  /// actually in use.
-  void setUopEnabled(bool enabled) { useBound_ = enabled && binder_.narrow(); }
+  /// actually in use. Selecting the bound engine binds the loaded program if
+  /// it was loaded under the interpreter.
+  void setUopEnabled(bool enabled);
   bool uopEnabled() const { return useBound_; }
   const uop::Binder& binder() const { return binder_; }
-  /// The loaded program's bound records; an instruction binds on its first
-  /// issue by the bound engine.
+  /// The loaded program's bound records, bound at load while the bound engine
+  /// is selected (empty if the program has only run on the interpreter).
   const uop::BoundProgram& boundProgram() const { return bound_; }
 
   /// Commits in-flight delayed writes (call before inspecting final state).
@@ -170,10 +173,10 @@ class Xsim {
   std::function<void(std::uint64_t)> breakpointHook_;
   std::function<void(std::uint64_t)> trace_;
   /// Everything but opCount, fieldUtilization and instructions is current;
-  /// those three lag by the counts in issues_ until stats() folds them in.
-  mutable Stats stats_;
+  /// those three lag by the counts in issues_ until foldIssues().
+  Stats stats_;
   /// Issues of each instruction since the last fold, by address.
-  mutable std::vector<std::uint64_t> issues_;
+  std::vector<std::uint64_t> issues_;
   obs::Registry registry_;
   std::unique_ptr<obs::TraceBuffer> traceBuf_;
   obs::StorageHeatmap heat_;
@@ -182,6 +185,9 @@ class Xsim {
   /// Executes exactly one instruction; returns nullopt to continue.
   std::optional<RunResult> executeOne();
   void initStats();
+  /// Adds issues_ to stats_ and zeroes it.
+  void foldIssues();
+  struct FoldOnReturn;
 };
 
 }  // namespace isdl::sim

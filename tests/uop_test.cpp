@@ -1,4 +1,4 @@
-// Directed tests for the bound micro-op engine (sim/uop.h): lazy binding
+// Directed tests for the bound micro-op engine (sim/uop.h): binding at load
 // over all example architectures, the bound listing, engine parity on the real
 // benchmark kernels (cycles, stalls and final state, also after reset — the
 // fuzz suite covers random programs), run-time engine switching, and the CLI
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 
 #include "archs/archs.h"
@@ -44,9 +43,11 @@ void load(Xsim& xsim, const std::string& source) {
   ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
 }
 
-// Binding is lazy: exactly the instructions a run issues are bound, each
-// once, and a reset keeps them.
-TEST(UopBinder, BindsEveryIssuedInstructionOfEveryKernel) {
+// Binding happens at load: every decoded instruction has its record before
+// the first issue, and running, resetting and re-selecting the engine bind
+// nothing more. A program loaded under the interpreter binds when the bound
+// engine is selected.
+TEST(UopBinder, BindsEveryDecodedInstructionAtLoad) {
   for (const ArchCase& a : kArchs) {
     auto m = a.loader();
     for (const archs::Benchmark& bench : a.benchmarks()) {
@@ -54,18 +55,26 @@ TEST(UopBinder, BindsEveryIssuedInstructionOfEveryKernel) {
       Xsim xsim(*m);
       ASSERT_TRUE(xsim.binder().narrow());
       load(xsim, bench.source);
-      std::set<std::uint64_t> issued;
-      xsim.setTraceCallback([&](std::uint64_t addr) { issued.insert(addr); });
-      ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
       const uop::BoundProgram& bound = xsim.boundProgram();
-      for (std::size_t addr = 0; addr < bound.byAddress.size(); ++addr)
-        EXPECT_EQ(bound.byAddress[addr].bound, issued.count(addr) != 0)
-            << "address " << addr;
-      EXPECT_GT(bound.code.size(), 0u);
+      EXPECT_EQ(bound.byAddress.size(),
+                xsim.decodedProgram().byAddress.size());
       const std::size_t uops = bound.code.size();
+      EXPECT_GT(uops, 0u);
+      ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
       xsim.reset();
+      xsim.setUopEnabled(false);
+      xsim.setUopEnabled(true);
       ASSERT_EQ(xsim.run(bench.maxCycles).reason, StopReason::Halted);
       EXPECT_EQ(xsim.boundProgram().code.size(), uops);
+
+      Xsim late(*m);
+      late.setUopEnabled(false);
+      load(late, bench.source);
+      EXPECT_TRUE(late.boundProgram().code.empty());
+      late.setUopEnabled(true);
+      EXPECT_EQ(late.boundProgram().code.size(), uops);
+      ASSERT_EQ(late.run(bench.maxCycles).reason, StopReason::Halted);
+      EXPECT_EQ(late.stats().cycles, xsim.stats().cycles);
     }
   }
 }

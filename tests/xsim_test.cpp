@@ -202,17 +202,23 @@ add R3, R1, R2
 halt
 )");
   sim_.addBreakpoint(2);
-  std::uint64_t hookAddr = 99;
-  sim_.setBreakpointHook([&](std::uint64_t a) { hookAddr = a; });
+  std::uint64_t hookAddr = 99, hookInstructions = 99;
+  // The hook (the CLI's attached commands) sees the statistics so far.
+  sim_.setBreakpointHook([&](std::uint64_t a) {
+    hookAddr = a;
+    hookInstructions = sim_.stats().instructions;
+  });
   RunResult r = sim_.run(1000);
   EXPECT_EQ(r.reason, StopReason::Breakpoint);
   EXPECT_EQ(hookAddr, 2u);
+  EXPECT_EQ(hookInstructions, 2u);
   EXPECT_EQ(sim_.state().pc(), 2u);
   sim_.drainPipeline();
   EXPECT_EQ(reg(3), 0u);  // add not yet executed
   // Resume: the breakpointed instruction now executes.
   r = sim_.run(1000);
   EXPECT_EQ(r.reason, StopReason::Halted);
+  EXPECT_EQ(sim_.stats().instructions, 4u);
   sim_.drainPipeline();
   EXPECT_EQ(reg(3), 3u);
 }
@@ -223,6 +229,7 @@ TEST_F(XsimTest, SteppingIgnoresBreakpoints) {
   RunResult r = sim_.step(3);
   EXPECT_EQ(r.reason, StopReason::MaxInstructions);
   EXPECT_EQ(sim_.state().pc(), 3u);
+  EXPECT_EQ(sim_.stats().instructions, 3u);
 }
 
 TEST_F(XsimTest, ExecutionAddressTrace) {
