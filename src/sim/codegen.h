@@ -10,16 +10,19 @@
 // Semantics: bit-true architectural execution with immediate write-back and
 // static cycle accounting (like the hardware model); the identity
 //     interpreted cycles == compiled cycles + interpreted stall cycles
-// is validated by tests. Every operator is a call into rtl/narrow_alu.h,
-// whose text the generated source embeds, so the arithmetic is XSIM's by
-// construction. Storage elements wider than 64 bits (other than the
-// instruction memory, which compiled execution never touches) and machines
-// that fail the micro-op compiler's narrow-width proof (values wider than
-// 64 bits) are not supported and raise IsdlError.
+// is validated by tests. Each instruction runs its uop::Binder record printed
+// as C++ (Binder::printCpp), the specialisation XSIM's bound engine runs, so
+// option resolution, evaluation order and range checks are XSIM's by
+// construction, and every operator is a call into rtl/narrow_alu.h, whose
+// text the generated source embeds. Storage elements wider than 64 bits
+// (other than the instruction memory, which compiled execution never
+// touches) and machines that fail the binder's narrow-width proof (values
+// wider than 64 bits) are not supported and raise IsdlError.
 //
 // The emitted program runs the simulation and prints the final state as
 // `<storage> <element> <hex>` lines plus `cycles N` / `instructions N`,
-// which tests and the ablation bench parse back.
+// which tests and the ablation bench parse back; a trap or an illegal PC
+// prints `trap: <message>` and exits 2.
 
 #ifndef ISDL_SIM_CODEGEN_H
 #define ISDL_SIM_CODEGEN_H

@@ -86,8 +86,8 @@ void ExecEngine::overlayPending(unsigned si, std::uint64_t elem,
       // Writes still in flight from EARLIER instructions are forwarded:
       // phase A already charged any stall they warranted.
       if (p.instrId != instrId_) forward(p);
-    } else if (p.stallCost == 0 || p.instrId == instrId_) {
-      // Full bypass (Stall == 0) and this instruction's own staged values.
+    } else if (p.stallCost == 0) {
+      // Full bypass (Stall == 0); this instruction's writes are still staged.
       forward(p);
     } else {
       std::uint64_t needed = p.commitCycle + 1 - cycle_;

@@ -1,13 +1,16 @@
-// The binder, the narrow-width proof and the bound records' dispatch loop.
-// The binder mirrors the interpreter's evaluation
-// order exactly (sim/core.cpp: evalExpr, resolveLvalue-before-value,
-// depth-first option side effects), so the two engines agree on every
-// observable: final state, cycle counts, stall attribution, heatmap read
-// counts, and which trap fires first.
+// The binder, the narrow-width proof, the bound records' dispatch loop and
+// their C++ printer. The binder mirrors the interpreter's evaluation order
+// exactly (sim/core.cpp: evalExpr, resolveLvalue-before-value, depth-first
+// option side effects), so the two engines agree on every observable: final
+// state, cycle counts, stall attribution, heatmap read counts, and which trap
+// fires first.
 
 #include "sim/uop.h"
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <numeric>
 
 #include "rtl/eval.h"
 #include "sim/core.h"
@@ -32,7 +35,7 @@ bool testFaultInjection() {
 
 namespace {
 
-/// The width proof behind isNarrow: walks every tree an operation can
+/// The width proof behind Binder::narrow: walks every tree an operation can
 /// evaluate, through every option of every non-terminal operand.
 class NarrowProof {
  public:
@@ -382,8 +385,6 @@ class RecordCompiler {
   unsigned latency_ = 1, stallCost_ = 0;
 };
 
-}  // namespace
-
 bool isNarrow(const Machine& m) {
   NarrowProof proof(m);
   for (const Field& field : m.fields)
@@ -394,6 +395,8 @@ bool isNarrow(const Machine& m) {
         return false;
   return true;
 }
+
+}  // namespace
 
 Binder::Binder(const Machine& machine)
     : machine_(&machine),
@@ -410,30 +413,145 @@ BoundProgram Binder::bind(const DecodedProgram& program) const {
   return prog;
 }
 
-std::string toString(const BoundProgram& prog, std::uint64_t address) {
-  static constexpr const char* kNames[] = {
-      "move",  "read", "readelem", "slice", "unary", "binary", "cat2",
-      "zext",  "sext", "trunc",    "itof",  "ftoi",  "carry",  "ovf",
-      "borrow", "jump", "brz",     "setlv", "stage", "trap"};
+std::string Binder::printCpp(const BoundProgram& prog,
+                             std::uint64_t address) const {
+  // The narrow ALU function of each value kind up to Borrow.
+  static constexpr const char* kCalls[] = {
+      "",     "",      "",     "slice", "unOp",  "binOp",    "concat", "zext",
+      "sext", "trunc", "itof", "ftoi",  "carry", "overflow", "borrow"};
   const BoundProgram::Record& rec = prog.byAddress[address];
-  std::string out;
-  for (std::uint32_t i = 0; i <= rec.end; ++i) {
-    if (i == rec.phaseB) out += "-- phase B\n";
-    if (i == rec.end) break;
-    const Uop& u = prog.code[rec.code + i];
-    out += cat(i, ": ", kNames[std::size_t(u.kind)]);
-    switch (u.kind) {
-      case Kind::Unary: out += cat(" ", rtl::unOpName(rtl::UnOp(u.op))); break;
-      case Kind::Binary:
-        out += cat(" ", rtl::binOpName(rtl::BinOp(u.op)));
-        break;
-      case Kind::Trap: out += cat(" \"", prog.traps[u.a], "\""); break;
-      default: break;
+  const Uop* code = prog.code.data() + rec.code;
+
+  // Registers some uop writes are declared; the others are constants the
+  // binder preloaded, printed as literals. A uop strictly between a jump or
+  // branch and its target runs conditionally, so a write it stages commits
+  // under a flag. A write whose element a SetLv computes indexes with that
+  // SetLv's register, which nothing writes again.
+  std::vector<std::uint32_t> written;
+  std::vector<int> nesting(rec.end + 1, 0);
+  std::vector<bool> isTarget(rec.end + 1, false);
+  std::map<std::uint32_t, std::uint32_t> elemReg;  // write slot -> register
+  for (std::uint32_t i = 0; i < rec.end; ++i) {
+    const Uop& u = code[i];
+    if (u.kind < Kind::Jump) written.push_back(u.dst);  // value producers
+    if (u.kind == Kind::SetLv) elemReg[u.dst] = u.b;
+    if (u.kind == Kind::Jump || u.kind == Kind::BranchIfZero) {
+      const std::uint32_t target = u.kind == Kind::Jump ? u.a : u.b;
+      isTarget[target] = true;
+      ++nesting[i + 1];
+      --nesting[target];
     }
-    out += cat(" dst=", u.dst, " a=", u.a, " b=", u.b, " hi=", u.hi,
-               " lo=", u.lo, "\n");
   }
-  return out;
+  std::partial_sum(nesting.begin(), nesting.end(), nesting.begin());
+  std::sort(written.begin(), written.end());
+  written.erase(std::unique(written.begin(), written.end()), written.end());
+  auto isWritten = [&](std::uint32_t r) {
+    return std::binary_search(written.begin(), written.end(), r);
+  };
+  auto word = [&](std::uint32_t r) {
+    return isWritten(r) ? cat("r", r, ".v")
+                        : cat(prog.regs[rec.regs + r].v, "u");
+  };
+  auto val = [&](std::uint32_t r) {
+    return isWritten(r) ? cat("r", r)
+                        : cat("Val{", word(r), ", ", prog.regs[rec.regs + r].w,
+                              "}");
+  };
+  auto label = [&](std::uint32_t i) { return cat("L", address, "_", i); };
+  // Trap messages are built from ISDL identifiers and numbers, so they need
+  // no escaping.
+  auto trap = [](const std::string& format, const std::string& arg = "") {
+    return cat("{ std::printf(\"trap: ", format, "\\n\"", arg,
+               "); return 2; }\n");
+  };
+  // The engine's range check on element `r` of storage `si`.
+  auto rangeCheck = [&](std::uint32_t r, unsigned si, const char* verb) {
+    const StorageDef& st = machine_->storages[si];
+    const std::string what = cat(verb, " ", st.name, "[");
+    if (isWritten(r))
+      return cat("if (r", r, ".v >= ", st.depth, "u) ",
+                 trap(what + "%llu] is out of range",
+                      cat(", (unsigned long long)r", r, ".v")));
+    const std::uint64_t e = prog.regs[rec.regs + r].v;
+    return e < st.depth ? "" : trap(cat(what, e, "] is out of range"));
+  };
+
+  std::string decls, body, commits;
+  for (std::uint32_t r : written)
+    decls += cat(r == written[0] ? "Val r" : ", r", r);
+  if (!written.empty()) decls += ";\n";
+  for (std::uint32_t i = 0; i <= rec.end; ++i) {
+    if (i == rec.phaseB && rec.phaseB < rec.end) body += "// phase B\n";
+    if (isTarget[i]) body += cat(label(i), ":;\n");
+    if (i == rec.end) break;
+    const Uop& u = code[i];
+    const std::string assign = cat("r", u.dst, " = ");
+    switch (u.kind) {
+      case Kind::Move: body += cat(assign, val(u.a), ";\n"); break;
+      case Kind::ReadStorage:
+        body += cat(assign, "Val{s", u.a, "[0], ",
+                    machine_->storages[u.a].width, "};\n");
+        break;
+      case Kind::ReadElem:
+        body += cat(rangeCheck(u.b, u.a, "access to"), assign, "Val{s", u.a,
+                    "[", word(u.b), "], ", machine_->storages[u.a].width,
+                    "};\n");
+        break;
+      case Kind::Slice:
+        body += cat(assign, "slice(", val(u.a), ", ", u.hi, ", ", u.lo,
+                    ");\n");
+        break;
+      case Kind::Unary:
+        body += cat(assign, "unOp(UnOp(", int(u.op), "), ", val(u.a), ");\n");
+        break;
+      case Kind::Binary:
+        body += cat(assign, "binOp(BinOp(", int(u.op), "), ", val(u.a), ", ",
+                    val(u.b), ");\n");
+        break;
+      case Kind::ZExt:
+      case Kind::SExt:
+      case Kind::Trunc:
+      case Kind::IToF:
+      case Kind::FToI:
+        body += cat(assign, kCalls[int(u.kind)], "(", val(u.a), ", ", u.hi,
+                    ");\n");
+        break;
+      case Kind::Concat2:
+      case Kind::Carry:
+      case Kind::Overflow:
+      case Kind::Borrow:
+        body += cat(assign, kCalls[int(u.kind)], "(", val(u.a), ", ",
+                    val(u.b), ");\n");
+        break;
+      case Kind::Jump: body += cat("goto ", label(u.a), ";\n"); break;
+      case Kind::BranchIfZero:
+        body += cat("if (", word(u.a), " == 0) goto ", label(u.b), ";\n");
+        break;
+      case Kind::SetLv: body += rangeCheck(u.b, u.a, "write to"); break;
+      case Kind::StageWrite: {
+        const WriteSlot& s = prog.slots[rec.slots + u.dst];
+        const auto dynamic = elemReg.find(u.dst);
+        const std::string target = cat(
+            "s", s.si, "[",
+            dynamic == elemReg.end() ? cat(s.elem, "u") : word(dynamic->second),
+            "]");
+        std::string write =
+            s.hasSlice ? cat(target, " = withSlice(", target, ", ", s.hi,
+                             ", ", s.lo, ", ", word(u.a), ");")
+                       : cat(target, " = ", word(u.a), ";");
+        if (int(s.si) == machine_->pcIndex) write += " pcWritten = true;";
+        if (nesting[i] > 0) {
+          decls += cat("bool st", u.dst, " = false;\n");
+          body += cat("st", u.dst, " = true;\n");
+          write = cat("if (st", u.dst, ") { ", write, " }");
+        }
+        commits += write + "\n";
+        break;
+      }
+      case Kind::Trap: body += trap(prog.traps[u.a]); break;
+    }
+  }
+  return decls + body + commits;
 }
 
 }  // namespace isdl::sim::uop

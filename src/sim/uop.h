@@ -22,6 +22,9 @@
 //     virtual calls, no per-issue allocation and no walk of the decoded
 //     parameters. The core names an instruction by its address and a phase;
 //     only this module knows the record layout.
+//   * The compiled-code simulator generator (sim/codegen.h) prints the same
+//     records as C++ (Binder::printCpp), so the interpreted and the compiled
+//     simulator share one specialisation of every decoded instruction.
 //
 // Binding at load rather than on first issue: on every perfbench workload
 // (sim, explore, power, fuzz) each decoded address of a program that runs is
@@ -29,16 +32,16 @@
 // issue. Xsim binds when a program loads with the bound engine selected, or
 // when the engine is selected later (Xsim::setUopEnabled).
 //
-// isNarrow() proves from the widths semantic analysis stored on every RTL
-// expression that every value a bound record can compute fits in 64 bits.
-// When the proof fails, Xsim runs the interpreter. The interpreter also stays
-// available on request (Xsim::setUopEnabled(false), xsim --no-uop) as the
-// differential-testing oracle (tests/fuzz_diff_test.cpp,
-// tests/bound_diff_test.cpp): it walks the decoded parameters and evaluates
-// on BitVector through rtl::applyBinOp, so it checks the binder and the
-// narrow ALU rather than sharing them. Both paths share the engine's
-// pending-write overlay, so stall and latency accounting is identical by
-// construction.
+// Binder::narrow() proves from the widths semantic analysis stored on every
+// RTL expression that every value a bound record can compute fits in 64 bits.
+// When the proof fails, Xsim runs the interpreter and no compiled-code
+// simulator can be generated. The interpreter also stays available on request
+// (Xsim::setUopEnabled(false), xsim --no-uop) as the differential-testing
+// oracle (tests/fuzz_diff_test.cpp, tests/bound_diff_test.cpp): it walks the
+// decoded parameters and evaluates on BitVector through rtl::applyBinOp, so
+// it checks the binder and the narrow ALU rather than sharing them. Both
+// paths share the engine's pending-write overlay, so stall and latency
+// accounting is identical by construction.
 
 #ifndef ISDL_SIM_UOP_H
 #define ISDL_SIM_UOP_H
@@ -129,34 +132,39 @@ struct BoundProgram {
   std::vector<std::string> traps;
 };
 
-/// True when every constant, parameter, storage read and intermediate value
-/// any operation of `m` can compute fits in 64 bits, read off the widths
-/// semantic analysis stored on the RTL expressions (an operand that selects
-/// a non-terminal option brings that option's value, lvalue and side-effect
-/// trees). Only such a machine runs bound, and only such a machine can be
-/// emitted as a compiled-code simulator (sim/codegen.h).
-bool isNarrow(const Machine& m);
-
 /// Binds decoded instructions of one machine. Immutable after construction,
 /// so one binder can serve any number of programs.
 class Binder {
  public:
   explicit Binder(const Machine& machine);
 
-  /// Same as isNarrow(machine), computed once.
+  /// True when every constant, parameter, storage read and intermediate
+  /// value any operation of the machine can compute fits in 64 bits, read
+  /// off the widths semantic analysis stored on the RTL expressions (an
+  /// operand that selects a non-terminal option brings that option's value,
+  /// lvalue and side-effect trees). Only such a machine runs bound, and only
+  /// such a machine can be emitted as a compiled-code simulator.
   bool narrow() const { return narrow_; }
 
   /// Binds every decoded instruction of `program`. Requires narrow().
   BoundProgram bind(const DecodedProgram& program) const;
+
+  /// Prints the record `prog` binds at `address` as the C++ statements of
+  /// one instruction of a compiled-code simulator (sim/codegen.h), one per
+  /// line. Registers the record writes are declared first, constants are
+  /// literals, jumps are gotos to labels L<address>_<uop>, and a trap prints
+  /// `trap: <message>` and returns 2. The staged writes then commit in
+  /// staging order (phase A, then phase B), setting `pcWritten` on a write
+  /// to the program counter. The statements expect the generated program's
+  /// names in scope: the embedded narrow ALU, one `uint64_t s<i>[depth]`
+  /// array per storage and `bool pcWritten`.
+  std::string printCpp(const BoundProgram& prog, std::uint64_t address) const;
 
  private:
   const Machine* machine_;
   bool narrow_;
   bool injectFault_;  ///< testFaultInjection() when the binder was built
 };
-
-/// Human-readable listing of one bound record (debugging / docs aid).
-std::string toString(const BoundProgram& prog, std::uint64_t address);
 
 /// Test-only fault injection: while enabled, binders built from then on lower
 /// every RTL `+` as `-`, deliberately breaking the bound engine. The

@@ -12,7 +12,8 @@
 //   processing core            -> sim::ExecEngine
 //
 // A separate generator (sim/codegen.h) also emits a standalone compiled-code
-// C++ simulator, the paper's §6.2 "future work" extension.
+// C++ simulator, the paper's §6.2 "future work" extension: it prints the
+// records the bound engine runs (sim/uop.h) as C++.
 
 #ifndef ISDL_SIM_XSIM_H
 #define ISDL_SIM_XSIM_H
@@ -139,7 +140,7 @@ class Xsim {
   /// Selects between the bound micro-op records (default; sim/uop.h) and the
   /// tree-walking interpreter. The two are bit-identical — the interpreter
   /// remains as the differential-testing oracle (`xsim --no-uop`). Machines
-  /// that fail the narrow-width proof (uop::isNarrow) run on the
+  /// that fail the narrow-width proof (uop::Binder::narrow) run on the
   /// interpreter whatever is requested; uopEnabled() reports the engine
   /// actually in use. Selecting the bound engine binds the loaded program if
   /// it was loaded under the interpreter.

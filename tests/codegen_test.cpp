@@ -1,12 +1,15 @@
 // Tests for the compiled-code simulator generator (§6.2 future work): the
 // generated C++ is compiled with the host compiler and executed; its final
 // state must match the XSIM run bit for bit, and its cycle counter must
-// satisfy the stall identity. Inputs are the bundled kernels, a 64-bit
-// corner-case machine, and generated machines at fixed seeds.
+// satisfy the stall identity, and a trap must end both. Inputs are the
+// bundled kernels, a 64-bit corner-case machine, a machine with nested option
+// side effects and a shallow data memory, and generated machines at fixed
+// seeds.
 
 #include "sim/codegen.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -28,13 +31,19 @@
 namespace isdl::sim {
 namespace {
 
-/// Compiles and runs generated simulator source; returns stdout (empty on
-/// failure). Skips gracefully when no host compiler is available. Scratch
-/// file names carry the pid: ctest runs each TEST as its own process in a
-/// shared working directory, and fixed names race under `ctest -j`.
-std::string compileAndRun(const std::string& source, bool* available) {
-  *available = std::system("c++ --version > /dev/null 2>&1") == 0;
-  if (!*available) return {};
+struct RunResult {
+  bool available = false;  ///< a host C++ compiler was found
+  int status = -1;         ///< exit status of the generated simulator
+  std::string output;      ///< its stdout
+};
+
+/// Compiles and runs generated simulator source. Scratch file names carry
+/// the pid: ctest runs each TEST as its own process in a shared working
+/// directory, and fixed names race under `ctest -j`.
+RunResult compileAndRun(const std::string& source) {
+  RunResult r;
+  r.available = std::system("c++ --version > /dev/null 2>&1") == 0;
+  if (!r.available) return r;
   std::string tag = cat("codegen_test_", ::getpid());
   std::string srcPath = tag + "_sim.cpp";
   std::string binPath = "./" + tag + "_sim.bin";
@@ -51,20 +60,19 @@ std::string compileAndRun(const std::string& source, bool* available) {
     std::stringstream ss;
     ss << err.rdbuf();
     ADD_FAILURE() << "generated simulator failed to compile:\n" << ss.str();
-    return {};
+    return r;
   }
-  if (std::system(cat(binPath, " > ", outPath).c_str()) != 0) {
-    ADD_FAILURE() << "generated simulator exited with an error";
-    return {};
-  }
+  const int wait = std::system(cat(binPath, " > ", outPath).c_str());
+  r.status = WIFEXITED(wait) ? WEXITSTATUS(wait) : -1;
   std::ifstream out(outPath);
   std::stringstream ss;
   ss << out.rdbuf();
+  r.output = ss.str();
   std::remove(srcPath.c_str());
   std::remove(binPath.c_str());
   std::remove(outPath.c_str());
   std::remove(errPath.c_str());
-  return ss.str();
+  return r;
 }
 
 struct ParsedOutput {
@@ -100,11 +108,10 @@ void expectMatchesXsim(const Machine& m, Xsim& xsim,
                        const AssembledProgram& prog) {
   xsim.drainPipeline();
   std::string source = generateCompiledSim(m, xsim.signatures(), prog);
-  bool available = false;
-  std::string output = compileAndRun(source, &available);
-  if (!available) GTEST_SKIP() << "no host C++ compiler";
-  ASSERT_FALSE(output.empty());
-  ParsedOutput parsed = parseOutput(output);
+  RunResult run = compileAndRun(source);
+  if (!run.available) GTEST_SKIP() << "no host C++ compiler";
+  ASSERT_EQ(run.status, 0) << run.output;
+  ParsedOutput parsed = parseOutput(run.output);
 
   EXPECT_EQ(parsed.instructions, xsim.stats().instructions);
   EXPECT_EQ(xsim.stats().cycles,
@@ -171,6 +178,52 @@ TEST(Codegen, SixtyFourBitCornersMatchInterpreter) {
   // float -> int saturation at 64 bits.
   checkBenchmark(+[] { return parseAndCheckIsdl(testing::kW64Isdl); },
                  {"w64", "", testing::kW64Program, 1000});
+}
+
+TEST(Codegen, NestedOptionSideEffectsMatchInterpreter) {
+  // INNER.inc's post-increment sits in an option of SRC.mem's operand: both
+  // simulators end with A1 = 7, D0 = DM[5] and D1 = DM[6].
+  auto m = parseAndCheckIsdl(testing::kNestIsdl);
+  Xsim xsim(*m);
+  Assembler assembler(xsim.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble(
+      ".dm 5 11\n.dm 6 22\nlar A1, 5\nmov D0, (A1+)\nmov D1, (A1+)\nhalt\n",
+      diags);
+  ASSERT_TRUE(prog.has_value()) << diags.dump();
+  std::string err;
+  ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+  ASSERT_EQ(xsim.run(100).reason, StopReason::Halted);
+  EXPECT_EQ(xsim.state().read(unsigned(m->findStorage("AR")), 1).toUint64(),
+            7u);
+  EXPECT_EQ(xsim.state().read(unsigned(m->findStorage("D")), 1).toUint64(),
+            22u);
+  expectMatchesXsim(*m, xsim, *prog);
+}
+
+TEST(Codegen, OutOfRangeAccessTrapsLikeInterpreter) {
+  // A1 = 200 addresses past the 16-deep DM: XSIM stops on a runtime error,
+  // and the generated simulator prints the trap and exits 2.
+  auto m = parseAndCheckIsdl(testing::kNestIsdl);
+  for (const char* source : {"lar A1, 200\nmov D0, (A1)\nhalt\n",
+                             "lar A1, 200\nst (A1), D0\nhalt\n"}) {
+    SCOPED_TRACE(source);
+    Xsim xsim(*m);
+    Assembler assembler(xsim.signatures());
+    DiagnosticEngine diags;
+    auto prog = assembler.assemble(source, diags);
+    ASSERT_TRUE(prog.has_value()) << diags.dump();
+    std::string err;
+    ASSERT_TRUE(xsim.loadProgram(*prog, &err)) << err;
+    EXPECT_EQ(xsim.run(100).reason, StopReason::RuntimeError);
+
+    RunResult run =
+        compileAndRun(generateCompiledSim(*m, xsim.signatures(), *prog));
+    if (!run.available) GTEST_SKIP() << "no host C++ compiler";
+    EXPECT_EQ(run.status, 2) << run.output;
+    EXPECT_NE(run.output.find("trap: "), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find("DM[200]"), std::string::npos) << run.output;
+  }
 }
 
 TEST(Codegen, RejectsWideArchitecturalState) {

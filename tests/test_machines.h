@@ -255,6 +255,73 @@ inline constexpr const char* kWideProgram = R"(
         halt
 )";
 
+/// NEST: an operand option whose own operand is a non-terminal with a side
+/// effect: SRC.mem takes an INNER address and INNER.inc post-increments, so
+/// `mov D0, (A1+)` runs a side effect of an option nested in an option. DM
+/// is 16 deep, so an 8-bit address can fall outside it.
+inline constexpr const char* kNestIsdl = R"ISDL(
+machine NEST {
+  section format { word_width = 16; }
+  section storage {
+    instruction_memory IM width 16 depth 16;
+    data_memory DM width 16 depth 16;
+    register_file AR width 8 depth 4;
+    register_file D width 16 depth 4;
+    program_counter PC width 8;
+  }
+  section global_definitions {
+    token AREG enum width 2 prefix "A" range 0 .. 3;
+    token DREG enum width 2 prefix "D" range 0 .. 3;
+    token U8 immediate unsigned width 8;
+
+    nonterminal INNER returns width 3 {
+      option ind(a: AREG) {
+        syntax "(" a ")";
+        encode { $$[2] = 0; $$[1:0] = a; }
+        value { AR[a] }
+      }
+      option inc(a: AREG) {
+        syntax "(" a "+" ")";
+        encode { $$[2] = 1; $$[1:0] = a; }
+        value { AR[a] }
+        side_effect { AR[a] <- AR[a] + 8'd1; }
+      }
+    }
+    nonterminal SRC returns width 4 {
+      option reg(d: DREG) {
+        syntax d;
+        encode { $$[3:2] = 2'd0; $$[1:0] = d; }
+        value { D[d] }
+      }
+      option mem(i: INNER) {
+        syntax i;
+        encode { $$[3] = 1; $$[2:0] = i; }
+        value { DM[i] }
+      }
+    }
+  }
+  section instruction_set {
+    field EX {
+      operation nop() { encode { inst[15:12] = 4'd0; } }
+      operation lar(a: AREG, i: U8) {
+        encode { inst[15:12] = 4'd1; inst[11:10] = a; inst[7:0] = i; }
+        action { AR[a] <- i; }
+      }
+      operation mov(d: DREG, s: SRC) {
+        encode { inst[15:12] = 4'd2; inst[11:10] = d; inst[3:0] = s; }
+        action { D[d] <- s; }
+      }
+      operation st(i: INNER, v: DREG) {
+        encode { inst[15:12] = 4'd3; inst[11:10] = v; inst[2:0] = i; }
+        action { DM[i] <- D[v]; }
+      }
+      operation halt() { encode { inst[15:12] = 4'd15; } }
+    }
+  }
+  section optional { halt_operation = "EX.halt"; }
+}
+)ISDL";
+
 }  // namespace isdl::testing
 
 #endif  // ISDL_TESTS_TEST_MACHINES_H

@@ -81,22 +81,26 @@ TEST(UopBinder, BindsEveryDecodedInstructionAtLoad) {
 
 // Operand values are constants of the record: `addi R2, #3` reads RF[2]
 // and adds the folded zext(3, 16) without any operand walk, and the
-// non-terminal's other option (a register read) is not in the record.
-TEST(UopBinder, ToStringIsReadable) {
+// non-terminal's other option (a register read) is not in the record. The
+// printed C++ is what a compiled-code simulator runs for the instruction.
+TEST(UopBinder, PrintsRecordAsCpp) {
   auto m = parseAndCheckIsdl(testing::kMiniIsdl);
   Xsim xsim(*m);
   load(xsim, "li R2, 4\naddi R2, #3\nadd R3, R1, R2\nhalt\n");
   ASSERT_EQ(xsim.run(100).reason, StopReason::Halted);
-  const std::string addi = uop::toString(xsim.boundProgram(), 1);
+  const std::string addi = xsim.binder().printCpp(xsim.boundProgram(), 1);
   EXPECT_EQ(addi,
-            "0: readelem dst=2 a=2 b=1 hi=0 lo=0\n"
-            "1: binary + dst=5 a=2 b=4 hi=0 lo=0\n"
-            "2: stage dst=0 a=5 b=0 hi=0 lo=0\n"
-            "-- phase B\n");
-  // add's carry side effect runs in phase B.
-  const std::string add = uop::toString(xsim.boundProgram(), 2);
-  EXPECT_NE(add.find("-- phase B"), std::string::npos);
-  EXPECT_NE(add.find("carry"), std::string::npos);
+            "Val r2, r5;\n"
+            "r2 = Val{s2[2u], 16};\n"
+            "r5 = binOp(BinOp(0), r2, Val{3u, 16});\n"
+            "s2[2u] = r5.v;\n");
+  // add's carry side effect runs in phase B; its write commits after the
+  // action's.
+  const std::string add = xsim.binder().printCpp(xsim.boundProgram(), 2);
+  const std::size_t phaseB = add.find("// phase B\n");
+  ASSERT_NE(phaseB, std::string::npos);
+  EXPECT_LT(phaseB, add.find("carry("));
+  EXPECT_LT(add.find("s2[3u] = "), add.find("s4[0u] = withSlice("));
   EXPECT_EQ(xsim.state().read(unsigned(m->findStorage("RF")), 2).toUint64(),
             7u);
 }
