@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdint>
-#include <optional>
 
 #include "support/strings.h"
 
@@ -53,86 +51,142 @@ constexpr auto kPunctStart = [] {
   return start;
 }();
 
+/// ASCII character classes; a byte outside ASCII is in none of them.
+enum : std::uint8_t {
+  kIdentStart = 1,  ///< letter or '_'
+  kIdentChar = 2,   ///< letter, digit or '_'
+  kDecimal = 4,     ///< digit or '_'
+};
+constexpr auto kCharClass = [] {
+  std::array<std::uint8_t, 256> cls{};
+  for (int c = 0; c < 256; ++c) {
+    const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (letter || c == '_') cls[c] |= kIdentStart;
+    if (letter || digit || c == '_') cls[c] |= kIdentChar;
+    if (digit || c == '_') cls[c] |= kDecimal;
+  }
+  return cls;
+}();
+
+const char* baseName(unsigned base) {
+  return base == 2 ? "binary" : base == 16 ? "hexadecimal" : "decimal";
+}
+
+/// Reads the digits of a literal in `base`: a run of letters, digits and
+/// underscores (kIdentChar), with underscores allowed anywhere.
+struct Digits {
+  std::uint64_t value = 0;  ///< the value modulo 2^64
+  bool any = false;         ///< at least one digit
+  bool overflow = false;    ///< the value does not fit in 64 bits
+  char bad = 0;             ///< the first byte that is no digit of `base`
+
+  Digits(std::string_view digits, unsigned base) {
+    for (char c : digits) {
+      if (c == '_') continue;
+      const unsigned d = c <= '9' ? c - '0' : (c | 0x20) - 'a' + 10;
+      if (d >= base) {
+        bad = c;
+        return;
+      }
+      any = true;
+      overflow |= __builtin_mul_overflow(value, base, &value);
+      overflow |= __builtin_add_overflow(value, d, &value);
+    }
+  }
+};
+
 class Lexer {
  public:
   Lexer(std::string_view src, DiagnosticEngine& diags)
       : src_(src), diags_(diags) {}
 
-  std::vector<Token> run() {
-    std::vector<Token> out;
+  TokenStream run() {
+    // Bundled, SPAM-family and generated descriptions have one token per
+    // 2.7 to 4.4 bytes, so this is the only allocation of the vector.
+    out_.tokens.reserve(src_.size() / 2 + 1);
     for (;;) {
       skipWhitespaceAndComments();
       if (atEnd()) break;
-      if (std::optional<Token> t = next()) out.push_back(std::move(*t));
+      next();
     }
-    out.push_back(make(Tok::EndOfFile, here()));
-    return out;
+    push(Tok::EndOfFile, here());
+    return std::move(out_);
   }
 
  private:
   std::string_view src_;
   DiagnosticEngine& diags_;
+  TokenStream out_;
   std::size_t pos_ = 0;
-  unsigned line_ = 1, col_ = 1;
+  std::size_t lineStart_ = 0;  ///< offset of the current line's first byte
+  unsigned line_ = 1;
 
   bool atEnd() const { return pos_ >= src_.size(); }
-  char peek(std::size_t off = 0) const {
+  char peek(std::size_t off) const {
     return pos_ + off < src_.size() ? src_[pos_ + off] : '\0';
   }
-  char advance() {
-    char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
+  SourceLoc here() const {
+    return {line_, static_cast<unsigned>(pos_ - lineStart_ + 1)};
   }
-  SourceLoc here() const { return {line_, col_}; }
+  /// Moves the cursor to `to`, counting the line breaks it passes.
+  void skipTo(std::size_t to) {
+    for (; pos_ < to; ++pos_)
+      if (src_[pos_] == '\n') {
+        ++line_;
+        lineStart_ = pos_ + 1;
+      }
+  }
+  /// The end of the run of bytes of class `cls` that starts at `from`.
+  std::size_t scan(std::size_t from, std::uint8_t cls) const {
+    while (from < src_.size() &&
+           (kCharClass[static_cast<unsigned char>(src_[from])] & cls))
+      ++from;
+    return from;
+  }
 
   void skipWhitespaceAndComments() {
-    for (;;) {
-      if (atEnd()) return;
-      char c = peek();
-      if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        advance();
+    while (!atEnd()) {
+      char c = src_[pos_];
+      if (c == '\n') {
+        ++line_;
+        lineStart_ = ++pos_;
+      } else if (c == ' ' || c == '\t' || c == '\r') {
+        ++pos_;
       } else if (c == '#' || (c == '/' && peek(1) == '/')) {
-        while (!atEnd() && peek() != '\n') advance();
+        pos_ = std::min(src_.find('\n', pos_), src_.size());
       } else if (c == '/' && peek(1) == '*') {
         SourceLoc start = here();
-        advance();
-        advance();
-        while (!atEnd() && !(peek() == '*' && peek(1) == '/')) advance();
-        if (atEnd()) {
+        std::size_t end = src_.find("*/", pos_ + 2);
+        if (end == std::string_view::npos) {
+          skipTo(src_.size());
           diags_.error(start, "unterminated block comment");
           return;
         }
-        advance();
-        advance();
+        skipTo(end + 2);
       } else {
         return;
       }
     }
   }
 
-  Token make(Tok kind, SourceLoc loc, std::string text = {}) {
-    Token t;
+  Token& push(Tok kind, SourceLoc loc, std::string_view text = {}) {
+    Token& t = out_.tokens.emplace_back();
     t.kind = kind;
     t.loc = loc;
-    t.text = std::move(text);
+    t.text = text;
     return t;
   }
 
-  /// Lexes the token at the cursor, or reports a bad character, skips it and
-  /// returns nothing so that run() resumes after whitespace and comments.
-  std::optional<Token> next() {
+  /// Lexes the token at the cursor, or reports a bad character and skips it,
+  /// so that run() resumes after whitespace and comments.
+  void next() {
     SourceLoc loc = here();
-    char c = peek();
+    char c = src_[pos_];
+    const std::uint8_t cls = kCharClass[static_cast<unsigned char>(c)];
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
-      return lexIdentifier(loc);
-    if (std::isdigit(static_cast<unsigned char>(c))) return lexNumber(loc);
+    if (cls & kIdentStart) return lexIdentifier(loc);
+    if (cls & kDecimal) return lexNumber(loc);  // a digit: '_' starts a name
     if (c == '"') return lexString(loc);
 
     for (int i = kPunctStart[static_cast<unsigned char>(c)];
@@ -140,132 +194,157 @@ class Lexer {
       std::string_view s = kPunct[i].spelling();
       if (src_.compare(pos_, s.size(), s) == 0) {
         pos_ += s.size();  // punctuation never spans a line
-        col_ += static_cast<unsigned>(s.size());
-        return make(kPunct[i].kind, loc);
+        push(kPunct[i].kind, loc);
+        return;
       }
     }
-    advance();
+    ++pos_;  // never a line break: run() skipped whitespace
     diags_.error(loc, c == '$' ? std::string("stray '$' (did you mean '$$'?)")
                                : cat("unexpected character '", c, "'"));
-    return std::nullopt;
   }
 
-  Token lexIdentifier(SourceLoc loc) {
-    std::string text;
-    while (!atEnd()) {
-      char c = peek();
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        text += advance();
-      } else {
-        break;
-      }
-    }
-    Token t = make(Tok::Identifier, loc, std::move(text));
-    return t;
+  void lexIdentifier(SourceLoc loc) {
+    const std::size_t end = scan(pos_ + 1, kIdentChar);
+    push(Tok::Identifier, loc, src_.substr(pos_, end - pos_));
+    pos_ = end;
   }
 
-  Token lexNumber(SourceLoc loc) {
-    std::string text;
+  /// Reports the digits of literal `t` that are no number; false if it did.
+  bool checkDigits(const Token& t, const Digits& d, unsigned base) {
+    if (d.any && !d.bad) return true;
+    const std::string literal = t.kind == Tok::SizedInt
+                                    ? cat("sized literal ", t.text)
+                                    : cat("integer literal '", t.text, "'");
+    if (d.bad)
+      diags_.error(t.loc, cat("bad ", baseName(base), " digit '", d.bad,
+                              "' in ", literal));
+    else
+      diags_.error(t.loc, cat(literal, " has no digits"));
+    return false;
+  }
+
+  void lexNumber(SourceLoc loc) {
+    const std::size_t start = pos_;
     // Leading digits (possibly the width of a sized literal).
-    while (!atEnd() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                        peek() == '_'))
-      text += advance();
-
-    if (!atEnd() && peek() == '\'') {
-      // Sized literal: <width>'<base><digits>
-      advance();
-      unsigned width = 0;  // saturates at 4097, so it cannot wrap
-      for (char d : text)
-        if (d != '_') width = std::min(width * 10 + unsigned(d - '0'), 4097u);
-      const bool widthOk = width != 0 && width <= 4096;
-      if (!widthOk) {
-        diags_.error(loc, "sized literal width out of range");
-        width = 1;
-      }
-      char base = atEnd() ? '\0' : advance();
-      std::string digits;
-      while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_'))
-        digits += advance();
-      Token t = make(Tok::SizedInt, loc, text + "'" + base + digits);
-      t.sizedValue = BitVector(width);
-      // A bad width is the one error: no value fits a width that is not.
-      if (!widthOk) return t;
-      // Parse with room for every digit (four bits hold any of them), so a
-      // value too large for its width is reported instead of truncated.
-      const unsigned room =
-          width + 4 * static_cast<unsigned>(std::max<std::size_t>(
-                          digits.size(), 1));
-      std::string_view prefix;
-      switch (base) {
-        case 'd': case 'D': break;
-        case 'h': case 'H': case 'x': case 'X': prefix = "0x"; break;
-        case 'b': case 'B': prefix = "0b"; break;
-        default:
-          diags_.error(loc, "bad base in sized literal (use d, h or b)");
-          return t;
-      }
-      try {
-        BitVector v = BitVector::fromString(room, cat(prefix, digits));
-        if (!v.lshr(width).isZero())
-          diags_.error(loc, cat("sized literal ", t.text,
-                                " does not fit in ", width, " bits"));
-        else
-          t.sizedValue = v.trunc(width);
-      } catch (const std::invalid_argument& e) {
-        diags_.error(loc, cat("bad sized literal: ", e.what()));
-      }
-      return t;
-    }
+    std::size_t end = scan(start, kDecimal);
+    if (end < src_.size() && src_[end] == '\'') return lexSized(loc, end);
 
     // Unsized: decimal, hex or binary.
-    if (text == "0" && !atEnd() &&
-        (peek() == 'x' || peek() == 'X' || peek() == 'b' || peek() == 'B')) {
-      text += advance();
-      while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_'))
-        text += advance();
+    unsigned base = 10;
+    std::size_t digits = start;
+    if (end == start + 1 && src_[start] == '0' && end < src_.size()) {
+      const char prefix = src_[end];
+      if (prefix == 'x' || prefix == 'X') base = 16;
+      if (prefix == 'b' || prefix == 'B') base = 2;
+      if (base != 10) {
+        digits = end + 1;
+        end = scan(digits, kIdentChar);
+      }
     }
-    Token t = make(Tok::Integer, loc, text);
-    try {
-      // Four bits per character hold every digit; wider values must be sized.
-      BitVector v = BitVector::fromString(
-          std::max(64u, 4 * static_cast<unsigned>(text.size())), text);
-      if (v.lshr(64).isZero())
-        t.intValue = v.toUint64();
-      else
-        diags_.error(loc, "integer literal does not fit in 64 bits (use a "
-                          "sized literal)");
-    } catch (const std::invalid_argument& e) {
-      diags_.error(loc, cat("bad integer literal: ", e.what()));
-    }
-    return t;
+    pos_ = end;
+    Token& t = push(Tok::Integer, loc, src_.substr(start, end - start));
+    const Digits d(src_.substr(digits, end - digits), base);
+    if (!checkDigits(t, d, base)) return;
+    if (d.overflow)
+      diags_.error(loc, "integer literal does not fit in 64 bits (use a "
+                        "sized literal)");
+    else
+      t.intValue = d.value;
   }
 
-  Token lexString(SourceLoc loc) {
-    advance();  // opening quote
+  /// Sized literal: <width>'<base><digits>, with the cursor on the width and
+  /// `quote` the offset of the quote.
+  void lexSized(SourceLoc loc, std::size_t quote) {
+    const std::size_t start = pos_;
+    unsigned width = 0;  // saturates at 4097, so it cannot wrap
+    for (char d : src_.substr(start, quote - start))
+      if (d != '_') width = std::min(width * 10 + unsigned(d - '0'), 4097u);
+    const bool widthOk = width != 0 && width <= 4096;
+    if (!widthOk) {
+      diags_.error(loc, "sized literal width out of range");
+      width = 1;
+    }
+    // The base is the byte after the quote, whatever it is.
+    skipTo(std::min(quote + 2, src_.size()));
+    const char baseChar = quote + 1 < src_.size() ? src_[quote + 1] : '\0';
+    const std::size_t digits = pos_;
+    pos_ = scan(digits, kIdentChar);
+    Token& t = push(Tok::SizedInt, loc, src_.substr(start, pos_ - start));
+    t.width = width;
+    // A bad width is the one error: no value fits a width that is not.
+    if (!widthOk) return;
+    unsigned base;
+    switch (baseChar) {
+      case 'd': case 'D': base = 10; break;
+      case 'h': case 'H': case 'x': case 'X': base = 16; break;
+      case 'b': case 'B': base = 2; break;
+      default:
+        diags_.error(loc, "bad base in sized literal (use d, h or b)");
+        return;
+    }
+    const std::string_view ds = src_.substr(digits, pos_ - digits);
+    const Digits d(ds, base);
+    if (!checkDigits(t, d, base)) return;
+    if (width <= 64) {
+      if (!d.overflow && (width == 64 || (d.value >> width) == 0)) {
+        t.intValue = d.value;
+        return;
+      }
+    } else {
+      // Parse with room for every digit (four bits hold any of them), so a
+      // value too large for its width is reported instead of truncated.
+      const unsigned room = width + 4 * static_cast<unsigned>(ds.size());
+      BitVector v = BitVector::fromString(
+          room, cat(base == 16 ? "0x" : base == 2 ? "0b" : "", ds));
+      if (v.lshr(width).isZero()) {
+        t.wide = &out_.wide.emplace_front(v.trunc(width));
+        return;
+      }
+    }
+    diags_.error(loc, cat("sized literal ", t.text, " does not fit in ", width,
+                          " bits"));
+  }
+
+  void lexString(SourceLoc loc) {
+    const std::size_t begin = pos_ + 1;  // after the opening quote
+    std::size_t end = begin;
+    bool escaped = false;
+    while (end < src_.size() && src_[end] != '"') {
+      if (src_[end] == '\\' && end + 1 < src_.size()) {
+        escaped = true;
+        end += 2;
+      } else {
+        ++end;
+      }
+    }
+    std::string_view text = src_.substr(begin, end - begin);
+    if (escaped) text = out_.decoded.emplace_front(decode(text));
+    push(Tok::String, loc, text);
+    if (end == src_.size()) {
+      skipTo(end);
+      diags_.error(loc, "unterminated string literal");
+    } else {
+      skipTo(end + 1);  // past the closing quote
+    }
+  }
+
+  /// The text of a string literal whose body `raw` holds escapes.
+  static std::string decode(std::string_view raw) {
     std::string text;
-    while (!atEnd() && peek() != '"') {
-      char c = advance();
-      if (c == '\\' && !atEnd()) {
-        char esc = advance();
-        switch (esc) {
+    text.reserve(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      char c = raw[i];
+      if (c == '\\' && i + 1 < raw.size()) {
+        switch (char esc = raw[++i]) {
           case 'n': text += '\n'; break;
           case 't': text += '\t'; break;
-          case '\\': text += '\\'; break;
-          case '"': text += '"'; break;
-          default: text += esc; break;
+          default: text += esc; break;  // '\\', '"' and any other byte
         }
       } else {
         text += c;
       }
     }
-    if (atEnd()) {
-      diags_.error(loc, "unterminated string literal");
-    } else {
-      advance();  // closing quote
-    }
-    return make(Tok::String, loc, std::move(text));
+    return text;
   }
 };
 
@@ -285,7 +364,7 @@ const char* tokName(Tok t) {
   return "?";
 }
 
-std::vector<Token> lex(std::string_view source, DiagnosticEngine& diags) {
+TokenStream lex(std::string_view source, DiagnosticEngine& diags) {
   return Lexer(source, diags).run();
 }
 

@@ -39,8 +39,8 @@ constexpr InfixOp kInfix[] = {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, DiagnosticEngine& diags)
-      : toks_(std::move(tokens)), diags_(diags) {}
+  Parser(const std::vector<Token>& tokens, DiagnosticEngine& diags)
+      : toks_(tokens), diags_(diags) {}
 
   std::unique_ptr<Machine> run() {
     machine_ = std::make_unique<Machine>();
@@ -54,7 +54,7 @@ class Parser {
   }
 
  private:
-  std::vector<Token> toks_;
+  const std::vector<Token>& toks_;
   DiagnosticEngine& diags_;
   std::size_t pos_ = 0;
   std::unique_ptr<Machine> machine_;
@@ -127,7 +127,7 @@ class Parser {
   void parseSection() {
     expectIdent("section");
     const Token& nameTok = expect(Tok::Identifier);
-    const std::string& name = nameTok.text;
+    std::string_view name = nameTok.text;
     expect(Tok::LBrace);
     if (name == "format") {
       parseFormatBody();
@@ -175,7 +175,7 @@ class Parser {
   }
 
   void checkFreshName(const Token& nameTok) {
-    const std::string& n = nameTok.text;
+    std::string_view n = nameTok.text;
     if (machine_->findToken(n) >= 0 || machine_->findNonTerminal(n) >= 0 ||
         machine_->findStorage(n) >= 0 || machine_->findAlias(n) >= 0)
       fail(nameTok.loc, cat("redefinition of '", n, "'"));
@@ -193,7 +193,7 @@ class Parser {
       def.width = expectSmallInt("token width", 64);
       if (acceptIdent("prefix")) {
         // Shorthand: prefix "R" range 0 .. 15;
-        std::string prefix = expect(Tok::String).text;
+        std::string prefix(expect(Tok::String).text);
         expectIdent("range");
         std::uint64_t lo = expectInt();
         expect(Tok::DotDot);
@@ -465,7 +465,7 @@ class Parser {
                               opTok.text, "'"));
         c.ops.push_back({static_cast<unsigned>(fi), static_cast<unsigned>(oi)});
         if (!c.text.empty()) c.text += " & ";
-        c.text += fieldTok.text + "." + opTok.text;
+        c.text.append(fieldTok.text).append(".").append(opTok.text);
         if (!accept(Tok::Amp)) break;
       }
       expect(Tok::Semi);
@@ -481,8 +481,9 @@ class Parser {
       expect(Tok::Assign);
       const Token& val = expect(Tok::String);
       expect(Tok::Semi);
-      machine_->optionalInfo[key.text] = val.text;
-      machine_->optionalLocs[key.text] = val.loc;
+      std::string name(key.text);
+      machine_->optionalInfo[name] = val.text;
+      machine_->optionalLocs[name] = val.loc;
     }
   }
 
@@ -535,7 +536,7 @@ class Parser {
     std::vector<SyntaxItem> items;
     while (!check(Tok::Semi)) {
       if (check(Tok::String)) {
-        items.push_back({true, advance().text, 0});
+        items.push_back({true, std::string(advance().text), 0});
       } else if (check(Tok::Identifier)) {
         const Token& t = advance();
         int pi = findParam(&params, t.text);
@@ -586,11 +587,11 @@ class Parser {
         ea.constValue = BitVector(destWidth, t.intValue);
       } else if (check(Tok::SizedInt)) {
         const Token& t = advance();
-        if (t.sizedValue.width() != destWidth)
-          fail(t.loc, cat("sized constant width ", t.sizedValue.width(),
+        if (t.width != destWidth)
+          fail(t.loc, cat("sized constant width ", t.width,
                           " does not match bitfield width ", destWidth));
         ea.src = EncodeAssign::Src::Const;
-        ea.constValue = t.sizedValue;
+        ea.constValue = t.sizedValue();
       } else {
         const Token& t = expect(Tok::Identifier);
         int pi = findParam(&params, t.text);
@@ -816,7 +817,7 @@ class Parser {
     }
     if (check(Tok::SizedInt)) {
       const Token& t = advance();
-      return rtl::Expr::makeConst(t.sizedValue, loc);
+      return rtl::Expr::makeConst(t.sizedValue(), loc);
     }
     if (accept(Tok::LParen)) {
       rtl::ExprPtr e = parseExpr();
@@ -865,7 +866,7 @@ class Parser {
   }
 
   rtl::ExprPtr parseBuiltinCall(const Token& nameTok) {
-    const std::string& name = nameTok.text;
+    std::string_view name = nameTok.text;
     SourceLoc loc = nameTok.loc;
     expect(Tok::LParen);
     std::vector<rtl::ExprPtr> args;
@@ -947,10 +948,10 @@ class Parser {
 
 std::unique_ptr<Machine> parseIsdl(std::string_view source,
                                    DiagnosticEngine& diags) {
-  std::vector<Token> tokens = lex(source, diags);
+  TokenStream tokens = lex(source, diags);
   if (diags.hasErrors()) return nullptr;
   try {
-    return Parser(std::move(tokens), diags).run();
+    return Parser(tokens.tokens, diags).run();
   } catch (const ParseAbort&) {
     return nullptr;
   }
