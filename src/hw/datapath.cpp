@@ -451,6 +451,7 @@ class Builder {
   }
 
   NetId maxNet(NetId a, NetId b) {
+    if (a == b) return a;  // no comparator for the mux to fold away
     NetId gt = nl().addBinary(BinOp::UGt, a, b);
     return nl().addMux(gt, a, b);
   }
@@ -466,14 +467,19 @@ class Builder {
     nl().setRegInputs(model_.haltedReg,
                       nl().orNet(model_.haltedReg, haltNow), runEnable_);
 
-    // Illegal-instruction flag: some field decodes no operation.
-    NetId anyIllegal = nl().zero();
+    // Illegal-instruction flag: some field decodes no operation. The ORs
+    // start from their first term, not from a constant 0 nothing reads.
+    auto orInto = [&](NetId acc, NetId term) {
+      return acc == kNoNet ? term : nl().orNet(acc, term);
+    };
+    NetId anyIllegal = kNoNet;
     for (std::size_t f = 0; f < m_.fields.size(); ++f) {
-      NetId any = nl().zero();
-      for (NetId line : model_.decodeLines[f]) any = nl().orNet(any, line);
-      anyIllegal = nl().orNet(anyIllegal, nl().notNet(any));
+      NetId any = kNoNet;
+      for (NetId line : model_.decodeLines[f]) any = orInto(any, line);
+      anyIllegal =
+          orInto(anyIllegal, any == kNoNet ? nl().one() : nl().notNet(any));
     }
-    model_.illegalNet = anyIllegal;
+    model_.illegalNet = anyIllegal == kNoNet ? nl().zero() : anyIllegal;
 
     // Instruction size and cycle cost (max over fields).
     NetId sizeNet = kNoNet;

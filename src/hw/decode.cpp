@@ -1,17 +1,21 @@
 #include "hw/decode.h"
 
-#include "support/strings.h"
+#include <bit>
 
 namespace isdl::hw {
 
 NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
-                      const std::string& name) {
+                      std::string_view name) {
   NetId acc = kNoNet;
-  for (unsigned b = 0; b < sig.widthBits(); ++b) {
-    if (!sig.careMask().bit(b)) continue;
-    NetId bit = nl.addSlice(word, b, b);
-    NetId literal = sig.constBits().bit(b) ? bit : nl.notNet(bit);
-    acc = acc == kNoNet ? literal : nl.andNet(acc, literal);
+  const BitVector& care = sig.careMask();
+  for (unsigned w = 0; w < care.numWords(); ++w) {
+    const std::uint64_t value = sig.constBits().word(w);
+    for (std::uint64_t m = care.word(w); m != 0; m &= m - 1) {
+      const unsigned b = 64 * w + static_cast<unsigned>(std::countr_zero(m));
+      NetId bit = nl.addSlice(word, b, b);
+      NetId literal = (value >> (b % 64)) & 1 ? bit : nl.notNet(bit);
+      acc = acc == kNoNet ? literal : nl.andNet(acc, literal);
+    }
   }
   // An all-don't-care signature matches unconditionally.
   if (acc == kNoNet) acc = nl.one();
@@ -20,7 +24,7 @@ NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
 }
 
 NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
-                        unsigned p, const std::string& name) {
+                        unsigned p, std::string_view name) {
   const std::vector<unsigned>& bits = sig.instBitsOfParam(p);
   unsigned w = static_cast<unsigned>(bits.size());
   // Collect slices msb-first, collapsing contiguous descending runs: bits

@@ -21,13 +21,13 @@ namespace isdl::hw {
 /// `word` (word.width may exceed sig.widthBits; extra bits are ignored).
 /// Returns a 1-bit net that is high iff the constant bits match.
 NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
-                      const std::string& name);
+                      std::string_view name);
 
 /// Builds the extraction network for parameter `p` of `sig`: a concatenation
 /// of the instruction bits that carry it, with contiguous runs collapsed
 /// into single slices.
 NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
-                        unsigned p, const std::string& name);
+                        unsigned p, std::string_view name);
 
 }  // namespace isdl::hw
 

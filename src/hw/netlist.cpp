@@ -1,7 +1,8 @@
 #include "hw/netlist.h"
 
 #include <algorithm>
-#include <tuple>
+#include <bit>
+#include <utility>
 
 #include "support/diag.h"
 #include "support/strings.h"
@@ -15,173 +16,204 @@ bool mergeable(const Node& n) {
   return n.kind != NodeKind::Input && n.kind != NodeKind::Reg;
 }
 
-/// What hash-consing compares: everything but the name.
-auto shape(const Node& n) {
-  return std::tie(n.kind, n.width, n.ins, n.unOp, n.binOp, n.hi, n.lo,
-                  n.memId, n.constValue);
+/// 0 or 1 for a constant (any nonzero value counts as 1), else -1.
+int constBit(const Node& n) {
+  if (n.kind != NodeKind::Const) return -1;
+  return n.constValue.isZero() ? 0 : 1;
 }
 
-/// Hashes the parts of the shape that tell nodes apart in practice.
-std::size_t shapeHash(const Node& n) {
-  std::size_t h = n.constValue.hash();
-  auto mix = [&h](std::size_t v) { h = (h ^ v) * 0x100000001b3ull; };
-  for (NetId in : n.ins) mix(static_cast<std::size_t>(in));
-  for (unsigned v : {static_cast<unsigned>(n.kind),
-                     static_cast<unsigned>(n.binOp), n.width, n.hi, n.lo})
-    mix(v);
-  return h;
+/// Hash-consing index slots allocated first: a SPAM datapath indexes about
+/// 200 nodes.
+constexpr std::size_t kMinSlots = 512;
+
+/// The constValue of every node but a Const.
+const BitVector kNoValue;
+
+/// Slot of `hash` in a table of 2^k slots, `shift` = 64 - k: Fibonacci
+/// hashing spreads every bit of the hash over the top bits.
+std::size_t home(std::size_t hash, unsigned shift) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+unsigned shiftFor(std::size_t slots) {
+  return 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 }  // namespace
 
-const char* nodeKindName(NodeKind k) {
-  switch (k) {
-    case NodeKind::Input: return "input";
-    case NodeKind::Const: return "const";
-    case NodeKind::Unary: return "unary";
-    case NodeKind::Binary: return "binary";
-    case NodeKind::AddSub: return "addsub";
-    case NodeKind::Mux: return "mux";
-    case NodeKind::Slice: return "slice";
-    case NodeKind::Concat: return "concat";
-    case NodeKind::ZExt: return "zext";
-    case NodeKind::SExt: return "sext";
-    case NodeKind::Trunc: return "trunc";
-    case NodeKind::IToF: return "itof";
-    case NodeKind::FToI: return "ftoi";
-    case NodeKind::Reg: return "reg";
-    case NodeKind::MemRead: return "memread";
+std::size_t Netlist::hashOf(const Shape& s) {
+  std::size_t h = s.kind == NodeKind::Const ? s.constValue->hash()
+                                            : 0xcbf29ce484222325ull;
+  auto mix = [&h](std::size_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  for (NetId in : s.ins) mix(static_cast<std::size_t>(in));
+  for (unsigned v : {static_cast<unsigned>(s.kind),
+                     static_cast<unsigned>(s.unOp),
+                     static_cast<unsigned>(s.binOp), s.width, s.hi, s.lo,
+                     static_cast<unsigned>(s.memId)})
+    mix(v);
+  return h;
+}
+
+NetId Netlist::find(const Shape& s, std::size_t hash) const {
+  if (index_.empty()) return kNoNet;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(hash, shiftFor(index_.size()));;
+       i = (i + 1) & mask) {
+    const Slot& slot = index_[i];
+    if (slot.id == kNoNet) return kNoNet;
+    if (slot.hash != hash) continue;
+    const Node& n = nodes[slot.id];
+    if (n.kind == s.kind && n.width == s.width && n.unOp == s.unOp &&
+        n.binOp == s.binOp && n.hi == s.hi && n.lo == s.lo &&
+        n.memId == s.memId && std::ranges::equal(n.ins, s.ins) &&
+        n.constValue == *s.constValue)
+      return slot.id;
   }
-  return "?";
 }
 
-NetId Netlist::find(const Node& node, std::size_t hash) const {
-  auto [it, end] = index_.equal_range(hash);
-  for (; it != end; ++it)
-    if (shape(nodes[it->second]) == shape(node)) return it->second;
-  return kNoNet;
+void Netlist::insert(std::size_t hash, NetId id) {
+  if (2 * (indexed_ + 1) > index_.size())
+    resizeIndex(std::max(kMinSlots, 2 * index_.size()));
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(hash, shiftFor(index_.size()));
+  while (index_[i].id != kNoNet) i = (i + 1) & mask;
+  index_[i] = {hash, id};
+  ++indexed_;
 }
 
-NetId Netlist::push(Node node) {
-  const bool merge = mergeable(node);
-  const std::size_t h = merge ? shapeHash(node) : 0;
-  if (NetId hit = merge ? find(node, h) : kNoNet; hit != kNoNet) {
-    if (nodes[hit].name.empty()) nodes[hit].name = std::move(node.name);
+void Netlist::resizeIndex(std::size_t slots) {
+  std::vector<Slot> old = std::exchange(index_, std::vector<Slot>(slots));
+  indexed_ = 0;
+  // Start after an empty slot: no probe run wraps past it, so each run is
+  // re-inserted in the order it was built.
+  std::size_t start = 0;
+  while (start < old.size() && old[start].id != kNoNet) ++start;
+  for (std::size_t k = 0; k < old.size(); ++k) {
+    const Slot& slot = old[(start + k) & (old.size() - 1)];
+    if (slot.id != kNoNet) insert(slot.hash, slot.id);
+  }
+}
+
+void Netlist::rebuildIndex() {
+  indexStale_ = false;
+  index_.assign(std::max(kMinSlots, std::bit_ceil(2 * nodes.size())), Slot{});
+  indexed_ = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!mergeable(nodes[i])) continue;
+    const Node& n = nodes[i];
+    const Shape s{n.kind,  n.width, n.ins, &n.constValue, n.unOp,
+                  n.binOp, n.hi,    n.lo,  n.memId};
+    const std::size_t h = hashOf(s);
+    if (find(s, h) == kNoNet) insert(h, static_cast<NetId>(i));
+  }
+}
+
+NetId Netlist::intern(const Shape& s, std::string_view name) {
+  if (indexStale_) rebuildIndex();
+  const std::size_t h = hashOf(s);
+  if (NetId hit = find(s, h); hit != kNoNet) {
+    if (nodes[hit].name.empty()) nodes[hit].name = name;
     return hit;
   }
-  nodes.push_back(std::move(node));
+  // Built before it is appended: `s` and `name` may point into `nodes`.
+  Node n;
+  n.kind = s.kind;
+  n.width = s.width;
+  n.name = name;
+  n.ins.assign(s.ins.begin(), s.ins.end());
+  n.constValue = *s.constValue;
+  n.unOp = s.unOp;
+  n.binOp = s.binOp;
+  n.hi = s.hi;
+  n.lo = s.lo;
+  n.memId = s.memId;
+  nodes.push_back(std::move(n));
   const auto id = static_cast<NetId>(nodes.size() - 1);
-  if (merge) index_.emplace(h, id);
+  insert(h, id);
   return id;
 }
 
 NetId Netlist::addInput(std::string name, unsigned width) {
-  Node n;
+  Node& n = nodes.emplace_back();
   n.kind = NodeKind::Input;
   n.width = width;
   n.name = std::move(name);
-  return push(std::move(n));
+  return static_cast<NetId>(nodes.size() - 1);
 }
 
-NetId Netlist::addConst(BitVector value, std::string name) {
-  Node n;
-  n.kind = NodeKind::Const;
-  n.width = value.width();
-  n.constValue = std::move(value);
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addConst(const BitVector& value, std::string_view name) {
+  return intern({NodeKind::Const, value.width(), {}, &value}, name);
 }
 
-NetId Netlist::addUnary(rtl::UnOp op, NetId a, std::string name) {
-  Node n;
-  n.kind = NodeKind::Unary;
-  n.unOp = op;
+NetId Netlist::addUnary(rtl::UnOp op, NetId a, std::string_view name) {
+  unsigned width = nodes[a].width;
   switch (op) {
     case rtl::UnOp::LogNot:
     case rtl::UnOp::RedAnd:
     case rtl::UnOp::RedOr:
     case rtl::UnOp::RedXor:
-      n.width = 1;
+      width = 1;
       break;
     default:
-      n.width = nodes[a].width;
+      break;
   }
-  n.ins = {a};
-  n.name = std::move(name);
-  return push(std::move(n));
+  const NetId ins[] = {a};
+  return intern({NodeKind::Unary, width, ins, &kNoValue, op}, name);
 }
 
-NetId Netlist::addBinary(rtl::BinOp op, NetId a, NetId b, std::string name) {
-  Node n;
-  n.kind = NodeKind::Binary;
-  n.binOp = op;
-  n.width = rtl::isComparison(op) || op == rtl::BinOp::LogAnd ||
-                    op == rtl::BinOp::LogOr
-                ? 1
-                : nodes[a].width;
-  n.ins = {a, b};
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addBinary(rtl::BinOp op, NetId a, NetId b,
+                         std::string_view name) {
+  const unsigned width = rtl::isComparison(op) || op == rtl::BinOp::LogAnd ||
+                                 op == rtl::BinOp::LogOr
+                             ? 1
+                             : nodes[a].width;
+  const NetId ins[] = {a, b};
+  return intern({NodeKind::Binary, width, ins, &kNoValue,
+                 rtl::UnOp::BitNot, op},
+                name);
 }
 
-NetId Netlist::addAddSub(NetId a, NetId b, NetId sub, std::string name) {
-  Node n;
-  n.kind = NodeKind::AddSub;
-  n.width = nodes[a].width;
-  n.ins = {a, b, sub};
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addAddSub(NetId a, NetId b, NetId sub, std::string_view name) {
+  const NetId ins[] = {a, b, sub};
+  return intern({NodeKind::AddSub, nodes[a].width, ins, &kNoValue}, name);
 }
 
 NetId Netlist::addMux(NetId sel, NetId whenTrue, NetId whenFalse,
-                      std::string name) {
+                      std::string_view name) {
   if (whenTrue == whenFalse) return whenTrue;  // select is irrelevant
-  Node n;
-  n.kind = NodeKind::Mux;
-  n.width = nodes[whenTrue].width;
-  n.ins = {sel, whenTrue, whenFalse};
-  n.name = std::move(name);
-  return push(std::move(n));
+  const NetId ins[] = {sel, whenTrue, whenFalse};
+  return intern({NodeKind::Mux, nodes[whenTrue].width, ins, &kNoValue},
+                name);
 }
 
-NetId Netlist::addSlice(NetId a, unsigned hi, unsigned lo, std::string name) {
-  Node n;
-  n.kind = NodeKind::Slice;
-  n.width = hi - lo + 1;
-  n.hi = hi;
-  n.lo = lo;
-  n.ins = {a};
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addSlice(NetId a, unsigned hi, unsigned lo,
+                        std::string_view name) {
+  const NetId ins[] = {a};
+  return intern({NodeKind::Slice, hi - lo + 1, ins, &kNoValue,
+                 rtl::UnOp::BitNot, rtl::BinOp::Add, hi, lo},
+                name);
 }
 
-NetId Netlist::addConcat(std::vector<NetId> parts, std::string name) {
-  Node n;
-  n.kind = NodeKind::Concat;
-  n.width = 0;
-  for (NetId p : parts) n.width += nodes[p].width;
-  n.ins = std::move(parts);
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addConcat(std::vector<NetId> parts, std::string_view name) {
+  unsigned width = 0;
+  for (NetId p : parts) width += nodes[p].width;
+  return intern({NodeKind::Concat, width, parts, &kNoValue}, name);
 }
 
 NetId Netlist::addExt(NodeKind kind, NetId a, unsigned width,
-                      std::string name) {
-  Node n;
-  n.kind = kind;
-  n.width = width;
-  n.ins = {a};
-  n.name = std::move(name);
-  return push(std::move(n));
+                      std::string_view name) {
+  const NetId ins[] = {a};
+  return intern({kind, width, ins, &kNoValue}, name);
 }
 
 NetId Netlist::addReg(std::string name, unsigned width) {
-  Node n;
+  Node& n = nodes.emplace_back();
   n.kind = NodeKind::Reg;
   n.width = width;
   n.name = std::move(name);
   n.ins = {kNoNet, kNoNet};
-  return push(std::move(n));
+  return static_cast<NetId>(nodes.size() - 1);
 }
 
 void Netlist::setRegInputs(NetId reg, NetId next, NetId enable) {
@@ -197,14 +229,11 @@ int Netlist::addMemory(std::string name, unsigned width, std::uint64_t depth) {
   return static_cast<int>(memories.size() - 1);
 }
 
-NetId Netlist::addMemRead(int memId, NetId addr, std::string name) {
-  Node n;
-  n.kind = NodeKind::MemRead;
-  n.width = memories[memId].width;
-  n.memId = memId;
-  n.ins = {addr};
-  n.name = std::move(name);
-  return push(std::move(n));
+NetId Netlist::addMemRead(int memId, NetId addr, std::string_view name) {
+  const NetId ins[] = {addr};
+  return intern({NodeKind::MemRead, memories[memId].width, ins, &kNoValue,
+                 rtl::UnOp::BitNot, rtl::BinOp::Add, 0, 0, memId},
+                name);
 }
 
 void Netlist::addMemWrite(int memId, NetId enable, NetId addr, NetId data) {
@@ -216,30 +245,23 @@ void Netlist::addOutput(std::string name, NetId net) {
 }
 
 NetId Netlist::andNet(NetId a, NetId b) {
-  auto constVal = [&](NetId x) -> int {
-    if (nodes[x].kind != NodeKind::Const) return -1;
-    return nodes[x].constValue.isZero() ? 0 : 1;
-  };
-  if (constVal(a) == 1) return b;
-  if (constVal(b) == 1) return a;
-  if (constVal(a) == 0 || constVal(b) == 0) return zero();
+  const int ca = constBit(nodes[a]), cb = constBit(nodes[b]);
+  if (ca == 1) return b;
+  if (cb == 1) return a;
+  if (ca == 0 || cb == 0) return zero();
   return addBinary(rtl::BinOp::And, a, b);
 }
 
 NetId Netlist::orNet(NetId a, NetId b) {
-  auto constVal = [&](NetId x) -> int {
-    if (nodes[x].kind != NodeKind::Const) return -1;
-    return nodes[x].constValue.isZero() ? 0 : 1;
-  };
-  if (constVal(a) == 0) return b;
-  if (constVal(b) == 0) return a;
-  if (constVal(a) == 1 || constVal(b) == 1) return one();
+  const int ca = constBit(nodes[a]), cb = constBit(nodes[b]);
+  if (ca == 0) return b;
+  if (cb == 0) return a;
+  if (ca == 1 || cb == 1) return one();
   return addBinary(rtl::BinOp::Or, a, b);
 }
 
 NetId Netlist::notNet(NetId a) {
-  if (nodes[a].kind == NodeKind::Const)
-    return nodes[a].constValue.isZero() ? one() : zero();
+  if (const int ca = constBit(nodes[a]); ca >= 0) return ca ? zero() : one();
   return addUnary(rtl::UnOp::BitNot, a);
 }
 
@@ -330,19 +352,21 @@ std::vector<NetId> Netlist::sweepDead() {
       path.pop_back();
     }
   }
-  std::vector<Node> kept(static_cast<std::size_t>(numbered));
+  // Permute in place, dead nodes after the survivors, then cut them off.
+  const auto survivors = static_cast<std::size_t>(numbered);
+  std::vector<NetId> to = remap;
   for (std::size_t i = 0; i < n; ++i)
-    if (remap[i] != kNoNet) kept[remap[i]] = std::move(nodes[i]);
-  nodes = std::move(kept);
-  rewire(remap);
-  // Re-index the survivors. Rewiring may have left two of them alike; the
-  // first-born keeps answering for the shape.
-  index_.clear();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (!mergeable(nodes[i])) continue;
-    const std::size_t h = shapeHash(nodes[i]);
-    if (find(nodes[i], h) == kNoNet) index_.emplace(h, static_cast<NetId>(i));
+    if (to[i] == kNoNet) to[i] = numbered++;
+  for (std::size_t i = 0; i < n; ++i) {
+    while (to[i] != static_cast<NetId>(i)) {
+      const NetId j = to[i];
+      std::swap(nodes[i], nodes[j]);
+      std::swap(to[i], to[j]);
+    }
   }
+  nodes.resize(survivors);
+  rewire(remap);
+  indexStale_ = true;
   return remap;
 }
 

@@ -25,8 +25,9 @@
 #define ISDL_HW_NETLIST_H
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "rtl/ir.h"
@@ -51,8 +52,6 @@ enum class NodeKind {
   Reg,      ///< clocked register; ins[0] = next value, ins[1] = enable (or -1)
   MemRead,  ///< combinational memory read; ins[0] = address
 };
-
-const char* nodeKindName(NodeKind k);
 
 using NetId = int;
 inline constexpr NetId kNoNet = -1;
@@ -97,23 +96,25 @@ class Netlist {
   std::vector<OutputPort> outputs;
 
   // --- builders (return the net id of the new or merged node) -----------------
+  // A merged node with no name takes the name offered.
   NetId addInput(std::string name, unsigned width);
-  NetId addConst(BitVector value, std::string name = {});
-  NetId addUnary(rtl::UnOp op, NetId a, std::string name = {});
-  NetId addBinary(rtl::BinOp op, NetId a, NetId b, std::string name = {});
-  NetId addAddSub(NetId a, NetId b, NetId sub, std::string name = {});
+  NetId addConst(const BitVector& value, std::string_view name = {});
+  NetId addUnary(rtl::UnOp op, NetId a, std::string_view name = {});
+  NetId addBinary(rtl::BinOp op, NetId a, NetId b, std::string_view name = {});
+  NetId addAddSub(NetId a, NetId b, NetId sub, std::string_view name = {});
   NetId addMux(NetId sel, NetId whenTrue, NetId whenFalse,
-               std::string name = {});
-  NetId addSlice(NetId a, unsigned hi, unsigned lo, std::string name = {});
-  NetId addConcat(std::vector<NetId> parts, std::string name = {});
-  NetId addExt(NodeKind kind, NetId a, unsigned width, std::string name = {});
+               std::string_view name = {});
+  NetId addSlice(NetId a, unsigned hi, unsigned lo, std::string_view name = {});
+  NetId addConcat(std::vector<NetId> parts, std::string_view name = {});
+  NetId addExt(NodeKind kind, NetId a, unsigned width,
+               std::string_view name = {});
   /// Creates a register whose next/enable inputs are wired later via
   /// setRegInputs (registers usually feed logic that computes their next
   /// value, so they are created first).
   NetId addReg(std::string name, unsigned width);
   void setRegInputs(NetId reg, NetId next, NetId enable = kNoNet);
   int addMemory(std::string name, unsigned width, std::uint64_t depth);
-  NetId addMemRead(int memId, NetId addr, std::string name = {});
+  NetId addMemRead(int memId, NetId addr, std::string_view name = {});
   void addMemWrite(int memId, NetId enable, NetId addr, NetId data);
   void addOutput(std::string name, NetId net);
 
@@ -146,20 +147,54 @@ class Netlist {
   /// and their fan-in, memory write ports, inputs) and numbers the survivors
   /// in evaluation order, keeping every id of a netlist already in order.
   /// Returns the old->new net-id map, with kNoNet for removed nodes —
-  /// callers holding net ids must remap them. Rebuilds the hash-consing
-  /// index. Throws IsdlError on a combinational cycle.
+  /// callers holding net ids must remap them. The hash-consing index is
+  /// rebuilt from the survivors by the next builder call that probes it, so
+  /// a closing sweep that nothing builds on after pays for no index.
+  /// Throws IsdlError on a combinational cycle.
   std::vector<NetId> sweepDead();
 
  private:
-  /// Returns the indexed node of `node`'s shape (which takes `node`'s name if
-  /// it has none), else appends `node`.
-  NetId push(Node node);
-  NetId find(const Node& node, std::size_t shapeHash) const;
-  /// Shape hash -> combinational nodes born with that shape. Only probed, so
-  /// node order stays creation order. Hits are checked against the live
-  /// node: one rewired in place (as resource sharing does) can miss a merge
-  /// but is never returned for a shape it no longer has.
-  std::unordered_multimap<std::size_t, NetId> index_;
+  /// What hash-consing compares: everything of a node but its name.
+  /// Builders probe with a Shape and build a Node only on a miss.
+  struct Shape {
+    NodeKind kind;
+    unsigned width;
+    std::span<const NetId> ins;
+    const BitVector* constValue;
+    rtl::UnOp unOp = rtl::UnOp::BitNot;
+    rtl::BinOp binOp = rtl::BinOp::Add;
+    unsigned hi = 0, lo = 0;
+    int memId = -1;
+  };
+  /// One hash-consing entry: the shape hash a node was indexed under.
+  struct Slot {
+    std::size_t hash = 0;
+    NetId id = kNoNet;  ///< kNoNet: empty
+  };
+
+  static std::size_t hashOf(const Shape& s);
+  /// Returns the indexed node of `shape` (which takes `name` if it has
+  /// none), else appends a node of that shape named `name`.
+  NetId intern(const Shape& shape, std::string_view name);
+  NetId find(const Shape& shape, std::size_t hash) const;
+  void insert(std::size_t hash, NetId id);
+  /// Re-inserts every entry into `slots` empty slots, keeping each probe
+  /// run's order.
+  void resizeIndex(std::size_t slots);
+  /// Indexes the mergeable nodes in id order; of nodes alike, the first-born
+  /// answers for the shape.
+  void rebuildIndex();
+
+  /// Hash-consing index: open addressing with linear probing over a
+  /// power-of-two table, at most half full. Only probed, so node order stays
+  /// creation order. A node stays under the hash of the shape it was indexed
+  /// with; hits are checked against the live node, so one rewired in place
+  /// (as resource sharing does) can miss a merge but is never returned for a
+  /// shape it no longer has. Of two entries of one hash, the older answers
+  /// first.
+  std::vector<Slot> index_;
+  std::size_t indexed_ = 0;    ///< occupied slots
+  bool indexStale_ = false;    ///< sweepDead() renumbered the nodes
 };
 
 }  // namespace isdl::hw

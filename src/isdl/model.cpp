@@ -17,20 +17,6 @@ std::optional<std::string> TokenDef::memberSyntax(std::uint64_t value) const {
   return std::nullopt;
 }
 
-const char* storageKindName(StorageKind k) {
-  switch (k) {
-    case StorageKind::InstructionMemory: return "instruction_memory";
-    case StorageKind::DataMemory: return "data_memory";
-    case StorageKind::RegisterFile: return "register_file";
-    case StorageKind::Register: return "register";
-    case StorageKind::ControlRegister: return "control_register";
-    case StorageKind::MemoryMappedIO: return "memory_mapped_io";
-    case StorageKind::ProgramCounter: return "program_counter";
-    case StorageKind::Stack: return "stack";
-  }
-  return "?";
-}
-
 bool isAddressed(StorageKind k) {
   switch (k) {
     case StorageKind::InstructionMemory:

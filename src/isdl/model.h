@@ -159,7 +159,6 @@ enum class StorageKind {
   Stack,
 };
 
-const char* storageKindName(StorageKind k);
 /// True for kinds addressed as name[index].
 bool isAddressed(StorageKind k);
 

@@ -139,7 +139,7 @@ class Checker {
       for (auto& opt : nt.options) {
         params_ = &opt.params;
         checkEncoding(opt.encode, opt.params, nt.returnWidth, nt.loc,
-                      cat("non-terminal '", nt.name, "'"));
+                      [&] { return cat("non-terminal '", nt.name, "'"); });
         if (opt.value) {
           unsigned w = checkExpr(*opt.value, 0);
           if (valueWidth == 0) valueWidth = w;
@@ -172,15 +172,18 @@ class Checker {
   void checkInstructionSet() {
     for (auto& field : m_.fields) {
       for (auto& op : field.operations) {
-        std::string ctx = cat("operation '", field.name, ".", op.name, "'");
+        // Built only for a diagnostic: most operations have none.
+        auto ctx = [&] {
+          return cat("operation '", field.name, ".", op.name, "'");
+        };
         if (op.costs.cycle == 0)
-          error(op.loc, ctx + ": cycle cost must be >= 1");
+          error(op.loc, ctx() + ": cycle cost must be >= 1");
         if (op.costs.size == 0)
-          error(op.loc, ctx + ": size cost must be >= 1");
+          error(op.loc, ctx() + ": size cost must be >= 1");
         if (op.timing.latency == 0)
-          error(op.loc, ctx + ": latency must be >= 1");
+          error(op.loc, ctx() + ": latency must be >= 1");
         if (op.timing.usage == 0)
-          error(op.loc, ctx + ": usage must be >= 1");
+          error(op.loc, ctx() + ": usage must be >= 1");
 
         params_ = &op.params;
         checkEncoding(op.encode, op.params, op.costs.size * m_.wordWidth,
@@ -194,10 +197,12 @@ class Checker {
 
   /// Validates one encode block: bits in range, no overlap, every parameter
   /// fully encoded (otherwise the assembly function is not reversible and
-  /// disassembly — paper §3.3.2 — is impossible).
+  /// disassembly — paper §3.3.2 — is impossible). `ctx()` names the
+  /// definition in a diagnostic.
+  template <typename Ctx>
   void checkEncoding(const std::vector<EncodeAssign>& encode,
                      const std::vector<Param>& params, unsigned totalBits,
-                     SourceLoc loc, const std::string& ctx) {
+                     SourceLoc loc, const Ctx& ctx) {
     std::vector<bool> covered(totalBits, false);
     // Per parameter, which of its bits are present in the encoding.
     std::vector<std::vector<bool>> paramBits(params.size());
@@ -206,13 +211,13 @@ class Checker {
 
     for (const auto& ea : encode) {
       if (ea.hi >= totalBits) {
-        error(ea.loc, cat(ctx, ": bit ", ea.hi, " exceeds instruction size (",
+        error(ea.loc, cat(ctx(), ": bit ", ea.hi, " exceeds instruction size (",
                           totalBits, " bits)"));
         continue;
       }
       for (unsigned b = ea.lo; b <= ea.hi; ++b) {
         if (covered[b])
-          error(ea.loc, cat(ctx, ": bit ", b, " assigned more than once"));
+          error(ea.loc, cat(ctx(), ": bit ", b, " assigned more than once"));
         covered[b] = true;
       }
       if (ea.src == EncodeAssign::Src::Param) {
@@ -226,7 +231,7 @@ class Checker {
     for (std::size_t i = 0; i < params.size(); ++i) {
       for (unsigned b = 0; b < paramBits[i].size(); ++b) {
         if (!paramBits[i][b]) {
-          error(loc, cat(ctx, ": bit ", b, " of parameter '", params[i].name,
+          error(loc, cat(ctx(), ": bit ", b, " of parameter '", params[i].name,
                          "' never appears in the encoding, so the assembly "
                          "function is not reversible"));
           break;

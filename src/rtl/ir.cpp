@@ -204,25 +204,6 @@ StmtPtr Stmt::makeIf(ExprPtr cond, std::vector<StmtPtr> thenStmts,
   return s;
 }
 
-void forEachExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  fn(e);
-  for (const auto& op : e.operands) forEachExpr(*op, fn);
-}
-
-void forEachExpr(const Stmt& s, const std::function<void(const Expr&)>& fn) {
-  switch (s.kind) {
-    case StmtKind::Assign:
-      if (s.dest.index) forEachExpr(*s.dest.index, fn);
-      forEachExpr(*s.value, fn);
-      break;
-    case StmtKind::If:
-      forEachExpr(*s.cond, fn);
-      for (const auto& t : s.thenStmts) forEachExpr(*t, fn);
-      for (const auto& t : s.elseStmts) forEachExpr(*t, fn);
-      break;
-  }
-}
-
 std::string toString(const Expr& e) {
   switch (e.kind) {
     case ExprKind::Const:

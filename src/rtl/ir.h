@@ -143,11 +143,6 @@ struct Stmt {
                         std::vector<StmtPtr> elseStmts, SourceLoc loc = {});
 };
 
-/// Pre-order walk over an expression tree.
-void forEachExpr(const Expr& e, const std::function<void(const Expr&)>& fn);
-/// Walk every expression in a statement (lvalue indices included).
-void forEachExpr(const Stmt& s, const std::function<void(const Expr&)>& fn);
-
 /// Human-readable rendering for error messages and dumps.
 std::string toString(const Expr& e);
 std::string toString(const Stmt& s, unsigned indent = 0);

@@ -3,9 +3,11 @@
 #ifndef ISDL_SUPPORT_STRINGS_H
 #define ISDL_SUPPORT_STRINGS_H
 
+#include <charconv>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace isdl {
@@ -52,12 +54,47 @@ std::string join(const Range& items, std::string_view sep) {
   return out;
 }
 
-/// printf-free formatting helper: cat(1, " + ", x) etc.
+namespace detail {
+
+/// Appends `v` as `std::ostream << v` would print it: strings and
+/// characters as they are, bool as 1/0, integers in decimal, floating point
+/// in the stream's default form (printf's %g with 6 digits). Anything else
+/// goes through its operator<<.
+template <typename T>
+void appendTo(std::string& out, const T& v) {
+  using U = std::remove_cvref_t<T>;
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out += std::string_view(v);
+  } else if constexpr (std::is_same_v<U, char> ||
+                       std::is_same_v<U, signed char> ||
+                       std::is_same_v<U, unsigned char>) {
+    out += static_cast<char>(v);
+  } else if constexpr (std::is_same_v<U, bool>) {
+    out += v ? '1' : '0';
+  } else if constexpr (std::is_integral_v<U>) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  } else if constexpr (std::is_same_v<U, float> || std::is_same_v<U, double>) {
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, double(v),
+                                  std::chars_format::general, 6)
+                        .ptr);
+  } else {
+    std::ostringstream os;
+    os << v;
+    out += std::move(os).str();
+  }
+}
+
+}  // namespace detail
+
+/// printf-free formatting helper: cat(1, " + ", x) etc. Prints each argument
+/// exactly as `std::ostream <<` does.
 template <typename... Args>
-std::string cat(Args&&... args) {
-  std::ostringstream os;
-  (os << ... << args);
-  return os.str();
+std::string cat(const Args&... args) {
+  std::string out;
+  (detail::appendTo(out, args), ...);
+  return out;
 }
 
 }  // namespace isdl

@@ -229,6 +229,106 @@ TEST(Netlist, RewiredNodeIsNotReturnedForItsOldShape) {
   EXPECT_EQ(nl.addBinary(BinOp::Add, remap[a], remap[b]), remap[again]);
 }
 
+TEST(Netlist, ProbeOfARewiredShapeAnswersWithTheNodeIndexedUnderIt) {
+  // Rewiring b -> a gives two nodes each of the shapes ~a and -a. A probe
+  // finds the node indexed under the probed shape's hash, older or newer;
+  // the node rewired into the shape was indexed under its birth shape.
+  Netlist nl;
+  NetId a = nl.addInput("a", 8);
+  NetId b = nl.addInput("b", 8);
+  NetId notB = nl.addUnary(UnOp::BitNot, b);  // becomes ~a
+  NetId notA = nl.addUnary(UnOp::BitNot, a);
+  NetId negA = nl.addUnary(UnOp::Neg, a);
+  NetId negB = nl.addUnary(UnOp::Neg, b);  // becomes -a
+  std::vector<NetId> to(nl.nodes.size());
+  for (std::size_t i = 0; i < to.size(); ++i) to[i] = static_cast<NetId>(i);
+  to[b] = a;
+  nl.rewire(to);
+  const std::size_t size = nl.nodes.size();
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, a), notA);  // the newer of the two
+  EXPECT_EQ(nl.addUnary(UnOp::Neg, a), negA);     // the older of the two
+  EXPECT_EQ(nl.nodes.size(), size);
+  // Neither rewired node answers for the shape it was born with.
+  NetId freshNotB = nl.addUnary(UnOp::BitNot, b);
+  NetId freshNegB = nl.addUnary(UnOp::Neg, b);
+  EXPECT_EQ(nl.nodes.size(), size + 2);
+  EXPECT_NE(freshNotB, notB);
+  EXPECT_NE(freshNegB, negB);
+
+  // After a sweep the first-born of each shape answers.
+  for (NetId n : {notB, notA, negA, negB, freshNotB, freshNegB})
+    nl.addOutput("o", n);
+  std::vector<NetId> remap = nl.sweepDead();
+  const std::size_t swept = nl.nodes.size();
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, remap[a]), remap[notB]);
+  EXPECT_EQ(nl.addUnary(UnOp::Neg, remap[a]), remap[negA]);
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, remap[b]), remap[freshNotB]);
+  EXPECT_EQ(nl.addUnary(UnOp::Neg, remap[b]), remap[freshNegB]);
+  EXPECT_EQ(nl.nodes.size(), swept);
+}
+
+TEST(Netlist, SweepDeadKeepsEveryIdOfAnOrderedNetlist) {
+  // Every node is live and reads only nets born before it (a register's
+  // next value may come later): the sweep keeps every id, node and name,
+  // and every shape still probes to its node.
+  Netlist nl;
+  NetId reg = nl.addReg("acc", 8);
+  NetId in = nl.addInput("in", 8);
+  int mem = nl.addMemory("m", 8, 16);
+  NetId addr = nl.addSlice(in, 3, 0, "addr");
+  NetId word = nl.addMemRead(mem, addr);
+  NetId k = nl.addConst(BitVector(8, 5));
+  NetId sum = nl.addBinary(BinOp::Add, reg, word, "sum");
+  NetId lt = nl.addBinary(BinOp::ULt, sum, k);
+  NetId next = nl.addMux(lt, sum, k);
+  NetId wide = nl.addConcat({next, in});
+  NetId top = nl.addExt(NodeKind::Trunc, wide, 8);
+  nl.setRegInputs(reg, next, lt);
+  nl.addMemWrite(mem, lt, addr, top);
+  nl.addOutput("acc", reg);
+  const std::vector<Node> before = nl.nodes;
+
+  std::vector<NetId> remap = nl.sweepDead();
+  ASSERT_EQ(remap.size(), before.size());
+  for (std::size_t i = 0; i < remap.size(); ++i)
+    EXPECT_EQ(remap[i], static_cast<NetId>(i));
+  ASSERT_EQ(nl.nodes.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(nl.nodes[i].kind, before[i].kind);
+    EXPECT_EQ(nl.nodes[i].name, before[i].name);
+    EXPECT_EQ(nl.nodes[i].ins, before[i].ins);
+  }
+  EXPECT_EQ(nl.addSlice(in, 3, 0), addr);
+  EXPECT_EQ(nl.addMemRead(mem, addr), word);
+  EXPECT_EQ(nl.addConst(BitVector(8, 5)), k);
+  EXPECT_EQ(nl.addBinary(BinOp::Add, reg, word), sum);
+  EXPECT_EQ(nl.addBinary(BinOp::ULt, sum, k), lt);
+  EXPECT_EQ(nl.addMux(lt, sum, k), next);
+  EXPECT_EQ(nl.addConcat({next, in}), wide);
+  EXPECT_EQ(nl.addExt(NodeKind::Trunc, wide, 8), top);
+  EXPECT_EQ(nl.nodes.size(), before.size());
+}
+
+TEST(Netlist, EveryShapeStillProbesToItsNodeAsTheIndexGrows) {
+  // Thousands of distinct shapes, many of one kind and width: the index
+  // keeps answering each with the node first built for it.
+  Netlist nl;
+  NetId a = nl.addInput("a", 16);
+  std::vector<NetId> ids;
+  for (unsigned v = 0; v < 3000; ++v)
+    ids.push_back(nl.addConst(BitVector(16, v)));
+  for (unsigned hi = 0; hi < 16; ++hi)
+    for (unsigned lo = 0; lo <= hi; ++lo) ids.push_back(nl.addSlice(a, hi, lo));
+  const std::size_t size = nl.nodes.size();
+  std::size_t next = 0;
+  for (unsigned v = 0; v < 3000; ++v)
+    EXPECT_EQ(nl.addConst(BitVector(16, v)), ids[next++]);
+  for (unsigned hi = 0; hi < 16; ++hi)
+    for (unsigned lo = 0; lo <= hi; ++lo)
+      EXPECT_EQ(nl.addSlice(a, hi, lo), ids[next++]);
+  EXPECT_EQ(nl.nodes.size(), size);
+}
+
 TEST(Netlist, SweepDeadRemovesUnreachable) {
   Netlist nl;
   NetId a = nl.addInput("a", 8);
