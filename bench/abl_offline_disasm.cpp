@@ -27,6 +27,16 @@ struct Rig {
     std::string err;
     if (!xsim->loadProgram(prog, &err)) throw IsdlError(err);
   }
+
+  /// Decodes the instruction at the PC, as an on-the-fly simulator does
+  /// before every step, into a scratch program whose arenas it reuses.
+  bool decodeAtPc() {
+    scratch.ops.clear();
+    scratch.params.clear();
+    return xsim->disassembler().decodeAt(prog.words, xsim->state().pc(),
+                                         scratch);
+  }
+  sim::DecodedProgram scratch;
 };
 
 void BM_OfflineDisasmExecution(benchmark::State& state) {
@@ -49,9 +59,7 @@ void BM_OnTheFlyDisasmExecution(benchmark::State& state) {
     // Re-decode the current instruction before every step — the work an
     // on-the-fly simulator repeats each time around a loop.
     for (;;) {
-      auto inst = rig.xsim->disassembler().decodeAt(rig.prog.words,
-                                                    rig.xsim->state().pc());
-      benchmark::DoNotOptimize(inst.has_value());
+      benchmark::DoNotOptimize(rig.decodeAtPc());
       auto r = rig.xsim->step();
       if (r.reason != sim::StopReason::MaxInstructions) break;
     }
@@ -73,9 +81,7 @@ void printSummary(ResultSink& sink) {
   auto [onIters, onSecs] = timeLoop([&] {
     rig.xsim->reset();
     for (;;) {
-      auto inst = rig.xsim->disassembler().decodeAt(rig.prog.words,
-                                                    rig.xsim->state().pc());
-      benchmark::DoNotOptimize(inst.has_value());
+      benchmark::DoNotOptimize(rig.decodeAtPc());
       if (rig.xsim->step().reason != sim::StopReason::MaxInstructions) break;
     }
   });

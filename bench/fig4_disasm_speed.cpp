@@ -36,8 +36,9 @@ Setup makeSetup(std::unique_ptr<Machine> (*loader)(), const char* source) {
 
 void BM_DecodeProgramSpam(benchmark::State& state) {
   Setup s = makeSetup(archs::loadSpam, archs::spamBenchmarks()[0].source);
+  sim::DecodedProgram decoded;
   for (auto _ : state) {
-    auto decoded = s.disasm->decodeProgram(s.prog.words, s.prog.words.size());
+    s.disasm->decodeProgram(s.prog.words, s.prog.words.size(), decoded);
     benchmark::DoNotOptimize(decoded.byAddress.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -48,9 +49,11 @@ BENCHMARK(BM_DecodeProgramSpam);
 void BM_DecodeOneInstruction(benchmark::State& state) {
   Setup s = makeSetup(archs::loadSrep, archs::srepBenchmarks()[1].source);
   std::uint64_t addr = 0;
+  sim::DecodedProgram scratch;
   for (auto _ : state) {
-    auto inst = s.disasm->decodeAt(s.prog.words, addr);
-    benchmark::DoNotOptimize(inst.has_value());
+    scratch.ops.clear();
+    scratch.params.clear();
+    benchmark::DoNotOptimize(s.disasm->decodeAt(s.prog.words, addr, scratch));
     addr = (addr + 1) % s.prog.words.size();
   }
   state.SetItemsProcessed(state.iterations());
@@ -80,8 +83,9 @@ void printFigure4(ResultSink& sink) {
     std::size_t nops = 0;
     for (const auto& f : s.machine->fields) nops += f.operations.size();
     std::uint64_t decoded = 0;
+    sim::DecodedProgram d;
     auto [iters, seconds] = timeLoop([&] {
-      auto d = s.disasm->decodeProgram(s.prog.words, s.prog.words.size());
+      s.disasm->decodeProgram(s.prog.words, s.prog.words.size(), d);
       decoded = d.byAddress.size();
     });
     double rate = double(iters) * double(decoded) / seconds;

@@ -68,9 +68,7 @@ loop:   add R4, R2, R3
   std::printf("\nloop body, disassembled from the binary:\n");
   for (std::uint64_t a = 5; a <= 9; ++a)
     std::printf("  %llu: %s\n", (unsigned long long)a,
-                xsim.disassembler()
-                    .render(xsim.decodedProgram().byAddress[a])
-                    .c_str());
+                xsim.disassembler().render(xsim.decodedProgram(), a).c_str());
 
   // --- 4. hardware model ------------------------------------------------------
   hw::HgenOutput hgen = hw::runHgen(*machine, xsim.signatures());

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 
+#include "support/ascii.h"
 #include "support/strings.h"
 
 namespace isdl {
@@ -51,50 +52,14 @@ constexpr auto kPunctStart = [] {
   return start;
 }();
 
-/// ASCII character classes; a byte outside ASCII is in none of them.
-enum : std::uint8_t {
-  kIdentStart = 1,  ///< letter or '_'
-  kIdentChar = 2,   ///< letter, digit or '_'
-  kDecimal = 4,     ///< digit or '_'
-};
-constexpr auto kCharClass = [] {
-  std::array<std::uint8_t, 256> cls{};
-  for (int c = 0; c < 256; ++c) {
-    const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-    const bool digit = c >= '0' && c <= '9';
-    if (letter || c == '_') cls[c] |= kIdentStart;
-    if (letter || digit || c == '_') cls[c] |= kIdentChar;
-    if (digit || c == '_') cls[c] |= kDecimal;
-  }
-  return cls;
-}();
+using ascii::Digits;
+using ascii::kIdentChar;
+using ascii::kIdentStart;
+constexpr std::uint8_t kDecimal = ascii::kDigit | ascii::kUnderscore;
 
 const char* baseName(unsigned base) {
   return base == 2 ? "binary" : base == 16 ? "hexadecimal" : "decimal";
 }
-
-/// Reads the digits of a literal in `base`: a run of letters, digits and
-/// underscores (kIdentChar), with underscores allowed anywhere.
-struct Digits {
-  std::uint64_t value = 0;  ///< the value modulo 2^64
-  bool any = false;         ///< at least one digit
-  bool overflow = false;    ///< the value does not fit in 64 bits
-  char bad = 0;             ///< the first byte that is no digit of `base`
-
-  Digits(std::string_view digits, unsigned base) {
-    for (char c : digits) {
-      if (c == '_') continue;
-      const unsigned d = c <= '9' ? c - '0' : (c | 0x20) - 'a' + 10;
-      if (d >= base) {
-        bad = c;
-        return;
-      }
-      any = true;
-      overflow |= __builtin_mul_overflow(value, base, &value);
-      overflow |= __builtin_add_overflow(value, d, &value);
-    }
-  }
-};
 
 class Lexer {
  public:
@@ -139,9 +104,7 @@ class Lexer {
   }
   /// The end of the run of bytes of class `cls` that starts at `from`.
   std::size_t scan(std::size_t from, std::uint8_t cls) const {
-    while (from < src_.size() &&
-           (kCharClass[static_cast<unsigned char>(src_[from])] & cls))
-      ++from;
+    while (from < src_.size() && ascii::is(src_[from], cls)) ++from;
     return from;
   }
 
@@ -183,10 +146,8 @@ class Lexer {
   void next() {
     SourceLoc loc = here();
     char c = src_[pos_];
-    const std::uint8_t cls = kCharClass[static_cast<unsigned char>(c)];
-
-    if (cls & kIdentStart) return lexIdentifier(loc);
-    if (cls & kDecimal) return lexNumber(loc);  // a digit: '_' starts a name
+    if (ascii::is(c, kIdentStart)) return lexIdentifier(loc);
+    if (ascii::is(c, ascii::kDigit)) return lexNumber(loc);
     if (c == '"') return lexString(loc);
 
     for (int i = kPunctStart[static_cast<unsigned char>(c)];

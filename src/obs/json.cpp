@@ -132,10 +132,4 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::valueNull() {
-  beforeValue();
-  out_ << "null";
-  return *this;
-}
-
 }  // namespace isdl::obs

@@ -39,7 +39,6 @@ class JsonWriter {
   JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
-  JsonWriter& valueNull();
 
   /// key(k) + value(v) in one call.
   template <typename T>

@@ -29,7 +29,6 @@ struct StorageHeatmap {
 
   void configure(const std::vector<std::uint64_t>& depths);
   void clear();
-  bool configured() const { return !reads.empty(); }
 
   void countRead(unsigned si, std::uint64_t elem) { ++reads[si][elem]; }
   void countWrite(unsigned si, std::uint64_t elem) { ++writes[si][elem]; }

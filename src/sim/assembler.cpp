@@ -1,8 +1,11 @@
 #include "sim/assembler.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <cstdlib>
 
+#include "support/ascii.h"
 #include "support/strings.h"
 
 namespace isdl::sim {
@@ -11,87 +14,96 @@ namespace {
 
 // --- assembly micro-lexer -------------------------------------------------------
 
-struct AsmTok {
-  std::string text;
-  bool isNumber = false;
-  std::int64_t number = 0;
-  unsigned col = 0;
-};
+using ascii::is;
 
-// ASCII character classes: <cctype>'s are out-of-line, locale-aware calls.
-bool isAlpha(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-bool isDigit(char c) { return c >= '0' && c <= '9'; }
-bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+// Identifiers here may contain (and start with) '.': "EX.add", ".org".
+constexpr std::uint8_t kAsmIdentStart = ascii::kIdentStart | ascii::kDot;
+constexpr std::uint8_t kAsmIdentChar = ascii::kIdentChar | ascii::kDot;
+
+struct AsmTok {
+  /// The lexeme, viewing the line; a number's digits without its base
+  /// prefix and '_' separators.
+  std::string_view text;
+  std::uint64_t number = 0;
+  unsigned col = 0;
+  bool isNumber = false;
+};
 
 /// Tokenizes one line of assembly: identifiers, numbers (decimal / 0x / 0b),
 /// and single-character punctuation. Comments (';', '//') end the line.
-/// Returns false on a malformed number or one that does not fit in 64 bits;
-/// that number is then the last token in `out`.
+/// Tokens view `line`, except the digits of a number written with '_'
+/// separators, which are copied into `digits` (reserved at the line's
+/// length first, so the views into it stay valid). Returns false on a
+/// malformed number or one that does not fit in 64 bits; that number is
+/// then the last token in `out`.
 bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
-                std::string* error) {
+                std::string& digits, std::string* error) {
   out.clear();
+  digits.clear();
+  digits.reserve(line.size());
+  const std::size_t n = line.size();
   std::size_t i = 0;
-  auto peek = [&](std::size_t off = 0) {
-    return i + off < line.size() ? line[i + off] : '\0';
-  };
-  while (i < line.size()) {
-    char c = line[i];
-    if (c == ' ' || c == '\t' || c == '\r') {
+  while (i < n) {
+    const char c = line[i];
+    if (is(c, ascii::kBlank)) {
       ++i;
       continue;
     }
     // Note: '#' is NOT a comment character here — it is a conventional
     // immediate prefix in operand syntax (e.g. "addi R1, #42").
-    if (c == ';' || (c == '/' && peek(1) == '/')) break;
-    unsigned col = static_cast<unsigned>(i + 1);
-    if (isAlpha(c) || c == '_' || c == '.') {
+    if (c == ';' || (c == '/' && i + 1 < n && line[i + 1] == '/')) break;
+    AsmTok& t = out.emplace_back();
+    t.col = static_cast<unsigned>(i + 1);
+    if (is(c, kAsmIdentStart)) {
       const std::size_t start = i;
-      while (i < line.size() &&
-             (isAlnum(line[i]) || line[i] == '_' || line[i] == '.'))
-        ++i;
-      AsmTok& t = out.emplace_back();
-      t.col = col;
-      t.text.assign(line.substr(start, i - start));
+      while (i < n && is(line[i], kAsmIdentChar)) ++i;
+      t.text = line.substr(start, i - start);
       continue;
     }
-    if (isDigit(c)) {
-      AsmTok& t = out.emplace_back();
-      t.col = col;
-      t.isNumber = true;
-      std::string& digits = t.text;
-      int base = 10;
-      if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        base = 16;
-        i += 2;
-      } else if (c == '0' && (peek(1) == 'b' || peek(1) == 'B')) {
-        base = 2;
-        i += 2;
-      }
-      while (i < line.size() && (isAlnum(line[i]) || line[i] == '_')) {
-        if (line[i] != '_') digits += line[i];
-        ++i;
-      }
+    if (!is(c, ascii::kDigit)) {
+      t.text = line.substr(i++, 1);
+      continue;
+    }
+    t.isNumber = true;
+    unsigned base = 10;
+    if (c == '0' && i + 1 < n && (line[i + 1] == 'x' || line[i + 1] == 'X')) {
+      base = 16;
+      i += 2;
+    } else if (c == '0' && i + 1 < n &&
+               (line[i + 1] == 'b' || line[i + 1] == 'B')) {
+      base = 2;
+      i += 2;
+    }
+    const std::size_t start = i;
+    while (i < n && is(line[i], ascii::kIdentChar)) ++i;
+    t.text = line.substr(start, i - start);
+    const ascii::Digits d(t.text, base);
+    if (t.text.find('_') != std::string_view::npos) {
+      const std::size_t at = digits.size();
+      for (char ch : t.text)
+        if (ch != '_') digits += ch;
+      t.text = std::string_view(digits).substr(at);
+    }
+    // A run of digits of the base is its value, if that fits. strtoull
+    // decides any other run, as it accepts some (a second "0x" prefix).
+    std::uint64_t value = d.value;
+    bool fits = !d.overflow;
+    if (!d.any || d.bad) {
+      const std::string text(t.text);
       errno = 0;
       char* end = nullptr;
-      unsigned long long v = std::strtoull(digits.c_str(), &end, base);
-      if (digits.empty() || end != digits.c_str() + digits.size()) {
-        if (error) *error = cat("bad number '", digits, "'");
+      value = std::strtoull(text.c_str(), &end, int(base));
+      if (text.empty() || end != text.c_str() + text.size()) {
+        if (error) *error = cat("bad number '", text, "'");
         return false;
       }
-      if (errno == ERANGE) {
-        if (error)
-          *error = cat("number '", digits, "' does not fit in 64 bits");
-        return false;
-      }
-      t.number = static_cast<std::int64_t>(v);
-      continue;
+      fits = errno != ERANGE;
     }
-    AsmTok& t = out.emplace_back();
-    t.col = col;
-    t.text.assign(1, c);
-    ++i;
+    if (!fits) {
+      if (error) *error = cat("number '", t.text, "' does not fit in 64 bits");
+      return false;
+    }
+    t.number = value;
   }
   return true;
 }
@@ -101,84 +113,50 @@ std::int64_t negate(std::int64_t v) {
   return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(v));
 }
 
-/// The asm tokens of a syntax literal ("]+" is two). A literal that does
-/// not lex can never match: it becomes one empty token, and no token of a
-/// lexed line is empty.
-std::vector<std::string> lexLiteral(const std::string& literal) {
-  std::vector<AsmTok> toks;
-  if (!lexAsmLine(literal, toks, nullptr)) return {std::string()};
-  std::vector<std::string> out;
-  out.reserve(toks.size());
-  for (auto& t : toks) out.push_back(std::move(t.text));
-  return out;
+bool isIdentTok(const AsmTok& t) {
+  return !t.isNumber && !t.text.empty() &&
+         is(t.text[0], ascii::kIdentStart);
 }
 
-Assembler::SyntaxLexemes lexSyntax(const std::vector<SyntaxItem>& syntax) {
-  Assembler::SyntaxLexemes out(syntax.size());
-  for (std::size_t i = 0; i < syntax.size(); ++i)
-    if (syntax[i].isLiteral) out[i] = lexLiteral(syntax[i].literal);
-  return out;
-}
-
-// --- parse-time value tree --------------------------------------------------------
-
-/// A parsed (but possibly unresolved) parameter binding. Mirrors
-/// DecodedParam, with label references left symbolic until pass 2.
-struct ParamBinding {
-  BitVector value;        ///< encoded value when !isLabel
-  bool isLabel = false;
-  std::string label;
-  unsigned width = 0;     ///< encoding width (for label resolution)
-  bool isSigned = false;  ///< immediate signedness (range checking)
-  std::int64_t literal = 0;   ///< raw literal for range checking
-  bool fromLiteral = false;
-  int ntOption = -1;
-  std::vector<ParamBinding> sub;
-};
-
-struct ParsedOp {
-  unsigned fieldIndex = 0;
-  unsigned opIndex = 0;
-  std::vector<ParamBinding> params;
-  unsigned effSize = 1;
-};
-
-struct ParsedLine {
-  enum class Kind { Instruction, Org, Word, Dm } kind = Kind::Instruction;
-  unsigned lineNo = 0;
-  std::vector<ParsedOp> ops;          // Instruction
-  std::uint64_t orgAddress = 0;       // Org
-  BitVector rawWord;                  // Word
-  std::uint64_t dmAddress = 0;        // Dm
-  BitVector dmValue;                  // Dm
-  std::uint64_t address = 0;          // assigned in pass 1
-  unsigned sizeWords = 1;
-};
+}  // namespace
 
 // --- the assembler implementation ---------------------------------------------------
 
-using LexemeTable = std::vector<std::vector<Assembler::SyntaxLexemes>>;
-
-class Impl {
+/// One assembly of one source. Pass 1 parses each line into flat buffers:
+/// the operation slots of every instruction, and the parameter bindings of
+/// every slot and of every non-terminal option a binding selected. Pass 2
+/// paints them into the output words.
+class Assembler::Impl {
  public:
-  Impl(const SignatureTable& sigs, const LexemeTable& opLexemes,
-       const LexemeTable& ntLexemes, DiagnosticEngine& diags)
-      : sigs_(sigs),
-        machine_(sigs.machine()),
-        opLexemes_(opLexemes),
-        ntLexemes_(ntLexemes),
+  Impl(const Assembler& tables, DiagnosticEngine& diags)
+      : t_(tables),
+        sigs_(*tables.sigs_),
+        machine_(*tables.machine_),
         diags_(diags) {}
 
   std::optional<AssembledProgram> run(std::string_view source) {
-    std::vector<ParsedLine> lines;
+    // Sized for an instruction of every field on every line, with a
+    // binding per operation.
+    const std::size_t numLines =
+        std::size_t(std::count(source.begin(), source.end(), '\n')) + 1;
+    lines_.reserve(numLines);
+    ops_.reserve(numLines * machine_.fields.size());
+    bindings_.reserve(numLines * machine_.fields.size());
+    toks_.reserve(32);
+
+    AssembledProgram prog;
     // ---- pass 1: parse, choose operations/options, lay out addresses ----
     std::uint64_t address = 0;
     unsigned lineNo = 0;
-    for (std::string_view rawLine : splitLines(source)) {
+    for (std::size_t start = 0; start <= source.size();) {
+      std::size_t nl = source.find('\n', start);
+      if (nl == std::string_view::npos) nl = source.size();
+      const std::string_view rawLine = source.substr(start, nl - start);
+      start = nl + 1;
       ++lineNo;
       lineNo_ = lineNo;
       std::string lexError;
-      if (!lexAsmLine(rawLine, toks_, &lexError)) {
+      if (!lexAsmLine(rawLine, toks_, digits_, &lexError)) {
         pos_ = toks_.size() - 1;  // point at the malformed number
         error(lexError);
         return std::nullopt;
@@ -188,7 +166,7 @@ class Impl {
       // Leading labels.
       while (toks_.size() >= pos_ + 2 && !toks_[pos_].isNumber &&
              toks_[pos_ + 1].text == ":" && isIdentTok(toks_[pos_])) {
-        const std::string& name = toks_[pos_].text;
+        const std::string name(toks_[pos_].text);
         if (symbols_.count(name)) {
           error(cat("duplicate label '", name, "'"));
           return std::nullopt;
@@ -198,10 +176,11 @@ class Impl {
       }
       if (pos_ >= toks_.size()) continue;  // blank / label-only line
 
-      ParsedLine line;
+      Line line;
       line.lineNo = lineNo;
       line.address = address;
-      if (toks_[pos_].text == ".org") {
+      const std::string_view directive = toks_[pos_].text;
+      if (directive == ".org") {
         ++pos_;
         std::int64_t v;
         if (!expectNumber(v)) return std::nullopt;
@@ -215,27 +194,23 @@ class Impl {
           if (a == line.address) a = address;
         continue;
       }
-      if (toks_[pos_].text == ".word") {
+      if (directive == ".word") {
         ++pos_;
         std::int64_t v;
         if (!expectNumber(v)) return std::nullopt;
-        line.kind = ParsedLine::Kind::Word;
-        line.rawWord = BitVector(machine_.wordWidth,
-                                 static_cast<std::uint64_t>(v));
-        line.sizeWords = 1;
+        line.isWord = true;
+        line.word = static_cast<std::uint64_t>(v);
         address += 1;
-      } else if (toks_[pos_].text == ".dm") {
+      } else if (directive == ".dm") {
         ++pos_;
         std::int64_t a, v;
         if (!expectNumber(a) || !expectNumber(v)) return std::nullopt;
-        line.kind = ParsedLine::Kind::Dm;
-        line.dmAddress = static_cast<std::uint64_t>(a);
         // Width comes from the data memory if present.
         const int dm = machine_.dataMemoryIndex();
         const unsigned dmWidth =
             dm >= 0 ? machine_.storages[dm].width : machine_.wordWidth;
-        line.dmValue = BitVector::fromInt(dmWidth, v);
-        line.sizeWords = 0;
+        prog.dataInit.emplace_back(static_cast<std::uint64_t>(a),
+                                   BitVector::fromInt(dmWidth, v));
       } else {
         if (!parseInstruction(line)) return std::nullopt;
         address += line.sizeWords;
@@ -244,53 +219,83 @@ class Impl {
         error(cat("trailing junk '", toks_[pos_].text, "'"));
         return std::nullopt;
       }
-      lines.push_back(std::move(line));
+      if (line.isWord || line.numOps != 0) lines_.push_back(line);
     }
 
     // ---- pass 2: resolve labels, paint bits ----
-    AssembledProgram prog;
     prog.words.assign(address, BitVector(machine_.wordWidth));
-    for (auto& line : lines) {
+    for (const Line& line : lines_) {
       lineNo_ = line.lineNo;
-      switch (line.kind) {
-        case ParsedLine::Kind::Word:
-          prog.words[line.address] = line.rawWord;
-          break;
-        case ParsedLine::Kind::Dm:
-          prog.dataInit.emplace_back(line.dmAddress, line.dmValue);
-          break;
-        case ParsedLine::Kind::Instruction: {
-          if (!emitInstruction(line, prog)) return std::nullopt;
-          break;
-        }
-        case ParsedLine::Kind::Org:
-          break;
-      }
+      if (line.isWord)
+        prog.words[line.address] = BitVector(machine_.wordWidth, line.word);
+      else if (!emitInstruction(line, prog))
+        return std::nullopt;
     }
     prog.symbols = std::move(symbols_);
     return prog;
   }
 
  private:
+  /// A parsed (but possibly unresolved) parameter binding, with label
+  /// references left symbolic until pass 2.
+  struct Binding {
+    enum class Kind : std::uint8_t {
+      None,     ///< the parameter appears in no syntax item
+      Value,    ///< an enum member's value
+      Literal,  ///< an immediate literal, range-checked in pass 2
+      Label,    ///< a label, resolved in pass 2
+      Option,   ///< a non-terminal option and its own bindings
+    };
+    Kind kind = Kind::None;
+    unsigned option = 0;          ///< Option
+    std::uint32_t firstSub = 0;   ///< Option: its bindings in bindings_
+    std::uint64_t value = 0;      ///< Value; Literal: the int64 bits
+    std::string_view label{};     ///< Label, viewing the source
+  };
+
+  /// One operation slot of an instruction; its parameters' bindings are
+  /// bindings_[firstBinding, + the operation's parameter count).
+  struct ParsedOp {
+    unsigned fieldIndex = 0;
+    unsigned opIndex = 0;
+    std::uint32_t firstBinding = 0;
+    unsigned effSize = 1;
+  };
+
+  /// A line that emits words: an instruction (ops_[firstOp, + numOps)) or
+  /// a .word directive.
+  struct Line {
+    unsigned lineNo = 0;
+    std::uint64_t address = 0;  ///< assigned in pass 1
+    unsigned sizeWords = 1;
+    std::uint32_t firstOp = 0;
+    std::uint32_t numOps = 0;
+    bool isWord = false;
+    std::uint64_t word = 0;  ///< .word
+  };
+
+  const Assembler& t_;
   const SignatureTable& sigs_;
   const Machine& machine_;
-  const LexemeTable& opLexemes_;  // [field][op][item]
-  const LexemeTable& ntLexemes_;  // [nt][option][item]
   DiagnosticEngine& diags_;
   std::map<std::string, std::uint64_t> symbols_;
+  std::vector<Line> lines_;
+  std::vector<ParsedOp> ops_;
+  std::vector<Binding> bindings_;
 
   std::vector<AsmTok> toks_;
+  std::string digits_;  ///< separated numbers' digits, for toks_
   std::size_t pos_ = 0;
   unsigned lineNo_ = 0;
   // Scratch reused from line to line: the operation chosen per field (-1
-  // while the field is free), and one operation's parameter values.
+  // while the field is free), the parameter values being painted (an
+  // operation's first, then those of the options they select), the
+  // instruction bits painted so far, and the image of a multi-word
+  // instruction.
   std::vector<int> choice_;
-  std::vector<BitVector> paramValues_;
-
-  static bool isIdentTok(const AsmTok& t) {
-    return !t.isNumber && !t.text.empty() &&
-           (isAlpha(t.text[0]) || t.text[0] == '_');
-  }
+  std::vector<BitVector> values_;
+  BitVector painted_;
+  BitVector image_;
 
   void error(std::string msg) {
     diags_.error({lineNo_, pos_ < toks_.size() ? toks_[pos_].col : 1u},
@@ -307,27 +312,33 @@ class Impl {
       error("expected a number");
       return false;
     }
-    out = toks_[pos_].number;
+    out = static_cast<std::int64_t>(toks_[pos_].number);
     if (neg) out = negate(out);
     ++pos_;
     return true;
   }
 
+  /// Appends `n` unbound parameter slots; returns the first.
+  std::uint32_t allocBindings(std::size_t n) {
+    const std::uint32_t first = std::uint32_t(bindings_.size());
+    bindings_.resize(first + n);
+    return first;
+  }
+
   // --- instruction parsing -------------------------------------------------------
 
-  bool parseInstruction(ParsedLine& line) {
+  bool parseInstruction(Line& line) {
     bool braced = false;
     if (toks_[pos_].text == "{") {
       braced = true;
       ++pos_;
     }
-    choice_.assign(machine_.fields.size(), -1);
-    line.ops.reserve(machine_.fields.size());
+    const std::size_t numFields = machine_.fields.size();
+    choice_.assign(numFields, -1);
+    line.firstOp = std::uint32_t(ops_.size());
     for (;;) {
-      ParsedOp op;
-      if (!parseOneOp(op)) return false;
-      choice_[op.fieldIndex] = int(op.opIndex);
-      line.ops.push_back(std::move(op));
+      if (!parseOneOp()) return false;
+      choice_[ops_.back().fieldIndex] = int(ops_.back().opIndex);
       if (braced && pos_ < toks_.size() && toks_[pos_].text == "|") {
         ++pos_;
         continue;
@@ -343,36 +354,37 @@ class Impl {
     }
 
     // Fill the remaining fields with their nop and check constraints.
-    for (std::size_t f = 0; f < machine_.fields.size(); ++f) {
+    for (std::size_t f = 0; f < numFields; ++f) {
       if (choice_[f] >= 0) continue;
-      int nop = machine_.fields[f].nopIndex;
+      const int nop = machine_.fields[f].nopIndex;
       if (nop < 0) {
         error(cat("no operation given for field '", machine_.fields[f].name,
                   "' and the field has no nop"));
         return false;
       }
-      ParsedOp op;
-      op.fieldIndex = static_cast<unsigned>(f);
-      op.opIndex = static_cast<unsigned>(nop);
-      op.effSize = machine_.fields[f].operations[nop].costs.size;
+      const Operation& op = machine_.fields[f].operations[nop];
+      ops_.push_back({.fieldIndex = unsigned(f),
+                      .opIndex = unsigned(nop),
+                      .firstBinding = allocBindings(op.params.size()),
+                      .effSize = op.costs.size});
       choice_[f] = nop;
-      line.ops.push_back(std::move(op));
     }
     if (const Constraint* c = machine_.firstViolatedConstraint(choice_)) {
       error(cat("instruction violates constraint: never ", c->text));
       return false;
     }
+    line.numOps = std::uint32_t(ops_.size()) - line.firstOp;
     line.sizeWords = 1;
-    for (const auto& op : line.ops)
-      line.sizeWords = std::max(line.sizeWords, op.effSize);
+    for (std::uint32_t i = line.firstOp; i < ops_.size(); ++i)
+      line.sizeWords = std::max(line.sizeWords, ops_[i].effSize);
     return true;
   }
 
   /// Parses one "mnemonic operands" group, resolving the mnemonic to a
-  /// (field, operation) pair. A "FIELD.op" spelling pins the field; a bare
-  /// mnemonic takes the first free field (choice_) defining it whose
-  /// operand syntax matches.
-  bool parseOneOp(ParsedOp& out) {
+  /// (field, operation) pair, and appends it to ops_. A "FIELD.op" spelling
+  /// pins the field; a bare mnemonic takes the first free field (choice_)
+  /// defining it whose operand syntax matches.
+  bool parseOneOp() {
     if (pos_ >= toks_.size() || !isIdentTok(toks_[pos_])) {
       error("expected an operation mnemonic");
       return false;
@@ -387,26 +399,26 @@ class Impl {
 
     const std::size_t savedPos = pos_;
     bool known = false;
-    for (std::size_t f = 0; f < machine_.fields.size(); ++f) {
+    const Range cands = t_.candidates(mnemonic);
+    for (std::uint32_t c = cands.first; c < cands.last; ++c) {
+      const auto [f, o] = t_.candidates_[c];
       const Field& field = machine_.fields[f];
       if (!fieldName.empty() && field.name != fieldName) continue;
       if (choice_[f] >= 0) continue;
-      for (std::size_t o = 0; o < field.operations.size(); ++o) {
-        const Operation& op = field.operations[o];
-        if (op.name != mnemonic) continue;
-        known = true;
-        pos_ = savedPos;
-        ParsedOp attempt;
-        attempt.fieldIndex = unsigned(f);
-        attempt.opIndex = unsigned(o);
-        attempt.params.resize(op.params.size());
-        attempt.effSize = op.costs.size;
-        if (matchSyntax(op.syntax, opLexemes_[f][o], op.params,
-                        attempt.params, attempt.effSize)) {
-          out = std::move(attempt);
-          return true;
-        }
+      known = true;
+      pos_ = savedPos;
+      const Operation& op = field.operations[o];
+      const std::size_t mark = bindings_.size();
+      ParsedOp attempt{.fieldIndex = f,
+                       .opIndex = o,
+                       .firstBinding = allocBindings(op.params.size()),
+                       .effSize = op.costs.size};
+      if (matchSyntax(t_.opPattern(f, o), op.params, attempt.firstBinding,
+                      attempt.effSize)) {
+        ops_.push_back(attempt);
+        return true;
       }
+      bindings_.resize(mark);
     }
     pos_ = savedPos;
     if (!known) {
@@ -418,53 +430,46 @@ class Impl {
     return false;
   }
 
-  /// Matches a syntax pattern, whose literals lexed to `lexemes`, at the
-  /// current cursor; fills bindings and adds option size extras to effSize.
-  /// On failure the cursor is left wherever the mismatch occurred (callers
-  /// save/restore for backtracking).
-  bool matchSyntax(const std::vector<SyntaxItem>& syntax,
-                   const Assembler::SyntaxLexemes& lexemes,
-                   const std::vector<Param>& params,
-                   std::vector<ParamBinding>& bindings, unsigned& effSize) {
-    for (std::size_t i = 0; i < syntax.size(); ++i) {
-      const SyntaxItem& item = syntax[i];
-      if (item.isLiteral) {
-        if (!matchLiteral(lexemes[i])) return false;
-      } else {
-        if (!matchParam(params[item.paramIndex], bindings[item.paramIndex],
-                        effSize))
-          return false;
+  /// Matches a syntax pattern at the current cursor; binds parameter i to
+  /// bindings_[first + i] and adds option size extras to effSize. On failure
+  /// the cursor is left wherever the mismatch occurred (callers save/restore
+  /// for backtracking).
+  bool matchSyntax(Range pattern, const std::vector<Param>& params,
+                   std::uint32_t first, unsigned& effSize) {
+    for (std::uint32_t i = pattern.first; i < pattern.last; ++i) {
+      const Item& item = t_.items_[i];
+      if (!item.isParam) {
+        if (!matchLiteral(item.lexemes)) return false;
+      } else if (!matchParam(params[item.param], first + item.param,
+                             effSize)) {
+        return false;
       }
     }
     return true;
   }
 
   /// Matches a literal's lexemes one asm token at a time.
-  bool matchLiteral(const std::vector<std::string>& lexemes) {
-    for (const std::string& lexeme : lexemes) {
-      if (pos_ >= toks_.size() || toks_[pos_].text != lexeme) return false;
+  bool matchLiteral(Range lexemes) {
+    for (std::uint32_t i = lexemes.first; i < lexemes.last; ++i) {
+      if (pos_ >= toks_.size() || toks_[pos_].text != t_.lexemes_[i])
+        return false;
       ++pos_;
     }
     return true;
   }
 
-  bool matchParam(const Param& p, ParamBinding& out, unsigned& effSize) {
+  bool matchParam(const Param& p, std::uint32_t slot, unsigned& effSize) {
     if (p.kind == ParamKind::Token) {
       const TokenDef& tok = machine_.tokens[p.index];
       if (tok.kind == TokenKind::Enum) {
         if (pos_ >= toks_.size()) return false;
-        auto v = tok.memberValue(toks_[pos_].text);
+        auto v = t_.memberValue(p.index, toks_[pos_].text);
         if (!v) return false;
         ++pos_;
-        out = ParamBinding{};
-        out.value = BitVector(tok.width, *v);
-        out.width = tok.width;
+        bindings_[slot] = {.kind = Binding::Kind::Value, .value = *v};
         return true;
       }
       // Immediate: number (optionally negated) or a label identifier.
-      out = ParamBinding{};
-      out.width = tok.width;
-      out.isSigned = tok.isSigned;
       bool neg = false;
       std::size_t saved = pos_;
       if (pos_ < toks_.size() && toks_[pos_].text == "-") {
@@ -472,17 +477,16 @@ class Impl {
         ++pos_;
       }
       if (pos_ < toks_.size() && toks_[pos_].isNumber) {
-        std::int64_t v = toks_[pos_].number;
+        std::int64_t v = static_cast<std::int64_t>(toks_[pos_].number);
         if (neg) v = negate(v);
         ++pos_;
-        out.fromLiteral = true;
-        out.literal = v;
-        out.value = BitVector::fromInt(tok.width, v);
+        bindings_[slot] = {.kind = Binding::Kind::Literal,
+                           .value = static_cast<std::uint64_t>(v)};
         return true;
       }
       if (!neg && pos_ < toks_.size() && isIdentTok(toks_[pos_])) {
-        out.isLabel = true;
-        out.label = toks_[pos_].text;
+        bindings_[slot] = {.kind = Binding::Kind::Label,
+                           .label = toks_[pos_].text};
         ++pos_;
         return true;
       }
@@ -492,34 +496,35 @@ class Impl {
 
     // Non-terminal: try every option and keep the LONGEST match, so that
     // "(A0)+" (post-increment) beats its prefix "(A0)" (indirect) no matter
-    // how the options are ordered. Ties go to declaration order.
+    // how the options are ordered. Ties go to declaration order. A failed
+    // attempt's bindings are dropped; a superseded best's stay unused.
     const NonTerminal& nt = machine_.nonTerminals[p.index];
-    std::size_t saved = pos_;
+    const std::size_t saved = pos_;
     bool found = false;
     std::size_t bestEnd = 0;
-    ParamBinding best;
+    Binding best{.kind = Binding::Kind::Option};
     unsigned bestExtra = 0;
-    for (std::size_t o = 0; o < nt.options.size(); ++o) {
+    for (unsigned o = 0; o < nt.options.size(); ++o) {
       pos_ = saved;
       const NtOption& opt = nt.options[o];
-      ParamBinding attempt;
-      attempt.ntOption = static_cast<int>(o);
-      attempt.width = nt.returnWidth;
-      attempt.sub.resize(opt.params.size());
+      const std::size_t mark = bindings_.size();
+      const std::uint32_t sub = allocBindings(opt.params.size());
       unsigned extra = 0;
-      if (matchSyntax(opt.syntax, ntLexemes_[p.index][o], opt.params,
-                      attempt.sub, extra) &&
+      if (matchSyntax(t_.ntPattern(p.index, o), opt.params, sub, extra) &&
           (!found || pos_ > bestEnd)) {
         found = true;
         bestEnd = pos_;
-        best = std::move(attempt);
+        best.option = o;
+        best.firstSub = sub;
         bestExtra = extra + opt.extraCosts.size;
+      } else {
+        bindings_.resize(mark);
       }
     }
     if (found) {
       pos_ = bestEnd;
       effSize += bestExtra;
-      out = std::move(best);
+      bindings_[slot] = best;
       return true;
     }
     pos_ = saved;
@@ -528,70 +533,88 @@ class Impl {
 
   // --- pass 2: bit painting --------------------------------------------------------
 
-  /// Resolves a binding to its final encoded BitVector (labels -> addresses,
-  /// non-terminals -> assembled return values). Returns false on error.
-  bool resolveBinding(const Param& p, ParamBinding& b, BitVector& out) {
-    if (b.ntOption >= 0) {
-      const NonTerminal& nt = machine_.nonTerminals[p.index];
-      const NtOption& opt = nt.options[b.ntOption];
-      const Signature& sig = sigs_.ntOption(p.index, b.ntOption);
-      std::vector<BitVector> subValues;
-      subValues.reserve(opt.params.size());
-      for (std::size_t i = 0; i < opt.params.size(); ++i) {
-        BitVector v;
-        if (!resolveBinding(opt.params[i], b.sub[i], v)) return false;
-        subValues.push_back(std::move(v));
+  /// Resolves the binding bindings_[slot] of parameter `p` to its final
+  /// encoded value in values_[at] (labels -> addresses, non-terminals ->
+  /// assembled return values). Returns false on error.
+  bool resolve(const Param& p, std::uint32_t slot, std::size_t at) {
+    const Binding& b = bindings_[slot];
+    switch (b.kind) {
+      case Binding::Kind::None: values_[at] = BitVector(); return true;
+      case Binding::Kind::Value:
+        values_[at] = BitVector(machine_.tokens[p.index].width, b.value);
+        return true;
+      case Binding::Kind::Option: {
+        const NonTerminal& nt = machine_.nonTerminals[p.index];
+        const NtOption& opt = nt.options[b.option];
+        const std::size_t base = values_.size();
+        values_.resize(base + opt.params.size());
+        for (std::size_t i = 0; i < opt.params.size(); ++i)
+          if (!resolve(opt.params[i], b.firstSub + std::uint32_t(i), base + i))
+            return false;
+        BitVector ret(nt.returnWidth);
+        sigs_.ntOption(p.index, b.option)
+            .assemble(ret, {values_.data() + base, opt.params.size()});
+        values_[at] = std::move(ret);
+        values_.resize(base);
+        return true;
       }
-      BitVector ret(nt.returnWidth);
-      sig.assemble(ret, subValues);
-      out = std::move(ret);
-      return true;
+      case Binding::Kind::Label: {
+        const unsigned width = machine_.tokens[p.index].width;
+        auto it = symbols_.find(std::string(b.label));
+        if (it == symbols_.end()) {
+          error(cat("undefined label '", b.label, "'"));
+          return false;
+        }
+        std::uint64_t addr = it->second;
+        if (width < 64 && (addr >> width) != 0) {
+          error(cat("label '", b.label, "' address ", addr,
+                    " does not fit in ", width, " bits"));
+          return false;
+        }
+        values_[at] = BitVector(width, addr);
+        return true;
+      }
+      case Binding::Kind::Literal: break;
     }
-    if (b.isLabel) {
-      auto it = symbols_.find(b.label);
-      if (it == symbols_.end()) {
-        error(cat("undefined label '", b.label, "'"));
-        return false;
-      }
-      std::uint64_t addr = it->second;
-      if (b.width < 64 && (addr >> b.width) != 0) {
-        error(cat("label '", b.label, "' address ", addr,
-                  " does not fit in ", b.width, " bits"));
-        return false;
-      }
-      out = BitVector(b.width, addr);
-      return true;
+    // Range check: unsigned immediates take [0, 2^w), signed immediates
+    // take [-2^(w-1), 2^w) (the permissive upper bound admits hex bit
+    // patterns for signed fields).
+    const TokenDef& tok = machine_.tokens[p.index];
+    const unsigned width = tok.width;
+    const std::int64_t v = static_cast<std::int64_t>(b.value);
+    std::int64_t lo = tok.isSigned ? -(std::int64_t{1} << (width - 1)) : 0;
+    bool tooBig = width < 63 && v >= (std::int64_t{1} << width);
+    if (v < lo || tooBig) {
+      error(cat("immediate ", v, " out of range for a ", width, "-bit ",
+                tok.isSigned ? "signed" : "unsigned", " field"));
+      return false;
     }
-    if (b.fromLiteral) {
-      // Range check: unsigned immediates take [0, 2^w), signed immediates
-      // take [-2^(w-1), 2^w) (the permissive upper bound admits hex
-      // bit patterns for signed fields).
-      std::int64_t v = b.literal;
-      std::int64_t lo = b.isSigned ? -(std::int64_t{1} << (b.width - 1)) : 0;
-      bool tooBig = b.width < 63 && v >= (std::int64_t{1} << b.width);
-      if (v < lo || tooBig) {
-        error(cat("immediate ", v, " out of range for a ", b.width, "-bit ",
-                  b.isSigned ? "signed" : "unsigned", " field"));
-        return false;
-      }
-    }
-    out = b.value;
+    values_[at] = BitVector::fromInt(width, v);
     return true;
   }
 
-  bool emitInstruction(ParsedLine& line, AssembledProgram& prog) {
+  /// Paints an instruction: one word straight into the output, a longer
+  /// one into an image that is then cut into words.
+  bool emitInstruction(const Line& line, AssembledProgram& prog) {
     const unsigned wordWidth = machine_.wordWidth;
-    BitVector image(line.sizeWords * wordWidth);
-    BitVector painted(line.sizeWords * wordWidth);
+    const unsigned width = line.sizeWords * wordWidth;
+    BitVector* image = &prog.words[line.address];
+    if (line.sizeWords != 1) {
+      image_ = BitVector(width);
+      image = &image_;
+    }
+    if (painted_.width() != width) painted_ = BitVector(width);
+    for (unsigned i = 0; i < painted_.numWords(); ++i) painted_.setWord(i, 0);
 
-    for (auto& pop : line.ops) {
+    for (std::uint32_t k = line.firstOp; k < line.firstOp + line.numOps; ++k) {
+      const ParsedOp& pop = ops_[k];
       const Operation& op =
           machine_.fields[pop.fieldIndex].operations[pop.opIndex];
       const Signature& sig = sigs_.operation(pop.fieldIndex, pop.opIndex);
 
-      paramValues_.resize(op.params.size());
+      values_.resize(op.params.size());
       for (std::size_t i = 0; i < op.params.size(); ++i)
-        if (!resolveBinding(op.params[i], pop.params[i], paramValues_[i]))
+        if (!resolve(op.params[i], pop.firstBinding + std::uint32_t(i), i))
           return false;
 
       // Conflict check: two operations of the instruction must not paint the
@@ -599,50 +622,131 @@ class Impl {
       // The error names the lowest clashing bit.
       const BitVector& owned = sig.ownedMask();
       for (unsigned i = 0; i < owned.numWords(); ++i) {
-        if (std::uint64_t clash = owned.word(i) & painted.word(i)) {
+        if (std::uint64_t clash = owned.word(i) & painted_.word(i)) {
           error(cat("operation '", op.name, "' sets instruction bit ",
                     64 * i + unsigned(std::countr_zero(clash)),
                     " already set by another field's operation; add a "
                     "constraint to forbid this combination"));
           return false;
         }
-        painted.setWord(i, painted.word(i) | owned.word(i));
+        painted_.setWord(i, painted_.word(i) | owned.word(i));
       }
       // No other operation has painted an owned bit, and assemble() writes
       // exactly the owned bits.
-      sig.assemble(image, paramValues_);
+      sig.assemble(*image, values_);
     }
 
-    for (unsigned w = 0; w < line.sizeWords; ++w)
-      prog.words[line.address + w] =
-          image.slice((w + 1) * wordWidth - 1, w * wordWidth);
+    if (line.sizeWords != 1)
+      for (unsigned w = 0; w < line.sizeWords; ++w)
+        prog.words[line.address + w] =
+            image_.slice((w + 1) * wordWidth - 1, w * wordWidth);
     return true;
   }
 };
 
-}  // namespace
+Assembler::Range Assembler::addPattern(const std::vector<SyntaxItem>& syntax) {
+  const Range pattern{std::uint32_t(items_.size()),
+                      std::uint32_t(items_.size() + syntax.size())};
+  std::vector<AsmTok> toks;
+  std::string digits;
+  for (const SyntaxItem& item : syntax) {
+    Item& it = items_.emplace_back();
+    it.isParam = !item.isLiteral;
+    it.param = item.paramIndex;
+    if (!item.isLiteral) continue;
+    // The asm tokens of the literal ("]+" is two). A literal that does not
+    // lex can never match: it becomes one empty lexeme, and no token of a
+    // lexed line is empty.
+    it.lexemes.first = std::uint32_t(lexemes_.size());
+    if (lexAsmLine(item.literal, toks, digits, nullptr)) {
+      for (const AsmTok& t : toks) lexemes_.emplace_back(t.text);
+    } else {
+      lexemes_.emplace_back();
+    }
+    it.lexemes.last = std::uint32_t(lexemes_.size());
+  }
+  return pattern;
+}
 
 Assembler::Assembler(const SignatureTable& sigs)
     : sigs_(&sigs), machine_(&sigs.machine()) {
-  opLexemes_.reserve(machine_->fields.size());
-  for (const Field& field : machine_->fields) {
-    std::vector<SyntaxLexemes>& ops = opLexemes_.emplace_back();
-    ops.reserve(field.operations.size());
-    for (const Operation& op : field.operations)
-      ops.push_back(lexSyntax(op.syntax));
+  const Machine& m = *machine_;
+  std::size_t numOps = 0, numItems = 0, numOptions = 0;
+  for (const Field& field : m.fields)
+    for (const Operation& op : field.operations) {
+      ++numOps;
+      numItems += op.syntax.size();
+    }
+  for (const NonTerminal& nt : m.nonTerminals)
+    for (const NtOption& opt : nt.options) {
+      ++numOptions;
+      numItems += opt.syntax.size();
+    }
+  items_.reserve(numItems);
+  lexemes_.reserve(numItems);
+  opPatterns_.reserve(numOps);
+  ntPatterns_.reserve(numOptions);
+  opBase_.reserve(m.fields.size());
+  ntBase_.reserve(m.nonTerminals.size());
+  candidates_.reserve(numOps);
+
+  for (unsigned f = 0; f < m.fields.size(); ++f) {
+    opBase_.push_back(std::uint32_t(opPatterns_.size()));
+    for (const Operation& op : m.fields[f].operations)
+      opPatterns_.push_back(addPattern(op.syntax));
   }
-  ntLexemes_.reserve(machine_->nonTerminals.size());
-  for (const NonTerminal& nt : machine_->nonTerminals) {
-    std::vector<SyntaxLexemes>& options = ntLexemes_.emplace_back();
-    options.reserve(nt.options.size());
+  for (const NonTerminal& nt : m.nonTerminals) {
+    ntBase_.push_back(std::uint32_t(ntPatterns_.size()));
     for (const NtOption& opt : nt.options)
-      options.push_back(lexSyntax(opt.syntax));
+      ntPatterns_.push_back(addPattern(opt.syntax));
+  }
+
+  // The mnemonic index: every operation by name, in field order and then
+  // operation order, the order a line's mnemonic tries them in.
+  for (unsigned f = 0; f < m.fields.size(); ++f)
+    for (unsigned o = 0; o < m.fields[f].operations.size(); ++o)
+      candidates_.push_back({f, o});
+  auto nameOf = [&](const OpRef& r) -> const std::string& {
+    return m.fields[r.fieldIndex].operations[r.opIndex].name;
+  };
+  std::stable_sort(
+      candidates_.begin(), candidates_.end(),
+      [&](const OpRef& a, const OpRef& b) { return nameOf(a) < nameOf(b); });
+  std::size_t entries = candidates_.size();
+  for (const TokenDef& tok : m.tokens) entries += tok.members.size();
+  spellings_.resize(std::bit_ceil(std::max<std::size_t>(16, 2 * entries)));
+  for (std::uint32_t i = 0, end; i < candidates_.size(); i = end) {
+    for (end = i + 1; end < candidates_.size() &&
+                      nameOf(candidates_[end]) == nameOf(candidates_[i]);)
+      ++end;
+    addSpelling(0, nameOf(candidates_[i]), i | std::uint64_t(end) << 32);
+  }
+  for (unsigned t = 0; t < m.tokens.size(); ++t)
+    for (const TokenMember& member : m.tokens[t].members)
+      addSpelling(t + 1, member.syntax, member.value);
+}
+
+void Assembler::addSpelling(std::uint32_t scope, std::string_view key,
+                            std::uint64_t value) {
+  // No token of a line is empty, so an empty spelling never matches.
+  Spelling& s = spellings_[probe(scope, key)];
+  if (s.key.empty() && !key.empty()) s = {key, scope, value};
+}
+
+std::size_t Assembler::probe(std::uint32_t scope, std::string_view key) const {
+  // FNV-1a over the scope and the key's bytes.
+  std::uint64_t h = 0xcbf29ce484222325u ^ scope;
+  for (char c : key) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3u;
+  const std::size_t mask = spellings_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const Spelling& s = spellings_[i];
+    if (s.key.empty() || (s.scope == scope && s.key == key)) return i;
   }
 }
 
 std::optional<AssembledProgram> Assembler::assemble(
     std::string_view source, DiagnosticEngine& diags) const {
-  return Impl(*sigs_, opLexemes_, ntLexemes_, diags).run(source);
+  return Impl(*this, diags).run(source);
 }
 
 }  // namespace isdl::sim

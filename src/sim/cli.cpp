@@ -277,9 +277,8 @@ bool Cli::execute(const std::string& line) {
         out_ << addr << ": <not decodable>\n";
         break;
       }
-      const DecodedInstruction& inst = prog.byAddress[addr];
-      out_ << addr << ": " << sim_.disassembler().render(inst) << "\n";
-      addr += inst.sizeWords;
+      out_ << addr << ": " << sim_.disassembler().render(prog, addr) << "\n";
+      addr += prog.byAddress[addr].sizeWords;
     }
     return true;
   }

@@ -17,25 +17,28 @@ using rtl::EvalError;
 /// storage reads go through the engine's pending-write overlay.
 class ExecEngine::OpContext final : public rtl::EvalContext {
  public:
-  OpContext(const ExecEngine& eng, const std::vector<Param>& params,
-            const std::vector<DecodedParam>& dparams)
-      : eng_(eng), params_(&params), dparams_(&dparams) {}
+  OpContext(const ExecEngine& eng, const DecodedProgram& program,
+            const std::vector<Param>& params, const DecodedParam* dparams)
+      : eng_(eng), program_(&program), params_(&params), dparams_(dparams) {}
 
   const std::vector<Param>& params() const { return *params_; }
-  const std::vector<DecodedParam>& dparams() const { return *dparams_; }
-  const ExecEngine& engine() const { return eng_; }
+  const DecodedParam& dparam(std::size_t i) const { return dparams_[i]; }
+  /// The context of the option non-terminal parameter `i` selected.
+  OpContext option(std::size_t i, const NtOption& opt) const {
+    return OpContext(eng_, *program_, opt.params,
+                     program_->subOf(dparams_[i]));
+  }
 
   BitVector paramValue(unsigned i) const override {
     const Param& p = (*params_)[i];
-    const DecodedParam& dp = (*dparams_)[i];
+    const DecodedParam& dp = dparams_[i];
     if (p.kind == ParamKind::Token) return dp.encoded;
     const NonTerminal& nt = eng_.machine_.nonTerminals[p.index];
     const NtOption& opt = nt.options[dp.ntOption];
     if (!opt.value)
       throw EvalError(cat("non-terminal '", nt.name,
                           "' option has no value but was read"));
-    OpContext child(eng_, opt.params, dp.sub);
-    return rtl::evalExpr(*opt.value, child);
+    return rtl::evalExpr(*opt.value, option(i, opt));
   }
 
   BitVector readStorage(unsigned si) const override {
@@ -48,8 +51,9 @@ class ExecEngine::OpContext final : public rtl::EvalContext {
 
  private:
   const ExecEngine& eng_;
+  const DecodedProgram* program_;
   const std::vector<Param>* params_;
-  const std::vector<DecodedParam>* dparams_;
+  const DecodedParam* dparams_;
 };
 
 ExecEngine::ExecEngine(const Machine& machine, State& state)
@@ -251,14 +255,12 @@ uop::WriteSlot ExecEngine::resolveLvalue(const rtl::Lvalue& lv,
                                          const OpContext& ctx) const {
   if (lv.isParam) {
     const Param& p = ctx.params()[lv.paramIndex];
-    const DecodedParam& dp = ctx.dparams()[lv.paramIndex];
     const NonTerminal& nt = machine_.nonTerminals[p.index];
-    const NtOption& opt = nt.options[dp.ntOption];
+    const NtOption& opt = nt.options[ctx.dparam(lv.paramIndex).ntOption];
     if (!opt.lvalue)
       throw EvalError(cat("non-terminal '", nt.name,
                           "' option has no lvalue but was written"));
-    OpContext child(*this, opt.params, dp.sub);
-    return resolveLvalue(*opt.lvalue, child);
+    return resolveLvalue(*opt.lvalue, ctx.option(lv.paramIndex, opt));
   }
   uop::WriteSlot r;
   r.si = lv.storageIndex;
@@ -305,15 +307,16 @@ void ExecEngine::execOptionSideEffects(const OpContext& ctx, unsigned latency,
   for (std::size_t i = 0; i < ctx.params().size(); ++i) {
     const Param& p = ctx.params()[i];
     if (p.kind != ParamKind::NonTerminal) continue;
-    const DecodedParam& dp = ctx.dparams()[i];
-    const NtOption& opt = machine_.nonTerminals[p.index].options[dp.ntOption];
-    OpContext child(*this, opt.params, dp.sub);
+    const NtOption& opt =
+        machine_.nonTerminals[p.index].options[ctx.dparam(i).ntOption];
+    const OpContext child = ctx.option(i, opt);
     execStmts(opt.sideEffects, child, latency, stallCost);
     execOptionSideEffects(child, latency, stallCost);
   }
 }
 
-ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
+ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
+                                        const DecodedInstruction& inst,
                                         uop::BoundProgram* bound) {
   IssueInfo info;
   ++instrId_;
@@ -340,13 +343,15 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
   // across the phase-A hazard-retry loop, so they are hoisted and a retry
   // redoes only the evaluation itself. The bound path has no per-issue
   // allocations at all.
+  const DecodedOp* ops = program.opsOf(inst);
+  const std::size_t numFields = machine_.fields.size();
   std::vector<OpContext> ctxs;
   if (!bound) {
-    ctxs.reserve(inst.ops.size());
-    for (std::size_t f = 0; f < inst.ops.size(); ++f)
-      ctxs.emplace_back(
-          *this, machine_.fields[f].operations[inst.ops[f].opIndex].params,
-          inst.ops[f].params);
+    ctxs.reserve(numFields);
+    for (std::size_t f = 0; f < numFields; ++f)
+      ctxs.emplace_back(*this, program,
+                        machine_.fields[f].operations[ops[f].opIndex].params,
+                        program.paramsOf(ops[f]));
   }
 
   try {
@@ -361,8 +366,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
       if (bound) {
         execProgram(*bound, inst.address, false);
       } else {
-        for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-          const DecodedOp& dop = inst.ops[f];
+        for (std::size_t f = 0; f < numFields; ++f) {
+          const DecodedOp& dop = ops[f];
           execStmts(machine_.fields[f].operations[dop.opIndex].action,
                     ctxs[f], dop.effLatency, dop.effStall);
         }
@@ -391,8 +396,8 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
     if (bound) {
       execProgram(*bound, inst.address, true);
     } else {
-      for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-        const DecodedOp& dop = inst.ops[f];
+      for (std::size_t f = 0; f < numFields; ++f) {
+        const DecodedOp& dop = ops[f];
         execStmts(machine_.fields[f].operations[dop.opIndex].sideEffects,
                   ctxs[f], dop.effLatency, dop.effStall);
         execOptionSideEffects(ctxs[f], dop.effLatency, dop.effStall);
@@ -412,12 +417,12 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedInstruction& inst,
   // Record issue slots (nop slots are elided — an idle field is visible as
   // a gap in its trace row).
   if (trace_) {
-    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-      if (static_cast<int>(inst.ops[f].opIndex) == machine_.fields[f].nopIndex)
+    for (std::size_t f = 0; f < numFields; ++f) {
+      if (static_cast<int>(ops[f].opIndex) == machine_.fields[f].nopIndex)
         continue;
       trace_->record({.kind = obs::EventKind::Issue,
                       .field = static_cast<std::uint16_t>(f),
-                      .op = inst.ops[f].opIndex,
+                      .op = ops[f].opIndex,
                       .storage = 0,
                       .elem = 0,
                       .cycle = cycle_,

@@ -55,11 +55,13 @@ class ExecEngine {
     bool pcCommitted = false;
   };
 
-  /// Executes one instruction starting at the current cycle; advances the
-  /// cycle by the instruction's cycle cost plus any stalls. With `bound`,
-  /// runs the instruction's record there (the loaded program bound by
-  /// uop::Binder::bind); without, interprets the decoded instruction.
-  IssueInfo issue(const DecodedInstruction& inst,
+  /// Executes `inst`, one instruction of `program`, starting at the current
+  /// cycle; advances the cycle by the instruction's cycle cost plus any
+  /// stalls. With `bound`, runs the instruction's record there (the program
+  /// bound by uop::Binder::bind); without, interprets the decoded
+  /// instruction.
+  IssueInfo issue(const DecodedProgram& program,
+                  const DecodedInstruction& inst,
                   uop::BoundProgram* bound = nullptr);
 
   std::uint64_t cycle() const { return cycle_; }

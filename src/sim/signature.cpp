@@ -102,7 +102,7 @@ bool Signature::matches(const BitVector& word) const {
 }
 
 void Signature::assemble(BitVector& word,
-                         const std::vector<BitVector>& paramValues) const {
+                         std::span<const BitVector> paramValues) const {
   if (width_ == 0) return;
   requireWordWidth(word, "assemble");
   if (paramValues.size() < paramBits_.size())

@@ -22,6 +22,8 @@
 #ifndef ISDL_SIM_SIGNATURE_H
 #define ISDL_SIM_SIGNATURE_H
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "isdl/model.h"
@@ -58,7 +60,11 @@ class Signature {
   /// least as wide as paramWidth(i), and `word` at least as wide as the
   /// signature; otherwise std::out_of_range.
   void assemble(BitVector& word,
-                const std::vector<BitVector>& paramValues) const;
+                std::span<const BitVector> paramValues) const;
+  void assemble(BitVector& word,
+                std::initializer_list<BitVector> paramValues) const {
+    assemble(word, std::span(paramValues.begin(), paramValues.size()));
+  }
 
   /// Gathers the encoded value of parameter `p` back out of `word` (at least
   /// as wide as the signature; otherwise std::out_of_range).

@@ -99,41 +99,70 @@ class NarrowProof {
 /// parameter declarations and the values this instruction decoded for them.
 struct Operands {
   const std::vector<Param>& params;
-  const std::vector<DecodedParam>& values;
+  const DecodedParam* values;
 };
 
-/// Lowers one decoded instruction into its record. Registers are numbered
-/// per record and never reused, so every register has one producer on any
-/// path; constants (operand values and folded results) are registers whose
-/// value is set here.
+/// Uops and registers the binder's arenas are reserved for per decoded
+/// parameter (the operands are what a record binds): about their mean on
+/// generated machines (3.9 and 5.3, and 0.43 write slots), and about twice
+/// it on the bundled kernels. The arenas live as long as the program, so
+/// the reserve stays near what is used.
+constexpr std::size_t kUopsPerParam = 4, kRegsPerParam = 5;
+
+std::string writeOutOfRange(const Machine& m, unsigned si,
+                            std::uint64_t elem) {
+  return cat("write to ", m.storages[si].name, "[", elem,
+             "] is out of range");
+}
+
+/// The text of trap uop `u`; `regs` are its record's registers.
+std::string trapMessage(const Machine& m, const Uop& u,
+                        const narrow::Val* regs) {
+  switch (TrapKind(u.op)) {
+    case TrapKind::NoValue:
+      return cat("non-terminal '", m.nonTerminals[u.a].name,
+                 "' option has no value but was read");
+    case TrapKind::NoLvalue:
+      return cat("non-terminal '", m.nonTerminals[u.a].name,
+                 "' option has no lvalue but was written");
+    case TrapKind::WriteOutOfRange: break;
+  }
+  return writeOutOfRange(m, u.a, regs[u.b].v);
+}
+
+/// Lowers the decoded instructions of one program into their records, one
+/// at a time. Registers are numbered per record and never reused, so every
+/// register has one producer on any path; constants (operand values and
+/// folded results) are registers whose value is set here.
 class RecordCompiler {
  public:
-  RecordCompiler(const Machine& m, bool injectFault, BoundProgram& prog,
-                 BoundProgram::Record& rec)
-      : m_(m), injectFault_(injectFault), prog_(prog), rec_(rec) {
-    rec_.code = std::uint32_t(prog.code.size());
-    rec_.regs = std::uint32_t(prog.regs.size());
-    rec_.slots = std::uint32_t(prog.slots.size());
-  }
+  RecordCompiler(const Machine& m, bool injectFault,
+                 const DecodedProgram& program, BoundProgram& prog)
+      : m_(m), injectFault_(injectFault), program_(program), prog_(prog) {}
 
-  void compile(const DecodedInstruction& inst) {
+  void compile(const DecodedInstruction& inst, BoundProgram::Record& rec) {
+    rec_ = &rec;
+    rec.code = std::uint32_t(prog_.code.size());
+    rec.regs = std::uint32_t(prog_.regs.size());
+    rec.slots = std::uint32_t(prog_.slots.size());
     // Phase A: every field's action; phase B: every field's side effects,
     // then those of its selected options, depth-first.
-    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-      const DecodedOp& dop = inst.ops[f];
-      const Operation& op = m_.fields[f].operations[dop.opIndex];
-      setTiming(dop);
-      compileStmts(op.action, {op.params, dop.params});
+    const DecodedOp* ops = program_.opsOf(inst);
+    const std::size_t numFields = m_.fields.size();
+    for (std::size_t f = 0; f < numFields; ++f) {
+      const Operation& op = m_.fields[f].operations[ops[f].opIndex];
+      setTiming(ops[f]);
+      compileStmts(op.action, {op.params, program_.paramsOf(ops[f])});
     }
-    rec_.phaseB = here();
-    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-      const DecodedOp& dop = inst.ops[f];
-      const Operation& op = m_.fields[f].operations[dop.opIndex];
-      setTiming(dop);
-      compileStmts(op.sideEffects, {op.params, dop.params});
-      compileOptionSideEffects({op.params, dop.params});
+    rec.phaseB = here();
+    for (std::size_t f = 0; f < numFields; ++f) {
+      const Operation& op = m_.fields[f].operations[ops[f].opIndex];
+      const Operands operands{op.params, program_.paramsOf(ops[f])};
+      setTiming(ops[f]);
+      compileStmts(op.sideEffects, operands);
+      compileOptionSideEffects(operands);
     }
-    rec_.end = here();
+    rec.end = here();
   }
 
  private:
@@ -143,34 +172,39 @@ class RecordCompiler {
   }
 
   std::uint32_t here() const {
-    return std::uint32_t(prog_.code.size()) - rec_.code;
+    return std::uint32_t(prog_.code.size()) - rec_->code;
   }
   std::uint32_t emit(Uop u) {
     prog_.code.push_back(u);
     return here() - 1;
   }
-  Uop& at(std::uint32_t pc) { return prog_.code[rec_.code + pc]; }
+  Uop& at(std::uint32_t pc) { return prog_.code[rec_->code + pc]; }
 
-  std::uint32_t newReg(narrow::Val v, bool constant) {
+  /// A register of the record being compiled, and whether its value is a
+  /// constant the binder set.
+  struct Reg {
+    std::uint32_t index;
+    bool constant;
+  };
+
+  std::uint32_t newReg(narrow::Val v = {}) {
     prog_.regs.push_back(v);
-    isConst_.push_back(constant);
-    return std::uint32_t(isConst_.size() - 1);
+    return std::uint32_t(prog_.regs.size()) - rec_->regs - 1;
   }
-  std::uint32_t constant(narrow::Val v) { return newReg(v, true); }
-  std::uint32_t constant(const BitVector& v) {
+  Reg constant(narrow::Val v) { return {newReg(v), true}; }
+  Reg constant(const BitVector& v) {
     return constant(narrow::Val{v.toUint64(), v.width()});
   }
-  bool isConst(std::uint32_t r) const { return isConst_[r]; }
-  narrow::Val val(std::uint32_t r) const { return prog_.regs[rec_.regs + r]; }
+  narrow::Val val(Reg r) const { return prog_.regs[rec_->regs + r.index]; }
   /// Emits value uop `u` into a fresh register.
-  std::uint32_t produce(Uop u) {
-    u.dst = newReg({}, false);
+  Reg produce(Uop u) {
+    u.dst = newReg();
     emit(u);
-    return u.dst;
+    return {u.dst, false};
   }
-  void trap(std::string msg) {
-    prog_.traps.push_back(std::move(msg));
-    emit({.kind = Kind::Trap, .a = std::uint32_t(prog_.traps.size() - 1)});
+  void trap(TrapKind kind, std::uint32_t subject, std::uint32_t elem = 0) {
+    emit({.kind = Kind::Trap, .op = std::uint8_t(kind), .a = subject,
+          .b = elem});
   }
 
   /// The non-terminal option operand `i` selected.
@@ -188,13 +222,13 @@ class RecordCompiler {
     for (std::size_t i = 0; i < ops.params.size(); ++i) {
       if (ops.params[i].kind != ParamKind::NonTerminal) continue;
       const NtOption& opt = selected(ops, unsigned(i));
-      Operands sub{opt.params, ops.values[i].sub};
+      const Operands sub{opt.params, program_.subOf(ops.values[i])};
       compileStmts(opt.sideEffects, sub);
       compileOptionSideEffects(sub);
     }
   }
 
-  std::uint32_t compileExpr(const rtl::Expr& e, const Operands& ops) {
+  Reg compileExpr(const rtl::Expr& e, const Operands& ops) {
     using rtl::ExprKind;
     switch (e.kind) {
       case ExprKind::Const: return constant(e.constant);
@@ -204,71 +238,72 @@ class RecordCompiler {
           return constant(dp.encoded);
         const NtOption& opt = selected(ops, e.paramIndex);
         if (!opt.value) {
-          trap(cat("non-terminal '",
-                   m_.nonTerminals[ops.params[e.paramIndex].index].name,
-                   "' option has no value but was read"));
-          return newReg({}, false);  // never read: the trap ends the issue
+          trap(TrapKind::NoValue, ops.params[e.paramIndex].index);
+          return {newReg(), false};  // never read: the trap ends the issue
         }
-        return compileExpr(*opt.value, {opt.params, dp.sub});
+        return compileExpr(*opt.value, {opt.params, program_.subOf(dp)});
       }
       case ExprKind::Read:
         return produce({.kind = Kind::ReadStorage, .a = e.storageIndex});
       case ExprKind::ReadElem: {
-        std::uint32_t idx = compileExpr(*e.operands[0], ops);
+        const Reg idx = compileExpr(*e.operands[0], ops);
         return produce(
-            {.kind = Kind::ReadElem, .a = e.storageIndex, .b = idx});
+            {.kind = Kind::ReadElem, .a = e.storageIndex, .b = idx.index});
       }
       case ExprKind::Slice: {
-        std::uint32_t a = compileExpr(*e.operands[0], ops);
-        if (isConst(a)) return constant(narrow::slice(val(a), e.sliceHi,
-                                                      e.sliceLo));
+        const Reg a = compileExpr(*e.operands[0], ops);
+        if (a.constant)
+          return constant(narrow::slice(val(a), e.sliceHi, e.sliceLo));
         return produce({.kind = Kind::Slice,
                         .hi = std::uint16_t(e.sliceHi),
                         .lo = std::uint16_t(e.sliceLo),
-                        .a = a});
+                        .a = a.index});
       }
       case ExprKind::Unary: {
-        std::uint32_t a = compileExpr(*e.operands[0], ops);
-        if (isConst(a)) return constant(narrow::unOp(e.unOp, val(a)));
+        const Reg a = compileExpr(*e.operands[0], ops);
+        if (a.constant) return constant(narrow::unOp(e.unOp, val(a)));
         return produce(
-            {.kind = Kind::Unary, .op = std::uint8_t(e.unOp), .a = a});
+            {.kind = Kind::Unary, .op = std::uint8_t(e.unOp), .a = a.index});
       }
       case ExprKind::Binary: {
-        std::uint32_t a = compileExpr(*e.operands[0], ops);
-        std::uint32_t b = compileExpr(*e.operands[1], ops);
+        const Reg a = compileExpr(*e.operands[0], ops);
+        const Reg b = compileExpr(*e.operands[1], ops);
         rtl::BinOp op = e.binOp;
         if (op == rtl::BinOp::Add && injectFault_)
           op = rtl::BinOp::Sub;  // deliberate mis-lowering (see uop.h)
-        if (isConst(a) && isConst(b))
+        if (a.constant && b.constant)
           return constant(narrow::binOp(op, val(a), val(b)));
-        return produce(
-            {.kind = Kind::Binary, .op = std::uint8_t(op), .a = a, .b = b});
+        return produce({.kind = Kind::Binary,
+                        .op = std::uint8_t(op),
+                        .a = a.index,
+                        .b = b.index});
       }
       case ExprKind::Ternary: {
         // Lazy branches, like the interpreter: the untaken side must not
         // evaluate (its reads and traps must not happen).
-        std::uint32_t c = compileExpr(*e.operands[0], ops);
-        if (isConst(c))
+        const Reg c = compileExpr(*e.operands[0], ops);
+        if (c.constant)
           return compileExpr(*e.operands[val(c).v ? 1 : 2], ops);
-        std::uint32_t r = newReg({}, false);
-        std::uint32_t bz = emit({.kind = Kind::BranchIfZero, .a = c});
-        std::uint32_t t = compileExpr(*e.operands[1], ops);
-        emit({.kind = Kind::Move, .dst = r, .a = t});
-        std::uint32_t j = emit({.kind = Kind::Jump});
+        const std::uint32_t r = newReg();
+        const std::uint32_t bz =
+            emit({.kind = Kind::BranchIfZero, .a = c.index});
+        const Reg t = compileExpr(*e.operands[1], ops);
+        emit({.kind = Kind::Move, .dst = r, .a = t.index});
+        const std::uint32_t j = emit({.kind = Kind::Jump});
         at(bz).b = here();
-        std::uint32_t f = compileExpr(*e.operands[2], ops);
-        emit({.kind = Kind::Move, .dst = r, .a = f});
+        const Reg f = compileExpr(*e.operands[2], ops);
+        emit({.kind = Kind::Move, .dst = r, .a = f.index});
         at(j).a = here();
-        return r;
+        return {r, false};
       }
       case ExprKind::ZExt:
       case ExprKind::SExt:
       case ExprKind::Trunc:
       case ExprKind::IToF:
       case ExprKind::FToI: {
-        std::uint32_t a = compileExpr(*e.operands[0], ops);
+        const Reg a = compileExpr(*e.operands[0], ops);
         const unsigned w = e.extWidth;
-        if (isConst(a)) {
+        if (a.constant) {
           narrow::Val x = val(a);
           return constant(e.kind == ExprKind::ZExt    ? narrow::zext(x, w)
                           : e.kind == ExprKind::SExt  ? narrow::sext(x, w)
@@ -281,24 +316,26 @@ class RecordCompiler {
                  : e.kind == ExprKind::Trunc ? Kind::Trunc
                  : e.kind == ExprKind::IToF  ? Kind::IToF
                                              : Kind::FToI;
-        return produce({.kind = k, .hi = std::uint16_t(w), .a = a});
+        return produce({.kind = k, .hi = std::uint16_t(w), .a = a.index});
       }
       case ExprKind::Concat: {
-        std::uint32_t acc = compileExpr(*e.operands[0], ops);
+        Reg acc = compileExpr(*e.operands[0], ops);
         for (std::size_t i = 1; i < e.operands.size(); ++i) {
-          std::uint32_t lo = compileExpr(*e.operands[i], ops);
-          acc = isConst(acc) && isConst(lo)
+          const Reg lo = compileExpr(*e.operands[i], ops);
+          acc = acc.constant && lo.constant
                     ? constant(narrow::concat(val(acc), val(lo)))
-                    : produce({.kind = Kind::Concat2, .a = acc, .b = lo});
+                    : produce({.kind = Kind::Concat2,
+                               .a = acc.index,
+                               .b = lo.index});
         }
         return acc;
       }
       case ExprKind::Carry:
       case ExprKind::Overflow:
       case ExprKind::Borrow: {
-        std::uint32_t a = compileExpr(*e.operands[0], ops);
-        std::uint32_t b = compileExpr(*e.operands[1], ops);
-        if (isConst(a) && isConst(b)) {
+        const Reg a = compileExpr(*e.operands[0], ops);
+        const Reg b = compileExpr(*e.operands[1], ops);
+        if (a.constant && b.constant) {
           narrow::Val x = val(a), y = val(b);
           return constant(e.kind == ExprKind::Carry      ? narrow::carry(x, y)
                           : e.kind == ExprKind::Overflow ? narrow::overflow(x, y)
@@ -307,7 +344,7 @@ class RecordCompiler {
         Kind k = e.kind == ExprKind::Carry      ? Kind::Carry
                  : e.kind == ExprKind::Overflow ? Kind::Overflow
                                                 : Kind::Borrow;
-        return produce({.kind = k, .a = a, .b = b});
+        return produce({.kind = k, .a = a.index, .b = b.index});
       }
     }
     throw EvalError("bad expression kind");
@@ -318,20 +355,21 @@ class RecordCompiler {
       case rtl::StmtKind::Assign: {
         // Interpreter order: resolve the lvalue (index expressions and
         // option recursion included) before evaluating the value.
-        std::uint32_t slot = std::uint32_t(prog_.slots.size()) - rec_.slots;
+        std::uint32_t slot = std::uint32_t(prog_.slots.size()) - rec_->slots;
         prog_.slots.push_back({.latency = latency_, .stallCost = stallCost_});
         compileLvalue(stmt.dest, ops, slot);
-        std::uint32_t v = compileExpr(*stmt.value, ops);
-        emit({.kind = Kind::StageWrite, .dst = slot, .a = v});
+        const Reg v = compileExpr(*stmt.value, ops);
+        emit({.kind = Kind::StageWrite, .dst = slot, .a = v.index});
         break;
       }
       case rtl::StmtKind::If: {
-        std::uint32_t c = compileExpr(*stmt.cond, ops);
-        if (isConst(c)) {
+        const Reg c = compileExpr(*stmt.cond, ops);
+        if (c.constant) {
           compileStmts(val(c).v ? stmt.thenStmts : stmt.elseStmts, ops);
           break;
         }
-        std::uint32_t bz = emit({.kind = Kind::BranchIfZero, .a = c});
+        const std::uint32_t bz =
+            emit({.kind = Kind::BranchIfZero, .a = c.index});
         compileStmts(stmt.thenStmts, ops);
         if (stmt.elseStmts.empty()) {
           at(bz).b = here();
@@ -351,37 +389,38 @@ class RecordCompiler {
     if (lv.isParam) {
       const NtOption& opt = selected(ops, lv.paramIndex);
       if (!opt.lvalue) {
-        trap(cat("non-terminal '",
-                 m_.nonTerminals[ops.params[lv.paramIndex].index].name,
-                 "' option has no lvalue but was written"));
+        trap(TrapKind::NoLvalue, ops.params[lv.paramIndex].index);
         return;
       }
-      compileLvalue(*opt.lvalue, {opt.params, ops.values[lv.paramIndex].sub},
+      compileLvalue(*opt.lvalue,
+                    {opt.params, program_.subOf(ops.values[lv.paramIndex])},
                     slot);
       return;
     }
-    WriteSlot& s = prog_.slots[rec_.slots + slot];
+    WriteSlot& s = prog_.slots[rec_->slots + slot];
     s.si = lv.storageIndex;
     s.hasSlice = lv.hasSlice;
     s.hi = lv.sliceHi;
     s.lo = lv.sliceLo;
     if (!lv.index) return;
-    std::uint32_t idx = compileExpr(*lv.index, ops);
-    if (!isConst(idx)) {
-      emit({.kind = Kind::SetLv, .dst = slot, .a = lv.storageIndex, .b = idx});
+    const Reg idx = compileExpr(*lv.index, ops);
+    if (!idx.constant) {
+      emit({.kind = Kind::SetLv,
+            .dst = slot,
+            .a = lv.storageIndex,
+            .b = idx.index});
       return;
     }
-    const StorageDef& st = m_.storages[lv.storageIndex];
-    prog_.slots[rec_.slots + slot].elem = val(idx).v;
-    if (val(idx).v >= st.depth)
-      trap(cat("write to ", st.name, "[", val(idx).v, "] is out of range"));
+    prog_.slots[rec_->slots + slot].elem = val(idx).v;
+    if (val(idx).v >= m_.storages[lv.storageIndex].depth)
+      trap(TrapKind::WriteOutOfRange, lv.storageIndex, idx.index);
   }
 
   const Machine& m_;
   const bool injectFault_;
+  const DecodedProgram& program_;
   BoundProgram& prog_;
-  BoundProgram::Record& rec_;
-  std::vector<bool> isConst_;  ///< per record-relative register
+  BoundProgram::Record* rec_ = nullptr;  ///< the record being compiled
   unsigned latency_ = 1, stallCost_ = 0;
 };
 
@@ -403,14 +442,19 @@ Binder::Binder(const Machine& machine)
       narrow_(isNarrow(machine)),
       injectFault_(testFaultInjection()) {}
 
-BoundProgram Binder::bind(const DecodedProgram& program) const {
-  BoundProgram prog;
-  prog.byAddress.resize(program.byAddress.size());
+void Binder::bind(const DecodedProgram& program, BoundProgram& into) const {
+  into.byAddress.assign(program.byAddress.size(), {});
+  into.code.clear();
+  into.regs.clear();
+  into.slots.clear();
+  const std::size_t params = program.params.size();
+  into.code.reserve(kUopsPerParam * params);
+  into.regs.reserve(kRegsPerParam * params);
+  into.slots.reserve(params / 2);
+  RecordCompiler compiler(*machine_, injectFault_, program, into);
   for (std::size_t addr = 0; addr < program.byAddress.size(); ++addr)
     if (program.hasInstructionAt(addr))
-      RecordCompiler(*machine_, injectFault_, prog, prog.byAddress[addr])
-          .compile(program.byAddress[addr]);
-  return prog;
+      compiler.compile(program.byAddress[addr], into.byAddress[addr]);
 }
 
 std::string Binder::printCpp(const BoundProgram& prog,
@@ -548,7 +592,9 @@ std::string Binder::printCpp(const BoundProgram& prog,
         commits += write + "\n";
         break;
       }
-      case Kind::Trap: body += trap(prog.traps[u.a]); break;
+      case Kind::Trap:
+        body += trap(trapMessage(*machine_, u, prog.regs.data() + rec.regs));
+        break;
     }
   }
   return decls + body + commits;
@@ -632,8 +678,7 @@ void ExecEngine::execProgram(uop::BoundProgram& prog, std::uint64_t address,
         uop::WriteSlot& s = slots[u.dst];
         s.elem = regs[u.b].v;
         if (s.elem >= state_.depth(u.a))
-          throw rtl::EvalError(cat("write to ", machine_.storages[u.a].name,
-                                   "[", s.elem, "] is out of range"));
+          throw rtl::EvalError(uop::writeOutOfRange(machine_, u.a, s.elem));
         ++pc;
         break;
       }
@@ -649,7 +694,8 @@ void ExecEngine::execProgram(uop::BoundProgram& prog, std::uint64_t address,
         ++pc;
         break;
       }
-      case Kind::Trap: throw rtl::EvalError(prog.traps[u.a]);
+      case Kind::Trap:
+        throw rtl::EvalError(uop::trapMessage(machine_, u, regs));
     }
   }
 }

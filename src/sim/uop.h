@@ -82,19 +82,27 @@ enum class Kind : std::uint8_t {
   SetLv,       ///< write slot dst's element = reg b; range-checked
                ///< against storage a (its other fields are bound)
   StageWrite,  ///< stage reg a into write slot dst (delayed-write queue)
-  Trap,        ///< throw EvalError(traps[a])
+  Trap,        ///< throw EvalError naming trap `op` (TrapKind) of a
 };
 
-/// One micro-op. Fixed 20-byte layout; trap messages live in a side pool so
-/// the dispatch loop walks a dense array.
+/// What a Trap uop reports. Its text is formatted only when the trap fires
+/// or is printed, from the uop's operands.
+enum class TrapKind : std::uint8_t {
+  NoValue,          ///< non-terminal a's selected option has no value
+  NoLvalue,         ///< non-terminal a's selected option has no lvalue
+  WriteOutOfRange,  ///< write to storage a at the element in reg b
+};
+
+/// One micro-op. Fixed 20-byte layout, so the dispatch loop walks a dense
+/// array.
 struct Uop {
   Kind kind;
-  std::uint8_t op = 0;     ///< rtl::BinOp / rtl::UnOp ordinal (Unary/Binary)
+  std::uint8_t op = 0;     ///< rtl::BinOp / rtl::UnOp / TrapKind ordinal
   std::uint16_t hi = 0;    ///< Slice high bit; *Ext/Trunc/IToF/FToI width
   std::uint16_t lo = 0;    ///< Slice low bit
   std::uint32_t dst = 0;   ///< result register; SetLv/StageWrite: write slot
   std::uint32_t a = 0;     ///< operand register / storage index /
-                           ///< jump target / trap index
+                           ///< jump target / non-terminal index
   std::uint32_t b = 0;     ///< 2nd operand register / branch target
 };
 
@@ -129,7 +137,6 @@ struct BoundProgram {
   /// registers are the record's scratch values.
   std::vector<narrow::Val> regs;
   std::vector<WriteSlot> slots;
-  std::vector<std::string> traps;
 };
 
 /// Binds decoded instructions of one machine. Immutable after construction,
@@ -146,8 +153,9 @@ class Binder {
   /// such a machine can be emitted as a compiled-code simulator.
   bool narrow() const { return narrow_; }
 
-  /// Binds every decoded instruction of `program`. Requires narrow().
-  BoundProgram bind(const DecodedProgram& program) const;
+  /// Binds every decoded instruction of `program` into `into`, replacing
+  /// what it held and reusing its storage. Requires narrow().
+  void bind(const DecodedProgram& program, BoundProgram& into) const;
 
   /// Prints the record `prog` binds at `address` as the C++ statements of
   /// one instruction of a compiled-code simulator (sim/codegen.h), one per

@@ -34,10 +34,15 @@ Xsim::Xsim(const Machine& machine)
 }
 
 void Xsim::initStats() {
-  stats_ = Stats{};
-  stats_.opCount.clear();
-  for (const auto& field : machine_->fields)
-    stats_.opCount.emplace_back(field.operations.size(), 0);
+  // Zeroes the counters in place: the vectors keep their storage across
+  // loads and resets.
+  stats_.cycles = 0;
+  stats_.instructions = 0;
+  stats_.dataStallCycles = 0;
+  stats_.structStallCycles = 0;
+  stats_.opCount.resize(machine_->fields.size());
+  for (std::size_t f = 0; f < machine_->fields.size(); ++f)
+    stats_.opCount[f].assign(machine_->fields[f].operations.size(), 0);
   stats_.fieldUtilization.assign(machine_->fields.size(), 0);
   stats_.dataStallsByStorage.assign(machine_->storages.size(), 0);
   stats_.structStallsByField.assign(machine_->fields.size(), 0);
@@ -67,15 +72,21 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
   }
 
   // Off-line disassembly (paper §3.1): decode the whole program region now.
-  DecodedProgram decoded = disasm_.decodeProgram(prog.words, prog.words.size());
-  if (!prog.words.empty() && !decoded.hasInstructionAt(0)) {
+  disasm_.decodeProgram(prog.words, prog.words.size(), spareDecoded_);
+  if (!prog.words.empty() && !spareDecoded_.hasInstructionAt(0)) {
     std::string msg;
-    disasm_.decodeAt(prog.words, 0, &msg);
+    DecodedProgram scratch;
+    disasm_.decodeAt(prog.words, 0, scratch, &msg);
     return fail("no decodable instruction at address 0: " + msg);
   }
 
-  decoded_ = std::move(decoded);
-  bound_ = useBound_ ? binder_.bind(decoded_) : uop::BoundProgram{};
+  std::swap(decoded_, spareDecoded_);
+  if (useBound_) {
+    binder_.bind(decoded_, spareBound_);
+    std::swap(bound_, spareBound_);
+  } else {
+    bound_ = uop::BoundProgram{};
+  }
   programWords_ = prog.words;
   programData_ = prog.dataInit;
   reset();
@@ -85,7 +96,7 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
 void Xsim::setUopEnabled(bool enabled) {
   useBound_ = enabled && binder_.narrow();
   if (useBound_ && bound_.byAddress.size() != decoded_.byAddress.size())
-    bound_ = binder_.bind(decoded_);  // loaded under the interpreter
+    binder_.bind(decoded_, bound_);  // loaded under the interpreter
 }
 
 void Xsim::reset() {
@@ -120,7 +131,8 @@ std::optional<RunResult> Xsim::executeOne() {
     for (std::size_t i = 0; i < decoded_.byAddress.size(); ++i)
       image.push_back(state_.read(imem, i));
     std::string msg;
-    disasm_.decodeAt(image, addr, &msg);
+    DecodedProgram scratch;
+    disasm_.decodeAt(image, addr, scratch, &msg);
     return RunResult{StopReason::IllegalInstruction, msg};
   }
 
@@ -128,7 +140,7 @@ std::optional<RunResult> Xsim::executeOne() {
   if (trace_) trace_(addr);
 
   ExecEngine::IssueInfo info =
-      engine_.issue(inst, useBound_ ? &bound_ : nullptr);
+      engine_.issue(decoded_, inst, useBound_ ? &bound_ : nullptr);
   if (!info.ok)
     return RunResult{StopReason::RuntimeError,
                      cat("at address ", addr, ": ", info.error)};
@@ -142,7 +154,7 @@ std::optional<RunResult> Xsim::executeOne() {
     state_.setPc(addr + inst.sizeWords, engine_.cycle());
 
   const std::optional<OpRef>& halt = machine_->haltOp;
-  if (halt && inst.ops[halt->fieldIndex].opIndex == halt->opIndex)
+  if (halt && decoded_.opsOf(inst)[halt->fieldIndex].opIndex == halt->opIndex)
     return RunResult{StopReason::Halted, {}};
   return std::nullopt;
 }
@@ -152,12 +164,11 @@ void Xsim::foldIssues() {
     const std::uint64_t n = issues_[addr];
     if (n == 0) continue;
     issues_[addr] = 0;
-    const DecodedInstruction& inst = decoded_.byAddress[addr];
+    const DecodedOp* ops = decoded_.opsOf(decoded_.byAddress[addr]);
     stats_.instructions += n;
-    for (std::size_t f = 0; f < inst.ops.size(); ++f) {
-      stats_.opCount[f][inst.ops[f].opIndex] += n;
-      if (static_cast<int>(inst.ops[f].opIndex) !=
-          machine_->fields[f].nopIndex)
+    for (std::size_t f = 0; f < machine_->fields.size(); ++f) {
+      stats_.opCount[f][ops[f].opIndex] += n;
+      if (static_cast<int>(ops[f].opIndex) != machine_->fields[f].nopIndex)
         stats_.fieldUtilization[f] += n;
     }
   }

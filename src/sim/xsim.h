@@ -167,6 +167,10 @@ class Xsim {
   ExecEngine engine_;
   DecodedProgram decoded_;
   uop::BoundProgram bound_;
+  /// The previous program's decode and records, whose storage the next
+  /// load decodes and binds into before swapping them in.
+  DecodedProgram spareDecoded_;
+  uop::BoundProgram spareBound_;
   /// The last accepted program image, replayed by reset().
   std::vector<BitVector> programWords_;
   std::vector<std::pair<std::uint64_t, BitVector>> programData_;

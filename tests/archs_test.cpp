@@ -248,11 +248,11 @@ TEST(Archs, RoundTripAllBenchmarks) {
                                     << diags.dump();
       std::string rendered;
       for (std::uint64_t a = 0; a < prog->words.size();) {
-        auto inst = disasm.decodeAt(prog->words, a);
-        ASSERT_TRUE(inst.has_value()) << c.m->name << "/" << b.name
-                                      << " word " << a;
-        rendered += disasm.render(*inst) + "\n";
-        a += inst->sizeWords;
+        sim::DecodedProgram decoded;
+        ASSERT_TRUE(disasm.decodeAt(prog->words, a, decoded))
+            << c.m->name << "/" << b.name << " word " << a;
+        rendered += disasm.render(decoded, a) + "\n";
+        a += decoded.byAddress[a].sizeWords;
       }
       DiagnosticEngine diags2;
       auto prog2 = assembler.assemble(rendered, diags2);

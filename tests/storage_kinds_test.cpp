@@ -118,13 +118,14 @@ TEST(StorageKinds, EnumTokenWithSparseValues) {
   // out with p = 2 (not a member): opcode 5, p bits [11:10] = 2.
   std::vector<BitVector> mem = {BitVector(16, (5u << 12) | (2u << 10))};
   std::string err;
-  EXPECT_FALSE(disasm.decodeAt(mem, 0, &err).has_value());
+  sim::DecodedProgram decoded;
+  EXPECT_FALSE(disasm.decodeAt(mem, 0, decoded, &err));
   EXPECT_NE(err.find("not a member"), std::string::npos);
+  EXPECT_TRUE(decoded.ops.empty() && decoded.params.empty());
   // p = 3 ("status") decodes fine.
   mem[0] = BitVector(16, (5u << 12) | (3u << 10));
-  auto inst = disasm.decodeAt(mem, 0, &err);
-  ASSERT_TRUE(inst.has_value()) << err;
-  EXPECT_EQ(disasm.render(*inst), "out status");
+  ASSERT_TRUE(disasm.decodeAt(mem, 0, decoded, &err)) << err;
+  EXPECT_EQ(disasm.render(decoded, 0), "out status");
 }
 
 TEST(StorageKinds, StackOverflowTrapsAtRuntime) {
