@@ -14,9 +14,12 @@
 // (default) and the tree-walking interpreter it replaced. Both are measured;
 // the headline `xsim_cycles_per_sec` key is the uop engine, and
 // `uop_speedup_vs_interp` records the compiled core's gain (docs/PERFORMANCE.md
-// explains how to read the JSON).
+// explains how to read the JSON). A last row times the bound engine's issue
+// path over all 12 bundled programs (`ns_per_issue`, `uops_per_issue`).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench_util.h"
 
@@ -124,6 +127,73 @@ void printTable1(ResultSink& sink) {
               "replaced.\n\n");
 }
 
+/// The bound engine's issue path on the `sim` op set of perfbench: every
+/// bundled arch x kernel, each on an Xsim built and loaded once, reset and
+/// run to halt per pass. `ns_per_issue` is a pass's wall clock over the
+/// instructions it issues (the median of five rounds); `uops_per_issue` the
+/// micro-ops of the issued records, both phases, weighted by how often each
+/// address issues (a branch's skipped arm counts too).
+void printBoundIssueRow(ResultSink& sink) {
+  struct ArchKernels {
+    std::unique_ptr<Machine> (*loader)();
+    std::vector<archs::Benchmark> (*benchmarks)();
+  };
+  const ArchKernels all[] = {{archs::loadSpam, archs::spamBenchmarks},
+                             {archs::loadSpam2, archs::spam2Benchmarks},
+                             {archs::loadSrep, archs::srepBenchmarks},
+                             {archs::loadTdsp, archs::tdspBenchmarks}};
+  struct Program {
+    std::unique_ptr<sim::Xsim> xsim;
+    std::uint64_t budget;
+  };
+  std::vector<std::unique_ptr<Machine>> machines;
+  std::vector<Program> programs;
+  for (const ArchKernels& a : all) {
+    machines.push_back(a.loader());
+    for (const archs::Benchmark& b : a.benchmarks()) {
+      auto xsim = std::make_unique<sim::Xsim>(*machines.back());
+      std::string err;
+      if (!xsim->loadProgram(assembleOrDie(xsim->signatures(), b.source),
+                             &err))
+        throw IsdlError(err);
+      programs.push_back({std::move(xsim), b.maxCycles});
+    }
+  }
+  auto pass = [&] {
+    for (Program& p : programs) {
+      p.xsim->reset();
+      if (p.xsim->run(p.budget).reason != sim::StopReason::Halted)
+        throw IsdlError("bench program did not halt");
+    }
+  };
+
+  std::uint64_t issues = 0, uops = 0;
+  for (Program& p : programs) {
+    const sim::uop::BoundProgram& bound = p.xsim->boundProgram();
+    p.xsim->setTraceCallback([&](std::uint64_t addr) {
+      ++issues;
+      uops += bound.byAddress[addr].end;
+    });
+  }
+  pass();
+  for (Program& p : programs) p.xsim->setTraceCallback(nullptr);
+
+  std::vector<double> nsPerIssue;
+  for (int round = 0; round < 5; ++round) {
+    auto [iters, seconds] = timeLoop(pass, 0.2);
+    nsPerIssue.push_back(seconds * 1e9 / double(iters * issues));
+  }
+  std::sort(nsPerIssue.begin(), nsPerIssue.end());
+  const double ns = nsPerIssue[2];
+  const double perIssue = double(uops) / double(issues);
+  std::printf("Bound engine on the 12 bundled programs: %llu issues per "
+              "pass, %.1f ns per issue, %.2f micro-ops per issue\n\n",
+              static_cast<unsigned long long>(issues), ns, perIssue);
+  sink.add("issues_per_pass", double(issues));
+  sink.add("ns_per_issue", ns);
+  sink.add("uops_per_issue", perIssue);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,5 +202,6 @@ int main(int argc, char** argv) {
   ResultSink sink("table1_sim_speed");
   sink.note("paper", "XSIM 370000 cycles/sec, Verilog model 879, 421x");
   printTable1(sink);
+  printBoundIssueRow(sink);
   return 0;
 }

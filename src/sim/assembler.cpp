@@ -146,6 +146,10 @@ class Assembler::Impl {
 
     AssembledProgram prog;
     // ---- pass 1: parse, choose operations/options, lay out addresses ----
+    // The location counter never passes the end of instruction memory, so
+    // it cannot wrap and pass 2 never sizes an image the memory cannot
+    // hold.
+    const std::uint64_t depth = machine_.storages[machine_.imemIndex].depth;
     std::uint64_t address = 0;
     unsigned lineNo = 0;
     for (std::size_t start = 0; start <= source.size();) {
@@ -181,26 +185,31 @@ class Assembler::Impl {
       line.address = address;
       const std::string_view directive = toks_[pos_].text;
       if (directive == ".org") {
-        ++pos_;
+        const std::size_t operand = ++pos_;
         std::int64_t v;
         if (!expectNumber(v)) return std::nullopt;
-        if (static_cast<std::uint64_t>(v) < address) {
+        const std::uint64_t target = static_cast<std::uint64_t>(v);
+        if (target < address) {
           error(".org cannot move backwards");
           return std::nullopt;
         }
-        address = static_cast<std::uint64_t>(v);
+        if (target > depth) {
+          pos_ = operand;
+          error(cat(".org ", target, " is past the end of instruction memory "
+                    "(depth ", depth, ")"));
+          return std::nullopt;
+        }
+        address = target;
         // Re-point any labels defined on this same line at the new address.
         for (auto& [name, a] : symbols_)
           if (a == line.address) a = address;
-        continue;
-      }
-      if (directive == ".word") {
+      } else if (directive == ".word") {
         ++pos_;
         std::int64_t v;
         if (!expectNumber(v)) return std::nullopt;
         line.isWord = true;
         line.word = static_cast<std::uint64_t>(v);
-        address += 1;
+        line.sizeWords = 1;
       } else if (directive == ".dm") {
         ++pos_;
         std::int64_t a, v;
@@ -211,15 +220,23 @@ class Assembler::Impl {
             dm >= 0 ? machine_.storages[dm].width : machine_.wordWidth;
         prog.dataInit.emplace_back(static_cast<std::uint64_t>(a),
                                    BitVector::fromInt(dmWidth, v));
-      } else {
-        if (!parseInstruction(line)) return std::nullopt;
-        address += line.sizeWords;
+      } else if (!parseInstruction(line)) {
+        return std::nullopt;
       }
       if (pos_ != toks_.size()) {
         error(cat("trailing junk '", toks_[pos_].text, "'"));
         return std::nullopt;
       }
-      if (line.isWord || line.numOps != 0) lines_.push_back(line);
+      if (line.isWord || line.numOps != 0) {
+        if (line.sizeWords > depth - address) {
+          error(cat(line.isWord ? ".word" : "instruction", " at address ",
+                    address, " does not fit in instruction memory (depth ",
+                    depth, ")"));
+          return std::nullopt;
+        }
+        address += line.sizeWords;
+        lines_.push_back(line);
+      }
     }
 
     // ---- pass 2: resolve labels, paint bits ----

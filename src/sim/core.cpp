@@ -56,18 +56,20 @@ class ExecEngine::OpContext final : public rtl::EvalContext {
   const DecodedParam* dparams_;
 };
 
-ExecEngine::ExecEngine(const Machine& machine, State& state)
+ExecEngine::ExecEngine(const Machine& machine, State& state, Stats& stats)
     : machine_(machine),
       state_(state),
+      stats_(stats),
+      pcIndex_(unsigned(machine.pcIndex)),
       pendingBySi_(machine.storages.size(), 0) {}
 
 void ExecEngine::reset() {
   pending_.clear();
   pendingHead_ = 0;
+  stageMark_ = 0;
   wide_.clear();
   wideFree_.clear();
   std::fill(pendingBySi_.begin(), pendingBySi_.end(), 0);
-  stagedLocal_.clear();
   busyUntil_ = 0;
   busyField_ = 0;
   cycle_ = 0;
@@ -80,7 +82,7 @@ void ExecEngine::overlayPending(unsigned si, std::uint64_t elem,
                                 Forward forward) const {
   if (heat_) heat_->countRead(si, elem);
   if (pendingBySi_[si] == 0) return;  // nothing in flight for this storage
-  for (std::size_t i = pendingHead_; i < pending_.size(); ++i) {
+  for (std::size_t i = pendingHead_; i < stageMark_; ++i) {
     const Pending& p = pending_[i];
     if (p.si != si || p.elem != elem) continue;
     if (phaseB_) {
@@ -113,8 +115,8 @@ BitVector ExecEngine::readLoc(unsigned si, std::uint64_t elem) const {
   return v;
 }
 
-std::uint64_t ExecEngine::readNarrow(unsigned si, std::uint64_t elem) const {
-  std::uint64_t v = state_.readWord(si, elem);
+std::uint64_t ExecEngine::overlayNarrow(unsigned si, std::uint64_t elem,
+                                        std::uint64_t v) const {
   overlayPending(si, elem, [&](const Pending& p) {
     v = p.hasSlice ? narrow::withSlice(v, p.hi, p.lo, p.value) : p.value;
   });
@@ -133,46 +135,65 @@ std::uint32_t ExecEngine::allocWide(BitVector&& value) {
 }
 
 void ExecEngine::discardStaged() {
-  for (const Pending& p : stagedLocal_)
-    if (isWide(p.si)) wideFree_.push_back(std::uint32_t(p.value));
-  stagedLocal_.clear();
+  for (std::size_t i = stageMark_; i < pending_.size(); ++i)
+    if (isWide(pending_[i].si))
+      wideFree_.push_back(std::uint32_t(pending_[i].value));
+  pending_.erase(pending_.begin() + std::ptrdiff_t(stageMark_),
+                 pending_.end());
 }
 
-void ExecEngine::insertPending(const Pending& p) {
-  // Keep the queue sorted by commit cycle — retirement order — so
-  // commitUpTo pops a prefix instead of stable_sorting the whole vector. A
-  // new entry goes after every entry retiring in the same cycle, so later
-  // writes win deterministically.
-  ++pendingBySi_[p.si];
-  // Common case: staging order already matches retirement order (equal
-  // latencies), so the new entry appends.
-  if (pending_.size() == pendingHead_ ||
-      pending_.back().commitCycle <= p.commitCycle) {
-    pending_.push_back(p);
-    return;
+void ExecEngine::publishStaged(std::uint64_t windowEnd) {
+  // The in-flight entries stay sorted by commit cycle — retirement order —
+  // so commitUpTo pops a prefix. A staged entry goes after every entry
+  // retiring in the same cycle, so later writes win deterministically. In
+  // the common case staging order already is retirement order (equal
+  // latencies) and the entry stays where it was built.
+  const std::size_t end = pending_.size();
+  for (std::size_t i = stageMark_; i < end; ++i) {
+    Pending& p = pending_[i];
+    const std::uint64_t c = p.commitCycle;
+    if (c > windowEnd) {
+      p.indexed = true;
+      ++pendingBySi_[p.si];
+    }
+    if (i == pendingHead_ || pending_[i - 1].commitCycle <= c) continue;
+    const auto first = pending_.begin() + std::ptrdiff_t(pendingHead_);
+    const auto it = pending_.begin() + std::ptrdiff_t(i);
+    const auto to = std::upper_bound(
+        first, it, c,
+        [](std::uint64_t cc, const Pending& q) { return cc < q.commitCycle; });
+    std::rotate(to, it, it + 1);
   }
-  auto it = std::upper_bound(pending_.begin() + std::ptrdiff_t(pendingHead_),
-                             pending_.end(), p.commitCycle,
-                             [](std::uint64_t c, const Pending& q) {
-                               return c < q.commitCycle;
-                             });
-  pending_.insert(it, p);
+  stageMark_ = end;
 }
 
-void ExecEngine::commitUpTo(std::uint64_t cycleInclusive) {
-  // pending_ is sorted by commit cycle: retire the due prefix.
+void ExecEngine::indexAll() {
+  for (std::size_t i = pendingHead_; i < pending_.size(); ++i) {
+    Pending& p = pending_[i];
+    if (p.indexed) continue;
+    p.indexed = true;
+    ++pendingBySi_[p.si];
+  }
+}
+
+void ExecEngine::retireDue(std::uint64_t cycleInclusive) {
+  // The in-flight entries are sorted by commit cycle: retire the due
+  // prefix. Nothing is staged while this runs.
   std::size_t i = pendingHead_;
-  if (i == pending_.size() || pending_[i].commitCycle > cycleInclusive)
-    return;
-  for (; i < pending_.size(); ++i) {
+  const std::size_t n = pending_.size();
+  for (; i < n; ++i) {
     const Pending& p = pending_[i];
     if (p.commitCycle > cycleInclusive) break;
-    --pendingBySi_[p.si];
+    if (p.indexed) --pendingBySi_[p.si];
+    // Every element was checked against the storage's depth before it was
+    // staged: at bind time for a constant index, by SetLv, or by
+    // resolveLvalue.
     if (!isWide(p.si)) {
       std::uint64_t v = p.value;
       if (p.hasSlice)
-        v = narrow::withSlice(state_.readWord(p.si, p.elem), p.hi, p.lo, v);
-      state_.writeWord(p.si, p.elem, v, p.commitCycle);
+        v = narrow::withSlice(state_.wordInRange(p.si, p.elem), p.hi, p.lo,
+                              v);
+      state_.writeWordInRange(p.si, p.elem, v, p.commitCycle);
     } else {
       BitVector& w = wide_[p.value];
       state_.write(p.si, p.elem,
@@ -191,21 +212,22 @@ void ExecEngine::commitUpTo(std::uint64_t cycleInclusive) {
                       .cycle = p.commitCycle,
                       .dur = 1,
                       .addr = p.instrId});
-    if (static_cast<int>(p.si) == machine_.pcIndex) pcCommitted_ = true;
+    if (p.si == pcIndex_) pcCommitted_ = true;
   }
-  if (i == pending_.size()) {
+  if (i == n) {
     pending_.clear();
     pendingHead_ = 0;
   } else {
     pendingHead_ = i;
     // Reclaim the retired prefix once it outweighs the live entries, so a
     // queue that never empties stays bounded at amortised O(1) per entry.
-    if (pendingHead_ > 32 && 2 * pendingHead_ > pending_.size()) {
+    if (pendingHead_ > 32 && 2 * pendingHead_ > n) {
       pending_.erase(pending_.begin(),
                      pending_.begin() + std::ptrdiff_t(pendingHead_));
       pendingHead_ = 0;
     }
   }
+  stageMark_ = pending_.size();
 }
 
 void ExecEngine::advanceTo(std::uint64_t newCycle) {
@@ -215,8 +237,7 @@ void ExecEngine::advanceTo(std::uint64_t newCycle) {
   }
 }
 
-void ExecEngine::stageWrite(const uop::WriteSlot& lv, std::uint64_t word,
-                            BitVector* wide) {
+void ExecEngine::checkConflict(const uop::WriteSlot& lv) const {
   // Two statements of the same instruction phase driving the same bits is
   // write contention, whatever their latencies — one functional unit's
   // write port cannot carry both (and the flow-through hardware model
@@ -224,31 +245,18 @@ void ExecEngine::stageWrite(const uop::WriteSlot& lv, std::uint64_t word,
   // Cross-instruction write-after-write races are legal (the later
   // instruction wins, enforced by commit order); only two statements of the
   // same instruction phase driving the same bits are a description bug.
-  if (!stagedLocal_.empty()) {
-    const unsigned pHi =
-        lv.hasSlice ? lv.hi : machine_.storages[lv.si].width - 1;
-    const unsigned pLo = lv.hasSlice ? lv.lo : 0;
-    for (const Pending& q : stagedLocal_) {
-      if (q.si != lv.si || q.elem != lv.elem) continue;
-      const unsigned qHi = q.hasSlice ? q.hi : pHi;
-      const unsigned qLo = q.hasSlice ? q.lo : 0;
-      if (pLo <= qHi && qLo <= pHi)
-        throw EvalError(cat("write conflict: two RTL statements write ",
-                            machine_.storages[lv.si].name, "[", lv.elem,
-                            "] in the same cycle"));
-    }
+  const unsigned pHi = lv.hasSlice ? lv.hi : machine_.storages[lv.si].width - 1;
+  const unsigned pLo = lv.hasSlice ? lv.lo : 0;
+  for (std::size_t i = stageMark_; i < pending_.size(); ++i) {
+    const Pending& q = pending_[i];
+    if (q.si != lv.si || q.elem != lv.elem) continue;
+    const unsigned qHi = q.hasSlice ? q.hi : pHi;
+    const unsigned qLo = q.hasSlice ? q.lo : 0;
+    if (pLo <= qHi && qLo <= pHi)
+      throw EvalError(cat("write conflict: two RTL statements write ",
+                          machine_.storages[lv.si].name, "[", lv.elem,
+                          "] in the same cycle"));
   }
-  Pending p;
-  p.si = lv.si;
-  p.elem = lv.elem;
-  p.hasSlice = lv.hasSlice;
-  p.hi = lv.hi;
-  p.lo = lv.lo;
-  p.value = wide ? allocWide(std::move(*wide)) : word;
-  p.commitCycle = cycle_ + lv.latency - 1;
-  p.stallCost = lv.stallCost;
-  p.instrId = instrId_;
-  stagedLocal_.push_back(p);
 }
 
 uop::WriteSlot ExecEngine::resolveLvalue(const rtl::Lvalue& lv,
@@ -315,18 +323,29 @@ void ExecEngine::execOptionSideEffects(const OpContext& ctx, unsigned latency,
   }
 }
 
-ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
-                                        const DecodedInstruction& inst,
-                                        uop::BoundProgram* bound) {
-  IssueInfo info;
+void ExecEngine::interpretPhase(const DecodedOp* ops,
+                                const std::vector<OpContext>& ctxs,
+                                bool phaseB) {
+  for (std::size_t f = 0; f < ctxs.size(); ++f) {
+    const DecodedOp& dop = ops[f];
+    const Operation& op = machine_.fields[f].operations[dop.opIndex];
+    execStmts(phaseB ? op.sideEffects : op.action, ctxs[f], dop.effLatency,
+              dop.effStall);
+    if (phaseB) execOptionSideEffects(ctxs[f], dop.effLatency, dop.effStall);
+  }
+}
+
+bool ExecEngine::issue(const DecodedProgram& program,
+                       const DecodedInstruction& inst,
+                       uop::BoundProgram* bound) {
   ++instrId_;
 
   // Structural hazards: every functional unit the instruction touches must
   // be free (Usage timing, paper §2.1.3).
+  std::uint64_t structStall = 0;
   if (busyUntil_ > cycle_) {
-    info.structStallCycles = busyUntil_ - cycle_;
-    if (statsSink_)
-      statsSink_->structStallsByField[busyField_] += busyUntil_ - cycle_;
+    structStall = busyUntil_ - cycle_;
+    stats_.structStallsByField[busyField_] += structStall;
     if (trace_)
       trace_->record({.kind = obs::EventKind::StructStall,
                       .field = static_cast<std::uint16_t>(busyField_),
@@ -334,26 +353,34 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
                       .storage = 0,
                       .elem = 0,
                       .cycle = cycle_,
-                      .dur = static_cast<std::uint32_t>(busyUntil_ - cycle_),
+                      .dur = static_cast<std::uint32_t>(structStall),
                       .addr = inst.address});
     advanceTo(busyUntil_);
   }
 
-  // Interpreter path only: per-field evaluation contexts are invariant
-  // across the phase-A hazard-retry loop, so they are hoisted and a retry
-  // redoes only the evaluation itself. The bound path has no per-issue
-  // allocations at all.
+  // Interpreter only: per-field evaluation contexts are invariant across
+  // the phase-A hazard-retry loop, so they are built once and a retry
+  // redoes only the evaluation itself. The bound records need none.
   const DecodedOp* ops = program.opsOf(inst);
-  const std::size_t numFields = machine_.fields.size();
   std::vector<OpContext> ctxs;
   if (!bound) {
+    const std::size_t numFields = machine_.fields.size();
     ctxs.reserve(numFields);
     for (std::size_t f = 0; f < numFields; ++f)
       ctxs.emplace_back(*this, program,
                         machine_.fields[f].operations[ops[f].opIndex].params,
                         program.paramsOf(ops[f]));
   }
+  auto runPhase = [&](bool phaseB) {
+    stageMark_ = pending_.size();
+    phaseB_ = phaseB;
+    if (bound)
+      execProgram(*bound, inst.address, phaseB);
+    else
+      interpretPhase(ops, ctxs, phaseB);
+  };
 
+  std::uint64_t dataStall = 0;
   try {
     // Phase A with hazard-probe retry: evaluate all actions against the
     // pre-cycle state; a read of a location with a pending interlocked write
@@ -362,20 +389,10 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
     for (;;) {
       if (cycle_ > 0) commitUpTo(cycle_ - 1);
       requiredStall_ = 0;
-      phaseB_ = false;
-      if (bound) {
-        execProgram(*bound, inst.address, false);
-      } else {
-        for (std::size_t f = 0; f < numFields; ++f) {
-          const DecodedOp& dop = ops[f];
-          execStmts(machine_.fields[f].operations[dop.opIndex].action,
-                    ctxs[f], dop.effLatency, dop.effStall);
-        }
-      }
+      runPhase(false);
       if (requiredStall_ == 0) break;
-      info.dataStallCycles += requiredStall_;
-      if (statsSink_)
-        statsSink_->dataStallsByStorage[stallStorage_] += requiredStall_;
+      dataStall += requiredStall_;
+      stats_.dataStallsByStorage[stallStorage_] += requiredStall_;
       if (trace_)
         trace_->record({.kind = obs::EventKind::DataStall,
                         .field = 0,
@@ -390,34 +407,24 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
     }
 
     // Publish phase-A writes, then run phase B (side effects observe them).
-    for (const Pending& w : stagedLocal_) insertPending(w);
-    stagedLocal_.clear();
-    phaseB_ = true;
-    if (bound) {
-      execProgram(*bound, inst.address, true);
-    } else {
-      for (std::size_t f = 0; f < numFields; ++f) {
-        const DecodedOp& dop = ops[f];
-        execStmts(machine_.fields[f].operations[dop.opIndex].sideEffects,
-                  ctxs[f], dop.effLatency, dop.effStall);
-        execOptionSideEffects(ctxs[f], dop.effLatency, dop.effStall);
-      }
+    const std::uint64_t windowEnd = cycle_ + inst.cycles - 1;
+    publishStaged(windowEnd);
+    if (!bound || bound->hasPhaseB(inst.address)) {
+      runPhase(true);
+      publishStaged(windowEnd);
+      phaseB_ = false;
     }
-    for (const Pending& w : stagedLocal_) insertPending(w);
-    stagedLocal_.clear();
-    phaseB_ = false;
-  } catch (const EvalError& e) {
+  } catch (...) {
     discardStaged();
+    indexAll();
     phaseB_ = false;
-    info.ok = false;
-    info.error = e.what();
-    return info;
+    throw;
   }
 
   // Record issue slots (nop slots are elided — an idle field is visible as
   // a gap in its trace row).
   if (trace_) {
-    for (std::size_t f = 0; f < numFields; ++f) {
+    for (std::size_t f = 0; f < machine_.fields.size(); ++f) {
       if (static_cast<int>(ops[f].opIndex) == machine_.fields[f].nopIndex)
         continue;
       trace_->record({.kind = obs::EventKind::Issue,
@@ -440,8 +447,10 @@ ExecEngine::IssueInfo ExecEngine::issue(const DecodedProgram& program,
   pcCommitted_ = false;
   commitUpTo(cycle_ + inst.cycles - 1);
   cycle_ += inst.cycles;
-  info.pcCommitted = pcCommitted_;
-  return info;
+  stats_.cycles = cycle_;
+  stats_.dataStallCycles += dataStall;
+  stats_.structStallCycles += structStall;
+  return pcCommitted_;
 }
 
 void ExecEngine::drain() {

@@ -20,7 +20,14 @@
 // (BitVector values through rtl::evalExpr, any width) and the bound
 // micro-op records of sim/uop.h (≤64-bit values through rtl/narrow_alu.h),
 // which Xsim passes in whenever the machine passes the narrow-width proof.
-// Both stage writes through the same delayed-write queue.
+// Both stage writes through the same delayed-write queue, and both run
+// through the one issue routine (ExecEngine::issue).
+//
+// The queue holds each write once. A write is built in its final place at
+// the queue's end behind a mark for the phase in progress; publishing the
+// phase counts its writes into the per-storage overlay index and moves any
+// that retires before a write already in flight back into commit-cycle
+// order. A stall retry or a trap truncates the queue to the mark.
 
 #ifndef ISDL_SIM_CORE_H
 #define ISDL_SIM_CORE_H
@@ -42,27 +49,26 @@ namespace isdl::sim {
 
 class ExecEngine {
  public:
-  ExecEngine(const Machine& machine, State& state);
-
-  struct IssueInfo {
-    bool ok = true;
-    std::string error;                    ///< runtime trap message when !ok
-    std::uint64_t dataStallCycles = 0;    ///< RAW interlock bubbles
-    std::uint64_t structStallCycles = 0;  ///< busy-functional-unit bubbles
-    /// True if a write to the program counter retired during this
-    /// instruction's cycle window; the scheduler then skips the sequential
-    /// PC increment (branch taken).
-    bool pcCommitted = false;
-  };
+  /// `stats` receives the stall cycles and their attribution and the cycle
+  /// count; the scheduler keeps the issue counts.
+  ExecEngine(const Machine& machine, State& state, Stats& stats);
 
   /// Executes `inst`, one instruction of `program`, starting at the current
   /// cycle; advances the cycle by the instruction's cycle cost plus any
   /// stalls. With `bound`, runs the instruction's record there (the program
   /// bound by uop::Binder::bind); without, interprets the decoded
-  /// instruction.
-  IssueInfo issue(const DecodedProgram& program,
-                  const DecodedInstruction& inst,
-                  uop::BoundProgram* bound = nullptr);
+  /// instruction. Returns true if a write to the program counter retired
+  /// during the instruction's cycle window; the scheduler then skips the
+  /// sequential PC increment (branch taken).
+  ///
+  /// A runtime trap (out-of-range access, write conflict, ...) throws
+  /// rtl::EvalError after dropping every write the trapping phase staged;
+  /// phase A's writes stay in flight when phase B traps. A trapping
+  /// instruction's stall cycles are attributed (by storage and by field)
+  /// but not added to the Stats totals, and the Stats cycle count stays
+  /// where the last completed instruction left it.
+  bool issue(const DecodedProgram& program, const DecodedInstruction& inst,
+             uop::BoundProgram* bound = nullptr);
 
   std::uint64_t cycle() const { return cycle_; }
 
@@ -78,39 +84,61 @@ class ExecEngine {
   /// Heatmap receiving one countRead per architectural read the core
   /// performs (State counts the writes, see Xsim::enableProfile).
   void setHeatmap(obs::StorageHeatmap* heat) { heat_ = heat; }
-  /// Stats whose stall-attribution vectors the engine fills (sized by the
-  /// owner; the aggregate counters stay owned by the scheduler).
-  void setStatsSink(Stats* stats) { statsSink_ = stats; }
 
  private:
-  /// One staged or in-flight write. Trivially copyable: the value of a
-  /// storage at most 64 bits wide is the word itself, and a wider storage's
-  /// value sits in wide_, `value` being its index there.
+  /// One delayed write, staged or in flight, built once in its place in
+  /// the queue. Trivially copyable: the value of a storage at most 64 bits
+  /// wide is the word itself, and a wider storage's value sits in wide_,
+  /// `value` being its index there.
   struct Pending {
-    unsigned si = 0;
-    bool hasSlice = false;
-    unsigned hi = 0, lo = 0;
-    std::uint64_t elem = 0;
-    std::uint64_t value = 0;
-    std::uint64_t commitCycle = 0;  ///< retires at the END of this cycle
-    unsigned stallCost = 0;         ///< producer's Stall; 0 = bypassable
-    std::uint64_t instrId = 0;      ///< issuing instruction (for phase B)
+    Pending(const uop::WriteSlot& lv, std::uint64_t v, std::uint64_t cycle,
+            std::uint64_t id)
+        : elem(lv.elem),
+          value(v),
+          commitCycle(cycle + lv.latency - 1),
+          instrId(id),
+          si(lv.si),
+          stallCost(lv.stallCost),
+          hi(std::uint16_t(lv.hi)),
+          lo(std::uint16_t(lv.lo)),
+          hasSlice(lv.hasSlice),
+          indexed(false) {}
+
+    std::uint64_t elem;
+    std::uint64_t value;
+    std::uint64_t commitCycle;  ///< retires at the END of this cycle
+    std::uint64_t instrId;      ///< issuing instruction (for phase B)
+    std::uint32_t si;
+    std::uint32_t stallCost;    ///< producer's Stall; 0 = bypassable
+    std::uint16_t hi, lo;       ///< slice bounds (at most 4095)
+    bool hasSlice;
+    /// Counted in pendingBySi_. A write that retires inside its own
+    /// instruction's cycle window is not: no other instruction's read can
+    /// see it in flight, and its own phase-B reads skip it anyway.
+    bool indexed;
   };
 
   const Machine& machine_;
   State& state_;
-  /// Delayed-write queue from pendingHead_ on, kept sorted by commit cycle
-  /// (staging order within one) on insert, so commitUpTo retires a prefix by
-  /// advancing the head instead of re-sorting or shifting every call.
+  Stats& stats_;
+  const unsigned pcIndex_;
+  /// The delayed-write queue. Entries [pendingHead_, stageMark_) are in
+  /// flight, sorted by commit cycle and, within one, by staging order, so
+  /// commitUpTo retires a prefix by advancing the head. Entries from
+  /// stageMark_ on are the writes the phase in progress has staged, in
+  /// staging order: reads do not see them, a stall retry or a trap drops
+  /// them by truncating the queue to the mark, and publishStaged moves the
+  /// mark past them, moving each back into commit order as it goes.
   std::vector<Pending> pending_;
   std::size_t pendingHead_ = 0;
+  std::size_t stageMark_ = 0;
   /// Values of pending writes to storages wider than 64 bits, and the free
   /// entries among them.
   std::vector<BitVector> wide_;
   std::vector<std::uint32_t> wideFree_;
-  /// Overlay index: pending-entry count per storage. readLoc skips the
-  /// pending scan entirely for storages with nothing in flight (the common
-  /// case), which is what de-quadratifies the read path.
+  /// Overlay index: indexed in-flight entries per storage. readLoc skips
+  /// the pending scan entirely for storages with nothing in flight (the
+  /// common case), which is what de-quadratifies the read path.
   std::vector<std::uint32_t> pendingBySi_;
   /// Every instruction occupies every field's unit for its effective Usage
   /// from its issue cycle, so the unit that frees last is the one with the
@@ -125,12 +153,10 @@ class ExecEngine {
   mutable std::uint64_t requiredStall_ = 0;
   mutable unsigned stallStorage_ = 0;  ///< producer of the largest stall
   bool phaseB_ = false;
-  std::vector<Pending> stagedLocal_;
 
   // XTRACE observers (null when disabled).
   obs::TraceBuffer* trace_ = nullptr;
   obs::StorageHeatmap* heat_ = nullptr;
-  Stats* statsSink_ = nullptr;
 
   class OpContext;
 
@@ -142,15 +168,42 @@ class ExecEngine {
   /// Reads a location through the overlay: the interpreter's BitVector read.
   BitVector readLoc(unsigned si, std::uint64_t elem) const;
   /// The same read on the low word, for storages at most 64 bits wide (the
-  /// micro-op engine's reads).
-  std::uint64_t readNarrow(unsigned si, std::uint64_t elem) const;
-  void commitUpTo(std::uint64_t cycleInclusive);
+  /// micro-op engine's reads). Inline, because most reads find nothing in
+  /// flight and no heatmap to count in.
+  std::uint64_t readNarrow(unsigned si, std::uint64_t elem) const {
+    const std::uint64_t v = state_.readWord(si, elem);
+    if (heat_ || pendingBySi_[si] != 0) return overlayNarrow(si, elem, v);
+    return v;
+  }
+  /// readNarrow's overlay of the in-flight writes on the state word `v`.
+  std::uint64_t overlayNarrow(unsigned si, std::uint64_t elem,
+                              std::uint64_t v) const;
+  /// Retires every in-flight write due by the end of `cycleInclusive`.
+  void commitUpTo(std::uint64_t cycleInclusive) {
+    if (pendingHead_ != pending_.size() &&
+        pending_[pendingHead_].commitCycle <= cycleInclusive)
+      retireDue(cycleInclusive);
+  }
+  void retireDue(std::uint64_t cycleInclusive);
   void advanceTo(std::uint64_t newCycle);
-  void insertPending(const Pending& p);
   /// Stages a write of `word`, or of `*wide` when the storage is wider than
-  /// 64 bits; throws on a write conflict within the phase.
+  /// 64 bits, at the end of the queue; throws on a write conflict within
+  /// the phase.
   void stageWrite(const uop::WriteSlot& lv, std::uint64_t word,
-                  BitVector* wide);
+                  BitVector* wide) {
+    if (pending_.size() != stageMark_) checkConflict(lv);
+    pending_.emplace_back(lv, wide ? allocWide(std::move(*wide)) : word,
+                          cycle_, instrId_);
+  }
+  /// Throws if a write the phase has staged drives a bit `lv` drives.
+  void checkConflict(const uop::WriteSlot& lv) const;
+  /// Puts the phase's staged writes in flight; those retiring after
+  /// `windowEnd`, the last cycle of the issuing instruction, go into the
+  /// overlay index.
+  void publishStaged(std::uint64_t windowEnd);
+  /// Indexes every in-flight write, for a trap that leaves the issuing
+  /// instruction's writes in flight past its window.
+  void indexAll();
   /// Drops the writes staged by the phase in progress.
   void discardStaged();
   std::uint32_t allocWide(BitVector&& value);
@@ -161,6 +214,10 @@ class ExecEngine {
                  unsigned latency, unsigned stallCost);
   void execOptionSideEffects(const OpContext& ctx, unsigned latency,
                              unsigned stallCost);
+  /// Interprets phase A (or, with `phaseB`, phase B) of the instruction
+  /// whose per-field contexts are `ctxs`.
+  void interpretPhase(const DecodedOp* ops, const std::vector<OpContext>& ctxs,
+                      bool phaseB);
   /// Runs phase A (or, with `phaseB`, phase B) of the bound record at
   /// `address`: the micro-op dispatch loop, defined in uop.cpp.
   void execProgram(uop::BoundProgram& prog, std::uint64_t address,

@@ -66,6 +66,9 @@ struct DecodedInstruction {
   /// the functional unit the instruction keeps busy longest.
   unsigned usage = 1;
   unsigned usageField = 0;
+  /// True when the instruction holds the machine's halt operation
+  /// (Machine::haltOp): the simulator stops after issuing it.
+  bool halts = false;
 };
 
 /// A fully decoded program: the off-line disassembly cache.

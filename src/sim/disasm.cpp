@@ -186,6 +186,8 @@ bool Disassembler::decodeImage(const BitVector& image, std::uint64_t addr,
             machine_->nonTerminals[op.params[p].index].options[dp.ntOption],
             dop);
     }
+    const std::optional<OpRef>& halt = machine_->haltOp;
+    if (halt && halt->fieldIndex == f && halt->opIndex == o) inst.halts = true;
     maxCycles = std::max(maxCycles, dop.effCycle);
     maxSize = std::max(maxSize, dop.effSize);
     if (f == 0 || dop.effUsage > inst.usage) {

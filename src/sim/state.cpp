@@ -27,7 +27,8 @@ void Monitors::fire(const WriteEvent& event) const {
   }
 }
 
-State::State(const Machine& machine) : machine_(&machine) {
+State::State(const Machine& machine)
+    : machine_(&machine), pcIndex_(unsigned(machine.pcIndex)) {
   // Every bound is checked against the vector's capacity before the one
   // allocation, so a description whose storages cannot be counted in words
   // (a 2^63-deep 128-bit memory wraps a 64-bit product to 0) is rejected
@@ -96,6 +97,11 @@ void State::write(unsigned si, std::uint64_t element, const BitVector& value,
   if (heat_) heat_->countWrite(si, element);
   if (!monitors_.empty())
     monitors_.fire({si, element, cycle, std::move(old), value});
+}
+
+void State::writeZeroExtended(unsigned si, std::uint64_t element,
+                              std::uint64_t value, std::uint64_t cycle) {
+  write(si, element, BitVector(layout_[si].width, value), cycle);
 }
 
 void State::fireWordWrite(unsigned si, std::uint64_t element,

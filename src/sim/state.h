@@ -99,17 +99,30 @@ class State {
   void write(unsigned si, std::uint64_t element, const BitVector& value,
              std::uint64_t cycle);
   /// Writes `value` truncated (or zero-extended) to the storage's width,
-  /// firing monitors when the value changes. The commit path of every
-  /// storage at most 64 bits wide: no BitVector is built unless a monitor
-  /// is armed.
+  /// firing monitors when the value changes. On a storage at most 64 bits
+  /// wide no BitVector is built unless a monitor is armed.
   void writeWord(unsigned si, std::uint64_t element, std::uint64_t value,
                  std::uint64_t cycle) {
-    Layout& l = layout_[si];
+    const Layout& l = layout_[si];
     if (l.wordsPerElement != 1) {
-      write(si, element, BitVector(l.width, value), cycle);
+      writeZeroExtended(si, element, value, cycle);
       return;
     }
-    std::uint64_t& w = *slot(si, element);
+    if (element >= l.depth) throwRangeError(si, element);
+    writeWordInRange(si, element, value, cycle);
+  }
+
+  /// readWord and writeWord for a storage at most 64 bits wide, at an
+  /// element the caller has already checked against the storage's depth:
+  /// the retire path of the delayed-write queue, which checks every element
+  /// when the write is staged.
+  std::uint64_t wordInRange(unsigned si, std::uint64_t element) const {
+    return words_[layout_[si].offset + element];
+  }
+  void writeWordInRange(unsigned si, std::uint64_t element,
+                        std::uint64_t value, std::uint64_t cycle) {
+    Layout& l = layout_[si];
+    std::uint64_t& w = words_[l.offset + element];
     value &= l.mask;
     if (w == value) return;
     const std::uint64_t old = w;
@@ -141,12 +154,13 @@ class State {
   };
 
   const Machine* machine_;
+  unsigned pcIndex_;
   std::vector<Layout> layout_;
   std::vector<std::uint64_t> words_;
   Monitors monitors_;
   obs::StorageHeatmap* heat_ = nullptr;
 
-  unsigned pcIndex() const { return static_cast<unsigned>(machine_->pcIndex); }
+  unsigned pcIndex() const { return pcIndex_; }
   const std::uint64_t* slot(unsigned si, std::uint64_t element) const {
     const Layout& l = layout_[si];
     if (element >= l.depth) throwRangeError(si, element);
@@ -159,6 +173,9 @@ class State {
     l.dirtyLo = std::min(l.dirtyLo, element);
     l.dirtyHi = std::max(l.dirtyHi, element + 1);
   }
+  /// writeWord on a storage wider than 64 bits.
+  void writeZeroExtended(unsigned si, std::uint64_t element,
+                         std::uint64_t value, std::uint64_t cycle);
   void fireWordWrite(unsigned si, std::uint64_t element, std::uint64_t old,
                      std::uint64_t cycle) const;
   [[noreturn]] void throwRangeError(unsigned si, std::uint64_t element) const;

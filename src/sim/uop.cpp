@@ -244,11 +244,15 @@ class RecordCompiler {
         return compileExpr(*opt.value, {opt.params, program_.subOf(dp)});
       }
       case ExprKind::Read:
-        return produce({.kind = Kind::ReadStorage, .a = e.storageIndex});
+        return produce({.kind = Kind::ReadStorage,
+                        .hi = std::uint16_t(e.width),
+                        .a = e.storageIndex});
       case ExprKind::ReadElem: {
         const Reg idx = compileExpr(*e.operands[0], ops);
-        return produce(
-            {.kind = Kind::ReadElem, .a = e.storageIndex, .b = idx.index});
+        return produce({.kind = Kind::ReadElem,
+                        .hi = std::uint16_t(e.width),
+                        .a = e.storageIndex,
+                        .b = idx.index});
       }
       case ExprKind::Slice: {
         const Reg a = compileExpr(*e.operands[0], ops);
@@ -629,11 +633,11 @@ void ExecEngine::execProgram(uop::BoundProgram& prog, std::uint64_t address,
     switch (u.kind) {
       case Kind::Move: regs[u.dst] = regs[u.a]; ++pc; break;
       case Kind::ReadStorage:
-        regs[u.dst] = {readNarrow(u.a, 0), state_.width(u.a)};
+        regs[u.dst] = {readNarrow(u.a, 0), u.hi};
         ++pc;
         break;
       case Kind::ReadElem:
-        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), state_.width(u.a)};
+        regs[u.dst] = {readNarrow(u.a, regs[u.b].v), u.hi};
         ++pc;
         break;
       case Kind::Slice:

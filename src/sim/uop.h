@@ -40,7 +40,8 @@
 // oracle (tests/fuzz_diff_test.cpp, tests/bound_diff_test.cpp): it walks the
 // decoded parameters and evaluates on BitVector through rtl::applyBinOp, so
 // it checks the binder and the narrow ALU rather than sharing them. Both
-// paths share the engine's pending-write overlay, so stall and latency
+// paths run through the engine's one issue routine and stage every write
+// once into its delayed-write queue (sim/core.h), so stall and latency
 // accounting is identical by construction.
 
 #ifndef ISDL_SIM_UOP_H
@@ -61,8 +62,9 @@ enum class Kind : std::uint8_t {
   // constant" uop: constants, operand values included, are registers the
   // binder preloads.
   Move,         ///< dst = reg a
-  ReadStorage,  ///< dst = storage a (through the pending-write overlay)
-  ReadElem,     ///< dst = storage a [ reg b ]
+  ReadStorage,  ///< dst = storage a, hi bits wide (through the pending-
+                ///< write overlay)
+  ReadElem,     ///< dst = storage a [ reg b ], hi bits wide
   Slice,        ///< dst = reg a [hi:lo]
   Unary,        ///< dst = unop<op>(reg a)
   Binary,       ///< dst = binop<op>(reg a, reg b)
@@ -132,6 +134,11 @@ struct BoundProgram {
   };
 
   std::vector<Record> byAddress;  ///< parallel to DecodedProgram::byAddress
+  /// True when the record at `address` has phase-B micro-ops (side
+  /// effects); the core skips an empty phase B.
+  bool hasPhaseB(std::uint64_t address) const {
+    return byAddress[address].phaseB != byAddress[address].end;
+  }
   std::vector<Uop> code;
   /// Constants are preloaded at bind time and never written; the other
   /// registers are the record's scratch values.

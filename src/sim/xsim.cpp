@@ -23,8 +23,7 @@ Xsim::Xsim(const Machine& machine)
       disasm_(sigs_),
       state_(machine),
       binder_(machine),
-      engine_(machine, state_) {
-  engine_.setStatsSink(&stats_);
+      engine_(machine, state_, stats_) {
   setUopEnabled(true);
   if (!sigs_.valid())
     throw IsdlError("assembly function is not decodeable:\n" +
@@ -118,45 +117,20 @@ void Xsim::reset() {
   state_.setPc(0, 0);
 }
 
-std::optional<RunResult> Xsim::executeOne() {
-  std::uint64_t addr = state_.pc();
-  if (!decoded_.hasInstructionAt(addr)) {
-    if (addr >= decoded_.byAddress.size())
-      return RunResult{StopReason::PcOutOfRange,
-                       cat("PC = ", addr, " is outside the loaded program (",
-                           decoded_.byAddress.size(), " words)")};
-    // Rebuild the message with a fresh decode attempt.
-    const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
-    std::vector<BitVector> image;
-    for (std::size_t i = 0; i < decoded_.byAddress.size(); ++i)
-      image.push_back(state_.read(imem, i));
-    std::string msg;
-    DecodedProgram scratch;
-    disasm_.decodeAt(image, addr, scratch, &msg);
-    return RunResult{StopReason::IllegalInstruction, msg};
-  }
-
-  const DecodedInstruction& inst = decoded_.byAddress[addr];
-  if (trace_) trace_(addr);
-
-  ExecEngine::IssueInfo info =
-      engine_.issue(decoded_, inst, useBound_ ? &bound_ : nullptr);
-  if (!info.ok)
-    return RunResult{StopReason::RuntimeError,
-                     cat("at address ", addr, ": ", info.error)};
-
-  ++issues_[addr];
-  stats_.dataStallCycles += info.dataStallCycles;
-  stats_.structStallCycles += info.structStallCycles;
-  stats_.cycles = engine_.cycle();
-
-  if (!info.pcCommitted)
-    state_.setPc(addr + inst.sizeWords, engine_.cycle());
-
-  const std::optional<OpRef>& halt = machine_->haltOp;
-  if (halt && decoded_.opsOf(inst)[halt->fieldIndex].opIndex == halt->opIndex)
-    return RunResult{StopReason::Halted, {}};
-  return std::nullopt;
+RunResult Xsim::undecodedStop(std::uint64_t addr) const {
+  if (addr >= decoded_.byAddress.size())
+    return {StopReason::PcOutOfRange,
+            cat("PC = ", addr, " is outside the loaded program (",
+                decoded_.byAddress.size(), " words)")};
+  // Rebuild the message with a fresh decode attempt.
+  const unsigned imem = static_cast<unsigned>(machine_->imemIndex);
+  std::vector<BitVector> image;
+  for (std::size_t i = 0; i < decoded_.byAddress.size(); ++i)
+    image.push_back(state_.read(imem, i));
+  std::string msg;
+  DecodedProgram scratch;
+  disasm_.decodeAt(image, addr, scratch, &msg);
+  return {StopReason::IllegalInstruction, msg};
 }
 
 void Xsim::foldIssues() {
@@ -183,31 +157,46 @@ struct Xsim::FoldOnReturn {
 RunResult Xsim::run(std::uint64_t maxCycles) {
   ++registry_.counter("sim/runs");
   obs::ScopedTimer timer = registry_.time("sim/run_ns");
+  return execute(maxCycles, ~std::uint64_t{0}, true);
+}
+
+RunResult Xsim::step(std::uint64_t n) {
+  return execute(~std::uint64_t{0}, n, false);
+}
+
+RunResult Xsim::execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
+                        bool breakpoints) {
   FoldOnReturn fold{*this};
-  bool first = true;
-  for (;;) {
+  uop::BoundProgram* const bound = useBound_ ? &bound_ : nullptr;
+  for (bool first = true;; first = false) {
     if (engine_.cycle() >= maxCycles)
       return {StopReason::MaxCycles,
               cat("cycle budget of ", maxCycles, " exhausted")};
-    std::uint64_t addr = state_.pc();
-    if (!first && breakpoints_.count(addr)) {
+    if (maxInstructions-- == 0) return {StopReason::MaxInstructions, {}};
+    const std::uint64_t addr = state_.pc();
+    if (breakpoints && !first && !breakpoints_.empty() &&
+        breakpoints_.count(addr)) {
       if (breakpointHook_) {
         foldIssues();
         breakpointHook_(addr);
       }
       return {StopReason::Breakpoint, cat("breakpoint at address ", addr)};
     }
-    first = false;
-    if (auto stop = executeOne()) return *stop;
-  }
-}
+    if (!decoded_.hasInstructionAt(addr)) return undecodedStop(addr);
 
-RunResult Xsim::step(std::uint64_t n) {
-  FoldOnReturn fold{*this};
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (auto stop = executeOne()) return *stop;
+    const DecodedInstruction& inst = decoded_.byAddress[addr];
+    if (trace_) trace_(addr);
+    bool branched;
+    try {
+      branched = engine_.issue(decoded_, inst, bound);
+    } catch (const rtl::EvalError& e) {
+      return {StopReason::RuntimeError,
+              cat("at address ", addr, ": ", e.what())};
+    }
+    ++issues_[addr];
+    if (!branched) state_.setPc(addr + inst.sizeWords, engine_.cycle());
+    if (inst.halts) return {StopReason::Halted, {}};
   }
-  return {StopReason::MaxInstructions, {}};
 }
 
 // --- XTRACE observability ----------------------------------------------------

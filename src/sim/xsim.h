@@ -187,8 +187,14 @@ class Xsim {
   obs::StorageHeatmap heat_;
   bool profiling_ = false;
 
-  /// Executes exactly one instruction; returns nullopt to continue.
-  std::optional<RunResult> executeOne();
+  /// The run loop behind run() and step(): issues instructions until the
+  /// cycle count reaches `maxCycles`, `maxInstructions` have issued, or
+  /// another stop; with `breakpoints`, stops before a breakpointed address
+  /// (but not before the first instruction).
+  RunResult execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
+                    bool breakpoints);
+  /// The stop at an address where no instruction was decoded.
+  RunResult undecodedStop(std::uint64_t addr) const;
   void initStats();
   /// Adds issues_ to stats_ and zeroes it.
   void foldIssues();

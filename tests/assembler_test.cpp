@@ -328,13 +328,18 @@ machine M {
 TEST(AssemblerDiagnostics, DiagnosticsArePinned) {
   // The exact text of every assembler error: line, column and wording. An
   // error found after the line's last token (pass 2's label and range
-  // checks, a constraint, a missing token) reports column 1.
+  // checks, a constraint, a missing token) reports column 1; an .org past
+  // the end of instruction memory points at its operand.
   struct Case {
     const char* isdl;
     const char* source;
     const char* dump;
   };
   const char* mini = testing::kMiniIsdl;
+  // MINI with room past its 8-bit jump targets.
+  std::string deep = mini;
+  deep.replace(deep.find("IM width 32 depth 256"), 21,
+               "IM width 32 depth 512");
   const Case cases[] = {
       {mini, "nop\nli R1, 0x\n", "2:8: error: bad number ''\n"},
       {mini, "li R1, 12ab\n", "1:8: error: bad number '12ab'\n"},
@@ -354,10 +359,21 @@ TEST(AssemblerDiagnostics, DiagnosticsArePinned) {
       {mini, "{ nop | mnop\n", "1:1: error: expected '}' or '|'\n"},
       {mini, "x: nop\n  x: nop\n", "2:3: error: duplicate label 'x'\n"},
       {mini, "nop\njmp nowhere\n", "2:1: error: undefined label 'nowhere'\n"},
-      {mini, ".org 300\nfar: nop\n.org 0\n",
+      {deep.c_str(), ".org 300\nfar: nop\n.org 0\n",
        "3:1: error: .org cannot move backwards\n"},
-      {mini, "nop\n.org 300\nfar: nop\nnop\njmp far\n",
+      {deep.c_str(), "nop\n.org 300\nfar: nop\nnop\njmp far\n",
        "5:1: error: label 'far' address 300 does not fit in 8 bits\n"},
+      {mini, ".org 18446744073709551615\nhalt\n",
+       "1:6: error: .org 18446744073709551615 is past the end of instruction "
+       "memory (depth 256)\n"},
+      {mini, "nop\n.org 4096\nhalt\n",
+       "2:6: error: .org 4096 is past the end of instruction memory (depth "
+       "256)\n"},
+      {mini, ".org 255\nnop\n.word 7\n",
+       "3:1: error: .word at address 256 does not fit in instruction memory "
+       "(depth 256)\n"},
+      {mini, "li R1, 7\n.org 4 junk here\nhalt\n",
+       "2:8: error: trailing junk 'junk'\n"},
       {mini, "li R1, 300\n",
        "1:1: error: immediate 300 out of range for a 8-bit signed field\n"},
       {mini, "addi R1, #256\n",

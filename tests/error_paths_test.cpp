@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "explore/evaluate.h"
@@ -14,6 +18,7 @@
 #include "sim/assembler.h"
 #include "sim/cli.h"
 #include "sim/xsim.h"
+#include "support/strings.h"
 #include "test_machines.h"
 
 namespace isdl {
@@ -119,6 +124,37 @@ TEST_F(AsmErrorTest, FailFastReportsTheFirstError) {
   EXPECT_FALSE(prog.has_value());
   EXPECT_EQ(diags.errorCount(), 1u);
   EXPECT_NE(diags.dump().find("bogus1"), std::string::npos);
+}
+
+TEST_F(AsmErrorTest, OrgPastInstructionMemory) {
+  expectDiag(".org 300\nhalt\n",
+             ".org 300 is past the end of instruction memory (depth 256)");
+}
+
+TEST_F(AsmErrorTest, OrgTrailingJunk) {
+  expectDiag(".org 4 junk\nhalt\n", "trailing junk 'junk'");
+}
+
+// The simulator executable reports an .org that would wrap the location
+// counter as an assembly error and exits with status 1; the wrapped counter
+// used to size an empty image and then write past it.
+TEST(XsimExecutable, WrappingOrgExitsWithOne) {
+  const std::string dir = ::testing::TempDir();
+  const std::string source = dir + "xsim_org_wrap.s";
+  const std::string output = dir + "xsim_org_wrap.out";
+  std::ofstream(source) << ".org 18446744073709551615\nhalt\n";
+  const int status = std::system(cat(XSIM_BINARY, " --arch srep --asm ",
+                                     source, " --run > ", output, " 2>&1")
+                                     .c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::stringstream printed;
+  printed << std::ifstream(output).rdbuf();
+  EXPECT_NE(printed.str().find(
+                "1:6: error: .org 18446744073709551615 is past the end of "
+                "instruction memory (depth 1024)"),
+            std::string::npos)
+      << printed.str();
 }
 
 // --- batch CLI ---------------------------------------------------------------
