@@ -63,7 +63,7 @@ void printFigure5(ResultSink& sink) {
                       naive.stats.area.logicArea;
     std::printf("%-8s %9zu %9zu %9zu %8zu %7zu  %14.0f %14.0f %8.1f%%\n",
                 row.name, rep.shareableNodes, rep.maximalCliques,
-                rep.unitsAfter, rep.unitsBefore - rep.unitsAfter,
+                rep.unitsAfter, rep.shareableNodes - rep.unitsAfter,
                 rep.muxesAdded, naive.stats.area.logicArea,
                 shared.stats.area.logicArea, savedPct);
     std::string k(row.name);

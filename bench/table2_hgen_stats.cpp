@@ -81,7 +81,7 @@ void printTable2(ResultSink& sink) {
                 out.stats.siliconSeconds);
     std::printf("  sharing: %zu shareable units -> %zu after merging (%zu "
                 "cliques instantiated)\n\n",
-                out.stats.sharing.unitsBefore, out.stats.sharing.unitsAfter,
+                out.stats.sharing.shareableNodes, out.stats.sharing.unitsAfter,
                 out.stats.sharing.cliquesUsed);
   }
 }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               out.model.netlist.memories.size());
   std::printf("  resource sharing   %zu units -> %zu (%zu cliques, %zu "
               "muxes)\n",
-              out.stats.sharing.unitsBefore, out.stats.sharing.unitsAfter,
+              out.stats.sharing.shareableNodes, out.stats.sharing.unitsAfter,
               out.stats.sharing.cliquesUsed, out.stats.sharing.muxesAdded);
   std::printf("  cycle length       %.2f ns\n", out.stats.cycleNs);
   std::printf("  die size           %.0f grid cells (logic %.0f, flops "

@@ -36,8 +36,8 @@ struct SharingOptions {
 };
 
 struct SharingReport {
-  std::size_t shareableNodes = 0;  ///< operator nodes considered
-  std::size_t unitsBefore = 0;     ///< = shareableNodes (naive scheme)
+  std::size_t shareableNodes = 0;  ///< operator nodes considered (the
+                                   ///< naive scheme's unit count)
   std::size_t unitsAfter = 0;      ///< shared units + singletons
   std::size_t cliquesUsed = 0;     ///< multi-member cliques instantiated
   std::size_t maximalCliques = 0;  ///< total maximal cliques enumerated

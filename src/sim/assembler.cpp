@@ -25,7 +25,8 @@ struct AsmTok {
   /// prefix and '_' separators.
   std::string_view text;
   std::uint64_t number = 0;
-  unsigned col = 0;
+  unsigned col = 0;  ///< first character, 1-based
+  unsigned end = 0;  ///< column just past the last character
   bool isNumber = false;
 };
 
@@ -58,10 +59,12 @@ bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
       const std::size_t start = i;
       while (i < n && is(line[i], kAsmIdentChar)) ++i;
       t.text = line.substr(start, i - start);
+      t.end = static_cast<unsigned>(i + 1);
       continue;
     }
     if (!is(c, ascii::kDigit)) {
       t.text = line.substr(i++, 1);
+      t.end = t.col + 1;
       continue;
     }
     t.isNumber = true;
@@ -77,6 +80,7 @@ bool lexAsmLine(std::string_view line, std::vector<AsmTok>& out,
     const std::size_t start = i;
     while (i < n && is(line[i], ascii::kIdentChar)) ++i;
     t.text = line.substr(start, i - start);
+    t.end = static_cast<unsigned>(i + 1);
     const ascii::Digits d(t.text, base);
     if (t.text.find('_') != std::string_view::npos) {
       const std::size_t at = digits.size();
@@ -180,6 +184,7 @@ class Assembler::Impl {
       }
       if (pos_ >= toks_.size()) continue;  // blank / label-only line
 
+      const std::size_t first = pos_;
       Line line;
       line.lineNo = lineNo;
       line.address = address;
@@ -190,6 +195,7 @@ class Assembler::Impl {
         if (!expectNumber(v)) return std::nullopt;
         const std::uint64_t target = static_cast<std::uint64_t>(v);
         if (target < address) {
+          pos_ = operand;
           error(".org cannot move backwards");
           return std::nullopt;
         }
@@ -229,6 +235,7 @@ class Assembler::Impl {
       }
       if (line.isWord || line.numOps != 0) {
         if (line.sizeWords > depth - address) {
+          pos_ = first;
           error(cat(line.isWord ? ".word" : "instruction", " at address ",
                     address, " does not fit in instruction memory (depth ",
                     depth, ")"));
@@ -266,6 +273,7 @@ class Assembler::Impl {
     Kind kind = Kind::None;
     unsigned option = 0;          ///< Option
     std::uint32_t firstSub = 0;   ///< Option: its bindings in bindings_
+    unsigned col = 0;             ///< Literal, Label: where it is written
     std::uint64_t value = 0;      ///< Value; Literal: the int64 bits
     std::string_view label{};     ///< Label, viewing the source
   };
@@ -277,6 +285,7 @@ class Assembler::Impl {
     unsigned opIndex = 0;
     std::uint32_t firstBinding = 0;
     unsigned effSize = 1;
+    unsigned col = 0;  ///< the mnemonic's column; 0 for a filled-in nop
   };
 
   /// A line that emits words: an instruction (ops_[firstOp, + numOps)) or
@@ -314,9 +323,16 @@ class Assembler::Impl {
   BitVector painted_;
   BitVector image_;
 
+  /// At the cursor's token, or just past the line's last token.
   void error(std::string msg) {
-    diags_.error({lineNo_, pos_ < toks_.size() ? toks_[pos_].col : 1u},
-                 std::move(msg));
+    error(pos_ < toks_.size() ? toks_[pos_].col
+          : toks_.empty()     ? 1u
+                              : toks_.back().end,
+          std::move(msg));
+  }
+
+  void error(unsigned col, std::string msg) {
+    diags_.error({lineNo_, col}, std::move(msg));
   }
 
   bool expectNumber(std::int64_t& out) {
@@ -387,7 +403,13 @@ class Assembler::Impl {
       choice_[f] = nop;
     }
     if (const Constraint* c = machine_.firstViolatedConstraint(choice_)) {
-      error(cat("instruction violates constraint: never ", c->text));
+      // Point at the last operation written that the constraint names.
+      unsigned col = ops_[line.firstOp].col;
+      for (std::uint32_t i = line.firstOp; i < ops_.size(); ++i)
+        if (std::ranges::count(c->ops, OpRef{ops_[i].fieldIndex,
+                                              ops_[i].opIndex}))
+          col = std::max(col, ops_[i].col);
+      error(col, cat("instruction violates constraint: never ", c->text));
       return false;
     }
     line.numOps = std::uint32_t(ops_.size()) - line.firstOp;
@@ -406,6 +428,7 @@ class Assembler::Impl {
       error("expected an operation mnemonic");
       return false;
     }
+    const unsigned col = toks_[pos_].col;
     std::string_view mnemonic = toks_[pos_].text;
     std::string_view fieldName;
     if (auto dot = mnemonic.find('.'); dot != std::string_view::npos) {
@@ -429,7 +452,8 @@ class Assembler::Impl {
       ParsedOp attempt{.fieldIndex = f,
                        .opIndex = o,
                        .firstBinding = allocBindings(op.params.size()),
-                       .effSize = op.costs.size};
+                       .effSize = op.costs.size,
+                       .col = col};
       if (matchSyntax(t_.opPattern(f, o), op.params, attempt.firstBinding,
                       attempt.effSize)) {
         ops_.push_back(attempt);
@@ -439,8 +463,8 @@ class Assembler::Impl {
     }
     pos_ = savedPos;
     if (!known) {
-      error(cat("unknown operation '", toks_[pos_ - 1].text,
-                "' (or its field is already occupied)"));
+      error(col, cat("unknown operation '", toks_[pos_ - 1].text,
+                     "' (or its field is already occupied)"));
       return false;
     }
     error(cat("operands do not match the syntax of '", mnemonic, "'"));
@@ -488,7 +512,8 @@ class Assembler::Impl {
       }
       // Immediate: number (optionally negated) or a label identifier.
       bool neg = false;
-      std::size_t saved = pos_;
+      const std::size_t saved = pos_;
+      const unsigned col = pos_ < toks_.size() ? toks_[pos_].col : 0;
       if (pos_ < toks_.size() && toks_[pos_].text == "-") {
         neg = true;
         ++pos_;
@@ -498,11 +523,13 @@ class Assembler::Impl {
         if (neg) v = negate(v);
         ++pos_;
         bindings_[slot] = {.kind = Binding::Kind::Literal,
+                           .col = col,
                            .value = static_cast<std::uint64_t>(v)};
         return true;
       }
       if (!neg && pos_ < toks_.size() && isIdentTok(toks_[pos_])) {
         bindings_[slot] = {.kind = Binding::Kind::Label,
+                           .col = col,
                            .label = toks_[pos_].text};
         ++pos_;
         return true;
@@ -579,13 +606,13 @@ class Assembler::Impl {
         const unsigned width = machine_.tokens[p.index].width;
         auto it = symbols_.find(std::string(b.label));
         if (it == symbols_.end()) {
-          error(cat("undefined label '", b.label, "'"));
+          error(b.col, cat("undefined label '", b.label, "'"));
           return false;
         }
         std::uint64_t addr = it->second;
         if (width < 64 && (addr >> width) != 0) {
-          error(cat("label '", b.label, "' address ", addr,
-                    " does not fit in ", width, " bits"));
+          error(b.col, cat("label '", b.label, "' address ", addr,
+                           " does not fit in ", width, " bits"));
           return false;
         }
         values_[at] = BitVector(width, addr);
@@ -602,8 +629,8 @@ class Assembler::Impl {
     std::int64_t lo = tok.isSigned ? -(std::int64_t{1} << (width - 1)) : 0;
     bool tooBig = width < 63 && v >= (std::int64_t{1} << width);
     if (v < lo || tooBig) {
-      error(cat("immediate ", v, " out of range for a ", width, "-bit ",
-                tok.isSigned ? "signed" : "unsigned", " field"));
+      error(b.col, cat("immediate ", v, " out of range for a ", width, "-bit ",
+                       tok.isSigned ? "signed" : "unsigned", " field"));
       return false;
     }
     values_[at] = BitVector::fromInt(width, v);
@@ -640,10 +667,10 @@ class Assembler::Impl {
       const BitVector& owned = sig.ownedMask();
       for (unsigned i = 0; i < owned.numWords(); ++i) {
         if (std::uint64_t clash = owned.word(i) & painted_.word(i)) {
-          error(cat("operation '", op.name, "' sets instruction bit ",
-                    64 * i + unsigned(std::countr_zero(clash)),
-                    " already set by another field's operation; add a "
-                    "constraint to forbid this combination"));
+          error(pop.col, cat("operation '", op.name, "' sets instruction bit ",
+                             64 * i + unsigned(std::countr_zero(clash)),
+                             " already set by another field's operation; "
+                             "add a constraint to forbid this combination"));
           return false;
         }
         painted_.setWord(i, painted_.word(i) | owned.word(i));

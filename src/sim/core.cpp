@@ -342,10 +342,12 @@ bool ExecEngine::issue(const DecodedProgram& program,
 
   // Structural hazards: every functional unit the instruction touches must
   // be free (Usage timing, paper §2.1.3).
+  // Stalls are attributed (by field and by storage) with the totals, once
+  // the instruction completes: a trapping instruction's count nowhere.
   std::uint64_t structStall = 0;
+  const unsigned structField = busyField_;
   if (busyUntil_ > cycle_) {
     structStall = busyUntil_ - cycle_;
-    stats_.structStallsByField[busyField_] += structStall;
     if (trace_)
       trace_->record({.kind = obs::EventKind::StructStall,
                       .field = static_cast<std::uint16_t>(busyField_),
@@ -381,6 +383,7 @@ bool ExecEngine::issue(const DecodedProgram& program,
   };
 
   std::uint64_t dataStall = 0;
+  dataStalls_.clear();
   try {
     // Phase A with hazard-probe retry: evaluate all actions against the
     // pre-cycle state; a read of a location with a pending interlocked write
@@ -392,7 +395,7 @@ bool ExecEngine::issue(const DecodedProgram& program,
       runPhase(false);
       if (requiredStall_ == 0) break;
       dataStall += requiredStall_;
-      stats_.dataStallsByStorage[stallStorage_] += requiredStall_;
+      dataStalls_.push_back({stallStorage_, requiredStall_});
       if (trace_)
         trace_->record({.kind = obs::EventKind::DataStall,
                         .field = 0,
@@ -450,6 +453,9 @@ bool ExecEngine::issue(const DecodedProgram& program,
   stats_.cycles = cycle_;
   stats_.dataStallCycles += dataStall;
   stats_.structStallCycles += structStall;
+  if (structStall) stats_.structStallsByField[structField] += structStall;
+  for (const auto& [storage, cycles] : dataStalls_)
+    stats_.dataStallsByStorage[storage] += cycles;
   return pcCommitted_;
 }
 

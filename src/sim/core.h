@@ -33,6 +33,7 @@
 #define ISDL_SIM_CORE_H
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/decoded.h"
@@ -64,9 +65,9 @@ class ExecEngine {
   /// A runtime trap (out-of-range access, write conflict, ...) throws
   /// rtl::EvalError after dropping every write the trapping phase staged;
   /// phase A's writes stay in flight when phase B traps. A trapping
-  /// instruction's stall cycles are attributed (by storage and by field)
-  /// but not added to the Stats totals, and the Stats cycle count stays
-  /// where the last completed instruction left it.
+  /// instruction's stall cycles count neither in the Stats totals nor in
+  /// their attribution (by storage and by field), and the Stats cycle count
+  /// stays where the last completed instruction left it.
   bool issue(const DecodedProgram& program, const DecodedInstruction& inst,
              uop::BoundProgram* bound = nullptr);
 
@@ -152,6 +153,8 @@ class ExecEngine {
   // Per-issue evaluation state.
   mutable std::uint64_t requiredStall_ = 0;
   mutable unsigned stallStorage_ = 0;  ///< producer of the largest stall
+  /// The issuing instruction's interlock stalls: storage, cycles.
+  std::vector<std::pair<unsigned, std::uint64_t>> dataStalls_;
   bool phaseB_ = false;
 
   // XTRACE observers (null when disabled).

@@ -86,14 +86,8 @@ NodeCost costOfNode(const hw::Netlist& nl, hw::NetId id,
       }
       return c;
 
-    case NodeKind::AddSub: {
-      double inW = nl.nodes[n.ins[0]].width;
-      gates(lib.fullAdder, inW);
-      gates(lib.xor2, inW);  // operand inversion stage
-      c.delay = lib.xor2.delay + lib.fullAdder.delay +
-                lib.carryLevelDelay * log2ceil(inW);
-      return c;
-    }
+    case NodeKind::AddSub:
+      return addSubCost(nl.nodes[n.ins[0]].width, lib);
 
     case NodeKind::Mux:
       gates(lib.mux21, w);
@@ -164,6 +158,14 @@ NodeCost costOfNode(const hw::Netlist& nl, hw::NetId id,
     }
   }
   return c;
+}
+
+NodeCost addSubCost(unsigned width, const CellLibrary& lib) {
+  const double w = width;  // full adders behind an xor2 inversion stage
+  return {lib.fullAdder.area * w + lib.xor2.area * w,
+          lib.xor2.delay + lib.fullAdder.delay +
+              lib.carryLevelDelay * log2ceil(w),
+          w + w};
 }
 
 AreaReport mapArea(const hw::Netlist& nl, const CellLibrary& lib) {

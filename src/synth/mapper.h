@@ -29,6 +29,11 @@ struct NodeCost {
 NodeCost costOfNode(const hw::Netlist& netlist, hw::NetId id,
                     const CellLibrary& lib = defaultLibrary());
 
+/// An adder/subtractor on `width`-bit operands: full adders behind an
+/// operand-inversion stage. It prices AddSub nodes, and resource sharing
+/// prices with it the unit that would merge adds with subtracts.
+NodeCost addSubCost(unsigned width, const CellLibrary& lib = defaultLibrary());
+
 struct AreaReport {
   double logicArea = 0;   ///< combinational cells, grid cells (with wiring)
   double flopArea = 0;    ///< registers

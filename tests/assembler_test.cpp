@@ -327,9 +327,10 @@ machine M {
 
 TEST(AssemblerDiagnostics, DiagnosticsArePinned) {
   // The exact text of every assembler error: line, column and wording. An
-  // error found after the line's last token (pass 2's label and range
-  // checks, a constraint, a missing token) reports column 1; an .org past
-  // the end of instruction memory points at its operand.
+  // error points at the offending token: pass 2's label and range checks
+  // at the operand, a bit clash at the mnemonic, a constraint at the last
+  // operation it names, an .org at its operand. A missing token is reported
+  // just past the line's last one.
   struct Case {
     const char* isdl;
     const char* source;
@@ -346,23 +347,25 @@ TEST(AssemblerDiagnostics, DiagnosticsArePinned) {
       {mini, "li R1, 99999999999999999999\n",
        "1:8: error: number '99999999999999999999' does not fit in 64 bits\n"},
       {mini, "  frob R1\n",
-       "1:8: error: unknown operation 'frob' (or its field is already "
+       "1:3: error: unknown operation 'frob' (or its field is already "
        "occupied)\n"},
       {mini, "{ nop | nop }\n",
-       "1:13: error: unknown operation 'nop' (or its field is already "
+       "1:9: error: unknown operation 'nop' (or its field is already "
        "occupied)\n"},
       {mini, "add R1, R2\n",
        "1:5: error: operands do not match the syntax of 'add'\n"},
       {mini, "EX.add R1, #3, R2\n",
        "1:8: error: operands do not match the syntax of 'add'\n"},
       {mini, "nop extra\n", "1:5: error: trailing junk 'extra'\n"},
-      {mini, "{ nop | mnop\n", "1:1: error: expected '}' or '|'\n"},
+      {mini, "{ nop | mnop\n", "1:13: error: expected '}' or '|'\n"},
       {mini, "x: nop\n  x: nop\n", "2:3: error: duplicate label 'x'\n"},
-      {mini, "nop\njmp nowhere\n", "2:1: error: undefined label 'nowhere'\n"},
+      {mini, "nop\njmp nowhere\n", "2:5: error: undefined label 'nowhere'\n"},
+      {mini, "jmp nowhere\nnop\n",
+       "1:5: error: undefined label 'nowhere'\n"},
       {deep.c_str(), ".org 300\nfar: nop\n.org 0\n",
-       "3:1: error: .org cannot move backwards\n"},
+       "3:6: error: .org cannot move backwards\n"},
       {deep.c_str(), "nop\n.org 300\nfar: nop\nnop\njmp far\n",
-       "5:1: error: label 'far' address 300 does not fit in 8 bits\n"},
+       "5:5: error: label 'far' address 300 does not fit in 8 bits\n"},
       {mini, ".org 18446744073709551615\nhalt\n",
        "1:6: error: .org 18446744073709551615 is past the end of instruction "
        "memory (depth 256)\n"},
@@ -375,15 +378,17 @@ TEST(AssemblerDiagnostics, DiagnosticsArePinned) {
       {mini, "li R1, 7\n.org 4 junk here\nhalt\n",
        "2:8: error: trailing junk 'junk'\n"},
       {mini, "li R1, 300\n",
-       "1:1: error: immediate 300 out of range for a 8-bit signed field\n"},
+       "1:8: error: immediate 300 out of range for a 8-bit signed field\n"},
+      {mini, "li R1, -200\n",
+       "1:8: error: immediate -200 out of range for a 8-bit signed field\n"},
       {mini, "addi R1, #256\n",
-       "1:1: error: immediate 256 out of range for a 8-bit unsigned field\n"},
+       "1:11: error: immediate 256 out of range for a 8-bit unsigned field\n"},
       {mini, "{ add R1, R2, R3 | mvi R4, 7 }\n",
-       "1:1: error: instruction violates constraint: never EX.add & MV.mvi\n"},
-      {mini, ".dm 1\n", "1:1: error: expected a number\n"},
-      {mini, "{ nop |\n", "1:1: error: expected an operation mnemonic\n"},
+       "1:20: error: instruction violates constraint: never EX.add & MV.mvi\n"},
+      {mini, ".dm 1\n", "1:6: error: expected a number\n"},
+      {mini, "{ nop |\n", "1:8: error: expected an operation mnemonic\n"},
       {kClashIsdl, "anop\n{ big 5 | also 9 }\n",
-       "2:1: error: operation 'also' sets instruction bit 4 already set by "
+       "2:11: error: operation 'also' sets instruction bit 4 already set by "
        "another field's operation; add a constraint to forbid this "
        "combination\n"},
   };

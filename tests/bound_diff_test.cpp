@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 #include "archs/archs.h"
@@ -82,6 +83,14 @@ struct Pair {
     testing::compareFinalState(m, bound, interp, "bound", "interp", diffs);
     EXPECT_TRUE(diffs.empty()) << join(diffs, "\n");
     EXPECT_EQ(bound.cycle(), interp.cycle());
+    // Stall attribution sums to the totals, after a trap too.
+    const Stats& s = bound.stats();
+    EXPECT_EQ(std::accumulate(s.dataStallsByStorage.begin(),
+                              s.dataStallsByStorage.end(), std::uint64_t{0}),
+              s.dataStallCycles);
+    EXPECT_EQ(std::accumulate(s.structStallsByField.begin(),
+                              s.structStallsByField.end(), std::uint64_t{0}),
+              s.structStallCycles);
     // The profile's heatmaps count the same reads and writes. (The rest of
     // the report is the Stats above plus wall-clock counters.)
     const obs::MetricsReport ra = bound.metricsReport();
@@ -418,9 +427,10 @@ TEST(DelayedWriteQueue, TrapAfterStallRetryLeavesNoStagedWrite) {
   const RunResult r = runQueueProgram(pair, program);
   EXPECT_EQ(r.reason, StopReason::RuntimeError);
   EXPECT_EQ(r.message, "at address 2: write to DM[12] is out of range");
-  // The retry happened: the interlock on R is attributed.
+  // The retry happened, but a trapping instruction's interlock counts
+  // nowhere: neither in the totals nor in the attribution.
   const unsigned rf = unsigned(m->findStorage("R"));
-  EXPECT_EQ(pair.bound.stats().dataStallsByStorage[rf], 1u);
+  EXPECT_EQ(pair.bound.stats().dataStallsByStorage[rf], 0u);
   EXPECT_EQ(word(pair.bound, "DM", 0), 0u);
   EXPECT_EQ(word(pair.bound, "W", 1), 0u);
   EXPECT_EQ(word(pair.bound, "R", 1), 12u);

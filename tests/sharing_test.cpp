@@ -84,7 +84,7 @@ TEST(Sharing, SrepMergesAluAdders) {
   EXPECT_GE(addersBefore, 3u);
   SharingReport report = shareResources(b.model, *b.machine);
   EXPECT_GT(report.cliquesUsed, 0u);
-  EXPECT_LT(report.unitsAfter, report.unitsBefore);
+  EXPECT_LT(report.unitsAfter, report.shareableNodes);
   // All 32-bit architectural adders of the field share one AddSub unit.
   EXPECT_GE(b.model.netlist.countNodes(NodeKind::AddSub), 1u);
   // The netlist stays acyclic.
@@ -274,8 +274,7 @@ TEST(Sharing, GeneratedMachinesStayInEvaluationOrder) {
 TEST(Sharing, ReportAccounting) {
   auto b = buildFor(archs::loadSpam());
   SharingReport r = shareResources(b.model, *b.machine);
-  EXPECT_EQ(r.unitsBefore, r.shareableNodes);
-  EXPECT_LE(r.unitsAfter, r.unitsBefore);
+  EXPECT_LE(r.unitsAfter, r.shareableNodes);
   EXPECT_GT(r.maximalCliques, 0u);
 }
 
