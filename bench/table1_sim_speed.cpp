@@ -132,7 +132,9 @@ void printTable1(ResultSink& sink) {
 /// run to halt per pass. `ns_per_issue` is a pass's wall clock over the
 /// instructions it issues (the median of five rounds); `uops_per_issue` the
 /// micro-ops of the issued records, both phases, weighted by how often each
-/// address issues (a branch's skipped arm counts too).
+/// address issues (a branch's skipped arm counts too); `block_issue_frac`
+/// the share of a timed pass's issues that ran inside blocks
+/// (Xsim::blockIssues), a count and not a timing.
 void printBoundIssueRow(ResultSink& sink) {
   struct ArchKernels {
     std::unique_ptr<Machine> (*loader)();
@@ -186,12 +188,19 @@ void printBoundIssueRow(ResultSink& sink) {
   std::sort(nsPerIssue.begin(), nsPerIssue.end());
   const double ns = nsPerIssue[2];
   const double perIssue = double(uops) / double(issues);
+  pass();
+  std::uint64_t inBlocks = 0;
+  for (const Program& p : programs) inBlocks += p.xsim->blockIssues();
+  const double blockFrac = double(inBlocks) / double(issues);
   std::printf("Bound engine on the 12 bundled programs: %llu issues per "
-              "pass, %.1f ns per issue, %.2f micro-ops per issue\n\n",
-              static_cast<unsigned long long>(issues), ns, perIssue);
+              "pass, %.1f ns per issue, %.2f micro-ops per issue, %.3f of "
+              "issues in blocks\n\n",
+              static_cast<unsigned long long>(issues), ns, perIssue,
+              blockFrac);
   sink.add("issues_per_pass", double(issues));
   sink.add("ns_per_issue", ns);
   sink.add("uops_per_issue", perIssue);
+  sink.add("block_issue_frac", blockFrac);
 }
 
 }  // namespace

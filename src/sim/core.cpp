@@ -459,6 +459,63 @@ bool ExecEngine::issue(const DecodedProgram& program,
   return pcCommitted_;
 }
 
+void ExecEngine::applyStaged() {
+  for (const Pending& p : pending_) {
+    const std::uint64_t old = state_.wordInRange(p.si, p.elem);
+    undo_.push_back({p.si, p.elem, old});
+    state_.writeWordInRange(
+        p.si, p.elem,
+        p.hasSlice ? narrow::withSlice(old, p.hi, p.lo, p.value) : p.value,
+        cycle_);
+    if (p.si == pcIndex_) pcCommitted_ = true;
+  }
+  pending_.clear();
+  stageMark_ = 0;
+}
+
+bool ExecEngine::runBlock(uop::BoundProgram& bound, const uop::Block& block,
+                          bool& branched) {
+  // The queue is empty and stays so between instructions: each phase
+  // stages from the queue's start (phase B behind phase A's mark), and
+  // nothing is ever indexed, so every read goes straight to the state.
+  const std::uint64_t entryId = instrId_;
+  undo_.clear();
+  pcCommitted_ = false;
+  try {
+    for (const std::uint64_t addr : block.addresses) {
+      ++instrId_;
+      execProgram(bound, addr, false);
+      if (bound.hasPhaseB(addr)) {
+        stageMark_ = pending_.size();
+        execProgram(bound, addr, true);
+      }
+      applyStaged();
+    }
+  } catch (const EvalError&) {
+    pending_.clear();
+    stageMark_ = 0;
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it)
+      state_.writeWordInRange(it->si, it->elem, it->word, cycle_);
+    instrId_ = entryId;
+    return false;
+  }
+
+  busyUntil_ = cycle_ + block.busyUntil;
+  busyField_ = block.busyField;
+  cycle_ += block.cycles;
+  stats_.cycles = cycle_;
+  for (const auto& [storage, cycles] : block.dataStalls) {
+    stats_.dataStallCycles += cycles;
+    stats_.dataStallsByStorage[storage] += cycles;
+  }
+  for (const auto& [field, cycles] : block.structStalls) {
+    stats_.structStallCycles += cycles;
+    stats_.structStallsByField[field] += cycles;
+  }
+  branched = pcCommitted_;
+  return true;
+}
+
 void ExecEngine::drain() {
   commitUpTo(~std::uint64_t{0});
 }

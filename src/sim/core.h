@@ -28,6 +28,15 @@
 // phase counts its writes into the per-storage overlay index and moves any
 // that retires before a write already in flight back into commit-cycle
 // order. A stall retry or a trap truncates the queue to the mark.
+//
+// The bound engine also issues by block (runBlock): from an entry with
+// nothing in flight and every unit free, a basic block's stalls and write
+// order are fixed by its instructions alone, so uop::Binder::buildBlock
+// computes them once. runBlock then runs the block's records through the
+// same dispatch loop and staging, applies each instruction's writes to the
+// state as soon as it has run, and skips the queue, the hazard probes and
+// the retry loop, which could change nothing there. The scheduler (Xsim)
+// takes this path only while no observer is armed.
 
 #ifndef ISDL_SIM_CORE_H
 #define ISDL_SIM_CORE_H
@@ -70,6 +79,27 @@ class ExecEngine {
   /// stays where the last completed instruction left it.
   bool issue(const DecodedProgram& program, const DecodedInstruction& inst,
              uop::BoundProgram* bound = nullptr);
+
+  /// True when nothing is in flight and no functional unit is busy: the
+  /// state a block's schedule starts from.
+  bool idle() const {
+    return pendingHead_ == pending_.size() && busyUntil_ <= cycle_;
+  }
+
+  /// Runs `block` of the bound program `bound` from the current cycle; the
+  /// engine must be idle() and no observer (trace, heatmap, monitor) armed.
+  /// Each record's phases run through execProgram and stage their writes as
+  /// issue() does, write conflicts included, and each instruction's staged
+  /// writes then go straight to the state in staging order: the block's
+  /// schedule (uop::Binder::buildBlock) guarantees that this is the order
+  /// and the value issue() would retire. The block's cycles, stalls and
+  /// their attribution are added once at its end. Returns true when the
+  /// block completed, with `branched` telling whether it wrote the program
+  /// counter. On a trap, every applied write is undone, the engine is as it
+  /// was at entry, and it returns false: the caller re-runs the block one
+  /// instruction at a time, which traps as issue() does.
+  bool runBlock(uop::BoundProgram& bound, const uop::Block& block,
+                bool& branched);
 
   std::uint64_t cycle() const { return cycle_; }
 
@@ -161,6 +191,14 @@ class ExecEngine {
   obs::TraceBuffer* trace_ = nullptr;
   obs::StorageHeatmap* heat_ = nullptr;
 
+  /// The word each write runBlock applied replaced, in applying order.
+  struct Undo {
+    unsigned si;
+    std::uint64_t elem;
+    std::uint64_t word;
+  };
+  std::vector<Undo> undo_;
+
   class OpContext;
 
   /// The pending-write overlay of one read: counts it in the heatmap, calls
@@ -209,6 +247,9 @@ class ExecEngine {
   void indexAll();
   /// Drops the writes staged by the phase in progress.
   void discardStaged();
+  /// Writes every staged entry of the queue to the state in staging order,
+  /// logging the words it replaces in undo_, and empties the queue.
+  void applyStaged();
   std::uint32_t allocWide(BitVector&& value);
   bool isWide(unsigned si) const { return state_.width(si) > 64; }
   uop::WriteSlot resolveLvalue(const rtl::Lvalue& lv,

@@ -130,6 +130,43 @@ std::string trapMessage(const Machine& m, const Uop& u,
   return writeOutOfRange(m, u.a, regs[u.b].v);
 }
 
+/// The control structure of the record whose code is [code, code + end):
+/// which uops run on some paths only, which registers some uop writes (the
+/// others are constants the binder preloaded), and which write slots a
+/// SetLv indexes at run time.
+struct RecordShape {
+  RecordShape(const Uop* code, std::uint32_t end)
+      : nesting(end + 1, 0), isTarget(end + 1, false) {
+    for (std::uint32_t i = 0; i < end; ++i) {
+      const Uop& u = code[i];
+      if (u.kind < Kind::Jump) written.push_back(u.dst);  // value producers
+      if (u.kind == Kind::SetLv) elemReg[u.dst] = u.b;
+      if (u.kind == Kind::Jump || u.kind == Kind::BranchIfZero) {
+        const std::uint32_t target = u.kind == Kind::Jump ? u.a : u.b;
+        isTarget[target] = true;
+        ++nesting[i + 1];
+        --nesting[target];
+      }
+    }
+    std::partial_sum(nesting.begin(), nesting.end(), nesting.begin());
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()), written.end());
+  }
+
+  /// Whether uop `i` sits strictly between a jump or branch and its target
+  /// (jumps only go forward). The binder folds constant conditions, so such
+  /// a uop runs or not depending on run-time data.
+  bool conditional(std::uint32_t i) const { return nesting[i] > 0; }
+  bool isWritten(std::uint32_t r) const {
+    return std::binary_search(written.begin(), written.end(), r);
+  }
+
+  std::vector<std::uint32_t> written;  ///< sorted
+  std::vector<int> nesting;
+  std::vector<bool> isTarget;
+  std::map<std::uint32_t, std::uint32_t> elemReg;  ///< write slot -> register
+};
+
 /// Lowers the decoded instructions of one program into their records, one
 /// at a time. Registers are numbered per record and never reused, so every
 /// register has one producer on any path; constants (operand values and
@@ -471,31 +508,13 @@ std::string Binder::printCpp(const BoundProgram& prog,
   const Uop* code = prog.code.data() + rec.code;
 
   // Registers some uop writes are declared; the others are constants the
-  // binder preloaded, printed as literals. A uop strictly between a jump or
-  // branch and its target runs conditionally, so a write it stages commits
-  // under a flag. A write whose element a SetLv computes indexes with that
-  // SetLv's register, which nothing writes again.
-  std::vector<std::uint32_t> written;
-  std::vector<int> nesting(rec.end + 1, 0);
-  std::vector<bool> isTarget(rec.end + 1, false);
-  std::map<std::uint32_t, std::uint32_t> elemReg;  // write slot -> register
-  for (std::uint32_t i = 0; i < rec.end; ++i) {
-    const Uop& u = code[i];
-    if (u.kind < Kind::Jump) written.push_back(u.dst);  // value producers
-    if (u.kind == Kind::SetLv) elemReg[u.dst] = u.b;
-    if (u.kind == Kind::Jump || u.kind == Kind::BranchIfZero) {
-      const std::uint32_t target = u.kind == Kind::Jump ? u.a : u.b;
-      isTarget[target] = true;
-      ++nesting[i + 1];
-      --nesting[target];
-    }
-  }
-  std::partial_sum(nesting.begin(), nesting.end(), nesting.begin());
-  std::sort(written.begin(), written.end());
-  written.erase(std::unique(written.begin(), written.end()), written.end());
-  auto isWritten = [&](std::uint32_t r) {
-    return std::binary_search(written.begin(), written.end(), r);
-  };
+  // binder preloaded, printed as literals. A conditional uop's staged write
+  // commits under a flag. A write whose element a SetLv computes indexes
+  // with that SetLv's register, which nothing writes again.
+  const RecordShape shape(code, rec.end);
+  const std::vector<std::uint32_t>& written = shape.written;
+  const auto& elemReg = shape.elemReg;
+  auto isWritten = [&](std::uint32_t r) { return shape.isWritten(r); };
   auto word = [&](std::uint32_t r) {
     return isWritten(r) ? cat("r", r, ".v")
                         : cat(prog.regs[rec.regs + r].v, "u");
@@ -530,7 +549,7 @@ std::string Binder::printCpp(const BoundProgram& prog,
   if (!written.empty()) decls += ";\n";
   for (std::uint32_t i = 0; i <= rec.end; ++i) {
     if (i == rec.phaseB && rec.phaseB < rec.end) body += "// phase B\n";
-    if (isTarget[i]) body += cat(label(i), ":;\n");
+    if (shape.isTarget[i]) body += cat(label(i), ":;\n");
     if (i == rec.end) break;
     const Uop& u = code[i];
     const std::string assign = cat("r", u.dst, " = ");
@@ -588,7 +607,7 @@ std::string Binder::printCpp(const BoundProgram& prog,
                              ", ", s.lo, ", ", word(u.a), ");")
                        : cat(target, " = ", word(u.a), ";");
         if (int(s.si) == machine_->pcIndex) write += " pcWritten = true;";
-        if (nesting[i] > 0) {
+        if (shape.conditional(i)) {
           decls += cat("bool st", u.dst, " = false;\n");
           body += cat("st", u.dst, " = true;\n");
           write = cat("if (st", u.dst, ") { ", write, " }");
@@ -602,6 +621,121 @@ std::string Binder::printCpp(const BoundProgram& prog,
     }
   }
   return decls + body + commits;
+}
+
+bool Binder::buildBlock(const DecodedProgram& program, const BoundProgram& prog,
+                        std::uint64_t address, Block& out) const {
+  // One read or write of a storage element; `pinned` when the element is
+  // known at bind time, `conditional` when a data-dependent RTL branch
+  // decides whether it happens. Without a pinned element on both sides, two
+  // accesses of one storage may overlap.
+  struct Access {
+    unsigned si;
+    std::uint64_t elem;
+    bool pinned;
+    bool conditional;
+    bool overlaps(const Access& o) const {
+      return si == o.si && (!pinned || !o.pinned || elem == o.elem);
+    }
+  };
+  struct InFlight : Access {
+    unsigned stallCost;
+    std::uint64_t commit;  ///< retires at the end of this cycle
+  };
+  const unsigned pcIndex = unsigned(machine_->pcIndex);
+  std::vector<InFlight> inFlight;
+  std::vector<Access> reads;
+  std::vector<std::pair<Access, const WriteSlot*>> writes;
+  std::uint64_t cycle = 0, busyUntil = 0;
+  unsigned busyField = 0;
+  out = Block{};
+  for (std::uint64_t addr = address;;) {
+    const DecodedInstruction& inst = program.byAddress[addr];
+    const BoundProgram::Record& rec = prog.byAddress[addr];
+    const Uop* code = prog.code.data() + rec.code;
+    const narrow::Val* regs = prog.regs.data() + rec.regs;
+    const WriteSlot* slots = prog.slots.data() + rec.slots;
+    const RecordShape shape(code, rec.end);
+    const bool leader = addr == address;
+
+    // The phase-A reads, and the writes of both phases in staging order
+    // (jumps go forward, so execution order is code order).
+    reads.clear();
+    writes.clear();
+    bool writesPc = false;
+    for (std::uint32_t i = 0; i < rec.end; ++i) {
+      const Uop& u = code[i];
+      if (u.kind == Kind::ReadStorage || u.kind == Kind::ReadElem) {
+        if (u.a == pcIndex && !leader) return false;
+        const bool pinned =
+            u.kind == Kind::ReadStorage || !shape.isWritten(u.b);
+        if (i < rec.phaseB)
+          reads.push_back({u.a, u.kind == Kind::ReadElem && pinned
+                                    ? regs[u.b].v
+                                    : 0,
+                           pinned, shape.conditional(i)});
+      } else if (u.kind == Kind::StageWrite) {
+        const WriteSlot& s = slots[u.dst];
+        if (machine_->storages[s.si].width > 64) return false;
+        if (s.si == pcIndex) {
+          if (s.hasSlice && !leader) return false;
+          writesPc = true;
+        }
+        writes.push_back({{s.si, s.elem, !shape.elemReg.count(u.dst),
+                           shape.conditional(i)},
+                          &s});
+      }
+    }
+
+    // ExecEngine::issue's schedule: a structural stall, then interlock
+    // retries of phase A, then the writes of both phases go in flight.
+    if (busyUntil > cycle) {
+      out.structStalls.push_back({busyField, busyUntil - cycle});
+      cycle = busyUntil;
+    }
+    for (;;) {
+      std::uint64_t stall = 0;
+      unsigned producer = 0;
+      for (const Access& r : reads)
+        for (const InFlight& w : inFlight) {
+          if (w.stallCost == 0 || w.commit < cycle || !w.overlaps(r))
+            continue;
+          if (!r.pinned || !w.pinned || r.conditional || w.conditional)
+            return false;
+          if (w.commit + 1 - cycle > stall) {
+            stall = w.commit + 1 - cycle;
+            producer = w.si;
+          }
+        }
+      if (stall == 0) break;
+      out.dataStalls.push_back({producer, stall});
+      cycle += stall;
+    }
+    std::erase_if(inFlight, [&](const InFlight& w) { return w.commit < cycle; });
+    for (const auto& [w, s] : writes) {
+      const std::uint64_t commit = cycle + s->latency - 1;
+      for (const InFlight& e : inFlight)
+        if (e.commit > commit && e.overlaps(w)) return false;
+      inFlight.push_back({w, s->stallCost, commit});
+    }
+    busyUntil = cycle + inst.usage;
+    busyField = inst.usageField;
+    cycle += inst.cycles;
+    out.addresses.push_back(addr);
+
+    const std::uint64_t next = addr + inst.sizeWords;
+    if (writesPc || inst.halts || !program.hasInstructionAt(next)) {
+      for (const InFlight& w : inFlight)
+        if (w.commit >= cycle) return false;  // retires after the block
+      out.cycles = cycle;
+      out.busyUntil = busyUntil;
+      out.busyField = busyField;
+      out.next = next;
+      out.halts = inst.halts;
+      return true;
+    }
+    addr = next;
+  }
 }
 
 }  // namespace isdl::sim::uop

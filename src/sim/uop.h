@@ -26,6 +26,13 @@
 //     records as C++ (Binder::printCpp), so the interpreted and the compiled
 //     simulator share one specialisation of every decoded instruction.
 //
+//   * A basic block of records also gets a schedule (Block, built by
+//     Binder::buildBlock on the second time Xsim reaches its leader with
+//     nothing in flight): its total cycles, stalls and their attribution,
+//     read off the records' write slots and reads, so the core can run the
+//     block's records back to back (ExecEngine::runBlock) without the
+//     per-issue scheduler. Only this module reads the record layout for it.
+//
 // Binding at load rather than on first issue: on every perfbench workload
 // (sim, explore, power, fuzz) each decoded address of a program that runs is
 // issued, so binding on demand saves no work and would cost a check on every
@@ -49,6 +56,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isdl/model.h"
@@ -146,6 +154,31 @@ struct BoundProgram {
   std::vector<WriteSlot> slots;
 };
 
+/// A basic block of bound records and its schedule, fixed at bind time for
+/// an entry with nothing in flight and every unit free (ExecEngine::runBlock
+/// runs it). The block runs from its leader through the first instruction
+/// that can stage a write to the program counter, holds the halt operation,
+/// or is followed by an address with no decoded instruction.
+struct Block {
+  /// The addresses of the block's instructions, leader first.
+  std::vector<std::uint64_t> addresses;
+  /// Cycles from entry to the end of the last instruction's window, stalls
+  /// included.
+  std::uint64_t cycles = 0;
+  /// Interlock cycles by the storage whose write forced them, and
+  /// structural cycles by the field whose unit was busy, in stall order.
+  std::vector<std::pair<unsigned, std::uint64_t>> dataStalls;
+  std::vector<std::pair<unsigned, std::uint64_t>> structStalls;
+  /// The unit the last instruction occupies: the cycle it frees, counted
+  /// from entry (past `cycles` when it is still busy at exit), and its field.
+  std::uint64_t busyUntil = 0;
+  unsigned busyField = 0;
+  /// The address after the last instruction, and whether that instruction
+  /// halts.
+  std::uint64_t next = 0;
+  bool halts = false;
+};
+
 /// Binds decoded instructions of one machine. Immutable after construction,
 /// so one binder can serve any number of programs.
 class Binder {
@@ -174,6 +207,22 @@ class Binder {
   /// names in scope: the embedded narrow ALU, one `uint64_t s<i>[depth]`
   /// array per storage and `bool pcWritten`.
   std::string printCpp(const BoundProgram& prog, std::uint64_t address) const;
+
+  /// Builds into `out` the block whose leader is `address` of `program`,
+  /// bound into `prog`, by scheduling it the way ExecEngine::issue would
+  /// from an empty queue and free units. Returns false, the block being
+  /// ineligible, when its stalls, write order or exit state could depend on
+  /// run-time data or on more than the block:
+  ///   * an interlocked (Stall > 0) write and a phase-A read of the same
+  ///     storage overlap while one of them has an element computed at run
+  ///     time, or one of them sits under a data-dependent RTL branch;
+  ///   * a write retires before an earlier-staged write it may overlap;
+  ///   * a write retires after the block's last cycle;
+  ///   * a write goes to a storage wider than 64 bits;
+  ///   * a record other than the leader's reads the program counter (a
+  ///     slice write to it reads it too).
+  bool buildBlock(const DecodedProgram& program, const BoundProgram& prog,
+                  std::uint64_t address, Block& out) const;
 
  private:
   const Machine* machine_;

@@ -46,6 +46,7 @@ void Xsim::initStats() {
   stats_.dataStallsByStorage.assign(machine_->storages.size(), 0);
   stats_.structStallsByField.assign(machine_->fields.size(), 0);
   issues_.assign(decoded_.byAddress.size(), 0);
+  blockIssues_ = 0;
   if (traceBuf_) traceBuf_->clear();
   if (profiling_) heat_.clear();
 }
@@ -86,6 +87,7 @@ bool Xsim::loadProgram(const AssembledProgram& prog, std::string* error) {
   } else {
     bound_ = uop::BoundProgram{};
   }
+  dropBlocks();
   programWords_ = prog.words;
   programData_ = prog.dataInit;
   reset();
@@ -96,6 +98,30 @@ void Xsim::setUopEnabled(bool enabled) {
   useBound_ = enabled && binder_.narrow();
   if (useBound_ && bound_.byAddress.size() != decoded_.byAddress.size())
     binder_.bind(decoded_, bound_);  // loaded under the interpreter
+  dropBlocks();
+}
+
+void Xsim::dropBlocks() {
+  blockAt_.assign(decoded_.byAddress.size(), 0);
+  blocks_.clear();
+}
+
+const uop::Block* Xsim::blockAt(std::uint64_t addr) {
+  std::int32_t& at = blockAt_[addr];
+  if (at > 0) return &blocks_[std::size_t(at - 1)];
+  if (at == 0) {
+    at = kSeenOnce;  // code that runs once pays only this
+  } else if (at == kSeenOnce) {
+    uop::Block block;
+    if (!binder_.buildBlock(decoded_, bound_, addr, block)) {
+      at = kIneligible;
+      return nullptr;
+    }
+    blocks_.push_back(std::move(block));
+    at = std::int32_t(blocks_.size());
+    return &blocks_.back();
+  }
+  return nullptr;
 }
 
 void Xsim::reset() {
@@ -168,6 +194,11 @@ RunResult Xsim::execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
                         bool breakpoints) {
   FoldOnReturn fold{*this};
   uop::BoundProgram* const bound = useBound_ ? &bound_ : nullptr;
+  // Blocks run under run() with nothing watching; an observer armed by a
+  // callback can only come from one already armed.
+  const bool blocks = bound && breakpoints && breakpoints_.empty() &&
+                      !trace_ && !traceBuf_ && !profiling_ &&
+                      state_.monitors().empty();
   for (bool first = true;; first = false) {
     if (engine_.cycle() >= maxCycles)
       return {StopReason::MaxCycles,
@@ -183,6 +214,21 @@ RunResult Xsim::execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
       return {StopReason::Breakpoint, cat("breakpoint at address ", addr)};
     }
     if (!decoded_.hasInstructionAt(addr)) return undecodedStop(addr);
+
+    // At a leader, the whole block when it fits the budget. A trap leaves
+    // the engine as it was, and the leader issues alone below.
+    if (blocks && engine_.idle()) {
+      const uop::Block* block = blockAt(addr);
+      bool branched = false;
+      if (block && block->cycles <= maxCycles - engine_.cycle() &&
+          engine_.runBlock(bound_, *block, branched)) {
+        for (const std::uint64_t a : block->addresses) ++issues_[a];
+        blockIssues_ += block->addresses.size();
+        if (!branched) state_.setPc(block->next, engine_.cycle());
+        if (block->halts) return {StopReason::Halted, {}};
+        continue;
+      }
+    }
 
     const DecodedInstruction& inst = decoded_.byAddress[addr];
     if (trace_) trace_(addr);

@@ -78,7 +78,22 @@ class Xsim {
   /// Resets state and statistics and reloads the last accepted program.
   void reset();
 
-  /// Runs until a stop condition; at most `maxCycles` total machine cycles.
+  /// Runs until a stop condition. The cycle budget is checked before each
+  /// instruction issues: run() returns MaxCycles at the first instruction
+  /// boundary where the cycle count has reached `maxCycles`, so the last
+  /// instruction issued, with its stalls and its cycle window, may carry
+  /// stats().cycles past the budget.
+  ///
+  /// With the bound engine and nothing watching (no breakpoint, trace
+  /// callback, XTRACE trace, profile or monitor), run() issues by block: at
+  /// an address it reaches with nothing in flight and no unit busy (a
+  /// leader), it runs the block that starts there under the schedule fixed
+  /// when the block was first built (ExecEngine::runBlock), provided the
+  /// whole block fits the cycle budget. A leader's block is built on its
+  /// second arrival; blocks are kept across reset() and dropped by
+  /// loadProgram() and setUopEnabled(). Every observable result is the
+  /// per-instruction path's, which step(), the interpreter and any armed
+  /// observer keep using.
   RunResult run(std::uint64_t maxCycles = ~std::uint64_t{0});
   /// Executes up to `n` instructions (breakpoints are ignored while
   /// stepping, like in every debugger).
@@ -107,6 +122,9 @@ class Xsim {
   /// which run mid-instruction, see the counts of the last fold.
   const Stats& stats() const { return stats_; }
   std::uint64_t cycle() const { return engine_.cycle(); }
+  /// The instructions run() has issued inside blocks since the last load
+  /// or reset (a share of stats().instructions).
+  std::uint64_t blockIssues() const { return blockIssues_; }
 
   // --- XTRACE observability (paper Figure 1's measurement edge) -------------
   /// Starts recording issue/stall/write-back events into a bounded ring
@@ -182,6 +200,13 @@ class Xsim {
   Stats stats_;
   /// Issues of each instruction since the last fold, by address.
   std::vector<std::uint64_t> issues_;
+  std::uint64_t blockIssues_ = 0;
+  /// Per address: 0 before run() first reaches it as a leader, kSeenOnce
+  /// after that, kIneligible when its block cannot run as one, and n > 0
+  /// when its block is blocks_[n - 1].
+  std::vector<std::int32_t> blockAt_;
+  std::vector<uop::Block> blocks_;
+  static constexpr std::int32_t kSeenOnce = -1, kIneligible = -2;
   obs::Registry registry_;
   std::unique_ptr<obs::TraceBuffer> traceBuf_;
   obs::StorageHeatmap heat_;
@@ -195,6 +220,11 @@ class Xsim {
                     bool breakpoints);
   /// The stop at an address where no instruction was decoded.
   RunResult undecodedStop(std::uint64_t addr) const;
+  /// Counts an arrival at the leader `addr` and returns its block, built on
+  /// the second arrival; null while there is none to run.
+  const uop::Block* blockAt(std::uint64_t addr);
+  /// Drops every block and arrival count.
+  void dropBlocks();
   void initStats();
   /// Adds issues_ to stats_ and zeroes it.
   void foldIssues();

@@ -43,6 +43,8 @@ struct CellLibrary {
   double ramAreaPerBit = 0.6;
   double ramAccessDelay = 1.8;
   double ramAddrDecodePerLevel = 0.10;
+  /// Decode and sensing logic per bit of each read port.
+  double ramReadPortAreaPerBit = 4.0;
 
   /// 32-bit floating-point macro blocks (x3 for 64-bit).
   double fp32AddArea = 4200, fp32AddDelay = 6.5;

@@ -23,6 +23,18 @@
 #define ISDL_POPCNT_CLONES
 #endif
 
+// The hot entry points (step, runUntil and the counting loop's clones) start
+// on a 64-byte boundary, so how their loops fall across cache lines and
+// fetch blocks does not depend on how much code the linker placed before
+// them. Unaligned, 40 bytes of padding in the code before gatesim.cpp moved
+// perfbench `power` by 3.6 %; aligned, padding by 0, 40 and 112 bytes read
+// within 0.4 %.
+#if defined(__GNUC__)
+#define ISDL_HOT_ALIGN __attribute__((aligned(64)))
+#else
+#define ISDL_HOT_ALIGN
+#endif
+
 namespace isdl::synth {
 
 using hw::kNoNet;
@@ -408,7 +420,7 @@ ISDL_ALWAYS_INLINE void GateSim::evalCombinational() {
   toggles_ += toggles;
 }
 
-ISDL_POPCNT_CLONES void GateSim::evalCountingToggles() {
+ISDL_HOT_ALIGN ISDL_POPCNT_CLONES void GateSim::evalCountingToggles() {
   evalCombinational<true>();
 }
 
@@ -508,7 +520,7 @@ void GateSim::commit() {
   }
 }
 
-void GateSim::step() {
+ISDL_HOT_ALIGN void GateSim::step() {
   if (!constsLoaded_) loadConsts();
   if (countToggles_)
     evalCountingToggles();
@@ -518,7 +530,8 @@ void GateSim::step() {
   ++clocks_;
 }
 
-bool GateSim::runUntil(NetId stopNet, std::uint64_t maxClocks) {
+ISDL_HOT_ALIGN bool GateSim::runUntil(NetId stopNet,
+                                      std::uint64_t maxClocks) {
   const std::uint64_t* stop = values_.data() + offset_[stopNet];
   const std::uint32_t words = wordsOf(stopNet);
   for (std::uint64_t i = 0; i < maxClocks; ++i) {

@@ -59,7 +59,7 @@ NodeCost costOfNode(const hw::Netlist& nl, hw::NetId id,
                 lib.ramAddrDecodePerLevel * log2ceil(double(m.depth));
       // Array area is accounted once per memory in mapArea, not per port;
       // each extra read port costs decode + sensing logic.
-      c.area = 4.0 * m.width;
+      c.area = lib.ramReadPortAreaPerBit * m.width;
       c.cells = m.width;
       return c;
     }
@@ -180,8 +180,8 @@ AreaReport mapArea(const hw::Netlist& nl, const CellLibrary& lib) {
   }
   for (const auto& m : nl.memories) {
     r.ramArea += lib.ramAreaPerBit * double(m.width) * double(m.depth);
-    // Write-port logic.
-    r.logicArea += 3.0 * m.width * double(m.writePorts.size());
+    // Write-port logic: a data mux per bit.
+    r.logicArea += lib.mux21.area * m.width * double(m.writePorts.size());
   }
   r.logicArea *= lib.wiringOverhead;
   r.flopArea *= lib.wiringOverhead;

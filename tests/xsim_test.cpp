@@ -368,6 +368,35 @@ TEST_F(XsimTest, RunWithCycleBudgetStops) {
   EXPECT_GE(sim_.stats().cycles, 50u);
 }
 
+// The budget is checked before each issue, so the instruction that starts
+// inside it runs to the end of its window. SPAM dot64's 13th instruction,
+// the 2-cycle branch at address 12, issues at cycle 12 and ends at 14: a
+// budget of 13 stops there, on the block path (blocks built by a first run)
+// as one instruction at a time (a trace callback armed). The block from
+// address 0 needs 14 cycles, so it runs only from a budget of 14.
+TEST(XsimBudget, BudgetInsideAMultiCycleInstruction) {
+  auto m = archs::loadSpam();
+  Xsim blocks(*m), single(*m);
+  single.setTraceCallback([](std::uint64_t) {});
+  Assembler assembler(blocks.signatures());
+  DiagnosticEngine diags;
+  auto prog = assembler.assemble(archs::spamBenchmarks()[0].source, diags);
+  ASSERT_TRUE(prog && blocks.loadProgram(*prog) && single.loadProgram(*prog));
+  ASSERT_EQ(blocks.run().reason, StopReason::Halted);
+  for (std::uint64_t budget : {13, 14}) {
+    SCOPED_TRACE(budget);
+    for (Xsim* x : {&blocks, &single}) {
+      x->reset();
+      EXPECT_EQ(x->run(budget).reason, StopReason::MaxCycles);
+      EXPECT_EQ(x->stats().cycles, 14u);
+      EXPECT_EQ(x->stats().instructions, 13u);
+      EXPECT_EQ(x->state().pc(), 6u);  // the branch was taken
+    }
+    EXPECT_EQ(blocks.blockIssues(), budget == 13 ? 0u : 13u);
+    EXPECT_EQ(single.blockIssues(), 0u);
+  }
+}
+
 // --- bypass (Stall == 0, Latency > 1) vs interlock (Stall > 0) --------------
 
 TEST(XsimBypass, FullBypassForwardsWithoutStalls) {
