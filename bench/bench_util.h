@@ -6,6 +6,7 @@
 #ifndef ISDL_BENCH_BENCH_UTIL_H
 #define ISDL_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -91,11 +92,22 @@ inline std::pair<std::uint64_t, double> timeLoop(
   return {iters, elapsed};
 }
 
-/// XSIM simulation speed in architectural cycles per second on `source`.
-/// `uop` selects the micro-op compiled core (default) or the tree-walking
-/// interpreter fallback (sim/uop.h) — Table 1 reports both.
+/// The median of `rounds` calls of `measure`: one timed loop moves by about
+/// 10 % between runs on a shared host, the median of five far less.
+inline double medianOf(int rounds, const std::function<double()>& measure) {
+  std::vector<double> v;
+  for (int i = 0; i < rounds; ++i) v.push_back(measure());
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// XSIM simulation speed in architectural cycles per second on `source`,
+/// from one reset-and-run loop of about `minSeconds`. `uop` selects the
+/// micro-op compiled core (default) or the tree-walking interpreter fallback
+/// (sim/uop.h) — Table 1 reports both.
 inline double xsimCyclesPerSec(const Machine& machine, const char* source,
-                               std::uint64_t maxCycles, bool uop = true) {
+                               std::uint64_t maxCycles, bool uop = true,
+                               double minSeconds = 0.4) {
   sim::Xsim xsim(machine);
   xsim.setUopEnabled(uop);
   sim::AssembledProgram prog = assembleOrDie(xsim.signatures(), source);
@@ -108,15 +120,15 @@ inline double xsimCyclesPerSec(const Machine& machine, const char* source,
     if (r.reason != sim::StopReason::Halted)
       throw IsdlError("bench program did not halt: " + r.message);
     cyclesPerRun = xsim.stats().cycles;
-  });
+  }, minSeconds);
   return double(iters) * double(cyclesPerRun) / seconds;
 }
 
 /// Hardware-model (netlist) simulation speed in architectural cycles per
 /// second on the same program — the paper's "Synthesizable Verilog" row.
 inline double hwModelCyclesPerSec(const Machine& machine, const char* source,
-                                  std::uint64_t maxClocks,
-                                  bool share = true) {
+                                  std::uint64_t maxClocks, bool share = true,
+                                  double minSeconds = 0.8) {
   sim::Xsim xsim(machine);  // for signatures + assembler only
   sim::AssembledProgram prog = assembleOrDie(xsim.signatures(), source);
   hw::HgenOptions opts;
@@ -135,7 +147,7 @@ inline double hwModelCyclesPerSec(const Machine& machine, const char* source,
           throw IsdlError("hardware model did not halt");
         archCyclesPerRun = gs.peekNet(hgen.model.cycleCountReg).toUint64();
       },
-      0.8);
+      minSeconds);
   return double(iters) * double(archCyclesPerRun) / seconds;
 }
 

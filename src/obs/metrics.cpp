@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <ostream>
 
 #include "obs/json.h"
@@ -7,18 +8,64 @@
 
 namespace isdl::obs {
 
-void StorageHeatmap::configure(const std::vector<std::uint64_t>& depths) {
-  reads.assign(depths.size(), {});
-  writes.assign(depths.size(), {});
-  for (std::size_t si = 0; si < depths.size(); ++si) {
-    reads[si].assign(depths[si], 0);
-    writes[si].assign(depths[si], 0);
+void StorageHeatmap::Row::grow(std::uint64_t elem, std::uint64_t k) {
+  // Rows grow by whole chunks and at least double, so a run that walks a
+  // memory up or down costs amortised O(1) per element it touches; one
+  // chunk covers a typical register file at once.
+  constexpr std::uint64_t kChunk = 64;
+  const std::uint64_t first = elem & ~(kChunk - 1);
+  if (n.empty()) {
+    lo = first;
+    n.assign(kChunk, 0);
+  } else if (elem >= lo) {
+    n.resize(std::max<std::uint64_t>(first + kChunk - lo, 2 * n.size()));
+  } else {
+    const std::uint64_t below = std::max<std::uint64_t>(
+        lo - first, std::min<std::uint64_t>(lo, n.size()));
+    n.insert(n.begin(), below, 0);
+    lo -= below;
   }
+  n[elem - lo] += k;
+}
+
+void StorageHeatmap::configure(std::size_t storages) {
+  reads.assign(storages, {});
+  writes.assign(storages, {});
 }
 
 void StorageHeatmap::clear() {
-  for (auto& v : reads) v.assign(v.size(), 0);
-  for (auto& v : writes) v.assign(v.size(), 0);
+  for (Row& r : reads) std::fill(r.n.begin(), r.n.end(), 0);
+  for (Row& r : writes) std::fill(r.n.begin(), r.n.end(), 0);
+}
+
+void MetricsReport::addHeat(std::string storage, std::uint64_t depth,
+                            const StorageHeatmap::Row& reads,
+                            const StorageHeatmap::Row& writes) {
+  // The range from the first to the last element with traffic.
+  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+  for (const StorageHeatmap::Row* row : {&reads, &writes}) {
+    const auto& n = row->n;
+    const auto first = std::find_if(n.begin(), n.end(),
+                                    [](std::uint64_t c) { return c != 0; });
+    if (first == n.end()) continue;
+    const auto last = std::find_if(n.rbegin(), n.rend(),
+                                   [](std::uint64_t c) { return c != 0; });
+    lo = std::min(lo, row->lo + std::uint64_t(first - n.begin()));
+    hi = std::max(hi, row->lo + std::uint64_t(n.rend() - last));
+  }
+  if (lo >= hi) return;
+  Heat h{std::move(storage), depth, lo,
+         std::vector<std::uint64_t>(2 * (hi - lo), 0)};
+  for (const StorageHeatmap::Row* row : {&reads, &writes}) {
+    const std::uint64_t from = std::max(lo, row->lo);
+    const std::uint64_t to = std::min(hi, row->lo + row->n.size());
+    const std::uint64_t at = row == &reads ? 0 : hi - lo;
+    if (from < to)
+      std::copy(row->n.begin() + std::ptrdiff_t(from - row->lo),
+                row->n.begin() + std::ptrdiff_t(to - row->lo),
+                h.counts.begin() + std::ptrdiff_t(at + from - lo));
+  }
+  heatmaps.push_back(std::move(h));
 }
 
 void MetricsReport::writeJson(std::ostream& out, bool pretty) const {
@@ -56,10 +103,10 @@ void MetricsReport::writeJson(JsonWriter& w, bool includeWallClock) const {
   for (const auto& h : heatmaps) {
     w.key(h.storage).beginObject();
     w.key("reads").beginArray();
-    for (std::uint64_t r : h.reads) w.value(r);
+    for (std::uint64_t e = 0; e < h.depth; ++e) w.value(h.readsOf(e));
     w.endArray();
     w.key("writes").beginArray();
-    for (std::uint64_t x : h.writes) w.value(x);
+    for (std::uint64_t e = 0; e < h.depth; ++e) w.value(h.writesOf(e));
     w.endArray();
     w.endObject();
   }

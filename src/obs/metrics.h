@@ -18,20 +18,51 @@ namespace isdl::obs {
 
 class JsonWriter;
 
-/// Per-storage access counts: reads[si][elem] / writes[si][elem]. Reads are
-/// counted at every architectural read the core performs; writes at every
-/// value-changing commit (the write side rides the Monitors hook, which
-/// dedups no-change writes). The core holds a nullable pointer to one of
-/// these, so a disabled heatmap costs one branch per access.
+/// Per-storage access counts. Reads are counted at every architectural read
+/// the core performs; writes at every value-changing commit (the write side
+/// rides the Monitors hook, which dedups no-change writes). The core holds a
+/// nullable pointer to one of these, so a disabled heatmap costs one branch
+/// per access.
+///
+/// A row holds the counts of the element range the run has touched, not of
+/// the whole storage: it starts empty and grows to cover each element as it
+/// is counted, so arming, clearing and reporting a profile cost what the run
+/// touched, whatever the storages' depths.
 struct StorageHeatmap {
-  std::vector<std::vector<std::uint64_t>> reads;
-  std::vector<std::vector<std::uint64_t>> writes;
+  /// Counts of elements [lo, lo + n.size()); every other element's is 0.
+  struct Row {
+    std::uint64_t lo = 0;
+    std::vector<std::uint64_t> n;
 
-  void configure(const std::vector<std::uint64_t>& depths);
+    void add(std::uint64_t elem, std::uint64_t k) {
+      const std::uint64_t i = elem - lo;  // wraps below lo
+      if (i < n.size())
+        n[i] += k;
+      else
+        grow(elem, k);
+    }
+
+   private:
+    void grow(std::uint64_t elem, std::uint64_t k);
+  };
+  std::vector<Row> reads;
+  std::vector<Row> writes;
+
+  /// One empty row pair per storage.
+  void configure(std::size_t storages);
+  /// Zeroes every count; the rows keep the ranges they cover.
   void clear();
 
-  void countRead(unsigned si, std::uint64_t elem) { ++reads[si][elem]; }
-  void countWrite(unsigned si, std::uint64_t elem) { ++writes[si][elem]; }
+  void countRead(unsigned si, std::uint64_t elem, std::uint64_t k = 1) {
+    reads[si].add(elem, k);
+  }
+  void countWrite(unsigned si, std::uint64_t elem, std::uint64_t k = 1) {
+    writes[si].add(elem, k);
+  }
+  /// Takes back one counted write of `elem`.
+  void uncountWrite(unsigned si, std::uint64_t elem) {
+    --writes[si].n[elem - writes[si].lo];
+  }
 };
 
 struct MetricsReport {
@@ -61,11 +92,32 @@ struct MetricsReport {
   std::vector<StallSource> dataStallsByProducer;
   std::vector<StallSource> structStallsByField;
 
+  /// One storage's counts over the element range with traffic, [lo, lo +
+  /// size()): the first and last element of the range have a read or a
+  /// write, and every element outside it has neither. The JSON lists all
+  /// `depth` elements.
   struct Heat {
     std::string storage;
-    std::vector<std::uint64_t> reads, writes;  ///< indexed by element
+    std::uint64_t depth = 0;
+    std::uint64_t lo = 0;
+    /// The range's reads, then its writes: one allocation per storage.
+    std::vector<std::uint64_t> counts;
+
+    std::uint64_t size() const { return counts.size() / 2; }
+    std::uint64_t readsOf(std::uint64_t elem) const {
+      return elem - lo < size() ? counts[elem - lo] : 0;
+    }
+    std::uint64_t writesOf(std::uint64_t elem) const {
+      return elem - lo < size() ? counts[size() + elem - lo] : 0;
+    }
+    bool operator==(const Heat&) const = default;
   };
   std::vector<Heat> heatmaps;  ///< storages with any traffic only
+  /// Appends the heat of a storage `depth` elements deep from its rows of a
+  /// StorageHeatmap, when they hold any traffic.
+  void addHeat(std::string storage, std::uint64_t depth,
+               const StorageHeatmap::Row& reads,
+               const StorageHeatmap::Row& writes);
 
   /// Free-form registry counters ("sim/runs", "explore/eval/sim_ns", ...).
   std::vector<std::pair<std::string, std::uint64_t>> counters;

@@ -377,7 +377,7 @@ bool ExecEngine::issue(const DecodedProgram& program,
     stageMark_ = pending_.size();
     phaseB_ = phaseB;
     if (bound)
-      execProgram(*bound, inst.address, phaseB);
+      execProgram<false>(*bound, inst.address, phaseB);
     else
       interpretPhase(ops, ctxs, phaseB);
   };
@@ -473,32 +473,55 @@ void ExecEngine::applyStaged() {
   stageMark_ = 0;
 }
 
+void ExecEngine::logRead(unsigned si, std::uint64_t elem) {
+  readLog_.emplace_back(si, elem);
+}
+
 bool ExecEngine::runBlock(uop::BoundProgram& bound, const uop::Block& block,
                           bool& branched) {
+  return heat_ ? runBlockAs<true>(bound, block, branched)
+               : runBlockAs<false>(bound, block, branched);
+}
+
+template <bool kProfile>
+bool ExecEngine::runBlockAs(uop::BoundProgram& bound, const uop::Block& block,
+                            bool& branched) {
   // The queue is empty and stays so between instructions: each phase
   // stages from the queue's start (phase B behind phase A's mark), and
   // nothing is ever indexed, so every read goes straight to the state.
   const std::uint64_t entryId = instrId_;
+  const std::uint64_t leader = block.addresses.front();
   undo_.clear();
+  if constexpr (kProfile) readLog_.clear();
   pcCommitted_ = false;
   try {
     for (const std::uint64_t addr : block.addresses) {
+      if (kProfile && addr == block.addresses.back() && addr != leader)
+        state_.storeWordInRange(pcIndex_, 0, addr);
       ++instrId_;
-      execProgram(bound, addr, false);
+      execProgram<kProfile>(bound, addr, false);
       if (bound.hasPhaseB(addr)) {
         stageMark_ = pending_.size();
-        execProgram(bound, addr, true);
+        execProgram<kProfile>(bound, addr, true);
       }
       applyStaged();
     }
   } catch (const EvalError&) {
+    // Undone in reverse, each element holds the word its undone write put
+    // there, so a write that changed it is one the heatmap counted.
     pending_.clear();
     stageMark_ = 0;
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it)
-      state_.writeWordInRange(it->si, it->elem, it->word, cycle_);
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      if (kProfile && state_.wordInRange(it->si, it->elem) != it->word)
+        heat_->uncountWrite(it->si, it->elem);
+      state_.storeWordInRange(it->si, it->elem, it->word);
+    }
+    state_.storeWordInRange(pcIndex_, 0, leader);
     instrId_ = entryId;
     return false;
   }
+  if constexpr (kProfile)
+    for (const auto& [si, elem] : readLog_) heat_->countRead(si, elem);
 
   busyUntil_ = cycle_ + block.busyUntil;
   busyField_ = block.busyField;

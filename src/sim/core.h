@@ -35,8 +35,10 @@
 // computes them once. runBlock then runs the block's records through the
 // same dispatch loop and staging, applies each instruction's writes to the
 // state as soon as it has run, and skips the queue, the hazard probes and
-// the retry loop, which could change nothing there. The scheduler (Xsim)
-// takes this path only while no observer is armed.
+// the retry loop, which could change nothing there. Under a storage profile
+// the block's schedule also carries its heatmap counts, so a block costs
+// about the same with the profile armed; the scheduler (Xsim) leaves this
+// path for every other observer.
 
 #ifndef ISDL_SIM_CORE_H
 #define ISDL_SIM_CORE_H
@@ -87,17 +89,25 @@ class ExecEngine {
   }
 
   /// Runs `block` of the bound program `bound` from the current cycle; the
-  /// engine must be idle() and no observer (trace, heatmap, monitor) armed.
-  /// Each record's phases run through execProgram and stage their writes as
-  /// issue() does, write conflicts included, and each instruction's staged
-  /// writes then go straight to the state in staging order: the block's
-  /// schedule (uop::Binder::buildBlock) guarantees that this is the order
-  /// and the value issue() would retire. The block's cycles, stalls and
-  /// their attribution are added once at its end. Returns true when the
-  /// block completed, with `branched` telling whether it wrote the program
-  /// counter. On a trap, every applied write is undone, the engine is as it
-  /// was at entry, and it returns false: the caller re-runs the block one
-  /// instruction at a time, which traps as issue() does.
+  /// engine must be idle(), the program counter at the block's leader, and
+  /// no trace or monitor armed. Each record's phases run through execProgram
+  /// and stage their writes as issue() does, write conflicts included, and
+  /// each instruction's staged writes then go straight to the state in
+  /// staging order: the block's schedule (uop::Binder::buildBlock)
+  /// guarantees that this is the order and the value issue() would retire.
+  /// The block's cycles, stalls and their attribution are added once at its
+  /// end. Returns true when the block completed, with `branched` telling
+  /// whether it wrote the program counter. On a trap, every applied write is
+  /// undone, the engine is as it was at entry, and it returns false: the
+  /// caller re-runs the block one instruction at a time, which traps as
+  /// issue() does.
+  ///
+  /// With a heatmap set, the block's dynamic reads and its writes are
+  /// counted as they run, and the program counter holds the last
+  /// instruction's address while that one runs, as issue() would find it,
+  /// so its branch counts as issue()'s does; the caller adds the block's
+  /// other counts (Block::reads and the PC writes between its instructions).
+  /// A trap takes every count back.
   bool runBlock(uop::BoundProgram& bound, const uop::Block& block,
                 bool& branched);
 
@@ -113,7 +123,8 @@ class ExecEngine {
   /// Ring buffer receiving issue/stall/write-back events.
   void setTrace(obs::TraceBuffer* trace) { trace_ = trace; }
   /// Heatmap receiving one countRead per architectural read the core
-  /// performs (State counts the writes, see Xsim::enableProfile).
+  /// performs (State counts the writes, see Xsim::enableProfile); runBlock
+  /// counts only a block's dynamic reads.
   void setHeatmap(obs::StorageHeatmap* heat) { heat_ = heat; }
 
  private:
@@ -198,6 +209,12 @@ class ExecEngine {
     std::uint64_t word;
   };
   std::vector<Undo> undo_;
+  /// The dynamic reads a profiled runBlock has made, counted when the block
+  /// completes.
+  std::vector<std::pair<unsigned, std::uint64_t>> readLog_;
+  /// Appends to readLog_. Out of line: a vector append inlined into the
+  /// dispatch loop cost a profiled block about 10 % per issue.
+  void logRead(unsigned si, std::uint64_t elem);
 
   class OpContext;
 
@@ -262,10 +279,29 @@ class ExecEngine {
   /// whose per-field contexts are `ctxs`.
   void interpretPhase(const DecodedOp* ops, const std::vector<OpContext>& ctxs,
                       bool phaseB);
+  /// runBlock without (kProfile false) or with a heatmap.
+  template <bool kProfile>
+  bool runBlockAs(uop::BoundProgram& bound, const uop::Block& block,
+                  bool& branched);
   /// Runs phase A (or, with `phaseB`, phase B) of the bound record at
   /// `address`: the micro-op dispatch loop, defined in uop.cpp.
+  /// `kBlockProfile` selects a profiled runBlock's reads (readUop).
+  template <bool kBlockProfile>
   void execProgram(uop::BoundProgram& prog, std::uint64_t address,
                    bool phaseB);
+  /// A bound read of `elem` of storage `u.a`: through the overlay, or, in a
+  /// profiled block, where nothing is in flight, from the state, logging it
+  /// when it is dynamic.
+  template <bool kBlockProfile>
+  std::uint64_t readUop(const uop::Uop& u, std::uint64_t elem) {
+    if constexpr (kBlockProfile) {
+      const std::uint64_t v = state_.readWord(u.a, elem);
+      if (u.dynamic) logRead(u.a, elem);
+      return v;
+    } else {
+      return readNarrow(u.a, elem);
+    }
+  }
 
   friend class OpContext;
 };

@@ -128,8 +128,18 @@ class State {
     const std::uint64_t old = w;
     w = value;
     markDirty(l, element);
-    if (heat_) heat_->countWrite(si, element);
+    if (heat_) [[unlikely]] heat_->countWrite(si, element);
     if (!monitors_.empty()) fireWordWrite(si, element, old, cycle);
+  }
+
+  /// Stores `value`, already within the storage's width, at a checked
+  /// element without firing monitors or counting in the heatmap: how a block
+  /// moves the program counter and undoes its writes (ExecEngine::runBlock).
+  void storeWordInRange(unsigned si, std::uint64_t element,
+                        std::uint64_t value) {
+    Layout& l = layout_[si];
+    words_[l.offset + element] = value;
+    markDirty(l, element);
   }
 
   // --- convenience accessors -------------------------------------------------

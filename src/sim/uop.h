@@ -110,6 +110,11 @@ struct Uop {
   std::uint8_t op = 0;     ///< rtl::BinOp / rtl::UnOp / TrapKind ordinal
   std::uint16_t hi = 0;    ///< Slice high bit; *Ext/Trunc/IToF/FToI width
   std::uint16_t lo = 0;    ///< Slice low bit
+  /// ReadStorage/ReadElem: the element read, or whether the read happens at
+  /// all, is decided at run time (an index some uop computes, or a read
+  /// under a data-dependent branch). A block counts such reads in the
+  /// heatmap as they run and every other read once from its schedule.
+  bool dynamic = false;
   std::uint32_t dst = 0;   ///< result register; SetLv/StageWrite: write slot
   std::uint32_t a = 0;     ///< operand register / storage index /
                            ///< jump target / non-terminal index
@@ -177,6 +182,17 @@ struct Block {
   /// halts.
   std::uint64_t next = 0;
   bool halts = false;
+
+  /// The reads one run adds to the storage heatmap besides those of
+  /// Uop::dynamic micro-ops: every other read of each record, by (storage,
+  /// element), a phase-A read once more for each interlock retry
+  /// ExecEngine::issue would make.
+  struct Count {
+    unsigned si;
+    std::uint64_t elem;
+    std::uint64_t n;
+  };
+  std::vector<Count> reads;
 };
 
 /// Binds decoded instructions of one machine. Immutable after construction,
@@ -220,7 +236,12 @@ class Binder {
   ///   * a write retires after the block's last cycle;
   ///   * a write goes to a storage wider than 64 bits;
   ///   * a record other than the leader's reads the program counter (a
-  ///     slice write to it reads it too).
+  ///     slice write to it reads it too);
+  ///   * an instruction that waits on an interlock computes, in phase A, an
+  ///     element (a dynamic read, a SetLv) or a branch from data: the
+  ///     attempt ExecEngine::issue discards runs on the stale values, so it
+  ///     may trap, or read elements no schedule can know.
+  /// A block also ends before an address the program counter cannot hold.
   bool buildBlock(const DecodedProgram& program, const BoundProgram& prog,
                   std::uint64_t address, Block& out) const;
 

@@ -104,6 +104,7 @@ void Xsim::setUopEnabled(bool enabled) {
 void Xsim::dropBlocks() {
   blockAt_.assign(decoded_.byAddress.size(), 0);
   blocks_.clear();
+  blockRuns_.clear();
 }
 
 const uop::Block* Xsim::blockAt(std::uint64_t addr) {
@@ -118,6 +119,7 @@ const uop::Block* Xsim::blockAt(std::uint64_t addr) {
       return nullptr;
     }
     blocks_.push_back(std::move(block));
+    blockRuns_.push_back(0);
     at = std::int32_t(blocks_.size());
     return &blocks_.back();
   }
@@ -160,6 +162,22 @@ RunResult Xsim::undecodedStop(std::uint64_t addr) const {
 }
 
 void Xsim::foldIssues() {
+  const unsigned pc = unsigned(machine_->pcIndex);
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const std::uint64_t n = blockRuns_[b];
+    if (n == 0) continue;
+    blockRuns_[b] = 0;
+    const uop::Block& block = blocks_[b];
+    for (const std::uint64_t a : block.addresses) issues_[a] += n;
+    blockIssues_ += n * block.addresses.size();
+    if (!profiling_) continue;
+    for (const uop::Block::Count& c : block.reads)
+      heat_.countRead(c.si, c.elem, n * c.n);
+    // The PC moves to the next instruction after each but the last, a
+    // change of its value: a block ends before an address it cannot hold.
+    if (block.addresses.size() > 1)
+      heat_.countWrite(pc, 0, n * (block.addresses.size() - 1));
+  }
   for (std::size_t addr = 0; addr < issues_.size(); ++addr) {
     const std::uint64_t n = issues_[addr];
     if (n == 0) continue;
@@ -194,11 +212,11 @@ RunResult Xsim::execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
                         bool breakpoints) {
   FoldOnReturn fold{*this};
   uop::BoundProgram* const bound = useBound_ ? &bound_ : nullptr;
-  // Blocks run under run() with nothing watching; an observer armed by a
-  // callback can only come from one already armed.
+  // Blocks run under run() with nothing watching but the profile, whose
+  // counts a block carries; an observer armed by a callback can only come
+  // from one already armed.
   const bool blocks = bound && breakpoints && breakpoints_.empty() &&
-                      !trace_ && !traceBuf_ && !profiling_ &&
-                      state_.monitors().empty();
+                      !trace_ && !traceBuf_ && state_.monitors().empty();
   for (bool first = true;; first = false) {
     if (engine_.cycle() >= maxCycles)
       return {StopReason::MaxCycles,
@@ -222,8 +240,7 @@ RunResult Xsim::execute(std::uint64_t maxCycles, std::uint64_t maxInstructions,
       bool branched = false;
       if (block && block->cycles <= maxCycles - engine_.cycle() &&
           engine_.runBlock(bound_, *block, branched)) {
-        for (const std::uint64_t a : block->addresses) ++issues_[a];
-        blockIssues_ += block->addresses.size();
+        ++blockRuns_[std::size_t(block - blocks_.data())];
         if (!branched) state_.setPc(block->next, engine_.cycle());
         if (block->halts) return {StopReason::Halted, {}};
         continue;
@@ -268,10 +285,7 @@ void Xsim::writeChromeTrace(std::ostream& out) const {
 
 void Xsim::enableProfile() {
   if (profiling_) return;
-  std::vector<std::uint64_t> depths;
-  depths.reserve(machine_->storages.size());
-  for (const auto& st : machine_->storages) depths.push_back(st.depth);
-  heat_.configure(depths);
+  heat_.configure(machine_->storages.size());
   engine_.setHeatmap(&heat_);
   state_.setHeatmap(&heat_);
   profiling_ = true;
@@ -322,14 +336,10 @@ obs::MetricsReport Xsim::metricsReport() const {
           {machine_->storages[si].name, st.dataStallsByStorage[si]});
 
   if (profiling_) {
-    for (std::size_t si = 0; si < machine_->storages.size(); ++si) {
-      bool any = false;
-      for (std::uint64_t c : heat_.reads[si]) any = any || c;
-      for (std::uint64_t c : heat_.writes[si]) any = any || c;
-      if (!any) continue;
-      r.heatmaps.push_back(
-          {machine_->storages[si].name, heat_.reads[si], heat_.writes[si]});
-    }
+    r.heatmaps.reserve(machine_->storages.size());
+    for (std::size_t si = 0; si < machine_->storages.size(); ++si)
+      r.addHeat(machine_->storages[si].name, machine_->storages[si].depth,
+                heat_.reads[si], heat_.writes[si]);
   }
 
   r.counters = registry_.snapshot();

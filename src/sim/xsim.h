@@ -84,16 +84,18 @@ class Xsim {
   /// instruction issued, with its stalls and its cycle window, may carry
   /// stats().cycles past the budget.
   ///
-  /// With the bound engine and nothing watching (no breakpoint, trace
-  /// callback, XTRACE trace, profile or monitor), run() issues by block: at
-  /// an address it reaches with nothing in flight and no unit busy (a
-  /// leader), it runs the block that starts there under the schedule fixed
-  /// when the block was first built (ExecEngine::runBlock), provided the
-  /// whole block fits the cycle budget. A leader's block is built on its
-  /// second arrival; blocks are kept across reset() and dropped by
-  /// loadProgram() and setUopEnabled(). Every observable result is the
-  /// per-instruction path's, which step(), the interpreter and any armed
-  /// observer keep using.
+  /// With the bound engine and no breakpoint, trace callback, XTRACE trace
+  /// or monitor armed, run() issues by block: at an address it reaches with
+  /// nothing in flight and no unit busy (a leader), it runs the block that
+  /// starts there under the schedule fixed when the block was first built
+  /// (ExecEngine::runBlock), provided the whole block fits the cycle budget.
+  /// The storage profile does not leave the block path: a block carries the
+  /// heatmap counts its schedule fixes. A leader's block is built on its
+  /// second arrival; blocks are kept across reset(), enableProfile() and
+  /// disableProfile(), and dropped by loadProgram() and setUopEnabled().
+  /// Every observable result, heatmaps included, is the per-instruction
+  /// path's, which step(), the interpreter and the other observers keep
+  /// using.
   RunResult run(std::uint64_t maxCycles = ~std::uint64_t{0});
   /// Executes up to `n` instructions (breakpoints are ignored while
   /// stepping, like in every debugger).
@@ -138,7 +140,10 @@ class Xsim {
   void writeChromeTrace(std::ostream& out) const;
 
   /// Enables per-storage access heatmaps: reads counted in the core, writes
-  /// in State's commit path. Cleared by loadProgram/reset.
+  /// in State's commit path, a block's fixed counts when run() returns.
+  /// Cleared by loadProgram/reset. Each storage's counts cover only the
+  /// elements the run touched, so arming costs nothing per element of a
+  /// storage's depth.
   void enableProfile();
   void disableProfile();
   bool profiling() const { return profiling_; }
@@ -198,8 +203,11 @@ class Xsim {
   /// Everything but opCount, fieldUtilization and instructions is current;
   /// those three lag by the counts in issues_ until foldIssues().
   Stats stats_;
-  /// Issues of each instruction since the last fold, by address.
+  /// Issues of each instruction since the last fold, by address, and the
+  /// completed runs of each block, whose issues and heatmap counts the fold
+  /// adds.
   std::vector<std::uint64_t> issues_;
+  std::vector<std::uint64_t> blockRuns_;
   std::uint64_t blockIssues_ = 0;
   /// Per address: 0 before run() first reaches it as a leader, kSeenOnce
   /// after that, kIneligible when its block cannot run as one, and n > 0
@@ -226,7 +234,8 @@ class Xsim {
   /// Drops every block and arrival count.
   void dropBlocks();
   void initStats();
-  /// Adds issues_ to stats_ and zeroes it.
+  /// Adds issues_ and blockRuns_ to stats_ (and to the heatmap while
+  /// profiling) and zeroes them.
   void foldIssues();
   struct FoldOnReturn;
 };

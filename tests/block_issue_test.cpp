@@ -1,16 +1,19 @@
 // Differential tests of issue by block (ExecEngine::runBlock). The bound
-// engine with nothing watching runs blocks; the interpreter and the bound
-// engine with a trace callback armed issue one instruction at a time. All
-// three must agree on every Stats field, the committed state, the cycle,
-// the stop reason and its message: over every bundled arch x kernel, rerun
-// and cut at every cycle budget; on traps in the middle of a block; on one
-// directed block per rule that makes a block ineligible; and across a
-// reload and an engine switch. The share of issues run in blocks is pinned
-// on the bundled kernels.
+// engine with nothing but the profile watching runs blocks; the interpreter
+// and the bound engine with a trace callback armed issue one instruction at
+// a time. All three must agree on every Stats field, the committed state,
+// the cycle, the stop reason and its message, and, with the profile armed on
+// all three, on the storage heatmaps: over every bundled arch x kernel,
+// rerun and cut at every cycle budget; over the SPAM-family variants an
+// exploration evaluates; on traps in the middle of a block; on one directed
+// block per rule that makes a block ineligible; and across a reload, an
+// engine switch and the profile switched on or off. The share of issues run
+// in blocks is pinned on the bundled kernels, with and without the profile.
 
 #include <gtest/gtest.h>
 
 #include "archs/archs.h"
+#include "explore/spamfamily.h"
 #include "isdl/parser.h"
 #include "sim/xsim.h"
 #include "support/strings.h"
@@ -45,6 +48,34 @@ void diffState(const Machine& m, const Xsim& a, const Xsim& b,
   }
 }
 
+/// Appends a line per element whose heatmap counts differ between `a` and
+/// `b` (no line when neither is profiling).
+void diffHeat(const Machine& m, const Xsim& a, const Xsim& b,
+              const char* bName, std::vector<std::string>& out) {
+  const obs::MetricsReport ra = a.metricsReport(), rb = b.metricsReport();
+  if (ra.heatmaps == rb.heatmaps) return;
+  auto find = [](const obs::MetricsReport& r, const std::string& storage) {
+    const obs::MetricsReport::Heat* found = nullptr;
+    for (const auto& h : r.heatmaps)
+      if (h.storage == storage) found = &h;
+    return found;
+  };
+  for (const StorageDef& st : m.storages) {
+    const obs::MetricsReport::Heat *ha = find(ra, st.name),
+                                   *hb = find(rb, st.name);
+    for (std::uint64_t e = 0; e < st.depth; ++e)
+      for (bool reads : {true, false}) {
+        auto count = [&](const obs::MetricsReport::Heat* h) {
+          return !h ? 0 : reads ? h->readsOf(e) : h->writesOf(e);
+        };
+        if (count(ha) != count(hb))
+          out.push_back(cat(st.name, "[", e, "] ", reads ? "reads" : "writes",
+                            ": block=", count(ha), " ", bName, "=",
+                            count(hb)));
+      }
+  }
+}
+
 /// The block path and the two per-instruction references, driven through
 /// the same calls.
 struct Trio {
@@ -53,10 +84,16 @@ struct Trio {
   Xsim interp;  ///< the interpreter
   Xsim single;  ///< bound engine with a trace callback: one at a time
 
-  explicit Trio(const Machine& machine)
+  explicit Trio(const Machine& machine, bool profile = false)
       : m(machine), block(machine), interp(machine), single(machine) {
     interp.setUopEnabled(false);
     single.setTraceCallback([](std::uint64_t) {});
+    if (profile) setProfile(true);
+  }
+
+  void setProfile(bool on) {
+    for (Xsim* x : {&block, &interp, &single})
+      on ? x->enableProfile() : x->disableProfile();
   }
 
   bool load(const AssembledProgram& prog) {
@@ -91,6 +128,7 @@ struct Trio {
       if (block.cycle() != x->cycle())
         diffs.push_back(cat("cycle: block=", block.cycle(), " ", name, "=",
                             x->cycle()));
+      diffHeat(m, block, *x, name, diffs);
     }
     EXPECT_TRUE(diffs.empty()) << join(diffs, "\n");
   }
@@ -118,13 +156,14 @@ const ArchCase kArchs[] = {
 };
 
 // Three runs to halt, then every cycle budget from 1 to the halt: the block
-// path stops at the instruction the per-instruction path stops at.
-TEST(BlockIssue, BundledKernelsAtEveryBudget) {
+// path stops at the instruction the per-instruction path stops at, and with
+// the profile armed counts the same heatmaps.
+void expectSameAtEveryBudget(bool profile) {
   for (const ArchCase& a : kArchs) {
     auto m = a.loader();
     for (const archs::Benchmark& bench : a.benchmarks()) {
       SCOPED_TRACE(::testing::Message() << a.name << "/" << bench.name);
-      Trio trio(*m);
+      Trio trio(*m, profile);
       auto prog = assemble(trio.block, bench.source);
       ASSERT_TRUE(prog && trio.load(*prog));
       for (int rerun = 0; rerun < 3; ++rerun) {
@@ -137,15 +176,23 @@ TEST(BlockIssue, BundledKernelsAtEveryBudget) {
         trio.drainAndCompare();
       }
       const std::uint64_t halt = trio.block.stats().cycles;
-      for (std::uint64_t budget = 1; budget <= halt && !HasFailure();
-           ++budget)
+      for (std::uint64_t budget = 1;
+           budget <= halt && !::testing::Test::HasFailure(); ++budget)
         trio.all([&](Xsim& x) {
           x.reset();
           return x.run(budget);
         });
-      if (HasFailure()) return;
+      if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+TEST(BlockIssue, BundledKernelsAtEveryBudget) {
+  expectSameAtEveryBudget(false);
+}
+
+TEST(BlockIssue, ProfiledBundledKernelsAtEveryBudget) {
+  expectSameAtEveryBudget(true);
 }
 
 // The share of issues run in blocks: on the first run after a load (a
@@ -165,29 +212,58 @@ TEST(BlockIssue, BlockShareOnBundledKernels) {
       {"SREP/dot64", 971, 945},     {"SREP/gcd", 73, 59},
       {"TDSP/fir8", 33, 21},        {"TDSP/memcpy8", 29, 21},
   };
-  const Share* next = expected;
-  std::uint64_t instructions = 0, cold = 0;
-  for (const ArchCase& a : kArchs) {
-    auto m = a.loader();
-    for (const archs::Benchmark& bench : a.benchmarks()) {
-      ASSERT_NE(next, std::end(expected));
-      const Share& want = *next++;
-      ASSERT_EQ(cat(a.name, "/", bench.name), want.kernel);
-      Xsim x(*m);
-      auto prog = assemble(x, bench.source);
-      ASSERT_TRUE(prog && x.loadProgram(*prog));
-      ASSERT_EQ(x.run(bench.maxCycles).reason, StopReason::Halted);
-      EXPECT_EQ(x.stats().instructions, want.instructions) << want.kernel;
-      EXPECT_EQ(x.blockIssues(), want.cold) << want.kernel;
-      instructions += x.stats().instructions;
-      cold += x.blockIssues();
-      x.reset();
-      ASSERT_EQ(x.run(bench.maxCycles).reason, StopReason::Halted);
-      EXPECT_EQ(x.blockIssues(), want.instructions) << want.kernel;
+  // The profile leaves every block of these kernels on the block path.
+  for (bool profile : {false, true}) {
+    SCOPED_TRACE(profile ? "profiled" : "unprofiled");
+    const Share* next = expected;
+    std::uint64_t instructions = 0, cold = 0;
+    for (const ArchCase& a : kArchs) {
+      auto m = a.loader();
+      for (const archs::Benchmark& bench : a.benchmarks()) {
+        ASSERT_NE(next, std::end(expected));
+        const Share& want = *next++;
+        ASSERT_EQ(cat(a.name, "/", bench.name), want.kernel);
+        Xsim x(*m);
+        if (profile) x.enableProfile();
+        auto prog = assemble(x, bench.source);
+        ASSERT_TRUE(prog && x.loadProgram(*prog));
+        ASSERT_EQ(x.run(bench.maxCycles).reason, StopReason::Halted);
+        EXPECT_EQ(x.stats().instructions, want.instructions) << want.kernel;
+        EXPECT_EQ(x.blockIssues(), want.cold) << want.kernel;
+        instructions += x.stats().instructions;
+        cold += x.blockIssues();
+        x.reset();
+        ASSERT_EQ(x.run(bench.maxCycles).reason, StopReason::Halted);
+        EXPECT_EQ(x.blockIssues(), want.instructions) << want.kernel;
+      }
     }
+    EXPECT_EQ(instructions, 9958u);  // one pass of perfbench's `sim` op set
+    EXPECT_EQ(cold, 9705u);          // 97.5 %
   }
-  EXPECT_EQ(instructions, 9958u);  // one pass of perfbench's `sim` op set
-  EXPECT_EQ(cold, 9705u);          // 97.5 %
+}
+
+// The runs every exploration candidate makes: each of the 16 SPAM-family
+// variants' first run after a load, with the profile armed. The block path
+// counts the interpreter's heatmaps and runs 97 % of the issues.
+TEST(BlockIssue, ProfiledSpamFamilyFirstRuns) {
+  std::uint64_t instructions = 0, inBlocks = 0;
+  for (unsigned alu = 1; alu <= 4; ++alu)
+    for (unsigned mov = 0; mov <= 3; ++mov) {
+      const explore::Candidate c = explore::makeSpamVariant({alu, mov});
+      SCOPED_TRACE(c.name);
+      auto m = parseAndCheckIsdl(c.isdlSource);
+      ASSERT_NE(m, nullptr);
+      Trio trio(*m, true);
+      auto prog = assemble(trio.block, c.appSource);
+      ASSERT_TRUE(prog && trio.load(*prog));
+      EXPECT_EQ(trio.all([](Xsim& x) { return x.run(10'000'000); }).reason,
+                StopReason::Halted);
+      trio.drainAndCompare();
+      instructions += trio.block.stats().instructions;
+      inBlocks += trio.block.blockIssues();
+    }
+  EXPECT_EQ(instructions, 12992u);
+  EXPECT_EQ(inBlocks, 12600u);  // 97.0 %
 }
 
 /// A machine with a counted loop and one operation per rule a block can
@@ -295,7 +371,8 @@ RunResult runLoopProgram(Trio& trio, const std::string& program) {
 // A loop whose body traps on its third pass, the second run of its block:
 // the block's applied writes are undone, and the re-run one instruction at
 // a time traps where the per-instruction path traps. Running on traps
-// again; a reset and rerun (with the block kept) traps the same way.
+// again; a reset and rerun (with the block kept) traps the same way. Under
+// the profile the trapped block leaves no read or write count behind.
 TEST(BlockIssue, TrapMidBlockOnSecondEntry) {
   auto m = parseAndCheckIsdl(kLoopIsdl);
   ASSERT_NE(m, nullptr);
@@ -311,9 +388,10 @@ TEST(BlockIssue, TrapMidBlockOnSecondEntry) {
        "at address 3: write conflict: two RTL statements write R[1] in the "
        "same cycle"},
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.body);
-    Trio trio(*m);
+  for (const Case& c : cases)
+  for (bool profile : {false, true}) {
+    SCOPED_TRACE(cat(c.body, profile ? ", profiled" : ""));
+    Trio trio(*m, profile);
     const bool store = std::string(c.body).starts_with("st");
     const RunResult r = runLoopProgram(
         trio, cat("li R0, ", store ? 5 : 4,
@@ -374,27 +452,155 @@ TEST(BlockIssue, IneligibleBlocks) {
        4},
       // li's write to R1 retires before li3's. Only [bnz] leads: li3's write
       // is still in flight when addi issues.
-      {"write retires before an earlier overlapping one", "li3 R1, 5\nli R1, 7",
-       2},
+      {"write retires before an earlier overlapping one",
+       "li3 R1, 5\nli R1, 7", 2},
       // W is 96 bits wide. [nop, addi, bnz] lead.
       {"write to a storage wider than 64 bits", "wlo W1, R2\nnop", 6},
       // rdpc is not the leader; it leads [rdpc, addi, bnz] itself.
       {"a non-leader reads the PC", "nop\nrdpc R3", 6},
+      // cmov waits on lis's R1 and branches on it, so the attempt issue()
+      // discards may read R2 or not. [addi, bnz] lead.
+      {"a waiting instruction branches on data", "lis R1, 5\ncmov R3, R2, R1",
+       4},
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.rule);
-    Trio trio(*m);
-    const RunResult r = runLoopProgram(trio, cat("li R2, 3\n"
-                                                 "loop: ",
-                                                 c.body,
-                                                 "\n"
-                                                 "addi R2, -1\n"
-                                                 "bnz R2, loop\n"
-                                                 "halt\n"));
-    EXPECT_EQ(r.reason, StopReason::Halted);
-    EXPECT_EQ(trio.block.blockIssues(), c.blockIssues);
-    EXPECT_EQ(trio.block.stats().instructions, 14u);
+  for (const Case& c : cases)
+    for (bool profile : {false, true}) {
+      SCOPED_TRACE(cat(c.rule, profile ? ", profiled" : ""));
+      Trio trio(*m, profile);
+      const RunResult r = runLoopProgram(trio, cat("li R2, 3\n"
+                                                   "loop: ",
+                                                   c.body,
+                                                   "\n"
+                                                   "addi R2, -1\n"
+                                                   "bnz R2, loop\n"
+                                                   "halt\n"));
+      EXPECT_EQ(r.reason, StopReason::Halted);
+      EXPECT_EQ(trio.block.blockIssues(), c.blockIssues);
+      EXPECT_EQ(trio.block.stats().instructions, 14u);
+    }
+}
+
+// st waits on lis's R1 and takes its element from it. On the second pass
+// the attempt issue() discards reads the R1 the previous pass left, 105,
+// and traps, which running st once, with the retired 5, would not: the
+// block is ineligible, with the profile and without.
+TEST(BlockIssue, WaitingInstructionsDiscardedAttemptTraps) {
+  auto m = parseAndCheckIsdl(kLoopIsdl);
+  ASSERT_NE(m, nullptr);
+  for (bool profile : {false, true}) {
+    SCOPED_TRACE(profile ? "profiled" : "unprofiled");
+    Trio trio(*m, profile);
+    const RunResult r = runLoopProgram(trio, "li R2, 3\n"
+                                             "loop: lis R1, 5\n"
+                                             "st R1, R2\n"
+                                             "addi R1, 100\n"
+                                             "addi R2, -1\n"
+                                             "bnz R2, loop\n"
+                                             "halt\n");
+    EXPECT_EQ(r.reason, StopReason::RuntimeError);
+    EXPECT_EQ(r.message, "at address 2: write to DM[105] is out of range");
+    EXPECT_EQ(trio.block.blockIssues(), 0u);
   }
+}
+
+/// The block path's heatmap on the LOOP machine: `storage`'s reads or
+/// writes of `elem`.
+std::uint64_t heat(const Xsim& x, const char* storage, std::uint64_t elem,
+                   bool reads) {
+  for (const auto& h : x.metricsReport().heatmaps)
+    if (h.storage == storage) return reads ? h.readsOf(elem) : h.writesOf(elem);
+  return 0;
+}
+
+// An interlock retry repeats phase A, so the block counts mv's read of R1
+// twice a pass: six reads over the three passes, two of them run as one
+// block each.
+TEST(BlockIssue, ProfiledInterlockRetryCountsPhaseAAgain) {
+  auto m = parseAndCheckIsdl(kLoopIsdl);
+  ASSERT_NE(m, nullptr);
+  Trio trio(*m, true);
+  EXPECT_EQ(runLoopProgram(trio, "li R2, 3\n"
+                                 "loop: lis R1, 5\n"
+                                 "mv R3, R1\n"
+                                 "addi R2, -1\n"
+                                 "bnz R2, loop\n"
+                                 "halt\n")
+                .reason,
+            StopReason::Halted);
+  EXPECT_EQ(trio.block.blockIssues(), 8u);
+  EXPECT_GT(trio.block.stats().dataStallCycles, 0u);
+  EXPECT_EQ(heat(trio.block, "R", 1, true), 6u);
+}
+
+// Every issue writes the program counter once: the scheduler's increment,
+// or the branch's retire. A block whose last instruction branches back to
+// its own leader starts each run with the PC at that leader, yet its branch
+// still counts as the change issue() makes from the branch's own address.
+TEST(BlockIssue, ProfiledBranchBackToItsOwnLeader) {
+  auto m = parseAndCheckIsdl(kLoopIsdl);
+  ASSERT_NE(m, nullptr);
+  Trio trio(*m, true);
+  const std::string loop = "li R2, 5\nloop: addi R2, -1\nbnz R2, loop\nhalt\n";
+  EXPECT_EQ(runLoopProgram(trio, loop).reason, StopReason::Halted);
+  EXPECT_EQ(trio.block.blockIssues(), 8u);  // passes 2 to 5 of [addi, bnz]
+  EXPECT_EQ(heat(trio.block, "PC", 0, false), 12u);
+  EXPECT_EQ(trio.block.stats().instructions, 12u);
+
+  // The same on SPAM's dot product, cold and on a rerun that runs every
+  // instruction in a block.
+  auto spam = archs::loadSpam();
+  Trio dot(*spam, true);
+  auto prog = assemble(dot.block, archs::spamBenchmarks()[0].source);
+  ASSERT_TRUE(prog && dot.load(*prog));
+  for (int run = 0; run < 2; ++run) {
+    dot.all([](Xsim& x) {
+      x.reset();
+      return x.run(100000);
+    });
+    EXPECT_EQ(heat(dot.block, "PC", 0, false), 844u);
+    EXPECT_EQ(dot.block.blockIssues(), run == 0 ? 819u : 844u);
+  }
+}
+
+// The profile switched on after the first run built the blocks, and off
+// and on again between runs: the blocks keep running, a run without the
+// profile counts nothing, and one with it counts from its start.
+TEST(BlockIssue, ProfileSwitchedBetweenRuns) {
+  auto m = parseAndCheckIsdl(kLoopIsdl);
+  ASSERT_NE(m, nullptr);
+  Trio trio(*m);
+  EXPECT_EQ(runLoopProgram(trio, "li R2, 3\n"
+                                 "loop: lis R1, 5\n"
+                                 "mv R3, R1\n"
+                                 "st R2, R3\n"
+                                 "addi R2, -1\n"
+                                 "bnz R2, loop\n"
+                                 "halt\n")
+                .reason,
+            StopReason::Halted);
+  auto rerun = [&] {
+    return trio.all([](Xsim& x) {
+      x.reset();
+      return x.run(1000);
+    });
+  };
+  trio.setProfile(true);
+  EXPECT_EQ(rerun().reason, StopReason::Halted);
+  EXPECT_EQ(trio.block.blockIssues(), 17u);  // every issue
+  EXPECT_EQ(heat(trio.block, "R", 1, true), 6u);
+  EXPECT_EQ(heat(trio.block, "DM", 3, false), 1u);
+
+  trio.setProfile(false);
+  EXPECT_EQ(rerun().reason, StopReason::Halted);
+  EXPECT_TRUE(trio.block.metricsReport().heatmaps.empty());
+  EXPECT_EQ(trio.block.blockIssues(), 17u);
+
+  // Armed mid-session, without a reset: the counts start at this run.
+  trio.setProfile(true);
+  trio.all([](Xsim& x) { return x.run(1000); });
+  EXPECT_EQ(heat(trio.block, "R", 1, true), 0u);
+  EXPECT_EQ(rerun().reason, StopReason::Halted);
+  EXPECT_EQ(heat(trio.block, "R", 1, true), 6u);
 }
 
 // A block that ends with its unit still busy: bnzb keeps it busy 3 cycles

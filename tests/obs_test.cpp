@@ -420,9 +420,9 @@ halt
   for (const auto& h : rep.heatmaps)
     if (h.storage == "RF") rf = &h;
   ASSERT_NE(rf, nullptr);
-  EXPECT_GT(rf->reads[1], 0u);   // R1 is ld's address operand
-  EXPECT_GT(rf->writes[2], 0u);  // R2 written by ld
-  EXPECT_GT(rf->writes[3], 0u);  // R3 written by add
+  EXPECT_GT(rf->readsOf(1), 0u);   // R1 is ld's address operand
+  EXPECT_GT(rf->writesOf(2), 0u);  // R2 written by ld
+  EXPECT_GT(rf->writesOf(3), 0u);  // R3 written by add
 
   // Registry counters ride along.
   bool sawRuns = false;
