@@ -102,33 +102,34 @@ inline double medianOf(int rounds, const std::function<double()>& measure) {
 }
 
 /// XSIM simulation speed in architectural cycles per second on `source`,
-/// from one reset-and-run loop of about `minSeconds`. `uop` selects the
-/// micro-op compiled core (default) or the tree-walking interpreter fallback
-/// (sim/uop.h) — Table 1 reports both.
+/// the median of five reset-and-run loops of about 0.2 s each. `uop`
+/// selects the micro-op compiled core (default) or the tree-walking
+/// interpreter fallback (sim/uop.h) — Table 1 reports both.
 inline double xsimCyclesPerSec(const Machine& machine, const char* source,
-                               std::uint64_t maxCycles, bool uop = true,
-                               double minSeconds = 0.4) {
+                               std::uint64_t maxCycles, bool uop = true) {
   sim::Xsim xsim(machine);
   xsim.setUopEnabled(uop);
   sim::AssembledProgram prog = assembleOrDie(xsim.signatures(), source);
   std::string err;
   if (!xsim.loadProgram(prog, &err)) throw IsdlError(err);
   std::uint64_t cyclesPerRun = 0;
-  auto [iters, seconds] = timeLoop([&] {
-    xsim.reset();
-    auto r = xsim.run(maxCycles);
-    if (r.reason != sim::StopReason::Halted)
-      throw IsdlError("bench program did not halt: " + r.message);
-    cyclesPerRun = xsim.stats().cycles;
-  }, minSeconds);
-  return double(iters) * double(cyclesPerRun) / seconds;
+  return medianOf(5, [&] {
+    auto [iters, seconds] = timeLoop([&] {
+      xsim.reset();
+      auto r = xsim.run(maxCycles);
+      if (r.reason != sim::StopReason::Halted)
+        throw IsdlError("bench program did not halt: " + r.message);
+      cyclesPerRun = xsim.stats().cycles;
+    }, 0.2);
+    return double(iters) * double(cyclesPerRun) / seconds;
+  });
 }
 
 /// Hardware-model (netlist) simulation speed in architectural cycles per
-/// second on the same program — the paper's "Synthesizable Verilog" row.
+/// second on the same program — the paper's "Synthesizable Verilog" row —
+/// the median of five loops of about 0.3 s each.
 inline double hwModelCyclesPerSec(const Machine& machine, const char* source,
-                                  std::uint64_t maxClocks, bool share = true,
-                                  double minSeconds = 0.8) {
+                                  std::uint64_t maxClocks, bool share = true) {
   sim::Xsim xsim(machine);  // for signatures + assembler only
   sim::AssembledProgram prog = assembleOrDie(xsim.signatures(), source);
   hw::HgenOptions opts;
@@ -137,18 +138,18 @@ inline double hwModelCyclesPerSec(const Machine& machine, const char* source,
 
   synth::GateSim gs(hgen.model.netlist);
   std::uint64_t archCyclesPerRun = 0;
-  auto [iters, seconds] = timeLoop(
-      [&] {
-        gs.reset();
-        std::string err;
-        if (!gs.loadProgram(machine, hgen.model, prog, &err))
-          throw IsdlError(err);
-        if (!gs.runUntil(hgen.model.haltedReg, maxClocks))
-          throw IsdlError("hardware model did not halt");
-        archCyclesPerRun = gs.peekNet(hgen.model.cycleCountReg).toUint64();
-      },
-      minSeconds);
-  return double(iters) * double(archCyclesPerRun) / seconds;
+  return medianOf(5, [&] {
+    auto [iters, seconds] = timeLoop([&] {
+      gs.reset();
+      std::string err;
+      if (!gs.loadProgram(machine, hgen.model, prog, &err))
+        throw IsdlError(err);
+      if (!gs.runUntil(hgen.model.haltedReg, maxClocks))
+        throw IsdlError("hardware model did not halt");
+      archCyclesPerRun = gs.peekNet(hgen.model.cycleCountReg).toUint64();
+    }, 0.3);
+    return double(iters) * double(archCyclesPerRun) / seconds;
+  });
 }
 
 inline void printRule(char c = '-', int width = 78) {

@@ -108,15 +108,10 @@ void printTable1(ResultSink& sink) {
     // Each figure is the median of five reset-and-run loops, so the
     // speed-up CI gates on is not one loop's luck.
     auto machine = row.loader();
-    double ils = medianOf(5, [&] {
-      return xsimCyclesPerSec(*machine, row.source, row.budget, true, 0.2);
-    });
-    double interp = medianOf(5, [&] {
-      return xsimCyclesPerSec(*machine, row.source, row.budget, false, 0.2);
-    });
-    double hwm = medianOf(5, [&] {
-      return hwModelCyclesPerSec(*machine, row.source, row.budget, true, 0.3);
-    });
+    double ils = xsimCyclesPerSec(*machine, row.source, row.budget);
+    double interp =
+        xsimCyclesPerSec(*machine, row.source, row.budget, /*uop=*/false);
+    double hwm = hwModelCyclesPerSec(*machine, row.source, row.budget);
     std::printf("%-8s %-28s %18.0f %9.0fx\n", row.arch,
                 "XSIM (ILS, uop engine)", ils, ils / hwm);
     std::printf("%-8s %-28s %18.0f %9.0fx\n", row.arch,
@@ -194,16 +189,14 @@ void printBoundIssueRow(ResultSink& sink) {
   // Nanoseconds per issue (the median of five rounds) and the share of a
   // timed pass's issues that ran in blocks.
   auto measure = [&] {
-    std::vector<double> nsPerIssue;
-    for (int round = 0; round < 5; ++round) {
+    const double ns = medianOf(5, [&] {
       auto [iters, seconds] = timeLoop(pass, 0.2);
-      nsPerIssue.push_back(seconds * 1e9 / double(iters * issues));
-    }
-    std::sort(nsPerIssue.begin(), nsPerIssue.end());
+      return seconds * 1e9 / double(iters * issues);
+    });
     pass();
     std::uint64_t inBlocks = 0;
     for (const Program& p : programs) inBlocks += p.xsim->blockIssues();
-    return std::pair{nsPerIssue[2], double(inBlocks) / double(issues)};
+    return std::pair{ns, double(inBlocks) / double(issues)};
   };
   const auto [ns, blockFrac] = measure();
   for (Program& p : programs) p.xsim->enableProfile();

@@ -11,14 +11,17 @@ namespace isdl::obs {
 void StorageHeatmap::Row::grow(std::uint64_t elem, std::uint64_t k) {
   // Rows grow by whole chunks and at least double, so a run that walks a
   // memory up or down costs amortised O(1) per element it touches; one
-  // chunk covers a typical register file at once.
+  // chunk covers a typical register file at once. Growing up stops at the
+  // storage's last element; growing down stops at element 0 by itself.
   constexpr std::uint64_t kChunk = 64;
   const std::uint64_t first = elem & ~(kChunk - 1);
   if (n.empty()) {
     lo = first;
-    n.assign(kChunk, 0);
+    n.assign(std::min(kChunk, depth - first), 0);
   } else if (elem >= lo) {
-    n.resize(std::max<std::uint64_t>(first + kChunk - lo, 2 * n.size()));
+    n.resize(std::min(
+        std::max<std::uint64_t>(first + kChunk - lo, 2 * n.size()),
+        depth - lo));
   } else {
     const std::uint64_t below = std::max<std::uint64_t>(
         lo - first, std::min<std::uint64_t>(lo, n.size()));
@@ -28,9 +31,10 @@ void StorageHeatmap::Row::grow(std::uint64_t elem, std::uint64_t k) {
   n[elem - lo] += k;
 }
 
-void StorageHeatmap::configure(std::size_t storages) {
-  reads.assign(storages, {});
-  writes.assign(storages, {});
+void StorageHeatmap::configure(const std::vector<std::uint64_t>& depths) {
+  reads.clear();
+  for (std::uint64_t depth : depths) reads.push_back(Row{depth, 0, {}});
+  writes = reads;
 }
 
 void StorageHeatmap::clear() {
@@ -54,18 +58,19 @@ void MetricsReport::addHeat(std::string storage, std::uint64_t depth,
     hi = std::max(hi, row->lo + std::uint64_t(n.rend() - last));
   }
   if (lo >= hi) return;
-  Heat h{std::move(storage), depth, lo,
-         std::vector<std::uint64_t>(2 * (hi - lo), 0)};
-  for (const StorageHeatmap::Row* row : {&reads, &writes}) {
-    const std::uint64_t from = std::max(lo, row->lo);
-    const std::uint64_t to = std::min(hi, row->lo + row->n.size());
-    const std::uint64_t at = row == &reads ? 0 : hi - lo;
+  // Copies a row's counts over [lo, hi), zero where the row does not reach.
+  const auto range = [lo, hi](const StorageHeatmap::Row& row) {
+    std::vector<std::uint64_t> v(hi - lo, 0);
+    const std::uint64_t from = std::max(lo, row.lo);
+    const std::uint64_t to = std::min(hi, row.lo + row.n.size());
     if (from < to)
-      std::copy(row->n.begin() + std::ptrdiff_t(from - row->lo),
-                row->n.begin() + std::ptrdiff_t(to - row->lo),
-                h.counts.begin() + std::ptrdiff_t(at + from - lo));
-  }
-  heatmaps.push_back(std::move(h));
+      std::copy(row.n.begin() + std::ptrdiff_t(from - row.lo),
+                row.n.begin() + std::ptrdiff_t(to - row.lo),
+                v.begin() + std::ptrdiff_t(from - lo));
+    return v;
+  };
+  heatmaps.push_back({std::move(storage), depth, lo, range(reads),
+                      range(writes)});
 }
 
 void MetricsReport::writeJson(std::ostream& out, bool pretty) const {

@@ -27,10 +27,13 @@ class JsonWriter;
 /// A row holds the counts of the element range the run has touched, not of
 /// the whole storage: it starts empty and grows to cover each element as it
 /// is counted, so arming, clearing and reporting a profile cost what the run
-/// touched, whatever the storages' depths.
+/// touched, whatever the storages' depths. A row never grows past its
+/// storage's depth.
 struct StorageHeatmap {
-  /// Counts of elements [lo, lo + n.size()); every other element's is 0.
+  /// Counts of elements [lo, lo + n.size()) of a storage `depth` elements
+  /// deep; every other element's is 0.
   struct Row {
+    std::uint64_t depth = 0;
     std::uint64_t lo = 0;
     std::vector<std::uint64_t> n;
 
@@ -48,8 +51,8 @@ struct StorageHeatmap {
   std::vector<Row> reads;
   std::vector<Row> writes;
 
-  /// One empty row pair per storage.
-  void configure(std::size_t storages);
+  /// One empty row pair per storage, for storages `depths` elements deep.
+  void configure(const std::vector<std::uint64_t>& depths);
   /// Zeroes every count; the rows keep the ranges they cover.
   void clear();
 
@@ -93,22 +96,20 @@ struct MetricsReport {
   std::vector<StallSource> structStallsByField;
 
   /// One storage's counts over the element range with traffic, [lo, lo +
-  /// size()): the first and last element of the range have a read or a
-  /// write, and every element outside it has neither. The JSON lists all
+  /// reads.size()): the first and last element of the range have a read or
+  /// a write, and every element outside it has neither. The JSON lists all
   /// `depth` elements.
   struct Heat {
     std::string storage;
     std::uint64_t depth = 0;
     std::uint64_t lo = 0;
-    /// The range's reads, then its writes: one allocation per storage.
-    std::vector<std::uint64_t> counts;
+    std::vector<std::uint64_t> reads, writes;  ///< both over the range
 
-    std::uint64_t size() const { return counts.size() / 2; }
     std::uint64_t readsOf(std::uint64_t elem) const {
-      return elem - lo < size() ? counts[elem - lo] : 0;
+      return elem - lo < reads.size() ? reads[elem - lo] : 0;
     }
     std::uint64_t writesOf(std::uint64_t elem) const {
-      return elem - lo < size() ? counts[size() + elem - lo] : 0;
+      return elem - lo < writes.size() ? writes[elem - lo] : 0;
     }
     bool operator==(const Heat&) const = default;
   };

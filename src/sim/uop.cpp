@@ -14,6 +14,7 @@
 
 #include "rtl/eval.h"
 #include "sim/core.h"
+#include "support/compiler.h"
 #include "support/strings.h"
 
 namespace isdl::sim::uop {
@@ -788,12 +789,12 @@ namespace isdl::sim {
 /// profile) nothing is in flight and the block's schedule counts the reads,
 /// so a read goes straight to the state and only a dynamic one is logged.
 ///
-/// The loop starts on a 64-byte boundary. Left to the linker, its placement
-/// moved with the code around it, and so did the `sim` op set's cost per
-/// issue, by about 4 % (26.1 against 27.1 ns over the 12 bundled programs,
-/// best of 7 rounds, on a 4-vCPU shared x86-64 host).
+/// The loop starts on a 64-byte boundary (ISDL_HOT_ALIGN). Left to the
+/// linker, its placement moved with the code around it, and so did the `sim`
+/// op set's cost per issue, by about 4 % (26.1 against 27.1 ns over the 12
+/// bundled programs, best of 7 rounds, on a 4-vCPU shared x86-64 host).
 template <bool kBlockProfile>
-__attribute__((aligned(64))) void ExecEngine::execProgram(
+ISDL_HOT_ALIGN void ExecEngine::execProgram(
     uop::BoundProgram& prog, std::uint64_t address, bool phaseB) {
   using uop::Kind;
   const uop::BoundProgram::Record& rec = prog.byAddress[address];

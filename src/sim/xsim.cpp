@@ -285,7 +285,10 @@ void Xsim::writeChromeTrace(std::ostream& out) const {
 
 void Xsim::enableProfile() {
   if (profiling_) return;
-  heat_.configure(machine_->storages.size());
+  std::vector<std::uint64_t> depths;
+  depths.reserve(machine_->storages.size());
+  for (const auto& st : machine_->storages) depths.push_back(st.depth);
+  heat_.configure(depths);
   engine_.setHeatmap(&heat_);
   state_.setHeatmap(&heat_);
   profiling_ = true;

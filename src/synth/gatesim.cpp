@@ -8,6 +8,7 @@
 #include "rtl/eval.h"
 #include "rtl/narrow_alu.h"
 #include "sim/assembler.h"
+#include "support/compiler.h"
 #include "support/diag.h"
 #include "support/strings.h"
 
@@ -23,17 +24,10 @@
 #define ISDL_POPCNT_CLONES
 #endif
 
-// The hot entry points (step, runUntil and the counting loop's clones) start
-// on a 64-byte boundary, so how their loops fall across cache lines and
-// fetch blocks does not depend on how much code the linker placed before
-// them. Unaligned, 40 bytes of padding in the code before gatesim.cpp moved
-// perfbench `power` by 3.6 %; aligned, padding by 0, 40 and 112 bytes read
-// within 0.4 %.
-#if defined(__GNUC__)
-#define ISDL_HOT_ALIGN __attribute__((aligned(64)))
-#else
-#define ISDL_HOT_ALIGN
-#endif
+// The hot entry points (step, runUntil and the counting loop's clones) are
+// ISDL_HOT_ALIGN. Unaligned, 40 bytes of padding in the code before
+// gatesim.cpp moved perfbench `power` by 3.6 %; aligned, padding by 0, 40
+// and 112 bytes read within 0.4 %.
 
 namespace isdl::synth {
 

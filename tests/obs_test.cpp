@@ -257,6 +257,53 @@ TEST(TraceBuffer, RingOverwritesOldestAndCountsDrops) {
   EXPECT_EQ(buf.dropped(), 0u);
 }
 
+// --- StorageHeatmap --------------------------------------------------------------
+
+TEST(StorageHeatmap, RowsNeverGrowPastTheStorage) {
+  // Walking every element up, then down, keeps each row within its depth.
+  const std::vector<std::uint64_t> depths = {1, 100, 1000, 4096};
+  obs::StorageHeatmap heat;
+  heat.configure(depths);
+  for (unsigned si = 0; si < depths.size(); ++si) {
+    for (std::uint64_t e = 0; e < depths[si]; ++e) heat.countRead(si, e);
+    EXPECT_EQ(heat.reads[si].lo, 0u);
+    EXPECT_EQ(heat.reads[si].n.size(), depths[si]);
+    for (std::uint64_t e = depths[si]; e-- > 0;) heat.countWrite(si, e, 2);
+    EXPECT_EQ(heat.writes[si].lo, 0u);
+    EXPECT_EQ(heat.writes[si].n.size(), depths[si]);
+  }
+  // A row that starts at the last element covers only up to it.
+  heat.configure({1000});
+  heat.countRead(0, 999);
+  EXPECT_EQ(heat.reads[0].lo + heat.reads[0].n.size(), 1000u);
+}
+
+TEST(StorageHeatmap, ReportHoldsTheRangeWithTraffic) {
+  obs::StorageHeatmap heat;
+  heat.configure({1000});
+  heat.countRead(0, 130);
+  heat.countWrite(0, 200, 3);
+  heat.countRead(0, 70);
+  heat.countWrite(0, 10);
+  heat.uncountWrite(0, 10);  // element 10 keeps no traffic
+  obs::MetricsReport r;
+  r.addHeat("DM", 1000, heat.reads[0], heat.writes[0]);
+  ASSERT_EQ(r.heatmaps.size(), 1u);
+  const auto& h = r.heatmaps[0];
+  EXPECT_EQ(h.lo, 70u);
+  EXPECT_EQ(h.reads.size(), 131u);
+  EXPECT_EQ(h.writes.size(), 131u);
+  EXPECT_EQ(h.readsOf(70), 1u);
+  EXPECT_EQ(h.readsOf(130), 1u);
+  EXPECT_EQ(h.writesOf(200), 3u);
+  EXPECT_EQ(h.writesOf(10), 0u);
+  EXPECT_EQ(h.readsOf(999), 0u);
+  // Rows with no traffic add no heat.
+  heat.clear();
+  r.addHeat("DM", 1000, heat.reads[0], heat.writes[0]);
+  EXPECT_EQ(r.heatmaps.size(), 1u);
+}
+
 // --- simulator integration -----------------------------------------------------
 
 class ObsSimTest : public ::testing::Test {
