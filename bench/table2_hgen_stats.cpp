@@ -13,7 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
+#include "explore/spamfamily.h"
+#include "isdl/parser.h"
 
 namespace {
 
@@ -86,6 +89,30 @@ void printTable2(ResultSink& sink) {
   }
 }
 
+/// Heap allocations of buildDatapath + shareResources per SPAM-family
+/// candidate (the 16 makeSpamVariant machines an exploration scores). The
+/// count is deterministic, so CI holds it under a ceiling.
+void printHgenAllocations(ResultSink& sink) {
+  std::size_t allocations = 0, candidates = 0;
+  for (unsigned alu = 1; alu <= 4; ++alu)
+    for (unsigned mov = 0; mov <= 3; ++mov) {
+      auto machine = parseAndCheckIsdl(
+          explore::makeSpamVariant({alu, mov}).isdlSource);
+      DiagnosticEngine diags;
+      sim::SignatureTable sigs(*machine, diags);
+      const std::size_t before = heapAllocations();
+      hw::HwModel model = hw::buildDatapath(*machine, sigs);
+      hw::shareResources(model, *machine);
+      allocations += heapAllocations() - before;
+      ++candidates;
+    }
+  const double perCandidate = double(allocations) / double(candidates);
+  std::printf("HGEN heap allocations (buildDatapath + shareResources) per "
+              "SPAM-family candidate: %.1f\n\n",
+              perCandidate);
+  sink.add("hgen_allocs_per_spam_candidate", perCandidate);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,5 +122,6 @@ int main(int argc, char** argv) {
   sink.note("paper", "Synopsys + LSI 10K; SPAM larger and slower-clocked "
                      "than SPAM2");
   printTable2(sink);
+  printHgenAllocations(sink);
   return 0;
 }

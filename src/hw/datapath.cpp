@@ -1,7 +1,6 @@
 #include "hw/datapath.h"
 
 #include <algorithm>
-#include <set>
 
 #include "hw/decode.h"
 #include "isdl/sema.h"
@@ -52,6 +51,9 @@ class Builder {
                        /*sideEffects=*/true);
     finalizeControl();
     finalizeWrites();
+    for (std::size_t id = 0; id < tagOf_.size(); ++id)
+      if (tagOf_[id].field < kSeveralOps)
+        model_.operatorTags.emplace_back(static_cast<NetId>(id), tagOf_[id]);
     return std::move(model_);
   }
 
@@ -61,8 +63,11 @@ class Builder {
   HwModel model_;
   Netlist& nl() { return model_.netlist; }
 
-  /// Per-(field,op): parameter value nets (encoded values).
-  std::vector<std::vector<std::vector<NetId>>> paramNets_;
+  /// Parameter value nets (encoded values): every operation's, then those of
+  /// each non-terminal option context as lowering opens it.
+  std::vector<NetId> paramNets_;
+  /// paramBase_[f][o]: where operation (f, o)'s nets start in paramNets_.
+  std::vector<std::vector<std::size_t>> paramBase_;
   /// Accumulated write requests, applied in emission order (later wins).
   struct WriteRec {
     unsigned storage;
@@ -78,26 +83,49 @@ class Builder {
   unsigned curStmt_ = 0;
   unsigned curField_ = 0, curOp_ = 0;
 
-  /// Lowering context: parameter value nets for the current operation or
-  /// (recursively) non-terminal option.
+  /// Lowering context: the current operation's or (recursively) non-terminal
+  /// option's parameters, whose value nets start at paramNets_[firstNet].
   struct Ctx {
     const std::vector<Param>* params;
-    std::vector<NetId> paramNets;
+    std::size_t firstNet;
   };
+  NetId paramNet(const Ctx& ctx, std::size_t i) const {
+    return paramNets_[ctx.firstNet + i];
+  }
 
-  /// Nets lowered by two different operations. Such a node is live in both,
-  /// so the sharing rules' per-operation exclusivity does not hold for it:
-  /// it gets no tag (it is already shared, for free).
-  std::set<NetId> multiOpNets_;
+  /// The context of option `opt` (signature `sig`) of a non-terminal whose
+  /// encoded value is `raw`: its parameters extracted from `raw`.
+  Ctx optionCtx(const NtOption& opt, const sim::Signature& sig, NetId raw) {
+    const Ctx ctx{&opt.params, paramNets_.size()};
+    for (std::size_t q = 0; q < opt.params.size(); ++q)
+      paramNets_.push_back(
+          buildParamExtract(nl(), raw, sig, static_cast<unsigned>(q)));
+    return ctx;
+  }
+
+  /// Names `net` by concatenating `parts`, unless a lowering that built it
+  /// first named it already; the string is built only when it lands.
+  template <typename... Parts>
+  void nameNet(NetId net, const Parts&... parts) {
+    if (std::string& name = nl().nodes[net].name; name.empty())
+      name = cat(parts...);
+  }
+
+  /// The operation that tagged each net, indexed by net. A net lowered by
+  /// two different operations is live in both, so the sharing rules'
+  /// per-operation exclusivity does not hold for it: it is marked
+  /// kSeveralOps and gets no tag (it is already shared, for free).
+  static constexpr unsigned kUntagged = ~0u, kSeveralOps = ~0u - 1;
+  std::vector<OpTag> tagOf_;
 
   void tagOperator(NetId id) {
-    if (multiOpNets_.count(id)) return;
-    auto [it, fresh] =
-        model_.operatorTags.try_emplace(id, OpTag{curField_, curOp_, curStmt_});
-    if (!fresh && (it->second.field != curField_ || it->second.op != curOp_)) {
-      model_.operatorTags.erase(it);
-      multiOpNets_.insert(id);
-    }
+    if (tagOf_.size() <= static_cast<std::size_t>(id))
+      tagOf_.resize(id + 1, OpTag{kUntagged});
+    OpTag& tag = tagOf_[id];
+    if (tag.field == kUntagged)
+      tag = {curField_, curOp_, curStmt_};
+    else if (tag.field != curField_ || tag.op != curOp_)
+      tag.field = kSeveralOps;
   }
 
   // --- storage -----------------------------------------------------------------
@@ -119,7 +147,6 @@ class Builder {
   // --- fetch --------------------------------------------------------------------
   void fetch() {
     const unsigned words = m_.maxSizeWords();
-    const unsigned w = m_.wordWidth;
     int imem = model_.storage[m_.imemIndex].mem;
     NetId pc = model_.pcReg;
     std::vector<NetId> parts;  // msb first
@@ -130,31 +157,35 @@ class Builder {
             nl().addConst(BitVector(nl().widthOf(pc), k));
         addr = nl().addBinary(BinOp::Add, pc, offset);
       }
-      parts.push_back(nl().addMemRead(imem, addr, cat("fetch", k)));
+      parts.push_back(nl().addMemRead(imem, addr));
+      nameNet(parts.back(), "fetch", k);
     }
     model_.instNet = words == 1 ? parts[0]
-                                : nl().addConcat(std::move(parts), "inst");
-    (void)w;
+                                : nl().addConcat(parts, "inst");
   }
 
   // --- decode --------------------------------------------------------------------
   void decodeAll() {
     model_.decodeLines.resize(m_.fields.size());
-    paramNets_.resize(m_.fields.size());
+    paramBase_.resize(m_.fields.size());
     for (std::size_t f = 0; f < m_.fields.size(); ++f) {
       const Field& field = m_.fields[f];
       model_.decodeLines[f].resize(field.operations.size());
-      paramNets_[f].resize(field.operations.size());
+      paramBase_[f].resize(field.operations.size());
       for (std::size_t o = 0; o < field.operations.size(); ++o) {
         const Operation& op = field.operations[o];
         const sim::Signature& sig =
             sigs_.operation(static_cast<unsigned>(f), static_cast<unsigned>(o));
-        model_.decodeLines[f][o] = buildDecodeLine(
-            nl(), model_.instNet, sig, cat("dec_", field.name, "_", op.name));
+        const NetId line = buildDecodeLine(nl(), model_.instNet, sig);
+        nameNet(line, "dec_", field.name, "_", op.name);
+        model_.decodeLines[f][o] = line;
+        paramBase_[f][o] = paramNets_.size();
         for (std::size_t p = 0; p < op.params.size(); ++p) {
-          paramNets_[f][o].push_back(buildParamExtract(
-              nl(), model_.instNet, sig, static_cast<unsigned>(p),
-              cat("par_", field.name, "_", op.name, "_", op.params[p].name)));
+          const NetId value = buildParamExtract(nl(), model_.instNet, sig,
+                                                static_cast<unsigned>(p));
+          nameNet(value, "par_", field.name, "_", op.name, "_",
+                  op.params[p].name);
+          paramNets_.push_back(value);
         }
       }
     }
@@ -163,42 +194,34 @@ class Builder {
   // --- expression lowering ----------------------------------------------------------
   /// Mux chain over a non-terminal's options: result = per-option values
   /// selected by the option decode lines over the extracted return value.
-  NetId lowerNtValue(const Param& p, NetId returnNet,
-                     const std::function<NetId(const NtOption&, Ctx&)>& body) {
+  NetId lowerNtValue(const Param& p, NetId returnNet) {
     const NonTerminal& nt = m_.nonTerminals[p.index];
     NetId acc = kNoNet;
     for (std::size_t o = nt.options.size(); o-- > 0;) {
       const NtOption& opt = nt.options[o];
       const sim::Signature& sig =
           sigs_.ntOption(p.index, static_cast<unsigned>(o));
-      Ctx optCtx;
-      optCtx.params = &opt.params;
-      for (std::size_t q = 0; q < opt.params.size(); ++q)
-        optCtx.paramNets.push_back(buildParamExtract(
-            nl(), returnNet, sig, static_cast<unsigned>(q), ""));
-      NetId value = body(opt, optCtx);
+      NetId value = lowerExpr(*opt.value, optionCtx(opt, sig, returnNet));
       if (acc == kNoNet) {
         acc = value;  // lowest-priority (last) option needs no mux
       } else {
-        NetId line = buildDecodeLine(nl(), returnNet, sig, "");
+        NetId line = buildDecodeLine(nl(), returnNet, sig);
         acc = nl().addMux(line, value, acc);
       }
     }
     return acc;
   }
 
-  NetId lowerExpr(const Expr& e, Ctx& ctx) {
+  NetId lowerExpr(const Expr& e, const Ctx& ctx) {
     switch (e.kind) {
       case ExprKind::Const:
         return nl().addConst(e.constant);
 
       case ExprKind::Param: {
         const Param& p = (*ctx.params)[e.paramIndex];
-        NetId raw = ctx.paramNets[e.paramIndex];
+        NetId raw = paramNet(ctx, e.paramIndex);
         if (p.kind == ParamKind::Token) return raw;
-        return lowerNtValue(p, raw, [&](const NtOption& opt, Ctx& optCtx) {
-          return lowerExpr(*opt.value, optCtx);
-        });
+        return lowerNtValue(p, raw);
       }
 
       case ExprKind::Read:
@@ -245,7 +268,7 @@ class Builder {
         std::vector<NetId> parts;
         for (const auto& opnd : e.operands)
           parts.push_back(lowerExpr(*opnd, ctx));
-        return nl().addConcat(std::move(parts));
+        return nl().addConcat(parts);
       }
 
       case ExprKind::Carry: {
@@ -300,24 +323,20 @@ class Builder {
   }
 
   // --- statement lowering --------------------------------------------------------------
-  void lowerLvalueWrite(const rtl::Lvalue& lv, Ctx& ctx, NetId enable,
+  void lowerLvalueWrite(const rtl::Lvalue& lv, const Ctx& ctx, NetId enable,
                         NetId data) {
     if (lv.isParam) {
       const Param& p = (*ctx.params)[lv.paramIndex];
       const NonTerminal& nt = m_.nonTerminals[p.index];
-      NetId raw = ctx.paramNets[lv.paramIndex];
+      NetId raw = paramNet(ctx, lv.paramIndex);
       // One guarded write per option: enable AND option-select line.
       for (std::size_t o = 0; o < nt.options.size(); ++o) {
         const NtOption& opt = nt.options[o];
         if (!opt.lvalue) continue;
         const sim::Signature& sig =
             sigs_.ntOption(p.index, static_cast<unsigned>(o));
-        NetId line = buildDecodeLine(nl(), raw, sig, "");
-        Ctx optCtx;
-        optCtx.params = &opt.params;
-        for (std::size_t q = 0; q < opt.params.size(); ++q)
-          optCtx.paramNets.push_back(buildParamExtract(
-              nl(), raw, sig, static_cast<unsigned>(q), ""));
+        NetId line = buildDecodeLine(nl(), raw, sig);
+        const Ctx optCtx = optionCtx(opt, sig, raw);
         lowerLvalueWrite(*opt.lvalue, optCtx, nl().andNet(enable, line),
                          data);
       }
@@ -334,7 +353,7 @@ class Builder {
     writes_.push_back(rec);
   }
 
-  void lowerStmts(const std::vector<rtl::StmtPtr>& stmts, Ctx& ctx,
+  void lowerStmts(const std::vector<rtl::StmtPtr>& stmts, const Ctx& ctx,
                   NetId enable) {
     for (const auto& stmt : stmts) {
       ++curStmt_;
@@ -358,22 +377,18 @@ class Builder {
 
   /// Option side effects (e.g. post-increment) for every non-terminal
   /// parameter of the current context, each guarded by its option line.
-  void lowerOptionSideEffects(Ctx& ctx, NetId enable) {
+  void lowerOptionSideEffects(const Ctx& ctx, NetId enable) {
     for (std::size_t i = 0; i < ctx.params->size(); ++i) {
       const Param& p = (*ctx.params)[i];
       if (p.kind != ParamKind::NonTerminal) continue;
       const NonTerminal& nt = m_.nonTerminals[p.index];
-      NetId raw = ctx.paramNets[i];
+      NetId raw = paramNet(ctx, i);
       for (std::size_t o = 0; o < nt.options.size(); ++o) {
         const NtOption& opt = nt.options[o];
         const sim::Signature& sig =
             sigs_.ntOption(p.index, static_cast<unsigned>(o));
-        NetId line = buildDecodeLine(nl(), raw, sig, "");
-        Ctx optCtx;
-        optCtx.params = &opt.params;
-        for (std::size_t q = 0; q < opt.params.size(); ++q)
-          optCtx.paramNets.push_back(buildParamExtract(
-              nl(), raw, sig, static_cast<unsigned>(q), ""));
+        NetId line = buildDecodeLine(nl(), raw, sig);
+        const Ctx optCtx = optionCtx(opt, sig, raw);
         NetId optEnable = nl().andNet(enable, line);
         lowerStmts(opt.sideEffects, optCtx, optEnable);
         lowerOptionSideEffects(optCtx, optEnable);
@@ -387,9 +402,7 @@ class Builder {
     curStmt_ = 0;
     const Operation& op = m_.fields[f].operations[o];
     NetId enable = model_.decodeLines[f][o];
-    Ctx ctx;
-    ctx.params = &op.params;
-    ctx.paramNets = paramNets_[f][o];
+    const Ctx ctx{&op.params, paramBase_[f][o]};
     if (!sideEffects) {
       lowerStmts(op.action, ctx, enable);
     } else {
@@ -431,13 +444,13 @@ class Builder {
         for (const auto& opt : nt.options)
           if (opt.extraCosts.cycle) anyExtra = true;
         if (!anyExtra) continue;
-        NetId raw = paramNets_[f][o][p];
+        NetId raw = paramNets_[paramBase_[f][o] + p];
         NetId extra = nl().addConst(BitVector(8, 0));
         for (std::size_t q = 0; q < nt.options.size(); ++q) {
           if (!nt.options[q].extraCosts.cycle) continue;
           const sim::Signature& sig =
               sigs_.ntOption(op.params[p].index, static_cast<unsigned>(q));
-          NetId line = buildDecodeLine(nl(), raw, sig, "");
+          NetId line = buildDecodeLine(nl(), raw, sig);
           extra = nl().addMux(
               line, nl().addConst(BitVector(8, nt.options[q].extraCosts.cycle)),
               extra);
@@ -566,10 +579,12 @@ void remapModel(HwModel& model, const std::vector<NetId>& remap) {
   fix(model.instrCountReg);
   fix(model.pcReg);
   for (auto& st : model.storage) fix(st.reg);
-  std::map<NetId, OpTag> tags;
-  for (const auto& [net, tag] : model.operatorTags)
-    if (remap[net] != kNoNet) tags[remap[net]] = tag;
-  model.operatorTags = std::move(tags);
+  auto& tags = model.operatorTags;
+  std::size_t kept = 0;
+  for (const auto& [net, tag] : tags)
+    if (remap[net] != kNoNet) tags[kept++] = {remap[net], tag};
+  tags.resize(kept);
+  std::ranges::sort(tags, {}, &std::pair<NetId, OpTag>::first);
 }
 
 HwModel buildDatapath(const Machine& machine,

@@ -26,7 +26,8 @@
 #ifndef ISDL_HW_DATAPATH_H
 #define ISDL_HW_DATAPATH_H
 
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "hw/netlist.h"
 #include "sim/signature.h"
@@ -46,9 +47,9 @@ struct HwModel {
 
   /// decodeLines[f][o] — 1-bit net, high iff field f decodes operation o.
   std::vector<std::vector<NetId>> decodeLines;
-  /// Shareable operator nodes (Binary arithmetic etc.) with their origin.
-  /// A node lowered by two different operations has no tag.
-  std::map<NetId, OpTag> operatorTags;
+  /// Shareable operator nodes (Binary arithmetic etc.) with their origin,
+  /// in net order. A node lowered by two different operations has no tag.
+  std::vector<std::pair<NetId, OpTag>> operatorTags;
 
   NetId instNet = kNoNet;      ///< full fetched instruction image
   NetId haltedReg = kNoNet;    ///< latches once the halt operation retires
@@ -73,7 +74,8 @@ struct HwModel {
 HwModel buildDatapath(const Machine& machine, const sim::SignatureTable& sigs);
 
 /// Applies a net-id remap from Netlist::sweepDead to every net reference the
-/// model holds outside the netlist itself; tags of removed nets are dropped.
+/// model holds outside the netlist itself; tags of removed nets are dropped
+/// and the rest stay in net order.
 void remapModel(HwModel& model, const std::vector<NetId>& remap);
 
 }  // namespace isdl::hw

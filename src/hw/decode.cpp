@@ -4,8 +4,7 @@
 
 namespace isdl::hw {
 
-NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
-                      std::string_view name) {
+NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig) {
   NetId acc = kNoNet;
   const BitVector& care = sig.careMask();
   for (unsigned w = 0; w < care.numWords(); ++w) {
@@ -18,17 +17,17 @@ NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
     }
   }
   // An all-don't-care signature matches unconditionally.
-  if (acc == kNoNet) acc = nl.one();
-  if (nl.nodes[acc].name.empty()) nl.nodes[acc].name = name;
-  return acc;
+  return acc == kNoNet ? nl.one() : acc;
 }
 
 NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
-                        unsigned p, std::string_view name) {
+                        unsigned p) {
   const std::vector<unsigned>& bits = sig.instBitsOfParam(p);
   unsigned w = static_cast<unsigned>(bits.size());
   // Collect slices msb-first, collapsing contiguous descending runs: bits
-  // k..k-r carried by instruction bits b..b-r become one Slice.
+  // k..k-r carried by instruction bits b..b-r become one Slice. Most
+  // parameters are one run, which needs no list and no Concat.
+  NetId first = kNoNet;
   std::vector<NetId> parts;
   int k = static_cast<int>(w) - 1;
   while (k >= 0) {
@@ -36,13 +35,16 @@ NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
     int j = k;
     while (j > 0 && bits[j - 1] + 1 == bits[j]) --j;
     unsigned loBit = bits[j];
-    parts.push_back(nl.addSlice(word, hiBit, loBit));
+    const NetId part = nl.addSlice(word, hiBit, loBit);
+    if (first == kNoNet) {
+      first = part;
+    } else {
+      if (parts.empty()) parts.push_back(first);
+      parts.push_back(part);
+    }
     k = j - 1;
   }
-  const bool single = parts.size() == 1;
-  NetId out = single ? parts[0] : nl.addConcat(std::move(parts));
-  if (nl.nodes[out].name.empty()) nl.nodes[out].name = name;
-  return out;
+  return parts.empty() ? first : nl.addConcat(parts);
 }
 
 }  // namespace isdl::hw

@@ -7,7 +7,6 @@
 // The same functions generate the option-select lines and sub-parameter
 // extraction for non-terminals, operating on the non-terminal's extracted
 // return-value net instead of the instruction net.
-// A returned net built earlier (the netlist hash-conses) keeps its name.
 
 #ifndef ISDL_HW_DECODE_H
 #define ISDL_HW_DECODE_H
@@ -20,14 +19,13 @@ namespace isdl::hw {
 /// Builds the two-level decode line for `sig` over the instruction net
 /// `word` (word.width may exceed sig.widthBits; extra bits are ignored).
 /// Returns a 1-bit net that is high iff the constant bits match.
-NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig,
-                      std::string_view name);
+NetId buildDecodeLine(Netlist& nl, NetId word, const sim::Signature& sig);
 
 /// Builds the extraction network for parameter `p` of `sig`: a concatenation
 /// of the instruction bits that carry it, with contiguous runs collapsed
 /// into single slices.
 NetId buildParamExtract(Netlist& nl, NetId word, const sim::Signature& sig,
-                        unsigned p, std::string_view name);
+                        unsigned p);
 
 }  // namespace isdl::hw
 

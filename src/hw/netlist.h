@@ -15,6 +15,10 @@
 // sweepDead() restores the order after resource sharing rewires consumers
 // to later shared units; consumers check it once with checkLevelized().
 //
+// A node's input nets live in one array the netlist owns, so building a node
+// allocates nothing of its own; consumers read them with ins(), and they
+// change only through rewire(), setInput() and setRegInputs().
+//
 // The same netlist feeds three consumers:
 //   * hw/verilog.h    — synthesizable-Verilog emission,
 //   * synth/mapper.h  — technology mapping / area / timing estimation,
@@ -25,6 +29,7 @@
 #define ISDL_HW_NETLIST_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -60,13 +65,17 @@ struct Node {
   NodeKind kind = NodeKind::Const;
   unsigned width = 0;
   std::string name;        ///< optional; emitted as the Verilog wire name
-  std::vector<NetId> ins;  ///< input nets (Reg: {next, enable-or-kNoNet})
 
   BitVector constValue;             // Const
   rtl::UnOp unOp = rtl::UnOp::BitNot;   // Unary
   rtl::BinOp binOp = rtl::BinOp::Add;   // Binary
   unsigned hi = 0, lo = 0;          // Slice
   int memId = -1;                   // MemRead
+
+ private:
+  friend class Netlist;
+  /// Where Netlist::ins() finds the input nets in the netlist's array.
+  std::uint32_t firstIn_ = 0, numIns_ = 0;
 };
 
 /// A clocked write port of a memory. Always full-width (read-modify-write
@@ -105,7 +114,11 @@ class Netlist {
   NetId addMux(NetId sel, NetId whenTrue, NetId whenFalse,
                std::string_view name = {});
   NetId addSlice(NetId a, unsigned hi, unsigned lo, std::string_view name = {});
-  NetId addConcat(std::vector<NetId> parts, std::string_view name = {});
+  NetId addConcat(std::span<const NetId> parts, std::string_view name = {});
+  NetId addConcat(std::initializer_list<NetId> parts,
+                  std::string_view name = {}) {
+    return addConcat(std::span(parts.begin(), parts.size()), name);
+  }
   NetId addExt(NodeKind kind, NetId a, unsigned width,
                std::string_view name = {});
   /// Creates a register whose next/enable inputs are wired later via
@@ -113,12 +126,22 @@ class Netlist {
   /// value, so they are created first).
   NetId addReg(std::string name, unsigned width);
   void setRegInputs(NetId reg, NetId next, NetId enable = kNoNet);
+  /// Redirects input k of node `id` to `net`. The node stays indexed under
+  /// the shape it had (see the index below).
+  void setInput(NetId id, std::size_t k, NetId net);
   int addMemory(std::string name, unsigned width, std::uint64_t depth);
   NetId addMemRead(int memId, NetId addr, std::string_view name = {});
   void addMemWrite(int memId, NetId enable, NetId addr, NetId data);
   void addOutput(std::string name, NetId net);
 
   unsigned widthOf(NetId id) const { return nodes[id].width; }
+  /// The input nets of node `id` (Reg: {next, enable-or-kNoNet}; Concat: its
+  /// parts, most significant first). Valid until the next node is added, so
+  /// never pass one to addConcat.
+  std::span<const NetId> ins(NetId id) const {
+    const Node& n = nodes[id];
+    return {ins_.data() + n.firstIn_, n.numIns_};
+  }
 
   // --- conveniences used heavily by the datapath builder ---------------------
   /// 1-bit constants.
@@ -138,7 +161,7 @@ class Netlist {
   void checkLevelized() const;
 
   /// Redirects every node input, write port and output from net n to to[n].
-  void rewire(const std::vector<NetId>& to);
+  void rewire(std::span<const NetId> to);
 
   /// Counts by kind (for reports and tests).
   std::size_t countNodes(NodeKind kind) const;
@@ -147,9 +170,11 @@ class Netlist {
   /// and their fan-in, memory write ports, inputs) and numbers the survivors
   /// in evaluation order, keeping every id of a netlist already in order.
   /// Returns the old->new net-id map, with kNoNet for removed nodes —
-  /// callers holding net ids must remap them. The hash-consing index is
-  /// rebuilt from the survivors by the next builder call that probes it, so
-  /// a closing sweep that nothing builds on after pays for no index.
+  /// callers holding net ids must remap them. When nodes were removed or
+  /// moved, or an input changed since the hash-consing index was built, the
+  /// index is rebuilt from the survivors by the next builder call that
+  /// probes it, so a closing sweep that nothing builds on after pays for no
+  /// index; a sweep with nothing to do keeps the index as it is.
   /// Throws IsdlError on a combinational cycle.
   std::vector<NetId> sweepDead();
 
@@ -185,6 +210,9 @@ class Netlist {
   /// answers for the shape.
   void rebuildIndex();
 
+  /// Every node's input nets, each node's as one run.
+  std::vector<NetId> ins_;
+
   /// Hash-consing index: open addressing with linear probing over a
   /// power-of-two table, at most half full. Only probed, so node order stays
   /// creation order. A node stays under the hash of the shape it was indexed
@@ -193,8 +221,9 @@ class Netlist {
   /// shape it no longer has. Of two entries of one hash, the older answers
   /// first.
   std::vector<Slot> index_;
-  std::size_t indexed_ = 0;    ///< occupied slots
-  bool indexStale_ = false;    ///< sweepDead() renumbered the nodes
+  std::size_t indexed_ = 0;     ///< occupied slots
+  bool inputsChanged_ = false;  ///< a mergeable node was rewired in place
+  bool indexStale_ = false;     ///< rebuild before the next probe
 };
 
 }  // namespace isdl::hw

@@ -115,8 +115,9 @@ void GateSim::lower() {
     p.y.push_back(in.y);
   };
   // Concat and Reference operands go to args; returns their range's end.
-  auto pushArgs = [&](const hw::Node& n) {
-    for (NetId in : n.ins) p.args.push_back({offset_[in], nodes[in].width});
+  auto pushArgs = [&](NetId id) {
+    for (NetId in : nl_->ins(id))
+      p.args.push_back({offset_[in], nodes[in].width});
     return static_cast<std::uint32_t>(p.args.size());
   };
 
@@ -131,8 +132,9 @@ void GateSim::lower() {
       consts_.push_back({offset_[id], wordsOf(id), pool});
       continue;
     }
-    auto in = [&](std::size_t k) { return offset_[n.ins[k]]; };
-    auto width = [&](std::size_t k) { return nodes[n.ins[k]].width; };
+    const std::span<const NetId> ins = nl_->ins(id);
+    auto in = [&](std::size_t k) { return offset_[ins[k]]; };
+    auto width = [&](std::size_t k) { return nodes[ins[k]].width; };
     const auto args = static_cast<std::uint32_t>(p.args.size());
     if (n.kind == NodeKind::MemRead) {
       emit(id, {.code = Op::MemRead, .a = in(0),
@@ -140,7 +142,7 @@ void GateSim::lower() {
       continue;
     }
     bool narrow = n.width <= 64;
-    for (std::size_t k = 0; k < n.ins.size(); ++k)
+    for (std::size_t k = 0; k < ins.size(); ++k)
       narrow = narrow && width(k) <= 64;
     if (narrow) {
       switch (n.kind) {
@@ -164,7 +166,7 @@ void GateSim::lower() {
                     .y = n.lo});
           break;
         case NodeKind::Concat:
-          emit(id, {.code = Op::Concat, .x = args, .y = pushArgs(n)});
+          emit(id, {.code = Op::Concat, .x = args, .y = pushArgs(id)});
           break;
         case NodeKind::ZExt:
         case NodeKind::SExt:
@@ -202,15 +204,16 @@ void GateSim::lower() {
                       n.kind == NodeKind::Unary ? std::uint8_t(n.unOp)
                                                 : std::uint8_t(n.binOp),
                       n.hi, n.lo});
-    emit(id, {.code = Op::Reference, .a = ref, .x = args, .y = pushArgs(n)});
+    emit(id, {.code = Op::Reference, .a = ref, .x = args, .y = pushArgs(id)});
   }
 
   std::uint32_t regWords = 0;
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const hw::Node& n = nodes[id];
-    if (n.kind != NodeKind::Reg || n.ins[0] == kNoNet) continue;
-    const NetId next = n.ins[0];
-    const NetId enable = n.ins.size() > 1 ? n.ins[1] : kNoNet;
+    if (n.kind != NodeKind::Reg) continue;
+    const NetId next = nl_->ins(NetId(id))[0];
+    const NetId enable = nl_->ins(NetId(id))[1];
+    if (next == kNoNet) continue;
     if (nodes[next].width != n.width)
       throw IsdlError(cat("register '", n.name, "' is ", n.width,
                           " bits but its next value is ", nodes[next].width));

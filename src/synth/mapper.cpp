@@ -87,7 +87,7 @@ NodeCost costOfNode(const hw::Netlist& nl, hw::NetId id,
       return c;
 
     case NodeKind::AddSub:
-      return addSubCost(nl.nodes[n.ins[0]].width, lib);
+      return addSubCost(nl.widthOf(nl.ins(id)[0]), lib);
 
     case NodeKind::Mux:
       gates(lib.mux21, w);
@@ -98,7 +98,7 @@ NodeCost costOfNode(const hw::Netlist& nl, hw::NetId id,
       return scaleFp(lib.fp32CvtArea, lib.fp32CvtDelay, n.width);
 
     case NodeKind::Binary: {
-      double inW = nl.nodes[n.ins[0]].width;
+      double inW = nl.widthOf(nl.ins(id)[0]);
       switch (n.binOp) {
         case BinOp::Add:
         case BinOp::Sub:
@@ -206,7 +206,7 @@ TimingReport analyzeTiming(const hw::Netlist& nl, const CellLibrary& lib) {
       continue;
     }
     double inArrival = 0.0;
-    for (hw::NetId in : n.ins) {
+    for (hw::NetId in : nl.ins(id)) {
       if (in == hw::kNoNet) continue;
       if (arrival[in] > inArrival) {
         inArrival = arrival[in];
@@ -227,10 +227,9 @@ TimingReport analyzeTiming(const hw::Netlist& nl, const CellLibrary& lib) {
       worstNet = net;
     }
   };
-  for (const auto& n : nl.nodes) {
-    if (n.kind != hw::NodeKind::Reg) continue;
-    for (hw::NetId in : n.ins) consider(in);
-  }
+  for (hw::NetId id = 0; id < static_cast<hw::NetId>(nl.nodes.size()); ++id)
+    if (nl.nodes[id].kind == hw::NodeKind::Reg)
+      for (hw::NetId in : nl.ins(id)) consider(in);
   for (const auto& m : nl.memories) {
     for (const auto& p : m.writePorts) {
       consider(p.enable);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "archs/archs.h"
 #include "hw/datapath.h"
 #include "hw/sharing.h"
@@ -65,7 +67,7 @@ TEST(Netlist, SweepDeadRestoresEvaluationOrder) {
   NetId b = nl.addInput("b", 8);
   NetId inv = nl.addUnary(UnOp::BitNot, a);
   NetId sum = nl.addBinary(BinOp::Add, a, b);
-  nl.nodes[inv].ins[0] = sum;  // inv = ~(a + b)
+  nl.setInput(inv, 0, sum);  // inv = ~(a + b)
   nl.addOutput("o", inv);
   EXPECT_THROW(nl.checkLevelized(), IsdlError);
 
@@ -87,7 +89,7 @@ TEST(Netlist, CombinationalCycleIsRejected) {
   NetId a = nl.addInput("a", 4);
   NetId add = nl.addBinary(BinOp::Add, a, a);
   // Forge a cycle: add reads itself.
-  nl.nodes[add].ins[1] = add;
+  nl.setInput(add, 1, add);
   nl.addOutput("o", add);
   EXPECT_THROW(nl.checkLevelized(), IsdlError);
   EXPECT_THROW(synth::GateSim{nl}, IsdlError);
@@ -216,10 +218,10 @@ TEST(Netlist, RewiredNodeIsNotReturnedForItsOldShape) {
   NetId a = nl.addInput("a", 8);
   NetId b = nl.addInput("b", 8);
   NetId sum = nl.addBinary(BinOp::Add, a, b);
-  nl.nodes[sum].ins[1] = a;  // rewired in place: now a + a
+  nl.setInput(sum, 1, a);  // rewired in place: now a + a
   NetId again = nl.addBinary(BinOp::Add, a, b);
   EXPECT_NE(again, sum);
-  EXPECT_EQ(nl.nodes[again].ins, (std::vector<NetId>{a, b}));
+  EXPECT_TRUE(std::ranges::equal(nl.ins(again), std::vector<NetId>{a, b}));
   // `sum` is indexed under its birth shape, so this adds a second a + a.
   NetId twice = nl.addBinary(BinOp::Add, a, a);
   // Sweeping re-indexes live shapes; the first-born answers for a + a.
@@ -286,18 +288,23 @@ TEST(Netlist, SweepDeadKeepsEveryIdOfAnOrderedNetlist) {
   nl.setRegInputs(reg, next, lt);
   nl.addMemWrite(mem, lt, addr, top);
   nl.addOutput("acc", reg);
-  const std::vector<Node> before = nl.nodes;
+  const Netlist before = nl;
 
   std::vector<NetId> remap = nl.sweepDead();
-  ASSERT_EQ(remap.size(), before.size());
+  ASSERT_EQ(remap.size(), before.nodes.size());
   for (std::size_t i = 0; i < remap.size(); ++i)
     EXPECT_EQ(remap[i], static_cast<NetId>(i));
-  ASSERT_EQ(nl.nodes.size(), before.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(nl.nodes[i].kind, before[i].kind);
-    EXPECT_EQ(nl.nodes[i].name, before[i].name);
-    EXPECT_EQ(nl.nodes[i].ins, before[i].ins);
+  ASSERT_EQ(nl.nodes.size(), before.nodes.size());
+  for (NetId i = 0; i < static_cast<NetId>(before.nodes.size()); ++i) {
+    EXPECT_EQ(nl.nodes[i].kind, before.nodes[i].kind);
+    EXPECT_EQ(nl.nodes[i].name, before.nodes[i].name);
+    EXPECT_TRUE(std::ranges::equal(nl.ins(i), before.ins(i)));
   }
+  const MemWritePort& port = nl.memories[mem].writePorts.at(0);
+  EXPECT_EQ(port.enable, lt);
+  EXPECT_EQ(port.addr, addr);
+  EXPECT_EQ(port.data, top);
+  EXPECT_EQ(nl.outputs.at(0).net, reg);
   EXPECT_EQ(nl.addSlice(in, 3, 0), addr);
   EXPECT_EQ(nl.addMemRead(mem, addr), word);
   EXPECT_EQ(nl.addConst(BitVector(8, 5)), k);
@@ -306,7 +313,91 @@ TEST(Netlist, SweepDeadKeepsEveryIdOfAnOrderedNetlist) {
   EXPECT_EQ(nl.addMux(lt, sum, k), next);
   EXPECT_EQ(nl.addConcat({next, in}), wide);
   EXPECT_EQ(nl.addExt(NodeKind::Trunc, wide, 8), top);
-  EXPECT_EQ(nl.nodes.size(), before.size());
+  EXPECT_EQ(nl.nodes.size(), before.nodes.size());
+}
+
+TEST(Netlist, InputChangedBeforeASweepWithNothingToDoLetsTheFirstBornAnswer) {
+  // Rewiring ~b's input to a keeps the netlist in order with nothing dead,
+  // so the sweep moves nothing; the index must still forget the birth shape
+  // ~b and let the first-born of ~a answer.
+  Netlist nl;
+  NetId a = nl.addInput("a", 8);
+  NetId b = nl.addInput("b", 8);
+  NetId notB = nl.addUnary(UnOp::BitNot, b);  // becomes ~a
+  NetId notA = nl.addUnary(UnOp::BitNot, a);
+  nl.setInput(notB, 0, a);
+  nl.addOutput("x", notB);
+  nl.addOutput("y", notA);
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, a), notA);  // indexed under ~a
+
+  std::vector<NetId> remap = nl.sweepDead();
+  for (std::size_t i = 0; i < remap.size(); ++i)
+    ASSERT_EQ(remap[i], static_cast<NetId>(i));
+  const std::size_t size = nl.nodes.size();
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, a), notB);
+  EXPECT_EQ(nl.nodes.size(), size);
+  EXPECT_EQ(nl.addUnary(UnOp::BitNot, b), static_cast<NetId>(size));
+}
+
+TEST(Netlist, WideConcatRoundTrips) {
+  // Five parts, more than any other kind of node reads: they come back in
+  // order, probe to the same node, evaluate, and survive a sweep that moves
+  // the node.
+  Netlist nl;
+  NetId in = nl.addInput("in", 8);
+  NetId dead = nl.addUnary(UnOp::Neg, in);
+  const std::vector<NetId> parts = {
+      nl.addSlice(in, 7, 6), nl.addConst(BitVector(3, 5)), in,
+      nl.addSlice(in, 0, 0), nl.addConst(BitVector(4, 9))};
+  NetId wide = nl.addConcat(parts, "wide");
+  EXPECT_EQ(nl.widthOf(wide), 2u + 3u + 8u + 1u + 4u);
+  EXPECT_TRUE(std::ranges::equal(nl.ins(wide), parts));
+  EXPECT_EQ(nl.addConcat(parts), wide);
+  std::vector<NetId> reversed(parts.rbegin(), parts.rend());
+  EXPECT_NE(nl.addConcat(reversed), wide);
+  nl.addOutput("o", wide);
+
+  std::vector<NetId> remap = nl.sweepDead();
+  EXPECT_EQ(remap[dead], kNoNet);
+  const NetId moved = remap[wide];
+  ASSERT_NE(moved, wide);
+  std::vector<NetId> movedParts;
+  for (NetId p : parts) movedParts.push_back(remap[p]);
+  EXPECT_TRUE(std::ranges::equal(nl.ins(moved), movedParts));
+  EXPECT_EQ(nl.nodes[moved].name, "wide");
+  EXPECT_EQ(nl.addConcat(movedParts), moved);
+
+  synth::GateSim gs(nl);
+  gs.setInput(remap[in], BitVector(8, 0xA5));
+  gs.step();
+  // {in[7:6], 3'd5, in, in[0], 4'd9} = {10, 101, 10100101, 1, 1001}
+  EXPECT_EQ(gs.peekNet(moved).toUint64(), 0b10'101'10100101'1'1001u);
+}
+
+TEST(Netlist, RewiringACopyLeavesTheOriginal) {
+  Netlist nl;
+  NetId a = nl.addInput("a", 8);
+  NetId b = nl.addInput("b", 8);
+  NetId sum = nl.addBinary(BinOp::Add, a, b);
+  NetId cat = nl.addConcat({sum, a, b, sum});
+  nl.addOutput("o", cat);
+
+  Netlist copy = nl;
+  std::vector<NetId> to(copy.nodes.size());
+  for (std::size_t i = 0; i < to.size(); ++i) to[i] = static_cast<NetId>(i);
+  to[b] = a;
+  copy.rewire(to);
+  copy.setInput(sum, 0, b);
+  copy.sweepDead();
+
+  EXPECT_TRUE(std::ranges::equal(nl.ins(sum), std::vector<NetId>{a, b}));
+  EXPECT_TRUE(
+      std::ranges::equal(nl.ins(cat), std::vector<NetId>{sum, a, b, sum}));
+  EXPECT_EQ(nl.outputs.at(0).net, cat);
+  EXPECT_EQ(nl.addBinary(BinOp::Add, a, b), sum);
+  EXPECT_TRUE(std::ranges::equal(copy.ins(sum), std::vector<NetId>{b, a}));
+  EXPECT_TRUE(
+      std::ranges::equal(copy.ins(cat), std::vector<NetId>{sum, a, a, sum}));
 }
 
 TEST(Netlist, EveryShapeStillProbesToItsNodeAsTheIndexGrows) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "archs/archs.h"
 #include "isdl/parser.h"
 #include "sim/xsim.h"
@@ -231,7 +233,8 @@ machine TWICE {
   const unsigned field = 0, opR = 2;
   std::size_t untagged = 0;
   for (NetId m : muls) {
-    auto it = b.model.operatorTags.find(m);
+    auto it = std::ranges::find(b.model.operatorTags, m,
+                                &std::pair<NetId, OpTag>::first);
     if (it == b.model.operatorTags.end()) {
       ++untagged;
       continue;
@@ -260,10 +263,11 @@ TEST(Sharing, GeneratedMachinesStayInEvaluationOrder) {
     const Netlist& nl = b.model.netlist;
     EXPECT_NO_THROW(nl.checkLevelized());
     bool witness = false;
-    for (const Node& n : nl.nodes) {
+    for (NetId id = 0; id < static_cast<NetId>(nl.nodes.size()); ++id) {
+      const Node& n = nl.nodes[id];
       if (n.kind == NodeKind::Mux || n.kind == NodeKind::Reg || isShared(n))
         continue;
-      for (NetId in : n.ins)
+      for (NetId in : nl.ins(id))
         witness = witness || (in != kNoNet && isShared(nl.nodes[in]));
     }
     reordered += witness;
