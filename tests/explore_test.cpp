@@ -92,6 +92,27 @@ TEST(SpamFamily, EveryParameterPointIsAValidMachine) {
   }
 }
 
+// The 16 candidates' texts, pinned byte for byte: FNV-1a over every
+// variant's name, ISDL and application, each ended by a NUL byte. Any change
+// to the text changes every exploration result downstream.
+TEST(SpamFamily, VariantTextsArePinned) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&](const std::string& text) {
+    for (char ch : text)
+      h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    h *= 1099511628211ull;  // the NUL byte: h ^ 0 == h
+  };
+  for (unsigned alu = 1; alu <= 4; ++alu) {
+    for (unsigned mov = 0; mov <= 3; ++mov) {
+      Candidate c = makeSpamVariant({alu, mov});
+      mix(c.name);
+      mix(c.isdlSource);
+      mix(c.appSource);
+    }
+  }
+  EXPECT_EQ(h, 15347080560369063656ull);
+}
+
 TEST(SpamFamily, NeighbourhoodIsSingleTweaks) {
   auto n = spamNeighbours({2, 1});
   // +-1 alu, +-1 move = 4 neighbours.
