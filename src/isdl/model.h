@@ -192,6 +192,11 @@ struct Operation {
   std::vector<rtl::StmtPtr> sideEffects;
   Costs costs;
   Timing timing;
+
+  /// True if the action or side effects assign the program counter (a
+  /// control-flow operation); set by semantic analysis. Assignments in the
+  /// options of its non-terminal operands do not count.
+  bool writesPc = false;
 };
 
 /// A field groups the mutually exclusive operations of one functional unit;
@@ -261,6 +266,12 @@ class Machine {
   /// semantic analysis, empty if none is declared (the machine then stops
   /// only on cycle budgets).
   std::optional<OpRef> haltOp;
+  /// The widest value, in bits, of any RTL expression semantic analysis
+  /// checked: every operation's action and side effects and every
+  /// non-terminal option's value, lvalue index and side effects, constants
+  /// at their inferred width. Intermediate values included, so 64 or less
+  /// means every value fits a machine word (sim/uop.h: Binder::narrow).
+  unsigned widestValue = 0;
   /// The data memory that `.dm` records initialise and whose width they
   /// take: the last DataMemory storage, or -1 if there is none.
   int dataMemoryIndex() const;

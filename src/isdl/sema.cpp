@@ -42,6 +42,9 @@ class Checker {
   Machine& m_;
   DiagnosticEngine& diags_;
   const std::vector<Param>* params_ = nullptr;
+  /// The operation whose action or side effects are being checked; null
+  /// inside non-terminal options.
+  Operation* op_ = nullptr;
 
   void error(SourceLoc loc, std::string msg) {
     diags_.error(loc, std::move(msg));
@@ -186,11 +189,13 @@ class Checker {
           error(op.loc, ctx() + ": usage must be >= 1");
 
         params_ = &op.params;
+        op_ = &op;
         checkEncoding(op.encode, op.params, op.costs.size * m_.wordWidth,
                       op.loc, ctx);
         for (auto& s : op.action) checkStmt(*s);
         for (auto& s : op.sideEffects) checkStmt(*s);
         params_ = nullptr;
+        op_ = nullptr;
       }
     }
   }
@@ -253,11 +258,21 @@ class Checker {
     }
     e.constant = BitVector(w, v);
     e.width = w;
+    m_.widestValue = std::max(m_.widestValue, w);
   }
 
   /// Width-checks `e`; `expected` is a hint used only to size unsized integer
-  /// constants (0 = no hint). Returns the resolved width (0 on error).
+  /// constants (0 = no hint). Returns the resolved width (0 on error) and
+  /// records the final width in Machine::widestValue: a constant sized later
+  /// by its sibling (checkBalanced, shift amounts) is recorded by
+  /// coerceConst.
   unsigned checkExpr(Expr& e, unsigned expected) {
+    unsigned w = inferWidth(e, expected);
+    m_.widestValue = std::max(m_.widestValue, e.width);
+    return w;
+  }
+
+  unsigned inferWidth(Expr& e, unsigned expected) {
     switch (e.kind) {
       case ExprKind::Const:
         if (e.width == 0) {
@@ -508,6 +523,8 @@ class Checker {
                            " bits, value is ", vw,
                            " bits (use zext/sext/trunc)"));
         if (!s.dest.isParam) {
+          if (op_ && static_cast<int>(s.dest.storageIndex) == m_.pcIndex)
+            op_->writesPc = true;
           const StorageDef& st = m_.storages[s.dest.storageIndex];
           if (st.kind == StorageKind::InstructionMemory)
             diags_.warning(s.loc,

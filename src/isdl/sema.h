@@ -5,8 +5,10 @@
 // costs/timing).
 //
 // checkMachine() must run before any tool generation; it also fills in the
-// derived fields of Machine (pcIndex, imemIndex, haltOp, Field::nopIndex,
-// NonTerminal::valueWidth/lvalueWidth) and the `width` of every RTL node.
+// derived fields of Machine (pcIndex, imemIndex, haltOp, widestValue,
+// Field::nopIndex, Operation::writesPc, NonTerminal::valueWidth/lvalueWidth)
+// and the `width` of every RTL node, so no back end walks the RTL trees to
+// find them again.
 
 #ifndef ISDL_ISDL_SEMA_H
 #define ISDL_ISDL_SEMA_H

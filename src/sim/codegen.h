@@ -16,8 +16,9 @@
 // construction, and every operator is a call into rtl/narrow_alu.h, whose
 // text the generated source embeds. Storage elements wider than 64 bits
 // (other than the instruction memory, which compiled execution never
-// touches) and machines that fail the binder's narrow-width proof (values
-// wider than 64 bits) are not supported and raise IsdlError.
+// touches) and machines with a value wider than 64 bits (the widest value
+// semantic analysis records, read by uop::Binder::narrow) are not supported
+// and raise IsdlError.
 //
 // The emitted program runs the simulation and prints the final state as
 // `<storage> <element> <hex>` lines plus `cycles N` / `instructions N`,

@@ -19,7 +19,8 @@
 // Two evaluators drive the same cycle model: the tree-walking interpreter
 // (BitVector values through rtl::evalExpr, any width) and the bound
 // micro-op records of sim/uop.h (≤64-bit values through rtl/narrow_alu.h),
-// which Xsim passes in whenever the machine passes the narrow-width proof.
+// which Xsim passes in whenever the widest value semantic analysis recorded
+// for the machine fits in 64 bits (uop::Binder::narrow).
 // Both stage writes through the same delayed-write queue, and both run
 // through the one issue routine (ExecEngine::issue).
 //

@@ -1,9 +1,8 @@
-// The binder, the narrow-width proof, the bound records' dispatch loop and
-// their C++ printer. The binder mirrors the interpreter's evaluation order
-// exactly (sim/core.cpp: evalExpr, resolveLvalue-before-value, depth-first
-// option side effects), so the two engines agree on every observable: final
-// state, cycle counts, stall attribution, heatmap read counts, and which trap
-// fires first.
+// The binder, the bound records' dispatch loop and their C++ printer. The
+// binder mirrors the interpreter's evaluation order exactly (sim/core.cpp:
+// evalExpr, resolveLvalue-before-value, depth-first option side effects), so
+// the two engines agree on every observable: final state, cycle counts, stall
+// attribution, heatmap read counts, and which trap fires first.
 
 #include "sim/uop.h"
 
@@ -35,66 +34,6 @@ bool testFaultInjection() {
 }
 
 namespace {
-
-/// The width proof behind Binder::narrow: walks every tree an operation can
-/// evaluate, through every option of every non-terminal operand.
-class NarrowProof {
- public:
-  explicit NarrowProof(const Machine& m) : m_(m) {}
-
-  bool stmts(const std::vector<rtl::StmtPtr>& list,
-             const std::vector<Param>& params) const {
-    for (const auto& s : list) {
-      if (s->kind == rtl::StmtKind::Assign) {
-        if (!lvalue(s->dest, params) || !expr(*s->value, params)) return false;
-      } else if (!expr(*s->cond, params) || !stmts(s->thenStmts, params) ||
-                 !stmts(s->elseStmts, params)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Side effects the options of non-terminal operands contribute.
-  bool optionSideEffects(const std::vector<Param>& params) const {
-    for (const Param& p : params) {
-      if (p.kind != ParamKind::NonTerminal) continue;
-      for (const NtOption& opt : m_.nonTerminals[p.index].options)
-        if (!stmts(opt.sideEffects, opt.params) ||
-            !optionSideEffects(opt.params))
-          return false;
-    }
-    return true;
-  }
-
- private:
-  bool expr(const rtl::Expr& e, const std::vector<Param>& params) const {
-    // Sema's width bounds every value this node computes, the partial
-    // concatenations of a Concat included.
-    if (e.width > 64) return false;
-    if (e.kind == rtl::ExprKind::Param &&
-        params[e.paramIndex].kind == ParamKind::NonTerminal) {
-      for (const NtOption& opt :
-           m_.nonTerminals[params[e.paramIndex].index].options)
-        if (opt.value && !expr(*opt.value, opt.params)) return false;
-    }
-    for (const auto& operand : e.operands)
-      if (!expr(*operand, params)) return false;
-    return true;
-  }
-
-  bool lvalue(const rtl::Lvalue& lv, const std::vector<Param>& params) const {
-    if (lv.isParam) {
-      for (const NtOption& opt :
-           m_.nonTerminals[params[lv.paramIndex].index].options)
-        if (opt.lvalue && !lvalue(*opt.lvalue, opt.params)) return false;
-      return true;
-    }
-    return !lv.index || expr(*lv.index, params);
-  }
-
-  const Machine& m_;
-};
 
 /// The operands of one operation or selected non-terminal option: the
 /// parameter declarations and the values this instruction decoded for them.
@@ -474,23 +413,10 @@ class RecordCompiler {
   unsigned branches_ = 0;
 };
 
-bool isNarrow(const Machine& m) {
-  NarrowProof proof(m);
-  for (const Field& field : m.fields)
-    for (const Operation& op : field.operations)
-      if (!proof.stmts(op.action, op.params) ||
-          !proof.stmts(op.sideEffects, op.params) ||
-          !proof.optionSideEffects(op.params))
-        return false;
-  return true;
-}
-
 }  // namespace
 
 Binder::Binder(const Machine& machine)
-    : machine_(&machine),
-      narrow_(isNarrow(machine)),
-      injectFault_(testFaultInjection()) {}
+    : machine_(&machine), injectFault_(testFaultInjection()) {}
 
 void Binder::bind(const DecodedProgram& program, BoundProgram& into) const {
   into.byAddress.assign(program.byAddress.size(), {});

@@ -39,12 +39,13 @@
 // issue. Xsim binds when a program loads with the bound engine selected, or
 // when the engine is selected later (Xsim::setUopEnabled).
 //
-// Binder::narrow() proves from the widths semantic analysis stored on every
-// RTL expression that every value a bound record can compute fits in 64 bits.
-// When the proof fails, Xsim runs the interpreter and no compiled-code
-// simulator can be generated. The interpreter also stays available on request
-// (Xsim::setUopEnabled(false), xsim --no-uop) as the differential-testing
-// oracle (tests/fuzz_diff_test.cpp, tests/bound_diff_test.cpp): it walks the
+// Binder::narrow() reads the widest value semantic analysis recorded while it
+// checked the description (Machine::widestValue): when every value fits in 64
+// bits, every value a bound record can compute does. Otherwise Xsim runs the
+// interpreter and no compiled-code simulator can be generated. The
+// interpreter also stays available on request (Xsim::setUopEnabled(false),
+// xsim --no-uop) as the differential-testing oracle
+// (tests/fuzz_diff_test.cpp, tests/bound_diff_test.cpp): it walks the
 // decoded parameters and evaluates on BitVector through rtl::applyBinOp, so
 // it checks the binder and the narrow ALU rather than sharing them. Both
 // paths run through the engine's one issue routine and stage every write
@@ -202,12 +203,11 @@ class Binder {
   explicit Binder(const Machine& machine);
 
   /// True when every constant, parameter, storage read and intermediate
-  /// value any operation of the machine can compute fits in 64 bits, read
-  /// off the widths semantic analysis stored on the RTL expressions (an
-  /// operand that selects a non-terminal option brings that option's value,
-  /// lvalue and side-effect trees). Only such a machine runs bound, and only
-  /// such a machine can be emitted as a compiled-code simulator.
-  bool narrow() const { return narrow_; }
+  /// value of the description fits in 64 bits: Machine::widestValue, which
+  /// semantic analysis records over every operation and every non-terminal
+  /// option. Only such a machine runs bound, and only such a machine can be
+  /// emitted as a compiled-code simulator.
+  bool narrow() const { return machine_->widestValue <= 64; }
 
   /// Binds every decoded instruction of `program` into `into`, replacing
   /// what it held and reusing its storage. Requires narrow().
@@ -247,7 +247,6 @@ class Binder {
 
  private:
   const Machine* machine_;
-  bool narrow_;
   bool injectFault_;  ///< testFaultInjection() when the binder was built
 };
 

@@ -163,10 +163,11 @@ class Xsim {
   /// Selects between the bound micro-op records (default; sim/uop.h) and the
   /// tree-walking interpreter. The two are bit-identical — the interpreter
   /// remains as the differential-testing oracle (`xsim --no-uop`). Machines
-  /// that fail the narrow-width proof (uop::Binder::narrow) run on the
-  /// interpreter whatever is requested; uopEnabled() reports the engine
-  /// actually in use. Selecting the bound engine binds the loaded program if
-  /// it was loaded under the interpreter.
+  /// with a value wider than 64 bits (Machine::widestValue, recorded by
+  /// semantic analysis; uop::Binder::narrow) run on the interpreter whatever
+  /// is requested; uopEnabled() reports the engine actually in use.
+  /// Selecting the bound engine binds the loaded program if it was loaded
+  /// under the interpreter.
   void setUopEnabled(bool enabled);
   bool uopEnabled() const { return useBound_; }
   const uop::Binder& binder() const { return binder_; }

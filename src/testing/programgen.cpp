@@ -6,23 +6,6 @@
 
 namespace isdl::testing {
 
-bool operationTouchesPc(const Machine& m, const Operation& op) {
-  bool touches = false;
-  auto scan = [&](const rtl::Stmt& s, auto&& self) -> void {
-    if (s.kind == rtl::StmtKind::Assign) {
-      if (!s.dest.isParam &&
-          static_cast<int>(s.dest.storageIndex) == m.pcIndex)
-        touches = true;
-      return;
-    }
-    for (const auto& t : s.thenStmts) self(*t, self);
-    for (const auto& t : s.elseStmts) self(*t, self);
-  };
-  for (const auto& s : op.action) scan(*s, scan);
-  for (const auto& s : op.sideEffects) scan(*s, scan);
-  return touches;
-}
-
 namespace {
 bool isHaltOperation(const Machine& m, std::size_t field, std::size_t op) {
   return m.haltOp && m.haltOp->fieldIndex == field && m.haltOp->opIndex == op;
@@ -65,8 +48,7 @@ sim::AssembledProgram randomEncodedProgram(const Machine& m,
         for (int tries = 0; tries < 50; ++tries) {
           int o = int(rng() % m.fields[f].operations.size());
           const Operation& op = m.fields[f].operations[o];
-          if (isHaltOperation(m, f, o) || operationTouchesPc(m, op) ||
-              op.costs.size != 1)
+          if (isHaltOperation(m, f, o) || op.writesPc || op.costs.size != 1)
             continue;
           choice[f] = o;
           goto fieldDone;
@@ -175,8 +157,7 @@ AssemblyGenerator::AssemblyGenerator(const Machine& m,
         masks_[f][o * words_ + w] = mask.word(w);
       // Eligible: non-control, single-word, non-halt.
       const Operation& op = field.operations[o];
-      if (!isHaltOperation(m, f, o) && !operationTouchesPc(m, op) &&
-          op.costs.size == 1)
+      if (!isHaltOperation(m, f, o) && !op.writesPc && op.costs.size == 1)
         eligible_[f].push_back(unsigned(o));
     }
   }

@@ -15,10 +15,10 @@
 //     retargeted per machine automatically: whatever the generated (or
 //     hand-written) description declares is what gets rendered.
 //
-// Both generators exclude control-flow operations (anything assigning the
-// PC), respect `never` constraints, and reject cross-field encoding
-// conflicts, so every emitted program is assembleable and runs straight
-// through to the terminating halt instruction.
+// Both generators exclude control-flow operations (Operation::writesPc, set
+// by semantic analysis), respect `never` constraints, and reject cross-field
+// encoding conflicts, so every emitted program is assembleable and runs
+// straight through to the terminating halt instruction.
 
 #ifndef ISDL_TESTING_PROGRAMGEN_H
 #define ISDL_TESTING_PROGRAMGEN_H
@@ -31,10 +31,6 @@
 #include "sim/xsim.h"
 
 namespace isdl::testing {
-
-/// True if the operation's action or side effects assign the program counter
-/// (such operations are excluded from random straight-line programs).
-bool operationTouchesPc(const Machine& m, const Operation& op);
 
 /// Builds a random straight-line program: `length` instructions made of
 /// randomly chosen non-control operations with random operands, then halt.

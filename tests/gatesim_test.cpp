@@ -367,8 +367,8 @@ TEST(GateSimLoadProgram, RejectsWhatXsimRejects) {
   EXPECT_TRUE(gs.peekMemory(model.storage[m->imemIndex].mem, 0).isZero());
 }
 
-// The 96-bit machine runs on XSIM's interpreter (it fails the narrow proof)
-// and through the wide paths of the hardware model.
+// The 96-bit machine runs on XSIM's interpreter (its values do not fit in 64
+// bits) and through the wide paths of the hardware model.
 TEST(GateSimLoadProgram, WideMachineMatchesXsim) {
   auto m = parseAndCheckIsdl(testing::kWideIsdl);
   ASSERT_NE(m, nullptr);

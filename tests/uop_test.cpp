@@ -254,10 +254,10 @@ machine W64 {
 )");
 }
 
-// A value wider than 64 bits fails the narrow-width proof, so the default
-// Xsim runs the machine on the interpreter and says so. The wide value is a
-// register, an intermediate of 64-bit operands, or a non-terminal's option
-// value.
+// A value wider than 64 bits makes the widest value semantic analysis
+// records exceed 64 bits, so the default Xsim runs the machine on the
+// interpreter and says so. The wide value is a register, an intermediate of
+// 64-bit operands, or a non-terminal's option value.
 TEST(UopEngine, WideMachineRunsOnInterpreter) {
   // R1 = 1, R2 = -1, so {R1, R2}[71:8] = 0x01ffffffffffffff.
   const char* kPairProgram = "li R1, 1\nli R2, -1\nop R3, R1, R2\nhalt\n";
