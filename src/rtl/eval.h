@@ -1,7 +1,8 @@
-// Bit-true evaluation of RTL expressions. The evaluator is shared by the
-// XSIM processing core (which supplies architectural state and decoded
-// parameter values) and the constant folder (which supplies nothing and
-// fails on any state access).
+// Bit-true evaluation of RTL expressions, on BitVector values of any width.
+// The XSIM interpreter (sim/core.cpp) evaluates through it, supplying
+// architectural state and decoded parameter values; the operator helpers
+// (applyBinOp, applyUnOp and the IEEE-754 conversions) also serve the gate
+// simulator's reference path for nets wider than 64 bits (synth/gatesim.cpp).
 //
 // Expressions must have been width-checked: every node carries a non-zero
 // width and operand widths satisfy the operator's contract.
@@ -30,8 +31,8 @@ class EvalContext {
                                 const BitVector& index) const = 0;
 };
 
-/// Thrown when evaluation touches something the context cannot supply
-/// (used by the constant folder) or hits a runtime trap.
+/// Thrown when evaluation hits a runtime trap: an out-of-range access or
+/// write, a write conflict, or an operand the context cannot supply.
 class EvalError : public std::runtime_error {
  public:
   explicit EvalError(const std::string& what) : std::runtime_error(what) {}

@@ -76,22 +76,6 @@ bool isFloatOp(BinOp op) {
   }
 }
 
-ExprPtr Expr::clone() const {
-  auto e = std::make_unique<Expr>(kind, loc);
-  e->width = width;
-  e->constant = constant;
-  e->paramIndex = paramIndex;
-  e->storageIndex = storageIndex;
-  e->sliceHi = sliceHi;
-  e->sliceLo = sliceLo;
-  e->unOp = unOp;
-  e->binOp = binOp;
-  e->extWidth = extWidth;
-  e->operands.reserve(operands.size());
-  for (const auto& op : operands) e->operands.push_back(op->clone());
-  return e;
-}
-
 ExprPtr Expr::makeConst(BitVector v, SourceLoc loc) {
   auto e = std::make_unique<Expr>(ExprKind::Const, loc);
   e->width = v.width();
@@ -165,29 +149,6 @@ ExprPtr Expr::makeConcat(std::vector<ExprPtr> parts, SourceLoc loc) {
   return e;
 }
 
-Lvalue Lvalue::clone() const {
-  Lvalue l;
-  l.loc = loc;
-  l.isParam = isParam;
-  l.paramIndex = paramIndex;
-  l.storageIndex = storageIndex;
-  if (index) l.index = index->clone();
-  l.hasSlice = hasSlice;
-  l.sliceHi = sliceHi;
-  l.sliceLo = sliceLo;
-  return l;
-}
-
-StmtPtr Stmt::clone() const {
-  auto s = std::make_unique<Stmt>(kind, loc);
-  s->dest = dest.clone();
-  if (value) s->value = value->clone();
-  if (cond) s->cond = cond->clone();
-  for (const auto& t : thenStmts) s->thenStmts.push_back(t->clone());
-  for (const auto& e : elseStmts) s->elseStmts.push_back(e->clone());
-  return s;
-}
-
 StmtPtr Stmt::makeAssign(Lvalue dest, ExprPtr value, SourceLoc loc) {
   auto s = std::make_unique<Stmt>(StmtKind::Assign, loc);
   s->dest = std::move(dest);
@@ -253,34 +214,6 @@ std::string toString(const Expr& e) {
       return cat("itof(", toString(*e.operands[0]), ", ", e.extWidth, ")");
     case ExprKind::FToI:
       return cat("ftoi(", toString(*e.operands[0]), ", ", e.extWidth, ")");
-  }
-  return "?";
-}
-
-std::string toString(const Stmt& s, unsigned indent) {
-  std::string pad(indent, ' ');
-  switch (s.kind) {
-    case StmtKind::Assign: {
-      std::string dst;
-      if (s.dest.isParam)
-        dst = cat("$", s.dest.paramIndex);
-      else
-        dst = cat("S", s.dest.storageIndex);
-      if (s.dest.index) dst += cat("[", toString(*s.dest.index), "]");
-      if (s.dest.hasSlice) dst += cat("[", s.dest.sliceHi, ":", s.dest.sliceLo, "]");
-      return cat(pad, dst, " <- ", toString(*s.value), ";");
-    }
-    case StmtKind::If: {
-      std::string out = cat(pad, "if (", toString(*s.cond), ") {\n");
-      for (const auto& t : s.thenStmts) out += toString(*t, indent + 2) + "\n";
-      out += pad + "}";
-      if (!s.elseStmts.empty()) {
-        out += " else {\n";
-        for (const auto& t : s.elseStmts) out += toString(*t, indent + 2) + "\n";
-        out += pad + "}";
-      }
-      return out;
-    }
   }
   return "?";
 }

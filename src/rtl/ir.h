@@ -2,11 +2,11 @@
 // operation actions and side effects in an ISDL description (paper §2.1.3,
 // operation parts 3 and 4).
 //
-// The IR is produced by the ISDL parser, width-checked by rtl::WidthChecker,
-// interpreted by the simulator's processing core (sim/), and lowered to a
-// structural netlist by the hardware generator (hw/). All values are
-// fixed-width BitVectors; semantics are bit-true two's complement, with
-// IEEE-754 helpers for floating-point architectures.
+// The IR is produced by the ISDL parser, width-checked by semantic analysis
+// (isdl/sema.h), interpreted by the simulator's processing core (sim/), and
+// lowered to a structural netlist by the hardware generator (hw/). All
+// values are fixed-width BitVectors; semantics are bit-true two's
+// complement, with IEEE-754 helpers for floating-point architectures.
 
 #ifndef ISDL_RTL_IR_H
 #define ISDL_RTL_IR_H
@@ -61,7 +61,7 @@ struct Expr {
   ExprKind kind;
   SourceLoc loc;
 
-  /// Result width in bits. 0 until the WidthChecker runs (except nodes whose
+  /// Result width in bits. 0 until semantic analysis runs (except nodes whose
   /// width is syntactically fixed, which the parser fills in).
   unsigned width = 0;
 
@@ -77,8 +77,6 @@ struct Expr {
   unsigned extWidth = 0;              // ZExt/SExt/Trunc/IToF/FToI target width
 
   Expr(ExprKind k, SourceLoc l) : kind(k), loc(l) {}
-
-  ExprPtr clone() const;
 
   // --- builders --------------------------------------------------------------
   static ExprPtr makeConst(BitVector v, SourceLoc loc = {});
@@ -109,8 +107,6 @@ struct Lvalue {
   ExprPtr index;              // optional: element address for addressed kinds
   bool hasSlice = false;
   unsigned sliceHi = 0, sliceLo = 0;
-
-  Lvalue clone() const;
 };
 
 struct Stmt;
@@ -136,16 +132,13 @@ struct Stmt {
 
   Stmt(StmtKind k, SourceLoc l) : kind(k), loc(l) {}
 
-  StmtPtr clone() const;
-
   static StmtPtr makeAssign(Lvalue dest, ExprPtr value, SourceLoc loc = {});
   static StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenStmts,
                         std::vector<StmtPtr> elseStmts, SourceLoc loc = {});
 };
 
-/// Human-readable rendering for error messages and dumps.
+/// Human-readable rendering of an expression.
 std::string toString(const Expr& e);
-std::string toString(const Stmt& s, unsigned indent = 0);
 
 }  // namespace isdl::rtl
 

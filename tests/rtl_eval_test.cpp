@@ -147,15 +147,6 @@ TEST(RtlEval, CarryOverflowBorrow) {
   EXPECT_EQ(rtl::evalExpr(*mk(rtl::ExprKind::Borrow, 2, 1), ctx).toUint64(), 0u);
 }
 
-TEST(RtlIr, CloneIsDeep) {
-  auto e = Expr::makeBinary(BinOp::Add, Expr::makeParam(0),
-                            Expr::makeConst(BitVector(8, 3)));
-  auto c = e->clone();
-  EXPECT_NE(c->operands[0].get(), e->operands[0].get());
-  EXPECT_EQ(c->binOp, e->binOp);
-  EXPECT_EQ(rtl::toString(*c), rtl::toString(*e));
-}
-
 TEST(RtlIr, ToStringRenders) {
   auto e = Expr::makeBinary(BinOp::Add, Expr::makeParam(1),
                             Expr::makeConst(BitVector(8, 3)));
