@@ -88,12 +88,18 @@ void appendTo(std::string& out, const T& v) {
 
 }  // namespace detail
 
+/// Appends each argument to `out` exactly as `std::ostream <<` prints it.
+template <typename... Args>
+void catTo(std::string& out, const Args&... args) {
+  (detail::appendTo(out, args), ...);
+}
+
 /// printf-free formatting helper: cat(1, " + ", x) etc. Prints each argument
 /// exactly as `std::ostream <<` does.
 template <typename... Args>
 std::string cat(const Args&... args) {
   std::string out;
-  (detail::appendTo(out, args), ...);
+  catTo(out, args...);
   return out;
 }
 
